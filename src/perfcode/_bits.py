@@ -48,21 +48,11 @@ def span_basis(vecs) -> list[int]:
 def nullspace_basis(rows, ncols: int) -> list[int]:
     """Basis of {x in F^ncols : parity(row & x) = 0 for every row}.
 
-    Rows are bit-packed vectors of length `ncols`.  Works by full
-    Gauss-Jordan reduction; free columns parameterize the kernel.
+    Rows are bit-packed vectors of length `ncols`.  The reduced basis of
+    `span_basis` has one row per pivot column; free columns parameterize
+    the kernel.
     """
-    piv: dict[int, int] = {}
-    for row in rows:
-        cur = int(row)
-        for c, pr in piv.items():
-            if (cur >> c) & 1:
-                cur ^= pr
-        if cur:
-            c = cur.bit_length() - 1
-            for c2 in list(piv):
-                if (piv[c2] >> c) & 1:
-                    piv[c2] ^= cur
-            piv[c] = cur
+    piv = {row.bit_length() - 1: row for row in span_basis(rows)}
     basis = []
     for f in range(ncols):
         if f in piv:

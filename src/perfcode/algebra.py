@@ -13,11 +13,11 @@ Conventions (global for the whole package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice
 
 import numpy as np
 
-from ._bits import parity, span_dim, weight
+from ._bits import parity, span_basis, span_dim, weight
 from .errors import BudgetExceeded, DimensionMismatch, NotInvertible, ZeroNotFixed
 
 GL_ENUM_MAX_R = 6
@@ -100,12 +100,6 @@ def identity_matrix(r: int) -> BitMatrix:
     return BitMatrix(r, r, tuple(1 << i for i in range(r)))
 
 
-def matrix_from_rows(rows) -> BitMatrix:
-    rows = tuple(int(x) for x in rows)
-    cols = max((x.bit_length() for x in rows), default=0)
-    return BitMatrix(len(rows), max(cols, len(rows)), rows)
-
-
 def _mul_rows(a_rows, b_rows) -> tuple[int, ...]:
     out = []
     for ra in a_rows:
@@ -130,19 +124,12 @@ def invert(m: BitMatrix) -> BitMatrix:
     if m.rows != m.cols:
         raise NotInvertible("matrix is not square")
     n = m.rows
-    # Gauss-Jordan on [M | I] packed as rows of 2n bits.
-    aug = [m.row_bits[i] | (1 << (n + i)) for i in range(n)]
-    row_at = 0
-    for col in range(n):
-        piv = next((k for k in range(row_at, n) if (aug[k] >> col) & 1), None)
-        if piv is None:
-            raise NotInvertible("matrix is singular over GF(2)")
-        aug[row_at], aug[piv] = aug[piv], aug[row_at]
-        for k in range(n):
-            if k != row_at and (aug[k] >> col) & 1:
-                aug[k] ^= aug[row_at]
-        row_at += 1
-    return BitMatrix(n, n, tuple(row >> n for row in aug))
+    # reduce [M | I] with M in the high half: row i of the inverse is the
+    # low half of the basis row whose pivot is column n + i
+    basis = span_basis((row << n) | (1 << i) for i, row in enumerate(m.row_bits))
+    if basis and basis[0] >> n == 0:
+        raise NotInvertible("matrix is singular over GF(2)")
+    return BitMatrix(n, n, tuple(row & ((1 << n) - 1) for row in basis))
 
 
 def gl_order(r: int) -> int:
@@ -154,32 +141,26 @@ def gl_order(r: int) -> int:
 
 
 def _gl_rows(r: int):
-    """All invertible r x r matrices as row tuples, in enumeration order.
+    """Yield every invertible r x r matrix as a row tuple, in enumeration order.
 
-    r <= 4 filters every row tuple by rank; r in {5, 6} builds rows
-    incrementally, each new row outside the span of the previous ones.
+    Rows are chosen in ascending order, each outside the span of the
+    previous ones, so no singular row tuple is ever formed.
     """
-    if r <= 4:
-        n = 1 << r
-        return [rows for rows in product(range(n), repeat=r) if span_dim(rows) == r]
-    out = []
     n = 1 << r
 
     def extend(rows, basis):
         if len(rows) == r:
-            out.append(tuple(rows))
+            yield tuple(rows)
             return
         for cand in range(1, n):
             red = cand
             for p, pv in basis:
                 if (red >> p) & 1:
                     red ^= pv
-            if red == 0:
-                continue
-            extend(rows + [cand], basis + [(red.bit_length() - 1, red)])
+            if red:
+                yield from extend(rows + [cand], basis + [(red.bit_length() - 1, red)])
 
-    extend([], [])
-    return out
+    yield from extend([], [])
 
 
 _GL_CACHE: dict[int, list] = {}
@@ -187,7 +168,7 @@ _GL_CACHE: dict[int, list] = {}
 
 def gl_rows_cached(r: int) -> list:
     if r not in _GL_CACHE:
-        _GL_CACHE[r] = _gl_rows(r)
+        _GL_CACHE[r] = list(_gl_rows(r))
     return _GL_CACHE[r]
 
 
@@ -195,27 +176,9 @@ def gl_enumerate(r: int):
     """Yield every matrix of GL(r,2) exactly once, in enumeration order."""
     if not 1 <= r <= GL_ENUM_MAX_R:
         raise BudgetExceeded(f"gl_enumerate supports 1 <= r <= {GL_ENUM_MAX_R}, got {r}")
-    if r <= 4:
-        for rows in gl_rows_cached(r):
-            yield BitMatrix(r, r, rows)
-    else:
-        # too large to cache; rebuild the stream on every call
-        n = 1 << r
-
-        def extend(rows, basis):
-            if len(rows) == r:
-                yield BitMatrix(r, r, tuple(rows))
-                return
-            for cand in range(1, n):
-                red = cand
-                for p, pv in basis:
-                    if (red >> p) & 1:
-                        red ^= pv
-                if red == 0:
-                    continue
-                yield from extend(rows + [cand], basis + [(red.bit_length() - 1, red)])
-
-        yield from extend([], [])
+    # r in {5, 6} is too large to cache; the stream is rebuilt on every call
+    for rows in gl_rows_cached(r) if r <= 4 else _gl_rows(r):
+        yield BitMatrix(r, r, rows)
 
 
 @dataclass(frozen=True)
@@ -284,15 +247,10 @@ def is_linear(tau: PointPerm) -> BitMatrix | None:
     all 2^r points; a basis-only check would accept non-additive maps.
     """
     tau.require_zero_fixing()
-    r = tau.r
-    rows = tuple(
-        sum(((tau.images[1 << j] >> i) & 1) << j for j in range(r)) for i in range(r)
-    )
-    m = BitMatrix(r, r, rows)
-    for b in range(1 << r):
-        if m.apply(b) != tau.images[b]:
-            return None
-    return m
+    m = _matrix_from_map(tau.images, tau.r)
+    if all(m.apply(b) == img for b, img in enumerate(tau.images)):
+        return m
+    return None
 
 
 @dataclass(frozen=True)
@@ -317,20 +275,26 @@ class AffineTransform:
 # Vectorized sweeps over GL(r,2) / GA(r,2)
 # ---------------------------------------------------------------------------
 
+SWEEP_CHUNK = 1 << 12
 _SIGMA_CACHE: dict[int, np.ndarray] = {}
 
 
+def _sigma_rows(rows, r: int) -> np.ndarray:
+    """(len(rows), 2^r) int8 table of the sigma_M images of row tuples."""
+    rows = np.array(rows, dtype=np.int64)
+    brange = np.arange(1 << r, dtype=np.int64)
+    tab = np.zeros((len(rows), 1 << r), dtype=np.int8)
+    for i in range(r):
+        tab |= ((np.bitwise_count(rows[:, i : i + 1] & brange[None, :]) & 1) << i).astype(
+            np.int8
+        )
+    return tab
+
+
 def _sigma_table(r: int) -> np.ndarray:
-    """(|GL|, 2^r) int8 table of sigma_M images, in enumeration order."""
+    """(|GL|, 2^r) table of sigma_M images in enumeration order; r <= 4."""
     if r not in _SIGMA_CACHE:
-        rows = np.array(gl_rows_cached(r), dtype=np.int64)
-        brange = np.arange(1 << r, dtype=np.int64)
-        tab = np.zeros((len(rows), 1 << r), dtype=np.int8)
-        for i in range(r):
-            tab |= ((np.bitwise_count(rows[:, i : i + 1] & brange[None, :]) & 1) << i).astype(
-                np.int8
-            )
-        _SIGMA_CACHE[r] = tab
+        _SIGMA_CACHE[r] = _sigma_rows(gl_rows_cached(r), r)
     return _SIGMA_CACHE[r]
 
 
@@ -352,23 +316,43 @@ def _matrix_from_map(images, r: int) -> BitMatrix:
     return BitMatrix(r, r, rows)
 
 
+def _sweep(left: PointPerm, right: PointPerm, affine: bool = False):
+    """The sweep for "A with left o sigma_A o right linear", in blocks.
+
+    Yields (rows, cand, mask) in enumeration order: `rows` are the GL row
+    tuples of the block, `cand` the point maps left o sigma_A o right (for
+    affine=True, left o sigma_{a,A} o right with rows A-major, then a) and
+    `mask` marks the linear ones (affine: linear up to the translation
+    cand[:, 0]).  r <= 4 sweeps the cached table in one block; r = 5
+    streams GL(5,2) in chunks of SWEEP_CHUNK matrices.
+    """
+    r = left.r
+    n = 1 << r
+    left_a = np.array(left.images, dtype=np.int8)
+    right_a = np.array(right.images, dtype=np.int64)
+    if r <= 4:
+        blocks = [(gl_rows_cached(r), _sigma_table(r))]
+    else:
+        stream = _gl_rows(r)
+        chunks = iter(lambda: list(islice(stream, SWEEP_CHUNK)), [])
+        blocks = ((rows, _sigma_rows(rows, r)) for rows in chunks)
+    for rows, sig in blocks:
+        base = sig[:, right_a]
+        if affine:
+            cand = left_a[base[:, None, :] ^ np.arange(n, dtype=np.int8)[:, None]].reshape(-1, n)
+            yield rows, cand, _linear_mask(cand ^ cand[:, :1], r)
+        else:
+            cand = left_a[base]
+            yield rows, cand, _linear_mask(cand, r)
+
+
 def count_linear_products(left: PointPerm, right: PointPerm) -> int:
     """#{A in GL(r,2) : left o sigma_A o right is linear}."""
     if left.r != right.r:
         raise DimensionMismatch("permutations live over different dimensions")
-    r = left.r
-    if r > SWEEP_MAX_R:
-        raise BudgetExceeded(f"GL sweep supports r <= {SWEEP_MAX_R}, got {r}")
-    left_a = np.array(left.images, dtype=np.int8)
-    right_a = np.array(right.images, dtype=np.int64)
-    if r <= 4:
-        cand = left_a[_sigma_table(r)[:, right_a]]
-        return int(_linear_mask(cand, r).sum())
-    return sum(
-        1
-        for m in gl_enumerate(r)
-        if is_linear(compose(compose(left, sigma_m(m)), right)) is not None
-    )
+    if left.r > SWEEP_MAX_R:
+        raise BudgetExceeded(f"GL sweep supports r <= {SWEEP_MAX_R}, got {left.r}")
+    return sum(int(mask.sum()) for _, _, mask in _sweep(left, right))
 
 
 def double_coset_member(tau_p: PointPerm, tau: PointPerm, group: str = "GL"):
@@ -392,74 +376,20 @@ def double_coset_member(tau_p: PointPerm, tau: PointPerm, group: str = "GL"):
     if group == "GL":
         tau_p.require_zero_fixing()
         tau.require_zero_fixing()
-        return _gl_member(tau_p, tau)
-    if group == "GA":
-        return _ga_member(tau_p, tau)
-    raise ValueError(f"unknown group {group!r}")
-
-
-def _gl_member(tau_p: PointPerm, tau: PointPerm):
-    r = tau.r
-    tinv = np.array(invert_perm(tau).images, dtype=np.int64)
-    taup_a = np.array(tau_p.images, dtype=np.int8)
-    if r <= 4:
-        cand = taup_a[_sigma_table(r)[:, tinv]]
-        mask = _linear_mask(cand, r)
+    elif group != "GA":
+        raise ValueError(f"unknown group {group!r}")
+    affine = group == "GA"
+    for rows, cand, mask in _sweep(tau_p, invert_perm(tau), affine):
         hits = np.flatnonzero(mask)
         if len(hits) == 0:
-            return None
-        k = int(hits[0])
-        a_mat = BitMatrix(r, r, gl_rows_cached(r)[k])
-        b_mat = _matrix_from_map(cand[k], r)
-        return a_mat, b_mat
-    tau_inv = invert_perm(tau)
-    for m in gl_enumerate(r):
-        cand = compose(compose(tau_p, sigma_m(m)), tau_inv)
-        b = is_linear(cand)
-        if b is not None:
-            return m, b
-    return None
-
-
-_GA_CACHE: dict[int, np.ndarray] = {}
-
-
-def _ga_table(r: int) -> np.ndarray:
-    """(|GL| * 2^r, 2^r) table of sigma_{a,A} images; A-major, then a."""
-    if r not in _GA_CACHE:
-        sig = _sigma_table(r)
-        n = 1 << r
-        trans = np.arange(n, dtype=np.int8)
-        # row (k, a) = a ^ sig[k]
-        tab = (sig[:, None, :] ^ trans[None, :, None]).reshape(-1, n)
-        _GA_CACHE[r] = tab
-    return _GA_CACHE[r]
-
-
-def _ga_member(tau_p: PointPerm, tau: PointPerm):
-    r = tau.r
-    n = 1 << r
-    tinv = np.array(invert_perm(tau).images, dtype=np.int64)
-    taup_a = np.array(tau_p.images, dtype=np.int8)
-    if r <= 4:
-        cand = taup_a[_ga_table(r)[:, tinv]]
-        trans = cand[:, 0:1].copy()
-        mask = _linear_mask(cand ^ trans, r)
-        hits = np.flatnonzero(mask)
-        if len(hits) == 0:
-            return None
+            continue
         idx = int(hits[0])
-        k, a = divmod(idx, n)
-        a_part = AffineTransform(a, BitMatrix(r, r, gl_rows_cached(r)[k]))
-        b_part = AffineTransform(int(trans[idx, 0]), _matrix_from_map(cand[idx] ^ trans[idx], r))
-        return a_part, b_part
-    tau_inv = invert_perm(tau)
-    for m in gl_enumerate(r):
-        for a in range(n):
-            cand = compose(compose(tau_p, sigma_am(a, m)), tau_inv)
-            t0 = cand.images[0]
-            lin = PointPerm(r, tuple(x ^ t0 for x in cand.images))
-            b = is_linear(lin)
-            if b is not None:
-                return AffineTransform(a, m), AffineTransform(t0, b)
+        if not affine:
+            return BitMatrix(r, r, rows[idx]), _matrix_from_map(cand[idx], r)
+        k, a = divmod(idx, 1 << r)
+        t0 = int(cand[idx, 0])
+        return (
+            AffineTransform(a, BitMatrix(r, r, rows[k])),
+            AffineTransform(t0, _matrix_from_map(cand[idx] ^ t0, r)),
+        )
     return None

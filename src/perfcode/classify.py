@@ -11,7 +11,7 @@ import numpy as np
 
 from ._bits import span_dim
 from .algebra import BitMatrix, PointPerm, double_coset_member, invert_perm
-from .codes import hamming_parity_rows
+from .codes import hamming_parity_rows, linear_structure_set, perm_kernel_dim, perm_rank
 from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
 from .regular_groups import TauCatalog, _enumerate_regular_idx, _automorphism_perms, _mult_table_from_idx, _tables
 from .sqs import aut_order, point_transitive
@@ -58,27 +58,6 @@ def tau_id_string(tau: PointPerm) -> str:
     return f"r{tau.r}-{body}"
 
 
-def perm_rank(tau: PointPerm) -> int:
-    """Rank of S_tau: 2 dim(H) plus the span of the syndromes (a | tau(a))."""
-    r = tau.r
-    return 2 * ((1 << r) - r - 1) + span_dim(
-        a | (tau.images[a] << r) for a in range(1, 1 << r)
-    )
-
-
-def perm_kernel_dim(tau: PointPerm) -> int:
-    """Kernel dimension of S_tau: 2 dim(H) plus dim of the linear structure set."""
-    r = tau.r
-    n = 1 << r
-    img = tau.images
-    members = [
-        a
-        for a in range(1, n)
-        if all(img[a ^ b] == img[a] ^ img[b] for b in range(n))
-    ]
-    return 2 * (n - r - 1) + span_dim(members)
-
-
 def perm_intersection_dim(tau: PointPerm) -> int:
     """dim(tau(H) ∩ H); invariant under pre/post composition with GL."""
     r = tau.r
@@ -92,7 +71,7 @@ def perm_intersection_dim(tau: PointPerm) -> int:
     return n - span_dim(rows)
 
 
-def _classify_arrays(images: np.ndarray, r: int, induced, provenance, parallel: int = 1):
+def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     """Core classification over an (N, 2^r) image array.
 
     Entries are processed in ascending lexicographic order of the image
@@ -101,14 +80,9 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance, parallel: 
     point_transitive are computed once per class (both are constant on
     isomorphism classes) and assigned to the members.
     """
-    n = 1 << r
     count = len(images)
     order = np.lexsort(images.T[::-1])
-
-    if parallel > 1:
-        invariants = _invariants_parallel(images, r, parallel)
-    else:
-        invariants = [_invariant_triple(images[i], r) for i in range(count)]
+    invariants = [_invariant_triple(images[i], r) for i in range(count)]
 
     buckets: dict[tuple, list] = {}
     class_reps: list[PointPerm] = []
@@ -162,36 +136,7 @@ def _invariant_triple(images_row, r: int):
     return perm_rank(perm), perm_kernel_dim(perm), perm_intersection_dim(perm)
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(images, r):
-    _POOL_STATE["images"] = images
-    _POOL_STATE["r"] = r
-
-
-def _pool_work(span: tuple[int, int]):
-    images = _POOL_STATE["images"]
-    r = _POOL_STATE["r"]
-    return [_invariant_triple(images[i], r) for i in range(*span)]
-
-
-def _invariants_parallel(images: np.ndarray, r: int, workers: int):
-    import multiprocessing as mp
-
-    count = len(images)
-    chunk = max(1, (count + workers - 1) // workers)
-    spans = [(s, min(count, s + chunk)) for s in range(0, count, chunk)]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(images, r)) as pool:
-        parts = pool.map(_pool_work, spans)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
-def classify(taus, provenance=None, parallel: int = 1) -> list[CatalogEntry]:
+def classify(taus, provenance=None) -> list[CatalogEntry]:
     """Classify permutations into isomorphism classes of their codes/SQS.
 
     Entries with equal class_id are pairwise sqs-isomorphic; the output
@@ -212,12 +157,10 @@ def classify(taus, provenance=None, parallel: int = 1) -> list[CatalogEntry]:
     induced = [t.induced for t in taus]
     if provenance is None:
         provenance = ["user"] * len(taus)
-    return _classify_arrays(images, r, induced, list(provenance), parallel)
+    return _classify_arrays(images, r, induced, list(provenance))
 
 
-def classify_catalog(
-    catalog: TauCatalog, kernel_dim: int | None = None, parallel: int = 1
-) -> list[CatalogEntry]:
+def classify_catalog(catalog: TauCatalog, kernel_dim: int | None = None) -> list[CatalogEntry]:
     """Classify a tau catalog, optionally filtered to one kernel dimension.
 
     Stays in array form throughout, so the full r=4 catalog (millions of
@@ -232,7 +175,7 @@ def classify_catalog(
         gids, aids = gids[keep], aids[keep]
     provenance = [f"g{int(g)}:a{int(a)}" for g, a in zip(gids, aids)]
     induced = [True] * len(images)
-    return _classify_arrays(images, r, induced, provenance, parallel)
+    return _classify_arrays(images, r, induced, provenance)
 
 
 def _kernel_dim_mask(images: np.ndarray, r: int, kernel_dim: int) -> np.ndarray:
@@ -282,13 +225,9 @@ def _first_min_kernel_tau(r: int):
     for mats_idx in _enumerate_regular_idx(r, None):
         mul = _mult_table_from_idx(mats_idx, tab.app_l, n)
         for images in _automorphism_perms(mul, n):
-            trivial_l = all(
-                any(images[a ^ b] != images[a] ^ images[b] for b in range(n))
-                for a in range(1, n)
-            )
-            if not trivial_l:
-                continue
             tau = PointPerm(r, images, induced=True)
+            if linear_structure_set(tau) != [0]:
+                continue
             witness = double_coset_member(invert_perm(tau), tau)
             if witness is None:
                 continue
@@ -309,8 +248,9 @@ def composed_series(r: int):
 
     Composes minimal-kernel base permutations of dimensions 3 and 4 into
     r = 3a + 4b; point transitivity of the product is certified by the
-    block-diagonal double-coset witness (no GL(r,2) sweep), and the
-    kernel dimension by the product rule for linear structure sets.
+    block-diagonal double-coset witness (no GL(r,2) sweep).  The kernel
+    is minimal: the linear structure set of a product is the product of
+    the factors' sets, and a product of trivial sets is trivial.
     Length 64 (r = 5) is excluded.
     """
     if r < 3:
@@ -325,7 +265,6 @@ def composed_series(r: int):
     from .constructions import tau_product
 
     tau, (wit_a, wit_b) = _first_min_kernel_tau(parts[0])
-    l_dim_total = 0
     for part in parts[1:]:
         nxt, (nxt_a, nxt_b) = _first_min_kernel_tau(part)
         tau = tau_product(tau, nxt)
@@ -342,12 +281,11 @@ def composed_series(r: int):
         inv_images[x] == wit_b.apply(tau.images[a_inv.apply(x)]) for x in range(n)
     ), "block-diagonal witness failed to verify"
 
-    kernel_val = 2 * (n - r - 1) + l_dim_total
     entry = CatalogEntry(
         tau_id=tau_id_string(tau),
         r=r,
         rank=perm_rank(tau),
-        kernel_dim=kernel_val,
+        kernel_dim=2 * (n - r - 1),
         intersection_dim=perm_intersection_dim(tau),
         point_transitive=True,
         aut_order=aut_order(tau) if r <= 4 else None,

@@ -104,7 +104,7 @@ def cmd_catalog_taus(args) -> int:
 
 def cmd_classify(args) -> int:
     catalog = pio.load_tau_catalog(args.catalog)
-    entries = classify_catalog(catalog, parallel=args.parallel)
+    entries = classify_catalog(catalog)
     text = (
         pio.emit_catalog_json(entries)
         if args.format == "json"
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="transitivity report for one permutation")

@@ -154,6 +154,20 @@ def linear_structure_set(tau: PointPerm) -> list[int]:
     ]
 
 
+def perm_rank(tau: PointPerm) -> int:
+    """Rank of S_tau: 2 dim(H) plus the span of the syndromes (a | tau(a))."""
+    r = tau.r
+    return 2 * ((1 << r) - r - 1) + span_dim(
+        a | (tau.images[a] << r) for a in range(1, 1 << r)
+    )
+
+
+def perm_kernel_dim(tau: PointPerm) -> int:
+    """Kernel dimension of S_tau: 2 dim(H) plus dim of the linear structure set."""
+    r = tau.r
+    return 2 * ((1 << r) - r - 1) + span_dim(a for a in linear_structure_set(tau) if a)
+
+
 def _check_reps(s: CosetUnionCode, tau: PointPerm) -> None:
     n = 1 << s.r
     for a in range(n):
@@ -174,13 +188,10 @@ def stats_coset_union(s: CosetUnionCode, tau: PointPerm) -> CodeStats:
     oracles in the test suite before being trusted at r=4.
     """
     _check_reps(s, tau)
-    r = s.r
-    dim_h = (1 << r) - r - 1
-    syndromes = [a | (tau.images[a] << r) for a in range(1, 1 << r)]
-    rank_val = 2 * dim_h + span_dim(syndromes)
-    kernel_val = 2 * dim_h + span_dim([a for a in linear_structure_set(tau) if a])
-    size = 1 << ((2 << r) - r - 2)
-    return CodeStats(rank=rank_val, kernel_dim=kernel_val, min_distance=4, size=size)
+    size = 1 << ((2 << s.r) - s.r - 2)
+    return CodeStats(
+        rank=perm_rank(tau), kernel_dim=perm_kernel_dim(tau), min_distance=4, size=size
+    )
 
 
 def explicit_materialize(s: CosetUnionCode) -> ExplicitCode:

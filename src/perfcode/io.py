@@ -238,19 +238,31 @@ def save_tau_catalog(path, catalog: TauCatalog) -> None:
 
 
 def load_tau_catalog(path) -> TauCatalog:
+    """Inverse of save_tau_catalog; every row must be a zero-fixing
+    permutation of F^r with r in {3, 4}."""
     with open(path) as fh:
         try:
             items = json.load(fh)
             if not isinstance(items, list) or not items:
                 raise ValueError("catalog must be a non-empty list")
             r = int(items[0]["r"])
-            images = np.array([[int(x) for x in it["tau"]] for it in items], dtype=np.int8)
+            images = np.array([[int(x) for x in it["tau"]] for it in items], dtype=np.int64)
             gids = [int(it["group_id"]) for it in items]
             aids = [int(it["aut_id"]) for it in items]
             if any(int(it["r"]) != r for it in items):
                 raise ValueError("mixed r in catalog")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"bad tau catalog: {exc}") from exc
+    if r not in (3, 4):
+        raise MalformedInput(f"bad tau catalog: r must be 3 or 4, got {r}")
+    n = 1 << r
+    if images.shape != (len(items), n):
+        raise MalformedInput(f"bad tau catalog: every tau needs {n} images")
+    if ((images < 0) | (images >= n)).any() or images[:, 0].any():
+        raise MalformedInput(f"bad tau catalog: images must lie in [0, {n}) and fix 0")
+    images = images.astype(np.int8)
+    if (np.sort(images, axis=1) != np.arange(n, dtype=np.int8)).any():
+        raise MalformedInput("bad tau catalog: a tau repeats an image")
     return TauCatalog(r, images, gids, aids, complete=True)
 
 
@@ -273,18 +285,7 @@ CSV_COLUMNS = [
 
 
 def _entry_obj(e: CatalogEntry) -> dict:
-    return {
-        "tau_id": e.tau_id,
-        "r": e.r,
-        "rank": e.rank,
-        "kernel_dim": e.kernel_dim,
-        "intersection_dim": e.intersection_dim,
-        "point_transitive": e.point_transitive,
-        "aut_order": e.aut_order,
-        "class_id": e.class_id,
-        "non_mollard": e.non_mollard,
-        "provenance": e.provenance,
-    }
+    return {c: getattr(e, c) for c in CSV_COLUMNS}
 
 
 def emit_catalog_json(entries: list[CatalogEntry]) -> str:

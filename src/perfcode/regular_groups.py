@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BitMatrix, PointPerm, gl_rows_cached, identity_matrix
+from .algebra import BitMatrix, PointPerm, _mul_rows, gl_rows_cached, identity_matrix
 from .errors import BudgetExceeded, NotAnAutomorphism
 
 ENUM_MIN_R = 3
@@ -82,24 +82,12 @@ class _Tables:
         rows_list = gl_rows_cached(r)
         ident = tuple(1 << i for i in range(r))
 
-        def _mul(a, b):
-            out = []
-            for ra in a:
-                acc, x, j = 0, ra, 0
-                while x:
-                    if x & 1:
-                        acc ^= b[j]
-                    x >>= 1
-                    j += 1
-                out.append(acc)
-            return tuple(out)
-
         def unipotent(rows) -> bool:
             # 2-power order in GL(r,2) is equivalent to (M + I)^r = 0
             nil = tuple(rows[i] ^ ident[i] for i in range(r))
             power = nil
             for _ in range(r - 1):
-                power = _mul(power, nil)
+                power = _mul_rows(power, nil)
             return not any(power)
 
         self.uni = [rows for rows in rows_list if unipotent(rows)]
@@ -401,7 +389,7 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tab = _tables(r)
     n = 1 << r
-    shifts = 4 * np.arange(n, dtype=np.int64)
+    shifts = np.uint64(4) * np.arange(n, dtype=np.uint64)
 
     codes_chunks, gid_chunks, aid_chunks = [], [], []
     buf: list[tuple[int, ...]] = []
@@ -411,8 +399,9 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     def flush():
         if not buf:
             return
-        arr = np.array(buf, dtype=np.int64)
-        codes_chunks.append((arr << shifts).sum(axis=1))
+        arr = np.array(buf, dtype=np.uint64)
+        # one nibble per point; 16 nibbles fill all 64 bits at r=4
+        codes_chunks.append(np.bitwise_or.reduce(arr << shifts, axis=1))
         gid_chunks.append(np.array(buf_gid, dtype=np.int64))
         aid_chunks.append(np.array(buf_aid, dtype=np.int64))
         buf.clear()

@@ -35,19 +35,6 @@ class SQS:
 
 
 @dataclass(frozen=True)
-class SqsTauLabels:
-    """Flat integer labels for the two point copies of SQS_tau."""
-
-    r: int
-
-    def left(self, a: int) -> int:
-        return a
-
-    def right(self, a: int) -> int:
-        return (1 << self.r) + a
-
-
-@dataclass(frozen=True)
 class Violation:
     triple: tuple[int, int, int]
     count: int

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from perfcode import (
     ZeroNotFixed,
     BudgetExceeded,
     compose,
+    count_linear_products,
     double_coset_member,
     gl_enumerate,
     gl_order,
@@ -24,6 +25,9 @@ from perfcode import (
     sigma_am,
     sigma_m,
 )
+from perfcode._bits import nullspace_basis, span_dim, span_words
+from perfcode.algebra import SWEEP_CHUNK, gl_rows_cached
+from perfcode.codes import hamming_parity_rows
 from conftest import random_zero_fixing
 
 
@@ -99,6 +103,121 @@ class TestInvert:
             assert mi @ m == identity_matrix(3)
 
 
+class TestInvertOracle:
+    """invert against the point action: M is invertible iff b -> M b is a
+    bijection of F^r, and then the inverse undoes it at every point."""
+
+    @staticmethod
+    def check(m: BitMatrix):
+        points = [m.apply(b) for b in range(1 << m.rows)]
+        if len(set(points)) < len(points):
+            with pytest.raises(NotInvertible):
+                invert(m)
+            return
+        mi = invert(m)
+        assert all(mi.apply(p) == b for b, p in enumerate(points))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_exhaustive(self, r):
+        for rows in product(range(1 << r), repeat=r):
+            self.check(BitMatrix(r, r, rows))
+
+    def test_random_r4(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            self.check(BitMatrix(4, 4, tuple(rng.randrange(16) for _ in range(4))))
+
+
+class TestNullspaceOracle:
+    """nullspace_basis against enumerating every vector of F^ncols."""
+
+    @staticmethod
+    def check(rows, ncols: int):
+        basis = nullspace_basis(rows, ncols)
+        kernel = {
+            x for x in range(1 << ncols) if all(bin(row & x).count("1") % 2 == 0 for row in rows)
+        }
+        assert span_dim(basis) == len(basis)
+        assert set(span_words(basis)) == kernel
+
+    def test_random(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            ncols = rng.randrange(1, 9)
+            rows = [rng.randrange(1 << ncols) for _ in range(rng.randrange(0, 9))]
+            self.check(rows, ncols)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_extended_hamming_parity_checks(self, r):
+        self.check(hamming_parity_rows(r), 1 << r)
+
+
+def _oracle_sweep(left, right, group="GL"):
+    """Yield (A, a, left o sigma_{a,A} o right) over GL(r,2) in enumeration
+    order (and a in F^r, A-major, for GA) where the map is linear, or
+    affine for GA; pure Python, one candidate at a time."""
+    r = left.r
+    for m in gl_enumerate(r):
+        for a in range(1 << r) if group == "GA" else (0,):
+            cand = compose(compose(left, sigma_am(a, m)), right)
+            t0 = cand.images[0]
+            lin = is_linear(PointPerm(r, tuple(x ^ t0 for x in cand.images)))
+            if lin is not None:
+                yield m, a, AffineTransform(t0, lin)
+
+
+def _oracle_member(tau_p, tau, group="GL"):
+    hit = next(_oracle_sweep(tau_p, invert_perm(tau), group), None)
+    if hit is None:
+        return None
+    m, a, b = hit
+    return (m, b.m) if group == "GL" else (AffineTransform(a, m), b)
+
+
+class TestSweepOracle:
+    """The vectorized GL/GA sweep against a pure-Python walk of GL(3,2):
+    the same hits and misses, the same first witness, the same counts."""
+
+    @pytest.fixture()
+    def pairs(self):
+        local = random.Random(13)
+        taus = [random_zero_fixing(3, local) for _ in range(8)]
+        return [(t, u) for t in taus for u in taus[:4]]
+
+    @pytest.mark.parametrize("group", ["GL", "GA"])
+    def test_first_witness(self, pairs, group):
+        found = [double_coset_member(t, u, group=group) for t, u in pairs]
+        assert found == [_oracle_member(t, u, group) for t, u in pairs]
+        hits = sum(w is not None for w in found)
+        assert 0 < hits < len(pairs)
+
+    def test_counts(self, pairs):
+        for t, u in pairs[:12]:
+            for right in (u, invert_perm(u)):
+                expect = sum(1 for _ in _oracle_sweep(t, right))
+                assert count_linear_products(t, right) == expect
+
+    def test_r5_streams_past_the_first_chunk(self):
+        # a hit behind the first SWEEP_CHUNK matrices of GL(5,2)
+        local = random.Random(14)
+        mats = list(islice(gl_enumerate(5), SWEEP_CHUNK + 200))
+        tau = random_zero_fixing(5, local)
+        a_mat = mats[-1]
+        b_mat = mats[local.randrange(len(mats))]
+        tau_p = compose(compose(sigma_m(b_mat), tau), invert_perm(sigma_m(a_mat)))
+        assert double_coset_member(tau_p, tau) == _oracle_member(tau_p, tau)
+
+    def test_r5_affine(self):
+        local = random.Random(15)
+        mats = list(islice(gl_enumerate(5), 150))
+        tau = random_zero_fixing(5, local)
+        a_t = AffineTransform(local.randrange(32), mats[-1])
+        b_t = AffineTransform(local.randrange(32), mats[local.randrange(150)])
+        tau_p = compose(compose(b_t.as_perm(), tau), invert_perm(a_t.as_perm()))
+        witness = double_coset_member(tau_p, tau, group="GA")
+        assert witness == _oracle_member(tau_p, tau, "GA")
+
+
 class TestGlEnumerate:
     @pytest.mark.parametrize("r,count", [(2, 6), (3, 168), (4, 20160)])
     def test_counts(self, r, count):
@@ -117,6 +236,11 @@ class TestGlEnumerate:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             list(gl_enumerate(7))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_cached_rows_match_filtered_product(self, r):
+        expect = [rows for rows in product(range(1 << r), repeat=r) if span_dim(rows) == r]
+        assert gl_rows_cached(r) == expect
 
     def test_r5_stream_prefix(self):
         stream = gl_enumerate(5)

@@ -181,6 +181,27 @@ class TestCli:
         bad.write_text("not json")
         assert cli_main(["report", "--tau", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            [0, 1, 2, 3, 4, 5, 6, 200],  # image out of range
+            [0, 1, 2, 3, 4, 5, 6, 6],  # repeated image
+            [1, 0, 2, 3, 4, 5, 6, 7],  # tau(0) != 0
+            [0, 1, 2, 3],  # wrong length
+        ],
+    )
+    def test_malformed_catalog_exit_3(self, tmp_path, capsys, tau):
+        good = list(range(8))
+        items = [{"tau": t, "r": 3, "group_id": 0, "aut_id": i} for i, t in enumerate((good, tau))]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(items))
+        out = tmp_path / "classes.json"
+        assert cli_main(["classify", "--catalog", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: bad tau catalog")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_enum_and_catalog_and_classify_pipeline(self, tmp_path, capsys):
         groups_path = tmp_path / "groups.json"
         assert (

@@ -1,7 +1,9 @@
 import random
+from itertools import islice
 
 import pytest
 
+from perfcode import regular_groups
 from perfcode import (
     BitMatrix,
     BudgetExceeded,
@@ -191,6 +193,25 @@ class TestCatalog:
             group = groups[gid]
             aut = automorphisms(group)[aid]
             assert induced_tau(group, aut).images == tau.images
+
+    def test_r4_prefix_matches_first_seen_dedup(self, monkeypatch):
+        # at r=4 the packed codes fill all 64 bits; dedup must still keep
+        # exactly the distinct taus, each with its first (group, automorphism)
+        groups = list(islice(enumerate_regular_subgroups(4), 12))
+        first_seen = {}
+        for gid, group in enumerate(groups):
+            for aid, aut in enumerate(automorphisms(group)):
+                first_seen.setdefault(aut.perm.images, (gid, aid))
+        assert any(images[15] >= 8 for images in first_seen)  # sets the top bit
+
+        full = regular_groups._enumerate_regular_idx
+        monkeypatch.setattr(
+            regular_groups, "_enumerate_regular_idx", lambda r, d: islice(full(r, d), len(groups))
+        )
+        catalog = catalog_taus(4)
+        assert [(catalog.perm(i).images, catalog.provenance(i)) for i in range(len(catalog))] == list(
+            first_seen.items()
+        )
 
     def test_budget_returns_partial_flag(self):
         catalog = catalog_taus(3, budget_seconds=0.0)
