@@ -1,7 +1,7 @@
 """Low-level GF(2) helpers on bit-packed integers.
 
 Vectors are Python ints; bit j of the int is coordinate j.  All routines
-are pure and allocation-light; the heavier sweeps live in `algebra`.
+are pure and allocation-light; the double-coset search lives in `algebra`.
 """
 
 from __future__ import annotations
@@ -15,14 +15,19 @@ def weight(x: int) -> int:
     return bin(x).count("1")
 
 
+def reduce_vec(pivots, v: int) -> int:
+    """v reduced by (pivot, row) pairs whose pivot bit is set in no later row."""
+    for p, pv in pivots:
+        if (v >> p) & 1:
+            v ^= pv
+    return v
+
+
 def span_dim(vecs) -> int:
     """Dimension of the GF(2) span of an iterable of bit-packed vectors."""
     pivots: list[tuple[int, int]] = []
     for v in vecs:
-        cur = int(v)
-        for p, pv in pivots:
-            if (cur >> p) & 1:
-                cur ^= pv
+        cur = reduce_vec(pivots, int(v))
         if cur:
             pivots.append((cur.bit_length() - 1, cur))
     return len(pivots)
@@ -32,10 +37,7 @@ def span_basis(vecs) -> list[int]:
     """A row-reduced basis of the span (pivot rows, reduced against each other)."""
     piv: dict[int, int] = {}
     for v in vecs:
-        cur = int(v)
-        for c, pr in piv.items():
-            if (cur >> c) & 1:
-                cur ^= pr
+        cur = reduce_vec(piv.items(), int(v))
         if cur:
             c = cur.bit_length() - 1
             for c2 in list(piv):

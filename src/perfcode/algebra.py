@@ -13,15 +13,14 @@ Conventions (global for the whole package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
-from ._bits import parity, span_basis, span_dim, weight
+from ._bits import parity, reduce_vec, span_basis, span_dim, weight
 from .errors import BudgetExceeded, DimensionMismatch, NotInvertible, ZeroNotFixed
 
 GL_ENUM_MAX_R = 6
-SWEEP_MAX_R = 5
+SEARCH_MAX_R = 5
 
 
 @dataclass(frozen=True)
@@ -153,10 +152,7 @@ def _gl_rows(r: int):
             yield tuple(rows)
             return
         for cand in range(1, n):
-            red = cand
-            for p, pv in basis:
-                if (red >> p) & 1:
-                    red ^= pv
+            red = reduce_vec(basis, cand)
             if red:
                 yield from extend(rows + [cand], basis + [(red.bit_length() - 1, red)])
 
@@ -272,124 +268,115 @@ class AffineTransform:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sweeps over GL(r,2) / GA(r,2)
+# Backtracking search for A, B in GL(r,2) with g(A x) = B f(x)
 # ---------------------------------------------------------------------------
-
-SWEEP_CHUNK = 1 << 12
-_SIGMA_CACHE: dict[int, np.ndarray] = {}
-
-
-def _sigma_rows(rows, r: int) -> np.ndarray:
-    """(len(rows), 2^r) int8 table of the sigma_M images of row tuples."""
-    rows = np.array(rows, dtype=np.int64)
-    brange = np.arange(1 << r, dtype=np.int64)
-    tab = np.zeros((len(rows), 1 << r), dtype=np.int8)
-    for i in range(r):
-        tab |= ((np.bitwise_count(rows[:, i : i + 1] & brange[None, :]) & 1) << i).astype(
-            np.int8
-        )
-    return tab
-
-
-def _sigma_table(r: int) -> np.ndarray:
-    """(|GL|, 2^r) table of sigma_M images in enumeration order; r <= 4."""
-    if r not in _SIGMA_CACHE:
-        _SIGMA_CACHE[r] = _sigma_rows(gl_rows_cached(r), r)
-    return _SIGMA_CACHE[r]
-
-
-def _linear_mask(maps: np.ndarray, r: int) -> np.ndarray:
-    """Row mask of point maps (N, 2^r) that are linear (additive, fix 0)."""
-    brange = np.arange(1 << r)
-    basis = maps[:, [1 << j for j in range(r)]]
-    pred = np.zeros_like(maps)
-    for j in range(r):
-        idx = np.flatnonzero((brange >> j) & 1)
-        pred[:, idx] ^= basis[:, j : j + 1]
-    return (maps == pred).all(axis=1) & (maps[:, 0] == 0)
 
 
 def _matrix_from_map(images, r: int) -> BitMatrix:
-    rows = tuple(
-        sum(((int(images[1 << j]) >> i) & 1) << j for j in range(r)) for i in range(r)
-    )
-    return BitMatrix(r, r, rows)
+    cols = [int(images[1 << j]) for j in range(r)]
+    rows = (sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(r))
+    return BitMatrix(r, r, tuple(rows))
 
 
-def _sweep(left: PointPerm, right: PointPerm, affine: bool = False):
-    """The sweep for "A with left o sigma_A o right linear", in blocks.
+def _point_invariant(images) -> list[int]:
+    """c_f(x) = #{y : f(x ^ y) = f(x) ^ f(y)}; g = sigma_B f sigma_A^-1 gives c_g(A x) = c_f(x)."""
+    f = np.asarray(images)
+    pts = np.arange(len(f))
+    return (f[pts[:, None] ^ pts] == f[:, None] ^ f).sum(axis=1).tolist()
 
-    Yields (rows, cand, mask) in enumeration order: `rows` are the GL row
-    tuples of the block, `cand` the point maps left o sigma_A o right (for
-    affine=True, left o sigma_{a,A} o right with rows A-major, then a) and
-    `mask` marks the linear ones (affine: linear up to the translation
-    cand[:, 0]).  r <= 4 sweeps the cached table in one block; r = 5
-    streams GL(5,2) in chunks of SWEEP_CHUNK matrices.
-    """
-    r = left.r
-    n = 1 << r
-    left_a = np.array(left.images, dtype=np.int8)
-    right_a = np.array(right.images, dtype=np.int64)
-    if r <= 4:
-        blocks = [(gl_rows_cached(r), _sigma_table(r))]
-    else:
-        stream = _gl_rows(r)
-        chunks = iter(lambda: list(islice(stream, SWEEP_CHUNK)), [])
-        blocks = ((rows, _sigma_rows(rows, r)) for rows in chunks)
-    for rows, sig in blocks:
-        base = sig[:, right_a]
-        if affine:
-            cand = left_a[base[:, None, :] ^ np.arange(n, dtype=np.int8)[:, None]].reshape(-1, n)
-            yield rows, cand, _linear_mask(cand ^ cand[:, :1], r)
-        else:
-            cand = left_a[base]
-            yield rows, cand, _linear_mask(cand, r)
+
+def _add_pair(zw: list, wz: list, z: int, w: int, r: int) -> bool:
+    """Add z -> w to the echelons of pairs z << r | w and w << r | z; False
+    once the pairs stop defining a linear bijection."""
+    for echelon, v in ((zw, z << r | w), (wz, w << r | z)):
+        v = reduce_vec(echelon, v)
+        if v:
+            echelon.append((v.bit_length() - 1, v))
+            if not v >> r:
+                return False
+    return True
+
+
+def _linear_solutions(g, f, r: int):
+    """Yield (as a reused list) the point map of every A in GL(r,2) with
+    g(A x) = B f(x) for all x and some B in GL(r,2).
+
+    Depth first over the columns of A, known on V_k = [0, 2^k) at depth k.
+    Prunes on the point invariant and on pairs (f(x), g(A x)) that do not
+    extend B to a linear bijection; reads A(e_k) off when some f(e_k ^ v)
+    lies in the span B is known on.  Ascending candidates put the identity
+    first."""
+    cf, cg = _point_invariant(f), _point_invariant(g)
+    if sorted(cf) != sorted(cg):
+        return
+    f, g = [int(z) for z in f], [int(w) for w in g]
+    g_inv = {w: y for y, w in enumerate(g)}
+    candidates = {c: [y for y in range(1, 1 << r) if cg[y] == c] for c in set(cg)}
+    amap = [0] * (1 << r)
+
+    def extend(k, zw, wz):
+        if k == r:
+            yield amap
+            return
+        lo = 1 << k
+        cands = candidates.get(cf[lo], ())
+        for v in range(lo):
+            red = reduce_vec(zw, f[lo | v] << r)
+            if not red >> r:  # B f(e_k ^ v) = red is known
+                cands = (g_inv[red] ^ amap[v],)
+                break
+        for c in cands:  # c in A(V_k) makes A singular: the w << r | z echelon rejects it
+            zw2, wz2 = zw.copy(), wz.copy()
+            for v in range(lo):
+                x, y = lo | v, c ^ amap[v]
+                if cg[y] != cf[x] or not _add_pair(zw2, wz2, f[x], g[y], r):
+                    break
+                amap[x] = y
+            else:
+                yield from extend(k + 1, zw2, wz2)
+
+    # B f(0) = g(0) needs no test: B is a bijection onto the other g(A x)
+    yield from extend(0, [], [])
 
 
 def count_linear_products(left: PointPerm, right: PointPerm) -> int:
-    """#{A in GL(r,2) : left o sigma_A o right is linear}."""
+    """#{A in GL(r,2) : left o sigma_A o right is linear}: the solutions A
+    of left(A x) = B right^{-1}(x), counted by the double-coset search."""
     if left.r != right.r:
         raise DimensionMismatch("permutations live over different dimensions")
-    if left.r > SWEEP_MAX_R:
-        raise BudgetExceeded(f"GL sweep supports r <= {SWEEP_MAX_R}, got {left.r}")
-    return sum(int(mask.sum()) for _, _, mask in _sweep(left, right))
+    if left.r > SEARCH_MAX_R:
+        raise BudgetExceeded(f"count_linear_products supports r <= {SEARCH_MAX_R}, got {left.r}")
+    return sum(1 for _ in _linear_solutions(left.images, invert_perm(right).images, left.r))
 
 
 def double_coset_member(tau_p: PointPerm, tau: PointPerm, group: str = "GL"):
     """Witness that tau' lies in the double coset of tau under GL or GA.
 
-    For group="GL": returns (A, B) in GL x GL with tau' = sigma_B o tau o
-    sigma_A^{-1}, or None.  Sweeps A in enumeration order and accepts the
-    first A for which the derived map B := tau' o sigma_A o tau^{-1} is
-    linear at all 2^r points.
-
-    For group="GA": same sweep over affine (a, A); the derived map must
-    be affine (translation part read off at 0); returns a pair of
-    AffineTransform witnesses or None.  Zero-fixing is not required of
-    the inputs in the GA variant.
-    """
+    GL: (A, B) with tau' = sigma_B o tau o sigma_A^{-1}, or None; a verified
+    witness from the search, the identity pair when tau' = tau.  GA: affine
+    ((a, A), (b, B)) with tau' = sigma_{b,B} o tau o sigma_{a,A}^{-1}, or
+    None, from one GL search per a on tau'_a(y) = tau'(y + a) + tau'(a) and
+    tau_0(x) = tau(x) + tau(0); b = tau'(a) + B tau(0).  GA inputs need not
+    fix zero."""
     if tau_p.r != tau.r:
         raise DimensionMismatch("permutations live over different dimensions")
     r = tau.r
-    if r > SWEEP_MAX_R:
-        raise BudgetExceeded(f"double_coset_member supports r <= {SWEEP_MAX_R}, got {r}")
+    if r > SEARCH_MAX_R:
+        raise BudgetExceeded(f"double_coset_member supports r <= {SEARCH_MAX_R}, got {r}")
     if group == "GL":
         tau_p.require_zero_fixing()
         tau.require_zero_fixing()
     elif group != "GA":
         raise ValueError(f"unknown group {group!r}")
-    affine = group == "GA"
-    for rows, cand, mask in _sweep(tau_p, invert_perm(tau), affine):
-        hits = np.flatnonzero(mask)
-        if len(hits) == 0:
-            continue
-        idx = int(hits[0])
-        if not affine:
-            return BitMatrix(r, r, rows[idx]), _matrix_from_map(cand[idx], r)
-        k, a = divmod(idx, 1 << r)
-        t0 = int(cand[idx, 0])
-        return (
-            AffineTransform(a, BitMatrix(r, r, rows[k])),
-            AffineTransform(t0, _matrix_from_map(cand[idx] ^ t0, r)),
-        )
+    t0 = tau.images[0]
+    tau_0 = [z ^ t0 for z in tau.images]
+    for a in range(1 << r) if group == "GA" else (0,):
+        ta = tau_p.images[a]
+        tau_pa = [tau_p.images[y ^ a] ^ ta for y in range(1 << r)]
+        for amap in _linear_solutions(tau_pa, tau_0, r):
+            a_mat = _matrix_from_map(amap, r)
+            b_mat = _matrix_from_map({z: tau_pa[amap[x]] for x, z in enumerate(tau_0)}, r)
+            if group == "GL":
+                return a_mat, b_mat
+            return AffineTransform(a, a_mat), AffineTransform(ta ^ b_mat.apply(t0), b_mat)
     return None

@@ -152,7 +152,7 @@ def classify(taus, provenance=None) -> list[CatalogEntry]:
     for t in taus:
         t.require_zero_fixing()
     if r > 5:
-        raise BudgetExceeded("classification sweeps support r <= 5")
+        raise BudgetExceeded("classification supports r <= 5")
     images = np.array([t.images for t in taus], dtype=np.int8)
     induced = [t.induced for t in taus]
     if provenance is None:
@@ -196,8 +196,8 @@ def _kernel_dim_mask(images: np.ndarray, r: int, kernel_dim: int) -> np.ndarray:
 
 
 def transitivity_report(tau: PointPerm) -> TransitivityReport:
-    """Coordinate transitivity is verified by sweep; transitivity only by
-    the induced tag (propelinearity theorem); neighbor = both."""
+    """Coordinate transitivity is verified by a double-coset witness;
+    transitivity only by the induced tag (propelinearity theorem); neighbor = both."""
     tau.require_zero_fixing()
     coord = point_transitive(tau)[0]
     trans = "verified-by-theorem" if tau.induced else "unverified"
@@ -248,7 +248,7 @@ def composed_series(r: int):
 
     Composes minimal-kernel base permutations of dimensions 3 and 4 into
     r = 3a + 4b; point transitivity of the product is certified by the
-    block-diagonal double-coset witness (no GL(r,2) sweep).  The kernel
+    block-diagonal double-coset witness (no search over GL(r,2)).  The kernel
     is minimal: the linear structure set of a product is the product of
     the factors' sets, and a product of trivial sets is trivial.
     Length 64 (r = 5) is excluded.

@@ -113,8 +113,9 @@ def cmd_classify(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(text)
     classes = len({e.class_id for e in entries})
-    print(f"classified {len(entries)} entries into {classes} classes -> {args.out}")
-    return 0
+    status = "" if catalog.complete else " of a partial catalog"
+    print(f"classified {len(entries)} entries{status} into {classes} classes -> {args.out}")
+    return 0 if catalog.complete else 2
 
 
 def cmd_report(args) -> int:

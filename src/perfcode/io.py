@@ -220,8 +220,11 @@ def load_groups(path):
 
 
 def save_tau_catalog(path, catalog: TauCatalog) -> None:
-    """A JSON list of {"tau": [...], "r":, "group_id":, "aut_id":}."""
+    """Complete: a JSON list of {"tau": [...], "r":, "group_id":, "aut_id":}.  Partial:
+    {"r":, "complete": false, "taus": <list>}, which no reader of bare lists takes as complete."""
     with open(path, "w") as fh:
+        if not catalog.complete:
+            fh.write(f'{{"r":{catalog.r},"complete":false,"taus":')
         fh.write("[")
         for i in range(len(catalog)):
             if i:
@@ -234,18 +237,21 @@ def save_tau_catalog(path, catalog: TauCatalog) -> None:
                     separators=(",", ":"),
                 )
             )
-        fh.write("]\n")
+        fh.write("]\n" if catalog.complete else "]}\n")
 
 
 def load_tau_catalog(path) -> TauCatalog:
-    """Inverse of save_tau_catalog; every row must be a zero-fixing
-    permutation of F^r with r in {3, 4}."""
+    """Inverse of save_tau_catalog (a bare list must not be empty); every row
+    must be a zero-fixing permutation of F^r with r in {3, 4}."""
     with open(path) as fh:
         try:
-            items = json.load(fh)
-            if not isinstance(items, list) or not items:
-                raise ValueError("catalog must be a non-empty list")
-            r = int(items[0]["r"])
+            obj = json.load(fh)
+            if isinstance(obj, list):
+                if not obj:
+                    raise ValueError("catalog must be a non-empty list")
+                items, r, complete = obj, int(obj[0]["r"]), True
+            else:
+                items, r, complete = obj["taus"], int(obj["r"]), bool(obj["complete"])
             images = np.array([[int(x) for x in it["tau"]] for it in items], dtype=np.int64)
             gids = [int(it["group_id"]) for it in items]
             aids = [int(it["aut_id"]) for it in items]
@@ -256,6 +262,7 @@ def load_tau_catalog(path) -> TauCatalog:
     if r not in (3, 4):
         raise MalformedInput(f"bad tau catalog: r must be 3 or 4, got {r}")
     n = 1 << r
+    images = images.reshape(-1, n) if images.size == 0 else images
     if images.shape != (len(items), n):
         raise MalformedInput(f"bad tau catalog: every tau needs {n} images")
     if ((images < 0) | (images >= n)).any() or images[:, 0].any():
@@ -263,7 +270,7 @@ def load_tau_catalog(path) -> TauCatalog:
     images = images.astype(np.int8)
     if (np.sort(images, axis=1) != np.arange(n, dtype=np.int8)).any():
         raise MalformedInput("bad tau catalog: a tau repeats an image")
-    return TauCatalog(r, images, gids, aids, complete=True)
+    return TauCatalog(r, images, gids, aids, complete=complete)
 
 
 # ---------------------------------------------------------------------------

@@ -294,9 +294,9 @@ def aut_order(tau: PointPerm) -> int:
     r = tau.r
     if is_linear(tau) is not None:
         return (1 << (r + 1)) * gl_order(r + 1)
+    # N1 = N0 when tau^{-1} lies in GL tau GL (a coset of N0's group), else N1 = 0
     n0 = count_linear_products(tau, invert_perm(tau))
-    n1 = count_linear_products(tau, tau)
-    return (1 << (2 * r)) * (n0 + n1)
+    return (1 << (2 * r)) * n0 * (2 if point_transitive(tau)[0] else 1)
 
 
 # ---------------------------------------------------------------------------

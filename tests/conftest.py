@@ -1,8 +1,11 @@
 import random
+from itertools import islice
 
+import numpy as np
 import pytest
 
-from perfcode import PointPerm, catalog_taus
+from perfcode import PointPerm, automorphisms, catalog_taus, enumerate_regular_subgroups
+from perfcode.classify import _kernel_dim_mask
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +18,21 @@ def r3_catalog():
 @pytest.fixture(scope="session")
 def r3_taus(r3_catalog):
     return [r3_catalog.perm(i) for i in range(len(r3_catalog))]
+
+
+@pytest.fixture(scope="session")
+def r4_prefix_min_kernel():
+    """The distinct taus of the first 12 regular subgroups of GA(4,2) with
+    kernel dimension 24, the least in that prefix (kernel 22 first appears
+    at group 164); they form one isomorphism class."""
+    taus = {}
+    for group in islice(enumerate_regular_subgroups(4), 12):
+        for aut in automorphisms(group):
+            taus.setdefault(aut.perm.images, aut.perm)
+    images = np.array(list(taus), dtype=np.int8)
+    keep = _kernel_dim_mask(images, 4, 24)
+    assert keep.sum() == 256
+    return [tau for tau, k in zip(taus.values(), keep) if k]
 
 
 def random_zero_fixing(r: int, rng: random.Random) -> PointPerm:

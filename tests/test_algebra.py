@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, islice, product
+from itertools import product
 
 import pytest
 
@@ -26,9 +26,10 @@ from perfcode import (
     sigma_m,
 )
 from perfcode._bits import nullspace_basis, span_dim, span_words
-from perfcode.algebra import SWEEP_CHUNK, gl_rows_cached
-from perfcode.codes import hamming_parity_rows
+from perfcode.algebra import gl_rows_cached
+from perfcode.codes import hamming_parity_rows, perm_rank
 from conftest import random_zero_fixing
+from sweep_oracle import sweep_count, sweep_member
 
 
 def xor_span_size(rows) -> int:
@@ -174,9 +175,28 @@ def _oracle_member(tau_p, tau, group="GL"):
     return (m, b.m) if group == "GL" else (AffineTransform(a, m), b)
 
 
+def _rebuilds(witness, tau_p, tau, group="GL"):
+    """The witness maps tau to tau' at every point:
+    tau' = sigma_B o tau o sigma_A^{-1} (affine maps for GA)."""
+    if group == "GL":
+        a_perm, b_perm = sigma_m(witness[0]), sigma_m(witness[1])
+    else:
+        a_perm, b_perm = witness[0].as_perm(), witness[1].as_perm()
+    return compose(compose(b_perm, tau), invert_perm(a_perm)).images == tau_p.images
+
+
+def _check_member(tau_p, tau, group="GL"):
+    """The search agrees with the sweep oracle on hit or miss, and a
+    returned witness rebuilds tau'; returns whether it was a hit."""
+    witness = double_coset_member(tau_p, tau, group=group)
+    assert (witness is None) == (sweep_member(tau_p, tau, group) is None)
+    assert witness is None or _rebuilds(witness, tau_p, tau, group)
+    return witness is not None
+
+
 class TestSweepOracle:
-    """The vectorized GL/GA sweep against a pure-Python walk of GL(3,2):
-    the same hits and misses, the same first witness, the same counts."""
+    """The double-coset search against the GL/GA sweep of tests/sweep_oracle.py
+    at r=3, and that sweep against a pure-Python walk of GL(3,2)."""
 
     @pytest.fixture()
     def pairs(self):
@@ -185,37 +205,116 @@ class TestSweepOracle:
         return [(t, u) for t in taus for u in taus[:4]]
 
     @pytest.mark.parametrize("group", ["GL", "GA"])
-    def test_first_witness(self, pairs, group):
-        found = [double_coset_member(t, u, group=group) for t, u in pairs]
-        assert found == [_oracle_member(t, u, group) for t, u in pairs]
-        hits = sum(w is not None for w in found)
+    def test_hit_miss_and_witness(self, pairs, r3_taus, group):
+        local = random.Random(16)
+        catalog = local.sample(r3_taus, 12)
+        pairs = pairs + [(t, u) for t in catalog for u in catalog[:3]]
+        pairs += [(invert_perm(t), t) for t in catalog]
+        hits = sum(_check_member(t, u, group) for t, u in pairs)
         assert 0 < hits < len(pairs)
+
+    @pytest.mark.parametrize("group", ["GL", "GA"])
+    def test_oracle_first_witness(self, pairs, group):
+        assert [sweep_member(t, u, group) for t, u in pairs] == [
+            _oracle_member(t, u, group) for t, u in pairs
+        ]
 
     def test_counts(self, pairs):
         for t, u in pairs[:12]:
             for right in (u, invert_perm(u)):
                 expect = sum(1 for _ in _oracle_sweep(t, right))
-                assert count_linear_products(t, right) == expect
+                assert count_linear_products(t, right) == expect == sweep_count(t, right)
 
-    def test_r5_streams_past_the_first_chunk(self):
-        # a hit behind the first SWEEP_CHUNK matrices of GL(5,2)
+    def test_counts_without_fixed_zero(self):
+        # the count is defined for any permutations, not only zero-fixing ones
+        local = random.Random(17)
+        for _ in range(10):
+            left, right = (PointPerm(3, tuple(local.sample(range(8), 8))) for _ in range(2))
+            assert count_linear_products(left, right) == sweep_count(left, right)
+
+    def test_r5_hit_deep_in_gl_order(self):
+        # A has the largest first row, so it sits past nearly all of the
+        # 9,999,360 matrices in GL(5,2) enumeration order
         local = random.Random(14)
-        mats = list(islice(gl_enumerate(5), SWEEP_CHUNK + 200))
-        tau = random_zero_fixing(5, local)
-        a_mat = mats[-1]
-        b_mat = mats[local.randrange(len(mats))]
-        tau_p = compose(compose(sigma_m(b_mat), tau), invert_perm(sigma_m(a_mat)))
-        assert double_coset_member(tau_p, tau) == _oracle_member(tau_p, tau)
+        a_mat = BitMatrix(5, 5, (31, 30, 28, 24, 16))
+        for _ in range(3):
+            tau = random_zero_fixing(5, local)
+            b_mat = BitMatrix(5, 5, tuple(local.sample([1, 2, 4, 8, 16], 5)))
+            tau_p = compose(compose(sigma_m(b_mat), tau), invert_perm(sigma_m(a_mat)))
+            witness = double_coset_member(tau_p, tau)
+            assert witness is not None and _rebuilds(witness, tau_p, tau)
 
     def test_r5_affine(self):
         local = random.Random(15)
-        mats = list(islice(gl_enumerate(5), 150))
+        a_t = AffineTransform(local.randrange(32), BitMatrix(5, 5, (31, 29, 25, 17, 1)))
+        b_t = AffineTransform(local.randrange(32), BitMatrix(5, 5, (1, 3, 7, 15, 31)))
         tau = random_zero_fixing(5, local)
-        a_t = AffineTransform(local.randrange(32), mats[-1])
-        b_t = AffineTransform(local.randrange(32), mats[local.randrange(150)])
         tau_p = compose(compose(b_t.as_perm(), tau), invert_perm(a_t.as_perm()))
         witness = double_coset_member(tau_p, tau, group="GA")
-        assert witness == _oracle_member(tau_p, tau, "GA")
+        assert witness is not None and _rebuilds(witness, tau_p, tau, "GA")
+
+    def test_r5_miss(self):
+        # perm_rank is constant on GL double cosets, so a rank gap proves a miss
+        local = random.Random(18)
+        taus = [random_zero_fixing(5, local) for _ in range(2)]
+        taus.append(compose(taus[0], sigma_m(BitMatrix(5, 5, (31, 30, 28, 24, 16)))))
+        lin = sigma_m(BitMatrix(5, 5, (3, 2, 4, 8, 16)))
+        for tau in taus:
+            assert perm_rank(tau) > perm_rank(lin)
+            assert double_coset_member(tau, lin) is None
+            assert double_coset_member(lin, tau) is None
+
+
+class TestSearchR4:
+    """The double-coset search against the sweep oracle at r=4: census
+    hits, random misses, tau^{-1} against tau, constructed hits, GA, and
+    exact counts."""
+
+    def test_census_taus_against_their_representative(self, r4_prefix_min_kernel):
+        rep = r4_prefix_min_kernel[0]
+        rep_inv = invert_perm(rep)
+        for tau in r4_prefix_min_kernel:
+            assert _check_member(tau, rep) or _check_member(tau, rep_inv)
+
+    def test_random_pairs_miss(self):
+        local = random.Random(41)
+        taus = [random_zero_fixing(4, local) for _ in range(12)]
+        hits = [_check_member(t, u) for t in taus for u in taus[:3] if t is not u]
+        assert not any(hits)
+
+    def test_inverse_against_tau(self, r4_prefix_min_kernel):
+        local = random.Random(42)
+        taus = [random_zero_fixing(4, local) for _ in range(10)]
+        taus += local.sample(r4_prefix_min_kernel, 10)
+        hits = sum(_check_member(invert_perm(t), t) for t in taus)
+        assert 10 <= hits < len(taus)
+
+    def test_constructed_hits(self):
+        local = random.Random(43)
+        mats = list(gl_enumerate(4))
+        for _ in range(10):
+            tau = random_zero_fixing(4, local)
+            tau_p = compose(compose(sigma_m(local.choice(mats)), tau), sigma_m(local.choice(mats)))
+            assert _check_member(tau_p, tau)
+
+    def test_affine_hits_and_misses(self):
+        local = random.Random(44)
+        mats = list(gl_enumerate(4))
+        for _ in range(3):
+            tau = random_zero_fixing(4, local)
+            a_t = AffineTransform(local.randrange(16), local.choice(mats))
+            b_t = AffineTransform(local.randrange(16), local.choice(mats))
+            tau_p = compose(compose(b_t.as_perm(), tau), a_t.as_perm())
+            assert _check_member(tau_p, tau, "GA")
+            assert not _check_member(random_zero_fixing(4, local), tau, "GA")
+
+    def test_counts(self, r4_prefix_min_kernel):
+        local = random.Random(45)
+        taus = [random_zero_fixing(4, local) for _ in range(4)]
+        taus += local.sample(r4_prefix_min_kernel, 4) + [identity_perm(4)]
+        for tau in taus:
+            for right in (tau, invert_perm(tau)):
+                assert count_linear_products(tau, right) == sweep_count(tau, right)
 
 
 class TestGlEnumerate:

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from perfcode import (
     ExplicitCode,
@@ -15,6 +19,7 @@ from perfcode import (
 )
 from perfcode.cli import cli_main
 from perfcode.classify import classify_catalog
+from perfcode.regular_groups import TauCatalog
 from perfcode import io as pio
 from conftest import random_zero_fixing
 
@@ -114,6 +119,33 @@ class TestCatalogFiles:
         assert len(loaded) == len(catalog)
         assert loaded.perm(5).images == catalog.perm(5).images
         assert loaded.provenance(5) == catalog.provenance(5)
+        assert loaded.complete
+        assert json.loads(path.read_text())[0]["tau"] == list(catalog.perm(0).images)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.sampled_from([3, 4]),
+        complete=st.booleans(),
+        rows=st.lists(st.tuples(st.randoms(use_true_random=False), st.integers(0, 9999)), max_size=6),
+    )
+    def test_partial_flag_roundtrip(self, r, complete, rows):
+        # a partial catalog, empty or not, must load back partial; an empty
+        # complete catalog would be an empty bare list, which is malformed
+        assume(rows or not complete)
+        images = [[0] + rnd.sample(range(1, 1 << r), (1 << r) - 1) for rnd, _ in rows]
+        catalog = TauCatalog(
+            r, np.array(images, dtype=np.int8).reshape(-1, 1 << r),
+            [g for _, g in rows], list(range(len(rows))), complete=complete,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "catalog.json"
+            pio.save_tau_catalog(path, catalog)
+            loaded = pio.load_tau_catalog(path)
+        assert (loaded.r, loaded.complete, len(loaded)) == (r, complete, len(rows))
+        assert np.array_equal(loaded.images, catalog.images)
+        assert [loaded.provenance(i) for i in range(len(rows))] == [
+            catalog.provenance(i) for i in range(len(rows))
+        ]
 
     def test_classification_json_roundtrip(self, rng):
         taus = [random_zero_fixing(3, rng) for _ in range(6)]
@@ -232,6 +264,28 @@ class TestCli:
             == 0
         )
         assert out_csv.read_text().splitlines()[0] == ",".join(pio.CSV_COLUMNS)
+
+    def test_empty_partial_catalog_classifies_to_empty_output(self, tmp_path, capsys):
+        catalog_path = tmp_path / "catalog.json"
+        args = ["catalog-taus", "--r", "3", "--budget-seconds", "0", "--out", str(catalog_path)]
+        assert cli_main(args) == 2
+        assert len(pio.load_tau_catalog(catalog_path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "classes.json"
+        assert cli_main(["classify", "--catalog", str(catalog_path), "--out", str(out)]) == 2
+        assert "partial" in capsys.readouterr().out
+        assert pio.parse_catalog_json(out.read_text()) == []
+
+    def test_partial_catalog_classifies_with_exit_2(self, tmp_path, capsys, r3_catalog):
+        partial = TauCatalog(3, r3_catalog.images[:40], r3_catalog.group_ids[:40],
+                             r3_catalog.aut_ids[:40], complete=False)
+        catalog_path = tmp_path / "catalog.json"
+        pio.save_tau_catalog(catalog_path, partial)
+        out = tmp_path / "classes.csv"
+        args = ["classify", "--catalog", str(catalog_path), "--out", str(out), "--format", "csv"]
+        assert cli_main(args) == 2
+        assert "partial" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 41
 
     def test_budget_exit_2(self, tmp_path, capsys):
         groups_path = tmp_path / "partial.json"

@@ -268,6 +268,20 @@ class TestAutOrder:
             assert aut_order(moved) == base
         assert aut_order(invert_perm(tau)) == base
 
+    def test_second_count_is_zero_or_the_first(self, r3_taus):
+        # N1 = #{A : tau sigma_A tau linear} is 0 or N0, and N0 exactly when
+        # tau^{-1} lies in GL tau GL; aut_order counts only N0
+        from perfcode import count_linear_products
+
+        local = random.Random(38)
+        taus = [t for t in r3_taus if is_linear(t) is None]
+        taus += [random_zero_fixing(4, local) for _ in range(20)]
+        for tau in taus:
+            n0 = count_linear_products(tau, invert_perm(tau))
+            n1 = count_linear_products(tau, tau)
+            assert n1 == (n0 if point_transitive(tau)[0] else 0)
+            assert aut_order(tau) == (1 << (2 * tau.r)) * (n0 + n1)
+
     def test_counted_maps_are_automorphisms(self, rng):
         # every structured map counted by the formula fixes the system
         from perfcode import count_linear_products, invert
