@@ -58,12 +58,17 @@ def tau_id_string(tau: PointPerm) -> str:
     return f"r{tau.r}-{body}"
 
 
+_PARITY_ROWS: dict[int, list[int]] = {}
+
+
 def perm_intersection_dim(tau: PointPerm) -> int:
     """dim(tau(H) ∩ H); invariant under pre/post composition with GL."""
     r = tau.r
     n = 1 << r
     inv = invert_perm(tau).images
-    rows = list(hamming_parity_rows(r))
+    if r not in _PARITY_ROWS:
+        _PARITY_ROWS[r] = hamming_parity_rows(r)
+    rows = _PARITY_ROWS[r].copy()
     rows.extend(
         sum(((inv[b] >> j) & 1) << b for b in range(n)) for j in range(r)
     )

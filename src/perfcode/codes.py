@@ -16,6 +16,7 @@ from .algebra import BitMatrix, PointPerm
 from .errors import BudgetExceeded, InconsistentInput, LengthMismatch
 
 MATERIALIZE_BUDGET = 1 << 21
+BRUTE_TABLE_MAX_LENGTH = 26  # a 64 MB membership table
 
 
 @dataclass(frozen=True)
@@ -216,10 +217,19 @@ def brute_rank(code: ExplicitCode) -> int:
 
 
 def brute_kernel_dim(code: ExplicitCode) -> int:
-    """Dimension of {x in C : x + C = C} (0 must be a codeword)."""
+    """Dimension of {x in C : x + C = C} (0 must be a codeword).
+
+    Every translate x + y of every pair of words is looked up in a
+    membership table of all 2^length vectors, so the length is capped.
+    """
+    if code.length > BRUTE_TABLE_MAX_LENGTH:
+        raise BudgetExceeded(
+            f"brute_kernel_dim supports length <= {BRUTE_TABLE_MAX_LENGTH}, got {code.length}"
+        )
     words = np.array(code.words, dtype=np.int64)
-    translated = words[:, None] ^ words[None, :]
-    in_code = np.isin(translated, words).all(axis=1)
+    member = np.zeros(1 << code.length, dtype=bool)
+    member[words] = True
+    in_code = member[words[:, None] ^ words[None, :]].all(axis=1)
     return span_dim(words[in_code].tolist())
 
 

@@ -260,61 +260,62 @@ def _min_generators(mul: list[list[int]], n: int) -> list[int]:
 
 
 def _automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, ...]]:
-    """All product-preserving label bijections fixing 0, in DFS order.
+    """All product-preserving label bijections fixing 0, as image tuples.
 
-    Backtracks over generator images filtered by element order; closure
-    propagation extends each partial map over all products and rejects on
-    the first inconsistency, so a completed map is a homomorphism on the
-    whole multiplication table.
+    A level-by-level search over the images of the minimal generators
+    `gens`, one numpy array of partial maps per level.  At level i every
+    surviving map is repeated once per candidate image for gens[i] of the
+    same element order that is not yet an image, and extended to
+    H_i = <gens[:i+1]> breadth first along right multiplication,
+    img[x h] = img[x] img[h].  A row survives when every Cayley edge x h
+    (x in H_i, h in gens[:i+1]) maps to img[x] img[h], which with
+    img[0] = 0 makes it a homomorphism on H_i, and no x != 0 maps to 0,
+    which makes it injective.  The last level is Aut(G).
+
+    Ordering guarantee: rows stay parent-major with candidates ascending,
+    so the list is sorted lexicographically by the tuple of generator
+    images (img[gens[0]], img[gens[1]], ...), the order in which a
+    depth-first search over ascending candidates emits them.  aut_ids in
+    the tau catalog are positions in this list.
     """
-    orders = _label_orders(mul, n)
-    by_order: dict[int, list[int]] = {}
-    for a in range(n):
-        by_order.setdefault(orders[a], []).append(a)
+    orders = np.array(_label_orders(mul, n))
     gens = _min_generators(mul, n)
-    out: list[tuple[int, ...]] = []
-
-    def close(img: list[int], seeds: list[int]) -> bool:
-        queue = list(seeds)
-        while queue:
-            c = queue.pop()
-            ic = img[c]
-            for b in range(n):
-                ib = img[b]
-                if ib < 0:
-                    continue
-                for p, ip in ((mul[c][b], mul[ic][ib]), (mul[b][c], mul[ib][ic])):
-                    if img[p] < 0:
-                        img[p] = ip
-                        queue.append(p)
-                    elif img[p] != ip:
-                        return False
-        return True
-
-    def dfs(img: list[int], gi: int):
-        if gi == len(gens):
-            if all(x >= 0 for x in img) and len(set(img)) == n:
-                out.append(tuple(img))
-            return
-        g = gens[gi]
-        if img[g] >= 0:
-            dfs(img, gi + 1)
-            return
-        used = set(x for x in img if x >= 0)
-        for cand in by_order[orders[g]]:
-            if cand in used:
-                continue
-            trial = img.copy()
-            trial[g] = cand
-            if close(trial, [g]):
-                vals = [x for x in trial if x >= 0]
-                if len(set(vals)) == len(vals):
-                    dfs(trial, gi + 1)
-
-    start = [-1] * n
-    start[0] = 0
-    dfs(start, 0)
-    return out
+    table = np.array(mul, dtype=np.intp)
+    img = np.zeros((1, n), dtype=np.intp)
+    members = [0]
+    for i, g in enumerate(gens):
+        step = gens[: i + 1]
+        cands = np.flatnonzero(orders == orders[g])
+        used = np.zeros((len(img), n), dtype=bool)
+        used[np.arange(len(img))[:, None], img[:, members]] = True
+        parent, pick = np.nonzero(~used[:, cands])
+        img = img[parent]
+        img[:, g] = cands[pick]
+        # breadth first over H_i: tree edges define the images of each new
+        # layer, the layer's other Cayley edges x h drop the rows they break
+        members, seen, frontier = [0], {0}, [0]
+        while frontier:
+            xs, hs, ys, cx, ch, cy = [], [], [], [], [], []
+            for x in frontier:
+                for h in step:
+                    y = mul[x][h]
+                    if y in seen:
+                        cx.append(x)
+                        ch.append(h)
+                        cy.append(y)
+                    else:
+                        seen.add(y)
+                        xs.append(x)
+                        hs.append(h)
+                        ys.append(y)
+            if ys:
+                img[:, ys] = table[img[:, xs], img[:, hs]]
+            if cy:
+                img = img[(img[:, cy] == table[img[:, cx], img[:, ch]]).all(axis=1)]
+            members += ys
+            frontier = ys
+        img = img[(img[:, members[1:]] != 0).all(axis=1)]
+    return [tuple(row) for row in img.tolist()]
 
 
 def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:

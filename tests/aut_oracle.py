@@ -1,0 +1,66 @@
+"""The closure-propagation DFS over generator images, kept as the
+differential oracle for the automorphism search of
+`perfcode.regular_groups`.
+
+It backtracks over generator images filtered by element order; closure
+propagation extends each partial map over all products (left and right)
+and rejects on the first inconsistency, so a completed map is a
+homomorphism on the whole multiplication table.  It shares only the
+minimal generators and the element orders with the search it checks.
+"""
+
+from __future__ import annotations
+
+from perfcode.regular_groups import _label_orders, _min_generators
+
+
+def closure_automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, ...]]:
+    """All product-preserving label bijections fixing 0, in DFS order."""
+    orders = _label_orders(mul, n)
+    by_order: dict[int, list[int]] = {}
+    for a in range(n):
+        by_order.setdefault(orders[a], []).append(a)
+    gens = _min_generators(mul, n)
+    out: list[tuple[int, ...]] = []
+
+    def close(img: list[int], seeds: list[int]) -> bool:
+        queue = list(seeds)
+        while queue:
+            c = queue.pop()
+            ic = img[c]
+            for b in range(n):
+                ib = img[b]
+                if ib < 0:
+                    continue
+                for p, ip in ((mul[c][b], mul[ic][ib]), (mul[b][c], mul[ib][ic])):
+                    if img[p] < 0:
+                        img[p] = ip
+                        queue.append(p)
+                    elif img[p] != ip:
+                        return False
+        return True
+
+    def dfs(img: list[int], gi: int):
+        if gi == len(gens):
+            if all(x >= 0 for x in img) and len(set(img)) == n:
+                out.append(tuple(img))
+            return
+        g = gens[gi]
+        if img[g] >= 0:
+            dfs(img, gi + 1)
+            return
+        used = set(x for x in img if x >= 0)
+        for cand in by_order[orders[g]]:
+            if cand in used:
+                continue
+            trial = img.copy()
+            trial[g] = cand
+            if close(trial, [g]):
+                vals = [x for x in trial if x >= 0]
+                if len(set(vals)) == len(vals):
+                    dfs(trial, gi + 1)
+
+    start = [-1] * n
+    start[0] = 0
+    dfs(start, 0)
+    return out

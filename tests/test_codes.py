@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from perfcode import (
+    BudgetExceeded,
     InconsistentInput,
     LengthMismatch,
     PointPerm,
@@ -23,7 +25,8 @@ from perfcode import (
     sigma_m,
     stats_coset_union,
 )
-from perfcode._bits import weight
+from perfcode._bits import span_dim, weight
+from perfcode.codes import BRUTE_TABLE_MAX_LENGTH, ExplicitCode
 from conftest import random_zero_fixing
 
 
@@ -197,6 +200,38 @@ class TestStatsAgainstBruteForce:
         explicit = explicit_materialize(code)
         words = set(explicit.words)
         kernel_words = [x for x in explicit.words if all((x ^ w) in words for w in words)]
-        from perfcode._bits import span_dim
-
         assert span_dim(kernel_words) == stats_coset_union(code, tau).kernel_dim
+
+
+def isin_kernel_dim(code: ExplicitCode) -> int:
+    """The np.isin formulation of the kernel oracle, for comparison."""
+    words = np.array(code.words, dtype=np.int64)
+    in_code = np.isin(words[:, None] ^ words[None, :], words).all(axis=1)
+    return span_dim(words[in_code].tolist())
+
+
+class TestBruteKernelDim:
+    """The membership-table kernel oracle against np.isin on explicit codes."""
+
+    @pytest.mark.parametrize(
+        "length, words, kernel",
+        [
+            (4, (0b0000, 0b0001, 0b0010, 0b0100), 0),  # non-linear, trivial kernel
+            (4, (0, 1, 2, 12, 13, 14), 1),  # three cosets of {0, 12}: non-linear
+            (4, (0, 3, 5, 6), 2),  # linear
+        ],
+    )
+    def test_small_codes(self, length, words, kernel):
+        code = ExplicitCode(length, words)
+        assert brute_kernel_dim(code) == isin_kernel_dim(code) == kernel
+
+    def test_hamming_and_s_tau(self, rng):
+        hamming = extended_hamming(3)
+        codes = [ExplicitCode(hamming.length, tuple(sorted(hamming.words())))]
+        codes += [explicit_materialize(build_s_tau(random_zero_fixing(3, rng))) for _ in range(2)]
+        for code in codes:
+            assert brute_kernel_dim(code) == isin_kernel_dim(code)
+
+    def test_length_cap(self):
+        with pytest.raises(BudgetExceeded):
+            brute_kernel_dim(ExplicitCode(BRUTE_TABLE_MAX_LENGTH + 1, (0, 1)))

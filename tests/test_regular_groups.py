@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
 
+from aut_oracle import closure_automorphism_perms
 from perfcode import regular_groups
 from perfcode import (
     BitMatrix,
@@ -128,6 +130,101 @@ class TestAutomorphisms:
                     for a in range(8)
                     for b in range(8)
                 )
+
+
+R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
+
+
+def mult_tables(r: int, count: int | None = None) -> list[list[list[int]]]:
+    """Multiplication tables of the first `count` regular subgroups (all if None)."""
+    tab = regular_groups._tables(r)
+    stream = islice(regular_groups._enumerate_regular_idx(r, None), count)
+    return [regular_groups._mult_table_from_idx(m, tab.app_l, 1 << r) for m in stream]
+
+
+@pytest.fixture(scope="module")
+def r3_tables():
+    return mult_tables(3)
+
+
+@pytest.fixture(scope="module")
+def r4_prefix_tables():
+    return mult_tables(4, R4_PREFIX)
+
+
+class TestAutomorphismOracle:
+    """The level-by-level search against the closure DFS of tests/aut_oracle.py:
+    the same automorphisms, in the same order."""
+
+    def test_every_r3_group(self, r3_tables):
+        assert len(r3_tables) == 232
+        for mul in r3_tables:
+            assert regular_groups._automorphism_perms(mul, 8) == closure_automorphism_perms(mul, 8)
+
+    def test_r4_prefix(self, r4_prefix_tables):
+        sizes = []
+        for mul in r4_prefix_tables:
+            got = regular_groups._automorphism_perms(mul, 16)
+            assert got == closure_automorphism_perms(mul, 16)
+            sizes.append(len(got))
+        assert sizes.count(20160) == 2  # the prefix holds two translation groups
+
+    def test_r3_catalog_rows_and_provenance(self, r3_catalog, r3_tables):
+        first_seen = {}
+        for gid, mul in enumerate(r3_tables):
+            for aid, images in enumerate(closure_automorphism_perms(mul, 8)):
+                first_seen.setdefault(images, (gid, aid))
+        assert len(r3_catalog) == 1372
+        assert [
+            (r3_catalog.perm(i).images, r3_catalog.provenance(i)) for i in range(len(r3_catalog))
+        ] == list(first_seen.items())
+
+
+def isomorphism_type(mul: list[list[int]]) -> tuple[bool, tuple[int, ...]]:
+    """Commutativity, and the number of elements of order 1, 2, 4, 8, 16."""
+    n = len(mul)
+    counts = Counter()
+    for a in range(n):
+        x, order = a, 1
+        while x != 0:
+            x, order = mul[x][a], order + 1
+        counts[order] += 1
+    commutative = all(mul[a][b] == mul[b][a] for a in range(n) for b in range(a))
+    return commutative, tuple(counts[1 << k] for k in range(5))
+
+
+# |Aut(G)| of the groups of order 8, and of the abelian types in the r=4 prefix
+KNOWN_AUT_ORDER = {
+    (True, (1, 7, 0, 0, 0)): ("Z2^3", 168),
+    (True, (1, 3, 4, 0, 0)): ("Z4xZ2", 8),
+    (False, (1, 5, 2, 0, 0)): ("D4", 8),
+    (False, (1, 1, 6, 0, 0)): ("Q8", 24),
+    (True, (1, 15, 0, 0, 0)): ("Z2^4", 20160),
+    (True, (1, 7, 8, 0, 0)): ("Z4xZ2^2", 192),
+    (True, (1, 3, 12, 0, 0)): ("Z4xZ4", 96),
+}
+
+
+class TestKnownAutomorphismCounts:
+    """|Aut(G)| against the known order for the group's isomorphism type."""
+
+    def test_every_r3_group(self, r3_tables):
+        seen = Counter()
+        for mul in r3_tables:
+            name, order = KNOWN_AUT_ORDER[isomorphism_type(mul)]
+            assert len(regular_groups._automorphism_perms(mul, 8)) == order, name
+            seen[name] += 1
+        assert seen == {"Z2^3": 8, "Z4xZ2": 84, "D4": 126, "Q8": 14}
+
+    def test_abelian_groups_of_the_r4_prefix(self, r4_prefix_tables):
+        seen = Counter()
+        for mul in r4_prefix_tables:
+            kind = isomorphism_type(mul)
+            if kind[0]:
+                name, order = KNOWN_AUT_ORDER[kind]
+                assert len(regular_groups._automorphism_perms(mul, 16)) == order, name
+                seen[name] += 1
+        assert set(seen) == {"Z2^4", "Z4xZ2^2", "Z4xZ4"}
 
 
 class TestInducedTau:
