@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import span_dim
-from .algebra import BitMatrix, PointPerm, double_coset_member, invert_perm
+from .algebra import BitMatrix, PointPerm, double_coset_member, invert_perm, sigma_m
 from .codes import hamming_parity_rows, linear_structure_set, perm_kernel_dim, perm_rank
 from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
-from .regular_groups import TauCatalog, _enumerate_regular_idx, _automorphism_perms, _mult_table_from_idx, _tables
+from .regular_groups import TauCatalog, _enumerate_regular_idx, _automorphism_perms, _mult_table, _tables
 from .sqs import aut_order, point_transitive
 
 SERIES_MAX_R = 12
@@ -50,12 +50,19 @@ class TransitivityReport:
     neighbor_transitive: bool
 
 
+_HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
+
+
 def tau_id_string(tau: PointPerm) -> str:
-    if tau.r <= 4:
-        body = "".join(format(v, "x") for v in tau.images)
+    return _tau_id(tau.r, tau.images)
+
+
+def _tau_id(r: int, images) -> str:
+    if r <= 4:
+        body = bytes(images).translate(_HEX_DIGITS).decode()
     else:
-        body = ".".join(str(v) for v in tau.images)
-    return f"r{tau.r}-{body}"
+        body = ".".join(str(v) for v in images)
+    return f"r{r}-{body}"
 
 
 _PARITY_ROWS: dict[int, list[int]] = {}
@@ -76,25 +83,110 @@ def perm_intersection_dim(tau: PointPerm) -> int:
     return n - span_dim(rows)
 
 
+def _gl_generators(r: int) -> tuple[BitMatrix, ...]:
+    """The transvections x_i += x_{i+1} and x_{i+1} += x_i for i < r - 1,
+    which generate GL(r,2).
+
+    More generators than the two GL(r,2) needs: an input that is not
+    closed under conjugation (a catalog prefix) splits into fewer
+    components when more conjugates are one step away."""
+
+    def transvection(i: int, j: int) -> BitMatrix:
+        return BitMatrix(r, r, tuple(1 << k | (1 << j if k == i else 0) for k in range(r)))
+
+    return tuple(transvection(i, i + 1) for i in range(r - 1)) + tuple(
+        transvection(i + 1, i) for i in range(r - 1)
+    )
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte-string key per int8 row; images are non-negative, so the
+    keys order like the image tuples."""
+    rows = np.ascontiguousarray(rows, dtype=np.int8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _edge_images(rows: np.ndarray, r: int):
+    """Yield the rows moved by each edge transform: the identity (which
+    joins equal rows), conjugation tau -> sigma_M tau sigma_M^-1 by each of
+    `_gl_generators(r)` (which stays in the GL double coset of tau), and
+    inversion.  Every one of them maps a class to itself."""
+    yield rows
+    for m in _gl_generators(r):
+        pts = np.array(sigma_m(m).images, dtype=np.int8)
+        conj = np.empty_like(rows)
+        conj[:, pts] = pts[rows]  # conj(M x) = M tau(x)
+        yield conj
+    inv = np.empty_like(rows)
+    np.put_along_axis(inv, rows.astype(np.intp), np.arange(rows.shape[1], dtype=np.int8)[None, :], axis=1)
+    yield inv
+
+
+def _orbit_edges(rows: np.ndarray, r: int) -> np.ndarray:
+    """Edges between the lexicographically sorted rows of an (N, 2^r) image array.
+
+    Row k of the (E, N) result holds, for each row, the position of its
+    image under edge transform k of `_edge_images`, or -1 when that image
+    is not a row."""
+    keys = _row_keys(rows)
+    edges = []
+    for moved in _edge_images(rows, r):
+        moved_keys = _row_keys(moved)
+        pos = np.searchsorted(keys, moved_keys)
+        hit = np.flatnonzero(pos < len(keys))
+        hit = hit[keys[pos[hit]] == moved_keys[hit]]
+        edge = np.full(len(keys), -1, dtype=np.intp)
+        edge[hit] = pos[hit]
+        edges.append(edge)
+    return np.array(edges)
+
+
+def _orbit_roots(edges: np.ndarray) -> np.ndarray:
+    """The least position in each row's connected component of the edges:
+    union-find by hooking every root to the least root it has an edge to,
+    then pointer jumping until every label is a root."""
+    count = edges.shape[1]
+    src = np.broadcast_to(np.arange(count), edges.shape)[edges >= 0]
+    dst = edges[edges >= 0]
+    label = np.arange(count)
+    while True:
+        a, b = label[src], label[dst]
+        apart = a != b
+        if not apart.any():
+            return label
+        src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     """Core classification over an (N, 2^r) image array.
 
-    Entries are processed in ascending lexicographic order of the image
-    tuples, so each class representative is the least member of its class
-    and class ids are canonical regardless of input order.  aut_order and
-    point_transitive are computed once per class (both are constant on
-    isomorphism classes) and assigned to the members.
+    The rows are split into orbits under GL conjugation and inversion
+    (`_orbit_edges`), which never leave a class.  Orbits are processed in
+    ascending lexicographic order of their least member, which alone gets
+    the invariants and the bucket double-coset tests; every member takes
+    its orbit's invariants and class.  So each class representative is the
+    least member of its class and class ids are canonical regardless of
+    input order.  aut_order and point_transitive are computed once per
+    class (both are constant on isomorphism classes) and assigned to the
+    members.
     """
-    count = len(images)
     order = np.lexsort(images.T[::-1])
-    invariants = [_invariant_triple(images[i], r) for i in range(count)]
+    rows = images[order]
+    root = _orbit_roots(_orbit_edges(rows, r)).tolist()
+    rows_l = rows.tolist()
 
     buckets: dict[tuple, list] = {}
     class_reps: list[PointPerm] = []
-    class_of = np.empty(count, dtype=np.int64)
-    for i in order:
-        perm = PointPerm(r, tuple(int(x) for x in images[i]))
-        key = invariants[i]
+    orbit_of: dict[int, tuple] = {}  # least member -> (invariant triple, class id)
+    for p in [p for p, least in enumerate(root) if p == least]:
+        perm = PointPerm(r, tuple(rows_l[p]))
+        key = _invariant_triple(rows_l[p], r)
         bucket = buckets.setdefault(key, [])
         found = -1
         for cid, rep, rep_inv in bucket:
@@ -108,20 +200,18 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
             found = len(class_reps)
             class_reps.append(perm)
             bucket.append((found, perm, invert_perm(perm)))
-        class_of[i] = found
+        orbit_of[p] = (key, found)
 
     class_aut = [aut_order(rep) for rep in class_reps]
     class_pt = [point_transitive(rep)[0] for rep in class_reps]
 
     min_kernel = (2 << r) - 2 * r - 2
     entries = []
-    for i in order:
-        rank_val, kernel_val, inter_val = invariants[i]
-        cid = int(class_of[i])
-        perm = PointPerm(r, tuple(int(x) for x in images[i]), induced=bool(induced[i]))
+    for p, i in enumerate(order.tolist()):
+        (rank_val, kernel_val, inter_val), cid = orbit_of[root[p]]
         entries.append(
             CatalogEntry(
-                tau_id=tau_id_string(perm),
+                tau_id=_tau_id(r, rows_l[p]),
                 r=r,
                 rank=rank_val,
                 kernel_dim=kernel_val,
@@ -228,7 +318,7 @@ def _first_min_kernel_tau(r: int):
     tab = _tables(r)
     n = 1 << r
     for mats_idx in _enumerate_regular_idx(r, None):
-        mul = _mult_table_from_idx(mats_idx, tab.app_l, n)
+        mul = _mult_table(tab.app[mats_idx])
         for images in _automorphism_perms(mul, n):
             tau = PointPerm(r, images, induced=True)
             if linear_structure_set(tau) != [0]:

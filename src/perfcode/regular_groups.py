@@ -37,8 +37,8 @@ class RegularSubgroup:
         return a ^ self.mats[a].apply(b)
 
     def mult_table(self) -> list[list[int]]:
-        n = 1 << self.r
-        return [[self.mult(a, b) for b in range(n)] for a in range(n)]
+        rows = np.array([m.row_bits for m in self.mats], dtype=np.int64)
+        return _mult_table(_point_maps(rows, self.r))
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,21 @@ def verify_regular(group: RegularSubgroup):
 # ---------------------------------------------------------------------------
 
 
+def _point_maps(rows: np.ndarray, r: int) -> np.ndarray:
+    """(k, 2^r) int16 point maps b -> M b of k matrices given as a (k, r)
+    array of bit-packed rows."""
+    brange = np.arange(1 << r, dtype=np.int64)
+    out = np.zeros((len(rows), 1 << r), dtype=np.int16)
+    for i in range(r):
+        out |= ((np.bitwise_count(rows[:, i : i + 1] & brange) & 1) << i).astype(np.int16)
+    return out
+
+
 class _Tables:
     """Unipotent-matrix action and multiplication tables for one r."""
 
     def __init__(self, r: int):
         self.r = r
-        n = 1 << r
         rows_list = gl_rows_cached(r)
         ident = tuple(1 << i for i in range(r))
 
@@ -94,13 +103,7 @@ class _Tables:
         nu = len(self.uni)
         self.id_idx = self.uni.index(ident)
         arr = np.array(self.uni, dtype=np.int64)
-        brange = np.arange(n, dtype=np.int64)
-        app = np.zeros((nu, n), dtype=np.int16)
-        for i in range(r):
-            app |= ((np.bitwise_count(arr[:, i : i + 1] & brange[None, :]) & 1) << i).astype(
-                np.int16
-            )
-        self.app = app
+        self.app = app = _point_maps(arr, r)
         code = (arr * (np.int64(1) << (r * np.arange(r)))).sum(axis=1)
         code2idx = np.full(1 << (r * r), -1, dtype=np.int32)
         code2idx[code] = np.arange(nu, dtype=np.int32)
@@ -116,8 +119,9 @@ class _Tables:
             ccode = (prod_rows * (np.int64(1) << (r * np.arange(r)))).sum(axis=2)
             mul[s:e] = code2idx[ccode]
         self.mul = mul          # -1 marks a non-unipotent product (prunes the branch)
-        self.app_l = app.tolist()
-        self.mul_l = mul.tolist()
+        # tuples of ints, which the cyclic garbage collector stops walking
+        self.app_l = tuple(tuple(row.tolist()) for row in app)
+        self.mul_l = tuple(tuple(row.tolist()) for row in mul)
 
 
 _TABLES: dict[int, _Tables] = {}
@@ -218,8 +222,9 @@ def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _mult_table_from_idx(mats_idx: list[int], app_l, n: int) -> list[list[int]]:
-    return [[a ^ app_l[mats_idx[a]][b] for b in range(n)] for a in range(n)]
+def _mult_table(point_maps: np.ndarray) -> list[list[int]]:
+    """Labels of g_a g_b = g_{a + M_a b}, from the (n, n) point maps b -> M_a b."""
+    return (np.arange(len(point_maps))[:, None] ^ point_maps).tolist()
 
 
 def _label_orders(mul: list[list[int]], n: int) -> list[int]:
@@ -412,7 +417,7 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     complete = True
     try:
         for gid, mats_idx in enumerate(_enumerate_regular_idx(r, deadline)):
-            mul = _mult_table_from_idx(mats_idx, tab.app_l, n)
+            mul = _mult_table(tab.app[mats_idx])
             for aid, images in enumerate(_automorphism_perms(mul, n)):
                 buf.append(images)
                 buf_gid.append(gid)

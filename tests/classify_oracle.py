@@ -1,0 +1,89 @@
+"""The per-tau classification, kept as the differential oracle for the
+orbit-at-a-time classification of `perfcode.classify`.
+
+Every row gets its own invariant triple and its own double-coset tests
+against the representatives of its invariant bucket, in ascending
+lexicographic order of the image tuples; no orbit is formed.  It shares
+the invariants, the double-coset search and `aut_order` /
+`point_transitive` with the code it checks.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from perfcode.algebra import PointPerm, double_coset_member, invert_perm
+from perfcode.classify import CatalogEntry, _invariant_triple, tau_id_string
+from perfcode.sqs import aut_order, point_transitive
+
+
+def classify_oracle(taus, provenance=None) -> list[CatalogEntry]:
+    """`perfcode.classify` through the per-tau path."""
+    taus = list(taus)
+    r = taus[0].r
+    images = np.array([t.images for t in taus], dtype=np.int8)
+    induced = [t.induced for t in taus]
+    if provenance is None:
+        provenance = ["user"] * len(taus)
+    return _classify_arrays(images, r, induced, list(provenance))
+
+
+def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
+    """Core classification over an (N, 2^r) image array.
+
+    Entries are processed in ascending lexicographic order of the image
+    tuples, so each class representative is the least member of its class
+    and class ids are canonical regardless of input order.  aut_order and
+    point_transitive are computed once per class (both are constant on
+    isomorphism classes) and assigned to the members.
+    """
+    count = len(images)
+    order = np.lexsort(images.T[::-1])
+    invariants = [_invariant_triple(images[i], r) for i in range(count)]
+
+    buckets: dict[tuple, list] = {}
+    class_reps: list[PointPerm] = []
+    class_of = np.empty(count, dtype=np.int64)
+    for i in order:
+        perm = PointPerm(r, tuple(int(x) for x in images[i]))
+        key = invariants[i]
+        bucket = buckets.setdefault(key, [])
+        found = -1
+        for cid, rep, rep_inv in bucket:
+            if (
+                double_coset_member(perm, rep) is not None
+                or double_coset_member(perm, rep_inv) is not None
+            ):
+                found = cid
+                break
+        if found < 0:
+            found = len(class_reps)
+            class_reps.append(perm)
+            bucket.append((found, perm, invert_perm(perm)))
+        class_of[i] = found
+
+    class_aut = [aut_order(rep) for rep in class_reps]
+    class_pt = [point_transitive(rep)[0] for rep in class_reps]
+
+    min_kernel = (2 << r) - 2 * r - 2
+    entries = []
+    for i in order:
+        rank_val, kernel_val, inter_val = invariants[i]
+        cid = int(class_of[i])
+        perm = PointPerm(r, tuple(int(x) for x in images[i]), induced=bool(induced[i]))
+        entries.append(
+            CatalogEntry(
+                tau_id=tau_id_string(perm),
+                r=r,
+                rank=rank_val,
+                kernel_dim=kernel_val,
+                intersection_dim=inter_val,
+                point_transitive=bool(class_pt[cid]),
+                aut_order=class_aut[cid],
+                class_id=cid,
+                non_mollard=bool(induced[i]) and kernel_val == min_kernel,
+                provenance=provenance[i],
+            )
+        )
+    return entries
+

@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from perfcode import (
+    BitMatrix,
     BudgetExceeded,
     ExcludedLength,
     MixedDimensions,
+    PointPerm,
     classify,
     compose,
     gl_enumerate,
@@ -21,12 +24,21 @@ from perfcode import (
     tau_product,
     transitivity_report,
 )
+from perfcode.algebra import _mul_rows, gl_order, identity_matrix
+from perfcode.algebra import invert as mat_invert
+from perfcode.algebra import rank as mat_rank
 from perfcode.classify import (
+    _gl_generators,
+    _invariant_triple,
+    _orbit_edges,
+    _orbit_roots,
+    classify_catalog,
     perm_intersection_dim,
     perm_kernel_dim,
     perm_rank,
     tau_id_string,
 )
+from classify_oracle import classify_oracle
 from conftest import random_zero_fixing
 
 
@@ -157,3 +169,139 @@ class TestSeries:
     def test_budget_cap(self):
         with pytest.raises(BudgetExceeded):
             composed_series(13)
+
+
+def _sorted_rows(images: np.ndarray) -> np.ndarray:
+    return images[np.lexsort(images.T[::-1])]
+
+
+def _conjugate(tau: PointPerm, m) -> PointPerm:
+    return compose(compose(sigma_m(m), tau), sigma_m(mat_invert(m)))
+
+
+def _random_gl(r: int, rng: random.Random):
+    while True:
+        m = BitMatrix(r, r, tuple(rng.randrange(1, 1 << r) for _ in range(r)))
+        if mat_rank(m) == r:
+            return m
+
+
+def _with_conjugates(taus, r: int, rng: random.Random):
+    """Each tau, its inverse, its conjugates by the GL generators and by two
+    random matrices, and one conjugate of the inverse, shuffled."""
+    out = []
+    for tau in taus:
+        mats = [*_gl_generators(r), _random_gl(r, rng), _random_gl(r, rng)]
+        out += [tau, invert_perm(tau), _conjugate(invert_perm(tau), mats[0])]
+        out += [_conjugate(tau, m) for m in mats]
+    rng.shuffle(out)
+    return out
+
+
+class TestOrbitClassification:
+    """Orbit-at-a-time classification against the per-tau path of
+    tests/classify_oracle.py, and the orbit edges and witnesses it relies on."""
+
+    def test_r3_catalog_matches_oracle(self, r3_catalog, r3_taus):
+        provenance = [f"g{g}:a{a}" for g, a in map(r3_catalog.provenance, range(len(r3_catalog)))]
+        entries = classify_catalog(r3_catalog)
+        assert entries == classify_oracle(r3_taus, provenance)
+        pairs = list(zip(r3_taus, provenance))
+        random.Random(54).shuffle(pairs)
+        taus, prov = map(list, zip(*pairs))
+        assert classify(taus, prov) == entries
+
+    def test_r4_prefix_matches_oracle(self, r4_prefix_min_kernel):
+        taus = r4_prefix_min_kernel
+        assert classify(taus) == classify_oracle(taus)
+
+    def test_r4_random_with_conjugates_matches_oracle(self, rng):
+        taus = _with_conjugates([random_zero_fixing(4, rng) for _ in range(5)], 4, rng)
+        entries = classify(taus)
+        assert entries == classify_oracle(taus)
+        assert len({e.class_id for e in entries}) == 5
+
+    def test_r5_with_conjugates_matches_oracle(self, rng):
+        taus = _with_conjugates([random_zero_fixing(5, rng) for _ in range(2)], 5, rng)
+        taus += taus[:2]  # equal rows join one orbit
+        assert classify(taus) == classify_oracle(taus)
+
+    @pytest.mark.parametrize("r, order", [(3, 168), (4, 20160)])
+    def test_generators_generate_gl(self, r, order):
+        gens = [m.row_bits for m in _gl_generators(r)]
+        seen = {identity_matrix(r).row_bits}
+        frontier = list(seen)
+        while frontier:
+            frontier = [g for g in {_mul_rows(x, h) for x in frontier for h in gens} if g not in seen]
+            seen.update(frontier)
+        assert len(seen) == order == gl_order(r)
+
+    def test_edges_hold_point_by_point(self, r3_catalog, rng):
+        extra = _with_conjugates([random_zero_fixing(4, rng) for _ in range(3)], 4, rng)
+        for r, images in (
+            (3, r3_catalog.images),
+            (4, np.array([t.images for t in extra], dtype=np.int8)),
+        ):
+            rows = _sorted_rows(images)
+            perms = [PointPerm(r, tuple(row)) for row in rows.tolist()]
+            index = {p.images: i for i, p in reversed(list(enumerate(perms)))}
+            edges = _orbit_edges(rows, r)
+            moves = [lambda t: t, *(lambda t, m=m: _conjugate(t, m) for m in _gl_generators(r)), invert_perm]
+            assert edges.shape == (len(moves), len(rows))
+            for move, targets in zip(moves, edges.tolist()):
+                for perm, target in zip(perms, targets):
+                    assert target == index.get(move(perm).images, -1)
+            if r == 3:  # the catalog is closed under conjugation and inversion
+                assert (edges >= 0).all()
+
+    def test_conjugation_path_is_witness(self, r3_catalog, r4_prefix_min_kernel):
+        for r, images in (
+            (3, r3_catalog.images),
+            (4, np.array([t.images for t in r4_prefix_min_kernel], dtype=np.int8)),
+        ):
+            rows = _sorted_rows(images)
+            edges = _orbit_edges(rows, r)
+            root = _orbit_roots(edges)
+            moves = [identity_matrix(r), *_gl_generators(r)]
+            # breadth first from each orbit's least member over the undirected
+            # edges: row p = sigma_P rep^(+-1) sigma_P^-1, kept as path[p] = (P, inverted)
+            path = {int(p): (identity_matrix(r), False) for p in np.flatnonzero(root == np.arange(len(rows)))}
+            frontier = list(path)
+            while frontier:
+                nxt = []
+                for p in frontier:
+                    mat, inverted = path[p]
+                    for k, targets in enumerate(edges):
+                        steps = [(int(q), +1) for q in [targets[p]] if q >= 0]
+                        steps += [(int(q), -1) for q in np.flatnonzero(targets == p)]
+                        for q, way in steps:
+                            if q in path:
+                                continue
+                            if k < len(moves):
+                                step = moves[k] if way > 0 else mat_invert(moves[k])
+                                path[q] = (step @ mat, inverted)
+                            else:
+                                path[q] = (mat, not inverted)
+                            nxt.append(q)
+                frontier = nxt
+            assert sorted(path) == list(range(len(rows)))
+            local = random.Random(55)
+            for q in local.sample(range(len(rows)), 40):
+                mat, inverted = path[q]
+                rep = PointPerm(r, tuple(rows[root[q]].tolist()))
+                if inverted:
+                    rep = invert_perm(rep)
+                # member = sigma_B rep sigma_A^-1 with A = B = P, rebuilt point by point
+                member = rows[q].tolist()
+                a_inv = mat_invert(mat)
+                assert all(member[x] == mat.apply(rep.images[a_inv.apply(x)]) for x in range(1 << r))
+                assert root[q] <= q
+
+    def test_invariants_constant_on_r3_orbits(self, r3_catalog):
+        rows = _sorted_rows(r3_catalog.images)
+        root = _orbit_roots(_orbit_edges(rows, 3))
+        assert len(set(root.tolist())) == 15
+        by_orbit = {}
+        for least, row in zip(root.tolist(), rows.tolist()):
+            by_orbit.setdefault(least, set()).add(_invariant_triple(row, 3))
+        assert all(len(triples) == 1 for triples in by_orbit.values())

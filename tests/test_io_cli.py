@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -22,6 +23,11 @@ from perfcode.classify import classify_catalog
 from perfcode.regular_groups import TauCatalog
 from perfcode import io as pio
 from conftest import random_zero_fixing
+
+# the complete r=3 census, `catalog-taus --r 3` then `classify`: every
+# classification change must reproduce these bytes
+R3_CENSUS_JSON_SHA256 = "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3"
+R3_CENSUS_CSV_SHA256 = "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150"
 
 
 class TestBitstrings:
@@ -255,6 +261,7 @@ class TestCli:
         entries = pio.parse_catalog_json(out_json.read_text())
         assert len(entries) == 1372
         assert len({e.class_id for e in entries}) == 4
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == R3_CENSUS_JSON_SHA256
 
         out_csv = tmp_path / "classes.csv"
         assert (
@@ -264,6 +271,7 @@ class TestCli:
             == 0
         )
         assert out_csv.read_text().splitlines()[0] == ",".join(pio.CSV_COLUMNS)
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == R3_CENSUS_CSV_SHA256
 
     def test_empty_partial_catalog_classifies_to_empty_output(self, tmp_path, capsys):
         catalog_path = tmp_path / "catalog.json"

@@ -139,7 +139,7 @@ def mult_tables(r: int, count: int | None = None) -> list[list[list[int]]]:
     """Multiplication tables of the first `count` regular subgroups (all if None)."""
     tab = regular_groups._tables(r)
     stream = islice(regular_groups._enumerate_regular_idx(r, None), count)
-    return [regular_groups._mult_table_from_idx(m, tab.app_l, 1 << r) for m in stream]
+    return [regular_groups._mult_table(tab.app[m]) for m in stream]
 
 
 @pytest.fixture(scope="module")
