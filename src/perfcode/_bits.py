@@ -23,6 +23,21 @@ def reduce_vec(pivots, v: int) -> int:
     return v
 
 
+def mul_rows(a_rows, b_rows) -> tuple[int, ...]:
+    """Rows of the GF(2) product A B, both given as bit-packed rows."""
+    out = []
+    for ra in a_rows:
+        acc = 0
+        x, j = ra, 0
+        while x:
+            if x & 1:
+                acc ^= b_rows[j]
+            x >>= 1
+            j += 1
+        out.append(acc)
+    return tuple(out)
+
+
 def span_dim(vecs) -> int:
     """Dimension of the GF(2) span of an iterable of bit-packed vectors."""
     pivots: list[tuple[int, int]] = []

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bits import parity, reduce_vec, span_basis, span_dim, weight
+from ._bits import mul_rows, parity, reduce_vec, span_basis, span_dim, weight
 from .errors import BudgetExceeded, DimensionMismatch, NotInvertible, ZeroNotFixed
 
 GL_ENUM_MAX_R = 6
 SEARCH_MAX_R = 5
+TABLE_MAX_R = 12  # a 4^r additivity table: about 300 MB at r = 12
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        return BitMatrix(self.rows, other.cols, _mul_rows(self.row_bits, other.row_bits))
+        return BitMatrix(self.rows, other.cols, mul_rows(self.row_bits, other.row_bits))
 
     def transpose(self) -> "BitMatrix":
         cols = tuple(
@@ -97,20 +98,6 @@ class BitMatrix:
 
 def identity_matrix(r: int) -> BitMatrix:
     return BitMatrix(r, r, tuple(1 << i for i in range(r)))
-
-
-def _mul_rows(a_rows, b_rows) -> tuple[int, ...]:
-    out = []
-    for ra in a_rows:
-        acc = 0
-        x, j = ra, 0
-        while x:
-            if x & 1:
-                acc ^= b_rows[j]
-            x >>= 1
-            j += 1
-        out.append(acc)
-    return tuple(out)
 
 
 def rank(m: BitMatrix) -> int:
@@ -236,16 +223,29 @@ def invert_perm(tau: PointPerm) -> PointPerm:
     return PointPerm(tau.r, tuple(out), induced=tau.induced)
 
 
+def additivity_table(images) -> np.ndarray:
+    """[..., x, y] = f(x ^ y) == f(x) ^ f(y), for one row of images f or an
+    (N, 2^r) batch of rows.
+
+    Every linearity question reads this table: f is linear iff it is all
+    true, the linear structure set of f is the set of its all-true rows,
+    and its row sums are the point invariant of the double-coset search."""
+    f = np.asarray(images)
+    if f.shape[-1] > 1 << TABLE_MAX_R:
+        raise BudgetExceeded(f"additivity tables support r <= {TABLE_MAX_R}")
+    pts = np.arange(f.shape[-1])
+    return f[..., pts[:, None] ^ pts] == f[..., :, None] ^ f[..., None, :]
+
+
 def is_linear(tau: PointPerm) -> BitMatrix | None:
     """The matrix M with tau = sigma_M, or None if tau is not linear.
 
-    M is read off the images of the standard basis and then verified on
-    all 2^r points; a basis-only check would accept non-additive maps.
+    M is read off the images of the standard basis once tau is additive on
+    every pair of points; a basis-only check would accept non-additive maps.
     """
     tau.require_zero_fixing()
-    m = _matrix_from_map(tau.images, tau.r)
-    if all(m.apply(b) == img for b, img in enumerate(tau.images)):
-        return m
+    if additivity_table(tau.images).all():
+        return _matrix_from_map(tau.images, tau.r)
     return None
 
 
@@ -278,13 +278,6 @@ def _matrix_from_map(images, r: int) -> BitMatrix:
     return BitMatrix(r, r, tuple(rows))
 
 
-def _point_invariant(images) -> list[int]:
-    """c_f(x) = #{y : f(x ^ y) = f(x) ^ f(y)}; g = sigma_B f sigma_A^-1 gives c_g(A x) = c_f(x)."""
-    f = np.asarray(images)
-    pts = np.arange(len(f))
-    return (f[pts[:, None] ^ pts] == f[:, None] ^ f).sum(axis=1).tolist()
-
-
 def _add_pair(zw: list, wz: list, z: int, w: int, r: int) -> bool:
     """Add z -> w to the echelons of pairs z << r | w and w << r | z; False
     once the pairs stop defining a linear bijection."""
@@ -302,11 +295,12 @@ def _linear_solutions(g, f, r: int):
     g(A x) = B f(x) for all x and some B in GL(r,2).
 
     Depth first over the columns of A, known on V_k = [0, 2^k) at depth k.
-    Prunes on the point invariant and on pairs (f(x), g(A x)) that do not
-    extend B to a linear bijection; reads A(e_k) off when some f(e_k ^ v)
-    lies in the span B is known on.  Ascending candidates put the identity
-    first."""
-    cf, cg = _point_invariant(f), _point_invariant(g)
+    Prunes on the point invariant c_f(x) = #{y : f(x ^ y) = f(x) ^ f(y)}
+    (g = sigma_B f sigma_A^-1 gives c_g(A x) = c_f(x)) and on pairs
+    (f(x), g(A x)) that do not extend B to a linear bijection; reads A(e_k)
+    off when some f(e_k ^ v) lies in the span B is known on.  Ascending
+    candidates put the identity first."""
+    cf, cg = additivity_table([f, g]).sum(-1).tolist()
     if sorted(cf) != sorted(cg):
         return
     f, g = [int(z) for z in f], [int(w) for w in g]

@@ -11,9 +11,9 @@ import numpy as np
 
 from ._bits import span_dim
 from .algebra import BitMatrix, PointPerm, double_coset_member, invert_perm, sigma_m
-from .codes import hamming_parity_rows, linear_structure_set, perm_kernel_dim, perm_rank
+from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
 from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
-from .regular_groups import TauCatalog, _enumerate_regular_idx, _automorphism_perms, _mult_table, _tables
+from .regular_groups import TauCatalog, automorphism_census
 from .sqs import aut_order, point_transitive
 
 SERIES_MAX_R = 12
@@ -205,7 +205,7 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     class_aut = [aut_order(rep) for rep in class_reps]
     class_pt = [point_transitive(rep)[0] for rep in class_reps]
 
-    min_kernel = (2 << r) - 2 * r - 2
+    min_kernel = base_dim(r)
     entries = []
     for p, i in enumerate(order.tolist()):
         (rank_val, kernel_val, inter_val), cid = orbit_of[root[p]]
@@ -265,29 +265,12 @@ def classify_catalog(catalog: TauCatalog, kernel_dim: int | None = None) -> list
     images = catalog.images
     gids, aids = catalog.group_ids, catalog.aut_ids
     if kernel_dim is not None:
-        keep = _kernel_dim_mask(images, r, kernel_dim)
+        keep = kernel_dims(images) == kernel_dim
         images = images[keep]
         gids, aids = gids[keep], aids[keep]
     provenance = [f"g{int(g)}:a{int(a)}" for g, a in zip(gids, aids)]
     induced = [True] * len(images)
     return _classify_arrays(images, r, induced, provenance)
-
-
-def _kernel_dim_mask(images: np.ndarray, r: int, kernel_dim: int) -> np.ndarray:
-    n = 1 << r
-    base = 2 * (n - r - 1)
-    want_l_dim = kernel_dim - base
-    pts = np.arange(n)
-    xor_ab = pts[:, None] ^ pts[None, :]
-    out = np.zeros(len(images), dtype=bool)
-    chunk = max(1, (1 << 22) // (n * n))
-    for s in range(0, len(images), chunk):
-        block = images[s : s + chunk]
-        lhs = block[:, xor_ab]
-        rhs = block[:, :, None] ^ block[:, None, :]
-        l_sizes = (lhs == rhs).all(axis=2).sum(axis=1)
-        out[s : s + chunk] = l_sizes == (1 << want_l_dim) if want_l_dim >= 0 else False
-    return out
 
 
 def transitivity_report(tau: PointPerm) -> TransitivityReport:
@@ -315,14 +298,9 @@ def _first_min_kernel_tau(r: int):
     point-transitivity witness (A, B)."""
     if r in _BASE_CACHE:
         return _BASE_CACHE[r]
-    tab = _tables(r)
-    n = 1 << r
-    for mats_idx in _enumerate_regular_idx(r, None):
-        mul = _mult_table(tab.app[mats_idx])
-        for images in _automorphism_perms(mul, n):
-            tau = PointPerm(r, images, induced=True)
-            if linear_structure_set(tau) != [0]:
-                continue
+    for auts in automorphism_census(r):
+        for images in auts[kernel_dims(auts) == base_dim(r)].tolist():
+            tau = PointPerm(r, tuple(images), induced=True)
             witness = double_coset_member(invert_perm(tau), tau)
             if witness is None:
                 continue
@@ -380,7 +358,7 @@ def composed_series(r: int):
         tau_id=tau_id_string(tau),
         r=r,
         rank=perm_rank(tau),
-        kernel_dim=2 * (n - r - 1),
+        kernel_dim=base_dim(r),
         intersection_dim=perm_intersection_dim(tau),
         point_transitive=True,
         aut_order=aut_order(tau) if r <= 4 else None,

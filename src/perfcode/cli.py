@@ -12,7 +12,6 @@ import os
 import sys
 
 from . import io as pio
-from .algebra import PointPerm
 from .classify import classify_catalog, composed_series, tau_id_string, transitivity_report
 from .codes import explicit_materialize, extended_hamming, stats_coset_union
 from .constructions import build_s_tau, hadamard_a_tau, mollard
@@ -26,10 +25,6 @@ def _env_budget() -> float | None:
     return float(raw) if raw else None
 
 
-def _load_tau(path) -> PointPerm:
-    return pio.load_point_perm(path)
-
-
 def cmd_hamming(args) -> int:
     pio.save_code_file(args.out, extended_hamming(args.r))
     print(f"wrote extended Hamming code of length {1 << args.r} to {args.out}")
@@ -37,7 +32,7 @@ def cmd_hamming(args) -> int:
 
 
 def cmd_build_stau(args) -> int:
-    tau = _load_tau(args.tau)
+    tau = pio.load_point_perm(args.tau)
     code = build_s_tau(tau)
     if args.materialize:
         pio.save_code_file(args.out, explicit_materialize(code))
@@ -48,7 +43,7 @@ def cmd_build_stau(args) -> int:
 
 
 def cmd_sqs(args) -> int:
-    tau = _load_tau(args.tau)
+    tau = pio.load_point_perm(args.tau)
     q = sqs_from_tau(tau)
     pio.save_sqs(args.out, q)
     print(f"wrote SQS of order {q.order} with {len(q.quadruples)} quadruples to {args.out}")
@@ -69,7 +64,7 @@ def cmd_check_sqs(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    tau = _load_tau(args.tau)
+    tau = pio.load_point_perm(args.tau)
     stats = stats_coset_union(build_s_tau(tau), tau)
     print(f"n={2 << tau.r} size=2^{stats.size.bit_length() - 1}")
     print(f"rank={stats.rank}")
@@ -119,7 +114,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    tau = _load_tau(args.tau)
+    tau = pio.load_point_perm(args.tau)
     rep = transitivity_report(tau)
     print(f"tau_id={tau_id_string(tau)}")
     print(f"coordinate_transitive={'true' if rep.coordinate_transitive else 'false'}")
@@ -140,7 +135,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
-    tau = _load_tau(args.tau)
+    tau = pio.load_point_perm(args.tau)
     code = hadamard_a_tau(tau)
     pio.save_code_file(args.out, code.words)
     print(f"wrote Hadamard analog ({code.words.size} words, length {code.words.length}) to {args.out}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import nullspace_basis, span_basis, span_dim, span_words, weight
-from .algebra import BitMatrix, PointPerm
+from .algebra import BitMatrix, PointPerm, additivity_table
 from .errors import BudgetExceeded, InconsistentInput, LengthMismatch
 
 MATERIALIZE_BUDGET = 1 << 21
@@ -148,25 +148,40 @@ def apply_point_perm_to_code(tau: PointPerm, code: LinearCode) -> LinearCode:
 def linear_structure_set(tau: PointPerm) -> list[int]:
     """L_tau = {a : tau(a+b) = tau(a) + tau(b) for all b}; a subspace."""
     tau.require_zero_fixing()
-    n = 1 << tau.r
-    img = tau.images
-    return [
-        a for a in range(n) if all(img[a ^ b] == img[a] ^ img[b] for b in range(n))
-    ]
+    return np.flatnonzero(additivity_table(tau.images).all(-1)).tolist()
+
+
+def base_dim(r: int) -> int:
+    """dim(H x H) = 2 dim(H), H the extended Hamming code of length 2^r:
+    the base code every S_tau is a union of cosets of, and the least rank
+    and kernel dimension of S_tau."""
+    return 2 * ((1 << r) - r - 1)
+
+
+def kernel_dims(images) -> np.ndarray:
+    """Kernel dimensions of S_tau over an (N, 2^r) array of zero-fixing taus:
+    2 dim(H) plus dim L_tau, which is log2 |L_tau| since L_tau is a subspace.
+
+    The additivity tables are built a few million entries at a time."""
+    images = np.asarray(images)
+    count, n = images.shape
+    sizes = np.empty(count, dtype=np.int64)
+    chunk = max(1, (1 << 22) // (n * n))
+    for s in range(0, count, chunk):
+        sizes[s : s + chunk] = additivity_table(images[s : s + chunk]).all(-1).sum(-1)
+    return base_dim(n.bit_length() - 1) + np.log2(sizes).astype(np.int64)
 
 
 def perm_rank(tau: PointPerm) -> int:
     """Rank of S_tau: 2 dim(H) plus the span of the syndromes (a | tau(a))."""
     r = tau.r
-    return 2 * ((1 << r) - r - 1) + span_dim(
-        a | (tau.images[a] << r) for a in range(1, 1 << r)
-    )
+    return base_dim(r) + span_dim(a | (tau.images[a] << r) for a in range(1, 1 << r))
 
 
 def perm_kernel_dim(tau: PointPerm) -> int:
     """Kernel dimension of S_tau: 2 dim(H) plus dim of the linear structure set."""
-    r = tau.r
-    return 2 * ((1 << r) - r - 1) + span_dim(a for a in linear_structure_set(tau) if a)
+    tau.require_zero_fixing()
+    return int(kernel_dims([tau.images])[0])
 
 
 def _check_reps(s: CosetUnionCode, tau: PointPerm) -> None:

@@ -31,6 +31,15 @@ def string_to_row(s: str) -> int:
     return sum(1 << j for j, ch in enumerate(s) if ch == "1")
 
 
+def _read_text(path, what: str) -> str:
+    """The text of a file; bytes that do not decode are malformed input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"bad {what}: {exc}") from exc
+
+
 def matrix_to_strings(m: BitMatrix) -> list[str]:
     return [row_to_string(row, m.cols) for row in m.row_bits]
 
@@ -65,8 +74,7 @@ def save_point_perm(path, tau: PointPerm) -> None:
 
 
 def load_point_perm(path) -> PointPerm:
-    with open(path) as fh:
-        return parse_point_perm(fh.read())
+    return parse_point_perm(_read_text(path, "permutation file"))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +112,7 @@ def save_code_file(path, code) -> None:
 
 def load_code_file(path):
     """Inverse of save_code_file; the section structure picks the type."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path, "code file").split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise MalformedInput("missing code header")
     try:
@@ -150,8 +157,7 @@ def save_sqs(path, q: SQS) -> None:
 
 
 def load_sqs(path) -> SQS:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path, "SQS file").split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("v="):
         raise MalformedInput("missing SQS header")
     try:

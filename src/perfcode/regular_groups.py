@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BitMatrix, PointPerm, _mul_rows, gl_rows_cached, identity_matrix
+from ._bits import mul_rows
+from .algebra import BitMatrix, PointPerm, gl_rows_cached, identity_matrix
 from .errors import BudgetExceeded, NotAnAutomorphism
 
 ENUM_MIN_R = 3
@@ -96,7 +97,7 @@ class _Tables:
             nil = tuple(rows[i] ^ ident[i] for i in range(r))
             power = nil
             for _ in range(r - 1):
-                power = _mul_rows(power, nil)
+                power = mul_rows(power, nil)
             return not any(power)
 
         self.uni = [rows for rows in rows_list if unipotent(rows)]
@@ -128,6 +129,10 @@ _TABLES: dict[int, _Tables] = {}
 
 
 def _tables(r: int) -> _Tables:
+    if r < ENUM_MIN_R:
+        raise ValueError(f"enumeration needs r >= {ENUM_MIN_R}, got {r}")
+    if r > ENUM_MAX_R:
+        raise BudgetExceeded(f"enumeration supports r <= {ENUM_MAX_R}, got {r}")
     if r not in _TABLES:
         _TABLES[r] = _Tables(r)
     return _TABLES[r]
@@ -206,10 +211,6 @@ def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
     budget runs out (everything yielded before that is valid, the stream
     is just incomplete).
     """
-    if r < ENUM_MIN_R:
-        raise ValueError(f"enumeration needs r >= {ENUM_MIN_R}, got {r}")
-    if r > ENUM_MAX_R:
-        raise BudgetExceeded(f"enumeration supports r <= {ENUM_MAX_R}, got {r}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tab = _tables(r)
     for mats_idx in _enumerate_regular_idx(r, deadline):
@@ -264,8 +265,9 @@ def _min_generators(mul: list[list[int]], n: int) -> list[int]:
     return gens
 
 
-def _automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, ...]]:
-    """All product-preserving label bijections fixing 0, as image tuples.
+def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
+    """All product-preserving label bijections fixing 0, as the rows of a
+    (k, n) array of images.
 
     A level-by-level search over the images of the minimal generators
     `gens`, one numpy array of partial maps per level.  At level i every
@@ -278,10 +280,10 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, ...]]:
     which makes it injective.  The last level is Aut(G).
 
     Ordering guarantee: rows stay parent-major with candidates ascending,
-    so the list is sorted lexicographically by the tuple of generator
+    so the rows are sorted lexicographically by the tuple of generator
     images (img[gens[0]], img[gens[1]], ...), the order in which a
     depth-first search over ascending candidates emits them.  aut_ids in
-    the tau catalog are positions in this list.
+    the tau catalog are row positions.
     """
     orders = np.array(_label_orders(mul, n))
     gens = _min_generators(mul, n)
@@ -320,7 +322,7 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, ...]]:
             members += ys
             frontier = ys
         img = img[(img[:, members[1:]] != 0).all(axis=1)]
-    return [tuple(row) for row in img.tolist()]
+    return img
 
 
 def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
@@ -330,9 +332,24 @@ def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
         raise BudgetExceeded(f"automorphism search supports order <= {AUT_MAX_ORDER}")
     mul = group.mult_table()
     return [
-        GroupAutomorphism(perm=PointPerm(group.r, images))
-        for images in _automorphism_perms(mul, n)
+        GroupAutomorphism(perm=PointPerm(group.r, tuple(images)))
+        for images in _automorphism_perms(mul, n).tolist()
     ]
+
+
+def automorphism_census(r: int, budget_seconds: float | None = None):
+    """Yield Aut(G) of every regular subgroup G of GA(r,2), in enumeration
+    order, as the (k, 2^r) array of `_automorphism_perms`; each row is an
+    induced tau.
+
+    Raises BudgetExceeded mid-stream, between two groups, once the time
+    budget runs out, so the groups yielded before are whole."""
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    tab = _tables(r)
+    for mats_idx in _enumerate_regular_idx(r, deadline):
+        yield _automorphism_perms(_mult_table(tab.app[mats_idx]), 1 << r)
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("automorphism census budget exhausted")
 
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:
@@ -392,49 +409,22 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     """
     if r not in (ENUM_MIN_R, ENUM_MAX_R):
         raise ValueError(f"catalog_taus supports r in {{3, 4}}, got {r}")
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    tab = _tables(r)
     n = 1 << r
+    # one nibble per point; 16 nibbles fill all 64 bits at r=4
     shifts = np.uint64(4) * np.arange(n, dtype=np.uint64)
-
-    codes_chunks, gid_chunks, aid_chunks = [], [], []
-    buf: list[tuple[int, ...]] = []
-    buf_gid: list[int] = []
-    buf_aid: list[int] = []
-
-    def flush():
-        if not buf:
-            return
-        arr = np.array(buf, dtype=np.uint64)
-        # one nibble per point; 16 nibbles fill all 64 bits at r=4
-        codes_chunks.append(np.bitwise_or.reduce(arr << shifts, axis=1))
-        gid_chunks.append(np.array(buf_gid, dtype=np.int64))
-        aid_chunks.append(np.array(buf_aid, dtype=np.int64))
-        buf.clear()
-        buf_gid.clear()
-        buf_aid.clear()
-
+    codes, gids, aids = [], [], []
     complete = True
     try:
-        for gid, mats_idx in enumerate(_enumerate_regular_idx(r, deadline)):
-            mul = _mult_table(tab.app[mats_idx])
-            for aid, images in enumerate(_automorphism_perms(mul, n)):
-                buf.append(images)
-                buf_gid.append(gid)
-                buf_aid.append(aid)
-            if len(buf) >= 262144:
-                flush()
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded("catalog budget exhausted")
+        for gid, auts in enumerate(automorphism_census(r, budget_seconds)):
+            codes.append(np.bitwise_or.reduce(auts.astype(np.uint64) << shifts, axis=1))
+            gids.append(np.full(len(auts), gid, dtype=np.int64))
+            aids.append(np.arange(len(auts), dtype=np.int64))
     except BudgetExceeded:
         complete = False
-    flush()
 
-    if not codes_chunks:
+    if not codes:
         return TauCatalog(r, np.zeros((0, n), dtype=np.int8), [], [], complete)
-    codes = np.concatenate(codes_chunks)
-    gids = np.concatenate(gid_chunks)
-    aids = np.concatenate(aid_chunks)
+    codes, gids, aids = np.concatenate(codes), np.concatenate(gids), np.concatenate(aids)
     _, first = np.unique(codes, return_index=True)
     first.sort()  # first-seen order over the deduplicated set
     codes, gids, aids = codes[first], gids[first], aids[first]

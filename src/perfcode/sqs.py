@@ -128,23 +128,6 @@ def _q0_pairs(tau: PointPerm, a: int, b: int) -> list[frozenset[int]]:
     return out
 
 
-def _q1_pairs(tau: PointPerm, a: int, b: int) -> list[frozenset[int]]:
-    """Quadruples through right points a and b (a != b)."""
-    n = 1 << tau.r
-    s = a ^ b
-    out = []
-    for c in range(n):
-        d = c ^ s
-        if c < d and c != a and c != b:
-            out.append(frozenset((n + a, n + b, n + c, n + d)))
-    spre = invert_perm(tau).images[s]
-    for c in range(n):
-        d = c ^ spre
-        if c < d:
-            out.append(frozenset((c, d, n + a, n + b)))
-    return out
-
-
 def _qtau_pairs(tau: PointPerm, a: int, b: int) -> list[frozenset[int]]:
     """Quadruples through left point a and right point b."""
     n = 1 << tau.r
@@ -169,9 +152,12 @@ def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
         raise AffineInput("tau is linear; the system is affine")
     n = 1 << tau.r
     system = {frozenset(q) for q in sqs_from_tau(tau).quadruples}
+    tau_inv = invert_perm(tau)
     part1 = []
     for a, b in combinations(range(n), 2):
-        for group in (_q0_pairs(tau, a, b), _q1_pairs(tau, a, b)):
+        # through right points a, b: those through left a, b of SQS_{tau^-1}, sides swapped
+        right = [frozenset(p ^ n for p in q) for q in _q0_pairs(tau_inv, a, b)]
+        for group in (_q0_pairs(tau, a, b), right):
             for q1, q2 in combinations(group, 2):
                 if q1 ^ q2 not in system:
                     part1.append((tuple(sorted(q1)), tuple(sorted(q2))))

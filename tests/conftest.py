@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from perfcode import PointPerm, automorphisms, catalog_taus, enumerate_regular_subgroups
-from perfcode.classify import _kernel_dim_mask
+from perfcode.codes import kernel_dims
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def r4_prefix_min_kernel():
         for aut in automorphisms(group):
             taus.setdefault(aut.perm.images, aut.perm)
     images = np.array(list(taus), dtype=np.int8)
-    keep = _kernel_dim_mask(images, 4, 24)
+    keep = kernel_dims(images) == 24
     assert keep.sum() == 256
     return [tau for tau, k in zip(taus.values(), keep) if k]
 

@@ -371,6 +371,11 @@ class TestIsLinear:
         with pytest.raises(ZeroNotFixed):
             is_linear(PointPerm(3, images))
 
+    def test_table_budget(self):
+        # the 4^r additivity table is refused before it is built
+        with pytest.raises(BudgetExceeded):
+            is_linear(identity_perm(13))
+
     def test_exhaustive_additivity_equivalence_r2(self):
         # over all 6 zero-fixing permutations of F^2: linear iff additive
         from itertools import permutations

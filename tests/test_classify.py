@@ -24,7 +24,8 @@ from perfcode import (
     tau_product,
     transitivity_report,
 )
-from perfcode.algebra import _mul_rows, gl_order, identity_matrix
+from perfcode._bits import mul_rows
+from perfcode.algebra import gl_order, identity_matrix
 from perfcode.algebra import invert as mat_invert
 from perfcode.algebra import rank as mat_rank
 from perfcode.classify import (
@@ -121,6 +122,17 @@ class TestInvariantFormulas:
             assert perm_intersection_dim(tau) == expected
 
 
+class TestKernelFilter:
+    def test_r3_catalog_filter_keeps_exactly_that_kernel(self, r3_catalog, r3_taus):
+        kernels = [perm_kernel_dim(tau) for tau in r3_taus]
+        assert set(kernels) == {8, 9, 11}
+        for k in sorted(set(kernels)) + [7, 10, 12]:
+            entries = classify_catalog(r3_catalog, kernel_dim=k)
+            want = sorted(tau_id_string(t) for t, kt in zip(r3_taus, kernels) if kt == k)
+            assert sorted(e.tau_id for e in entries) == want
+            assert all(e.kernel_dim == k for e in entries)
+
+
 class TestTransitivityReport:
     def test_induced_tau_is_neighbor_transitive(self, r3_catalog):
         tau, _ = r3_catalog[0]
@@ -163,8 +175,10 @@ class TestSeries:
     def test_base_cases(self):
         tau3, _, entry3 = composed_series(3)
         assert entry3.kernel_dim == 8 and entry3.aut_order is not None
+        assert tau3.images == (0, 6, 2, 5, 4, 3, 1, 7)
         tau4, _, entry4 = composed_series(4)
         assert entry4.kernel_dim == 22
+        assert tau4.images == (0, 4, 8, 14, 1, 5, 9, 15, 2, 6, 10, 12, 11, 13, 3, 7)
 
     def test_budget_cap(self):
         with pytest.raises(BudgetExceeded):
@@ -232,7 +246,7 @@ class TestOrbitClassification:
         seen = {identity_matrix(r).row_bits}
         frontier = list(seen)
         while frontier:
-            frontier = [g for g in {_mul_rows(x, h) for x in frontier for h in gens} if g not in seen]
+            frontier = [g for g in {mul_rows(x, h) for x in frontier for h in gens} if g not in seen]
             seen.update(frontier)
         assert len(seen) == order == gl_order(r)
 

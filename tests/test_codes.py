@@ -21,12 +21,13 @@ from perfcode import (
     identity_perm,
     intersect,
     invert_perm,
+    is_linear,
     linear_structure_set,
     sigma_m,
     stats_coset_union,
 )
 from perfcode._bits import span_dim, weight
-from perfcode.codes import BRUTE_TABLE_MAX_LENGTH, ExplicitCode
+from perfcode.codes import BRUTE_TABLE_MAX_LENGTH, ExplicitCode, perm_kernel_dim
 from conftest import random_zero_fixing
 
 
@@ -131,15 +132,31 @@ class TestLinearStructureSet:
         m = rng.choice(list(gl_enumerate(3)))
         assert linear_structure_set(sigma_m(m)) == list(range(8))
 
-    def test_against_exhaustive_oracle(self, rng):
-        for _ in range(20):
-            tau = random_zero_fixing(3, rng)
+    def test_against_exhaustive_oracle(self, rng, r3_taus):
+        taus = [random_zero_fixing(r, rng) for r in (3, 4, 5) for _ in range(20)] + r3_taus
+        for tau in taus:
+            n = 1 << tau.r
             oracle = [
                 a
-                for a in range(8)
-                if all(tau(a ^ b) == tau(a) ^ tau(b) for b in range(8))
+                for a in range(n)
+                if all(tau(a ^ b) == tau(a) ^ tau(b) for b in range(n))
             ]
             assert linear_structure_set(tau) == oracle
+            assert perm_kernel_dim(tau) == 2 * (n - tau.r - 1) + span_dim(oracle)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_linear_exactly_when_structure_set_is_everything(self, r, rng):
+        mats = [m for m, _ in zip(gl_enumerate(r), range(200))]
+        taus = [random_zero_fixing(r, rng) for _ in range(20)]
+        taus += [sigma_m(m) for m in rng.sample(mats, 20)]
+        # a sigma_M with two non-basis images swapped keeps its basis images
+        for m in rng.sample(mats, 20):
+            images = list(sigma_m(m).images)
+            images[3], images[5] = images[5], images[3]
+            taus.append(PointPerm(r, tuple(images)))
+        for tau in taus:
+            everything = linear_structure_set(tau) == list(range(1 << r))
+            assert (is_linear(tau) is not None) == everything
 
     def test_is_a_subspace(self, rng):
         for _ in range(20):

@@ -220,6 +220,29 @@ class TestCli:
         assert cli_main(["report", "--tau", str(bad)]) == 3
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["sqs", "--tau", "{bad}", "--out", "{out}"],
+            ["report", "--tau", "{bad}"],
+            ["stats", "--tau", "{bad}"],
+            ["build-stau", "--tau", "{bad}", "--out", "{out}"],
+            ["hadamard", "--tau", "{bad}", "--out", "{out}"],
+            ["check-sqs", "--in", "{bad}"],
+            ["classify", "--catalog", "{bad}", "--out", "{out}"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_undecodable_input_exit_3(self, tmp_path, capsys, command):
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        bad.write_bytes(b"\xff\xfe\x00\x01not utf-8")
+        argv = [arg.format(bad=bad, out=out) for arg in command]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "tau",
         [
             [0, 1, 2, 3, 4, 5, 6, 200],  # image out of range

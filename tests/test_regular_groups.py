@@ -6,6 +6,7 @@ import pytest
 
 from aut_oracle import closure_automorphism_perms
 from perfcode import regular_groups
+from perfcode.regular_groups import automorphism_census
 from perfcode import (
     BitMatrix,
     BudgetExceeded,
@@ -159,15 +160,25 @@ class TestAutomorphismOracle:
     def test_every_r3_group(self, r3_tables):
         assert len(r3_tables) == 232
         for mul in r3_tables:
-            assert regular_groups._automorphism_perms(mul, 8) == closure_automorphism_perms(mul, 8)
+            got = regular_groups._automorphism_perms(mul, 8)
+            assert list(map(tuple, got.tolist())) == closure_automorphism_perms(mul, 8)
 
     def test_r4_prefix(self, r4_prefix_tables):
         sizes = []
         for mul in r4_prefix_tables:
             got = regular_groups._automorphism_perms(mul, 16)
-            assert got == closure_automorphism_perms(mul, 16)
+            assert list(map(tuple, got.tolist())) == closure_automorphism_perms(mul, 16)
             sizes.append(len(got))
         assert sizes.count(20160) == 2  # the prefix holds two translation groups
+
+    def test_census_matches_automorphisms_of_each_group(self):
+        # the walk the catalog and the series share yields, group by group,
+        # the automorphisms of the public per-group search, in the same order
+        census = list(automorphism_census(3))
+        groups = list(enumerate_regular_subgroups(3))
+        assert len(census) == len(groups) == 232
+        for auts, group in zip(census, groups):
+            assert [tuple(row) for row in auts.tolist()] == [a.perm.images for a in automorphisms(group)]
 
     def test_r3_catalog_rows_and_provenance(self, r3_catalog, r3_tables):
         first_seen = {}
