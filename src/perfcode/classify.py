@@ -13,7 +13,7 @@ from ._bits import span_dim
 from .algebra import BitMatrix, PointPerm, double_coset_member, invert_perm, sigma_m
 from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
 from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
-from .regular_groups import TauCatalog, automorphism_census
+from .regular_groups import TauCatalog
 from .sqs import aut_order, point_transitive
 
 SERIES_MAX_R = 12
@@ -290,23 +290,19 @@ def transitivity_report(tau: PointPerm) -> TransitivityReport:
 # The composed series of neighbor transitive non-Mollard codes
 # ---------------------------------------------------------------------------
 
-_BASE_CACHE: dict[int, tuple] = {}
+# The first induced, minimal-kernel, point-transitive tau of each base
+# dimension, in enumeration order (tests/test_classify.py re-derives both
+# by walking automorphism_census).
+SERIES_BASE_TAUS = {
+    3: (0, 6, 2, 5, 4, 3, 1, 7),
+    4: (0, 4, 8, 14, 1, 5, 9, 15, 2, 6, 10, 12, 11, 13, 3, 7),
+}
 
 
-def _first_min_kernel_tau(r: int):
-    """First induced tau (enumeration order) with minimal kernel, plus its
-    point-transitivity witness (A, B)."""
-    if r in _BASE_CACHE:
-        return _BASE_CACHE[r]
-    for auts in automorphism_census(r):
-        for images in auts[kernel_dims(auts) == base_dim(r)].tolist():
-            tau = PointPerm(r, tuple(images), induced=True)
-            witness = double_coset_member(invert_perm(tau), tau)
-            if witness is None:
-                continue
-            _BASE_CACHE[r] = (tau, witness)
-            return _BASE_CACHE[r]
-    raise RuntimeError(f"no minimal-kernel induced permutation found at r={r}")
+def _series_base(r: int):
+    """A base permutation of the series and its point-transitivity witness (A, B)."""
+    tau = PointPerm(r, SERIES_BASE_TAUS[r], induced=True)
+    return tau, double_coset_member(invert_perm(tau), tau)
 
 
 def _block_diag(m1: BitMatrix, m2: BitMatrix) -> BitMatrix:
@@ -337,9 +333,9 @@ def composed_series(r: int):
 
     from .constructions import tau_product
 
-    tau, (wit_a, wit_b) = _first_min_kernel_tau(parts[0])
+    tau, (wit_a, wit_b) = _series_base(parts[0])
     for part in parts[1:]:
-        nxt, (nxt_a, nxt_b) = _first_min_kernel_tau(part)
+        nxt, (nxt_a, nxt_b) = _series_base(part)
         tau = tau_product(tau, nxt)
         wit_a = _block_diag(wit_a, nxt_a)
         wit_b = _block_diag(wit_b, nxt_b)

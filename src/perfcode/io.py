@@ -63,8 +63,12 @@ def dump_point_perm(tau: PointPerm) -> str:
 def parse_point_perm(text: str) -> PointPerm:
     try:
         obj = json.loads(text)
-        return PointPerm(int(obj["r"]), tuple(int(x) for x in obj["perm"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        r, images = int(obj["r"]), tuple(int(x) for x in obj["perm"])
+        # checked before PointPerm forms 1 << r, which a huge r makes huge
+        if len(images).bit_length() != r + 1:
+            raise ValueError(f"{len(images)} images do not fit r={r}")
+        return PointPerm(r, images)
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad permutation file: {exc}") from exc
 
 
@@ -165,6 +169,8 @@ def load_sqs(path) -> SQS:
         v, b = int(fields["v"]), int(fields["b"])
     except (ValueError, KeyError) as exc:
         raise MalformedInput(f"bad SQS header: {lines[0]!r}") from exc
+    if v <= 0:
+        raise MalformedInput(f"bad SQS header: order must be positive, got {v}")
     quads = set()
     for ln in lines[1:]:
         try:
@@ -173,6 +179,8 @@ def load_sqs(path) -> SQS:
             raise MalformedInput(f"bad quadruple line {ln!r}") from exc
         if len(quad) != 4:
             raise MalformedInput(f"bad quadruple line {ln!r}")
+        if quad[0] < 0 or quad[3] >= v or len(set(quad)) != 4:
+            raise MalformedInput(f"quadruple {ln!r} needs four distinct points in [0, {v})")
         quads.add(quad)
     if len(quads) != b:
         raise MalformedInput(f"header claims {b} quadruples, file has {len(quads)}")

@@ -291,33 +291,32 @@ def aut_order(tau: PointPerm) -> int:
 
 
 class _SqsIndex:
+    """Lookup tables of one system; a point set {a, b, c} is keyed by the
+    bit mask 1<<a | 1<<b | 1<<c, so no lookup sorts."""
+
     def __init__(self, q: SQS):
         self.v = q.order
         self.quads = [tuple(sorted(quad)) for quad in q.quadruples]
-        self.quad_set = set(self.quads)
-        self.at = [[] for _ in range(self.v)]
-        self.completion: dict[tuple[int, int, int], int] = {}
+        masks = [sum(1 << p for p in quad) for quad in self.quads]
+        self.quad_masks = set(masks)
+        # others[x]: the other three points of each quadruple through x
+        self.others: list[list[tuple[int, int, int]]] = [[] for _ in range(self.v)]
+        self.completion: dict[int, int] = {}
         self.pair_quads: dict[tuple[int, int], list] = {}
-        for qi, quad in enumerate(self.quads):
+        pair_masks: dict[tuple[int, int], list[int]] = {}
+        for quad, mask in zip(self.quads, masks):
             for p in quad:
-                self.at[p].append(qi)
-            for tri in combinations(quad, 3):
-                other = next(p for p in quad if p not in tri)
-                self.completion[tri] = other
+                self.others[p].append(tuple(x for x in quad if x != p))
+                self.completion[mask ^ (1 << p)] = p
             for x, y in combinations(quad, 2):
                 self.pair_quads.setdefault((x, y), []).append(quad)
+                pair_masks.setdefault((x, y), []).append(mask)
         # pair invariant: how many pairs of distinct quadruples through
         # (x, y) have their symmetric difference inside the system; an
         # isomorphism must match it, which prunes image candidates early
         self.pair_inv = [[0] * self.v for _ in range(self.v)]
-        for (x, y), quads in self.pair_quads.items():
-            sets = [frozenset(qd) for qd in quads]
-            inv = sum(
-                1
-                for i in range(len(sets))
-                for j in range(i + 1, len(sets))
-                if tuple(sorted(sets[i] ^ sets[j])) in self.quad_set
-            )
+        for (x, y), ms in pair_masks.items():
+            inv = sum(1 for m1, m2 in combinations(ms, 2) if m1 ^ m2 in self.quad_masks)
             self.pair_inv[x][y] = self.pair_inv[y][x] = inv
         self.point_inv = [tuple(sorted(row)) for row in self.pair_inv]
 
@@ -333,28 +332,30 @@ class _SqsIndex:
 
     def propagate(self, img: list[int], used: list[bool], seeds: list[int]) -> bool:
         """Force images through quadruples with three known points."""
+        completion, quad_masks = self.completion, self.quad_masks
         queue = list(seeds)
         while queue:
             x = queue.pop()
-            for qi in self.at[x]:
-                quad = self.quads[qi]
-                known = []
-                unknown = []
-                for p in quad:
-                    if img[p] >= 0:
-                        known.append(img[p])
-                    else:
-                        unknown.append(p)
-                if len(unknown) > 1:
-                    continue
-                if not unknown:
-                    if tuple(sorted(known)) not in self.quad_set:
+            bit_x = 1 << img[x]
+            for a, b, c in self.others[x]:
+                ia, ib, ic = img[a], img[b], img[c]
+                if ia < 0:
+                    if ib < 0 or ic < 0:
+                        continue
+                    y, known = a, bit_x | 1 << ib | 1 << ic
+                elif ib < 0:
+                    if ic < 0:
+                        continue
+                    y, known = b, bit_x | 1 << ia | 1 << ic
+                elif ic < 0:
+                    y, known = c, bit_x | 1 << ia | 1 << ib
+                else:
+                    if bit_x | 1 << ia | 1 << ib | 1 << ic not in quad_masks:
                         return False
                     continue
-                comp = self.completion.get(tuple(sorted(known)))
+                comp = completion.get(known)
                 if comp is None or used[comp]:
                     return False
-                y = unknown[0]
                 img[y] = comp
                 used[comp] = True
                 queue.append(y)
@@ -392,11 +393,11 @@ class _SqsIndex:
             return None
         return [(p, c, None, None) for c in range(self.v) if not used[c]]
 
-    def extendable(self, img: list[int], used: list[bool]) -> bool:
-        """Does some full automorphism extend the partial map?"""
+    def extendable(self, img: list[int], used: list[bool]):
+        """The image list of a full automorphism extending the partial map, or None."""
         choices = self._branch_choices(img, used)
         if choices is None:
-            return True
+            return img
         for p, c, p2, c2 in choices:
             if not self.compatible(img, p, c):
                 continue
@@ -410,39 +411,68 @@ class _SqsIndex:
                 img2[p2] = c2
                 used2[c2] = True
                 seeds.append(p2)
-            if self.propagate(img2, used2, seeds) and self.extendable(img2, used2):
-                return True
-        return False
+            if self.propagate(img2, used2, seeds):
+                found = self.extendable(img2, used2)
+                if found is not None:
+                    return found
+        return None
+
+
+def _closure(points: set[int], gens: list[list[int]]) -> set[int]:
+    """The union of the orbits of `points` under the group the images generate."""
+    out = set(points)
+    queue = list(points)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = g[x]
+            if y not in out:
+                out.add(y)
+                queue.append(y)
+    return out
 
 
 def count_automorphisms(q: SQS) -> int:
     """|Aut(Q)| by an orbit-stabilizer chain over backtracking searches.
 
     Independent of the structured formula in aut_order: works on the bare
-    quadruple set of any SQS.  At each level the orbit of the next point
-    under the stabilizer of the previous ones is found by existence
-    searches, and the recursion multiplies the orbit sizes.
+    quadruple set of any SQS.  Level i fixes the points F_i pointwise (the
+    identity branch, closed under propagation) and branches on the next
+    point p; the chain is built bottom-up, so every automorphism found at
+    level i or below fixes F_i and lies in the stabilizer G_i.  The orbit
+    of p under G_i is decided exhaustively with those automorphisms as
+    generators: a candidate in the closure of p is certified without a
+    search, a search that succeeds adds its automorphism as a generator,
+    and a search that fails rejects the candidate's whole orbit under the
+    generators (an orbit of G_i is a union of orbits of any subgroup).
     """
     index = _SqsIndex(q)
-
-    def stab_order(img: list[int], used: list[bool]) -> int:
-        p = next((x for x in range(index.v) if img[x] < 0), None)
-        if p is None:
-            return 1
-        orbit = 0
+    # the identity branch, top-down: (prefix, its used images, branch point)
+    levels = []
+    img, used = [-1] * index.v, [False] * index.v
+    while (p := next((x for x in range(index.v) if img[x] < 0), None)) is not None:
+        levels.append((img, used, p))
+        img, used = img[:], used[:]
+        img[p] = p
+        used[p] = True
+        ok = index.propagate(img, used, [p])
+        assert ok, "identity must stabilize every prefix"
+    gens: list[list[int]] = []
+    order = 1
+    for img, used, p in reversed(levels):
+        orbit = _closure({p}, gens)
+        rejected: set[int] = set()
         for c in range(index.v):
-            if used[c] or not index.compatible(img, p, c):
+            if used[c] or c in orbit or c in rejected or not index.compatible(img, p, c):
                 continue
             img2, used2 = img[:], used[:]
             img2[p] = c
             used2[c] = True
-            if index.propagate(img2, used2, [p]) and index.extendable(img2, used2):
-                orbit += 1
-        img2, used2 = img[:], used[:]
-        img2[p] = p
-        used2[p] = True
-        ok = index.propagate(img2, used2, [p])
-        assert ok, "identity must stabilize every prefix"
-        return orbit * stab_order(img2, used2)
-
-    return stab_order([-1] * index.v, [False] * index.v)
+            found = index.extendable(img2, used2) if index.propagate(img2, used2, [p]) else None
+            if found is None:
+                rejected |= _closure({c}, gens)
+            else:
+                gens.append(found)
+                orbit = _closure(orbit, gens)
+        order *= len(orbit)
+    return order

@@ -25,10 +25,11 @@ from perfcode import (
     transitivity_report,
 )
 from perfcode._bits import mul_rows
-from perfcode.algebra import gl_order, identity_matrix
+from perfcode.algebra import double_coset_member, gl_order, identity_matrix
 from perfcode.algebra import invert as mat_invert
 from perfcode.algebra import rank as mat_rank
 from perfcode.classify import (
+    SERIES_BASE_TAUS,
     _gl_generators,
     _invariant_triple,
     _orbit_edges,
@@ -39,6 +40,8 @@ from perfcode.classify import (
     perm_rank,
     tau_id_string,
 )
+from perfcode.codes import base_dim, kernel_dims
+from perfcode.regular_groups import automorphism_census
 from classify_oracle import classify_oracle
 from conftest import random_zero_fixing
 
@@ -179,6 +182,18 @@ class TestSeries:
         tau4, _, entry4 = composed_series(4)
         assert entry4.kernel_dim == 22
         assert tau4.images == (0, 4, 8, 14, 1, 5, 9, 15, 2, 6, 10, 12, 11, 13, 3, 7)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_base_taus_come_first_in_the_census(self, r):
+        # the pinned base is the first induced, minimal-kernel, point-transitive
+        # tau in enumeration order
+        for auts in automorphism_census(r):
+            for images in auts[kernel_dims(auts) == base_dim(r)].tolist():
+                tau = PointPerm(r, tuple(images), induced=True)
+                if double_coset_member(invert_perm(tau), tau) is not None:
+                    assert tau.images == SERIES_BASE_TAUS[r]
+                    return
+        pytest.fail(f"no minimal-kernel point-transitive tau at r={r}")
 
     def test_budget_cap(self):
         with pytest.raises(BudgetExceeded):

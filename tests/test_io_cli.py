@@ -24,6 +24,16 @@ from perfcode.regular_groups import TauCatalog
 from perfcode import io as pio
 from conftest import random_zero_fixing
 
+# every command that reads a permutation or an SQS file
+_FILE_COMMANDS = [
+    ["report", "--tau", "{path}"],
+    ["stats", "--tau", "{path}"],
+    ["sqs", "--tau", "{path}", "--out", "{out}"],
+    ["build-stau", "--tau", "{path}", "--out", "{out}"],
+    ["hadamard", "--tau", "{path}", "--out", "{out}"],
+    ["check-sqs", "--in", "{path}"],
+]
+
 # the complete r=3 census, `catalog-taus --r 3` then `classify`: every
 # classification change must reproduce these bytes
 R3_CENSUS_JSON_SHA256 = "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3"
@@ -221,26 +231,37 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command",
-        [
-            ["sqs", "--tau", "{bad}", "--out", "{out}"],
-            ["report", "--tau", "{bad}"],
-            ["stats", "--tau", "{bad}"],
-            ["build-stau", "--tau", "{bad}", "--out", "{out}"],
-            ["hadamard", "--tau", "{bad}", "--out", "{out}"],
-            ["check-sqs", "--in", "{bad}"],
-            ["classify", "--catalog", "{bad}", "--out", "{out}"],
-        ],
+        _FILE_COMMANDS + [["classify", "--catalog", "{path}", "--out", "{out}"]],
         ids=lambda command: command[0],
     )
     def test_undecodable_input_exit_3(self, tmp_path, capsys, command):
         bad, out = tmp_path / "bad", tmp_path / "out"
         bad.write_bytes(b"\xff\xfe\x00\x01not utf-8")
-        argv = [arg.format(bad=bad, out=out) for arg in command]
+        argv = [arg.format(path=bad, out=out) for arg in command]
         assert cli_main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("malformed input: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "v=16 b=1\n0 7 3 17\n",  # point past the order
+            "v=16 b=1\n6 16 6 16\n",  # repeated point past the order
+            "v=16 b=1\n-2 2 13 7\n",  # negative point
+            "v=16 b=2\n0 1 2 3\n0 4 4 9\n",  # repeated point
+            "v=0 b=0\n",  # empty order
+            "v=-4 b=1\n0 1 2 3\n",  # negative order
+        ],
+    )
+    def test_malformed_sqs_exit_3(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.sqs"
+        path.write_text(text)
+        assert cli_main(["check-sqs", "--in", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "tau",
@@ -351,3 +372,65 @@ class TestCli:
         assert loaded.size == 2048 and loaded.length == 16
 
         assert cli_main(["mollard", "--t", "8", "--m", "4", "--out", str(m_out)]) == 2
+
+
+# floats stay below 64 so that no draw asks for a 2^r-sized allocation;
+# -inf and nan still reach int()
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 17), st.floats(max_value=64), st.text(max_size=3),
+)
+
+
+@st.composite
+def _perm_json(draw):
+    """Permutation files: valid and invalid ones of r <= 4, and any JSON."""
+    perm = st.one_of(
+        st.permutations(range(1 << draw(st.integers(0, 4)))).map(list),
+        st.lists(st.integers(-2, 17), max_size=17),
+        _json_scalars,
+    )
+    obj = draw(st.one_of(
+        st.fixed_dictionaries({"r": st.one_of(st.integers(-2, 5), st.floats(max_value=64)), "perm": perm}),
+        st.recursive(
+            _json_scalars,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(["r", "perm", "x"]), inner, max_size=3),
+            max_leaves=6,
+        ),
+    ))
+    return json.dumps(obj)
+
+
+@st.composite
+def _sqs_with_bad_point(draw):
+    """SQS text whose quadruple lines hold a point outside [0, v) or a repeated one."""
+    v = draw(st.integers(1, 40))
+    quads = draw(st.lists(st.lists(st.integers(0, v - 1), min_size=4, max_size=4), max_size=6))
+    bad = draw(st.lists(st.integers(0, v - 1), min_size=4, max_size=4))
+    i = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        bad[i] = draw(st.one_of(st.integers(-50, -1), st.integers(v, v + 50)))
+    else:
+        bad[i] = bad[(i + 1) % 4]
+    quads.insert(draw(st.integers(0, len(quads))), bad)
+    b = len({tuple(sorted(q)) for q in quads})
+    return "\n".join([f"v={v} b={b}"] + [" ".join(map(str, q)) for q in quads]) + "\n"
+
+
+def _run_on_text(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(text)
+        return cli_main([arg.format(path=path, out=Path(tmp) / "out") for arg in command])
+
+
+class TestFileInputProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(text=_perm_json(), command=st.sampled_from(_FILE_COMMANDS))
+    def test_permutation_json_gives_an_exit_code(self, text, command):
+        assert _run_on_text(command, text) in (0, 1, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_sqs_with_bad_point(), command=st.sampled_from(_FILE_COMMANDS))
+    def test_sqs_with_a_bad_point_exits_3(self, text, command):
+        assert _run_on_text(command, text) == 3

@@ -258,6 +258,22 @@ class TestAutOrder:
     def test_oracle_on_affine_system(self):
         assert count_automorphisms(sqs_from_tau(identity_perm(3))) == 322560
 
+    def test_oracle_on_r4_affine_system(self):
+        assert count_automorphisms(sqs_from_tau(identity_perm(4))) == 32 * gl_order(5) == 319_979_520
+
+    def test_oracle_ignores_the_point_labels(self, r3_catalog):
+        # the counter sees only the quadruple set: relabelling the points of
+        # SQS_tau at random must leave the count at aut_order(tau)
+        local = random.Random(38)
+        for i in local.sample(range(len(r3_catalog)), 40):
+            tau = r3_catalog.perm(i)
+            relabel = list(range(16))
+            local.shuffle(relabel)
+            quads = frozenset(
+                tuple(sorted(relabel[p] for p in quad)) for quad in sqs_from_tau(tau).quadruples
+            )
+            assert count_automorphisms(SQS(order=16, quadruples=quads)) == aut_order(tau)
+
     def test_constant_on_isomorphism_classes(self, rng):
         mats = list(gl_enumerate(3))
         local = random.Random(37)
