@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import span_dim
-from .algebra import BitMatrix, PointPerm, double_coset_member, invert_perm, sigma_m
+from .algebra import BitMatrix, PointPerm, double_coset_member, invert, invert_perm, sigma_m
 from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
+from .constructions import tau_product
 from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
 from .regular_groups import TauCatalog
 from .sqs import aut_order, point_transitive
@@ -302,7 +303,7 @@ SERIES_BASE_TAUS = {
 def _series_base(r: int):
     """A base permutation of the series and its point-transitivity witness (A, B)."""
     tau = PointPerm(r, SERIES_BASE_TAUS[r], induced=True)
-    return tau, double_coset_member(invert_perm(tau), tau)
+    return tau, point_transitive(tau)[1]
 
 
 def _block_diag(m1: BitMatrix, m2: BitMatrix) -> BitMatrix:
@@ -331,8 +332,6 @@ def composed_series(r: int):
     fours = next(b for b in range(r // 4, -1, -1) if (r - 4 * b) % 3 == 0)
     parts = [3] * ((r - 4 * fours) // 3) + [4] * fours
 
-    from .constructions import tau_product
-
     tau, (wit_a, wit_b) = _series_base(parts[0])
     for part in parts[1:]:
         nxt, (nxt_a, nxt_b) = _series_base(part)
@@ -341,11 +340,9 @@ def composed_series(r: int):
         wit_b = _block_diag(wit_b, nxt_b)
 
     # certify the witness directly: tau^{-1} = sigma_B o tau o sigma_A^{-1}
-    from .algebra import invert as mat_invert
-
     n = 1 << r
     inv_images = invert_perm(tau).images
-    a_inv = mat_invert(wit_a)
+    a_inv = invert(wit_a)
     assert all(
         inv_images[x] == wit_b.apply(tau.images[a_inv.apply(x)]) for x in range(n)
     ), "block-diagonal witness failed to verify"

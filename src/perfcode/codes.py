@@ -8,10 +8,11 @@ bit p, with coordinates indexed by the points of F^r when n = 2^r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from ._bits import nullspace_basis, span_basis, span_dim, span_words, weight
+from ._bits import nullspace_basis, reduce_vec, span_basis, span_dim, span_words, weight
 from .algebra import BitMatrix, PointPerm, additivity_table
 from .errors import BudgetExceeded, InconsistentInput, LengthMismatch
 
@@ -40,12 +41,8 @@ class LinearCode:
         return sorted(span_words(span_basis(self.generators.row_bits)))
 
     def contains(self, word: int) -> bool:
-        basis = span_basis(self.generators.row_bits)
-        cur = int(word)
-        for pv in sorted(basis, key=lambda x: -x.bit_length()):
-            if cur and (cur >> (pv.bit_length() - 1)) & 1:
-                cur ^= pv
-        return cur == 0
+        pivots = [(row.bit_length() - 1, row) for row in span_basis(self.generators.row_bits)]
+        return reduce_vec(pivots, int(word)) == 0
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,7 @@ class CodeStats:
 class CosetUnionCode:
     """Union over a in F^r of cosets (base + reps[a]) of the base code H x H.
 
-    reps[a] is the bit-packed representative (e_a + e_0 | e_{tau(a)} + e_0)
-    of length 2^{r+1}; reps[0] is the all-zero word.
+    reps is `coset_reps(tau)`; reps[0] is the all-zero word.
     """
 
     r: int
@@ -134,14 +130,16 @@ def intersect(c: LinearCode, d: LinearCode) -> LinearCode:
     return LinearCode(c.length, BitMatrix(len(basis), c.length, tuple(basis)))
 
 
+def apply_coordinate_perm(word: int, perm: tuple[int, ...]) -> int:
+    """Position perm[p] of the image carries position p of the word."""
+    return sum(((word >> p) & 1) << perm[p] for p in range(len(perm)))
+
+
 def apply_point_perm_to_code(tau: PointPerm, code: LinearCode) -> LinearCode:
     """Permute coordinates: position tau(p) of the image carries position p."""
     if code.length != (1 << tau.r):
         raise LengthMismatch("permutation size does not match code length")
-    rows = tuple(
-        sum(((row >> p) & 1) << tau.images[p] for p in range(code.length))
-        for row in code.generators.row_bits
-    )
+    rows = tuple(apply_coordinate_perm(row, tau.images) for row in code.generators.row_bits)
     return LinearCode(code.length, BitMatrix(code.generators.rows, code.length, rows))
 
 
@@ -184,11 +182,16 @@ def perm_kernel_dim(tau: PointPerm) -> int:
     return int(kernel_dims([tau.images])[0])
 
 
+def coset_reps(tau: PointPerm) -> tuple[int, ...]:
+    """The coset representatives (e_a + e_0 | e_tau(a) + e_0) of S_tau, one
+    per point a, bit-packed with length 2^{r+1}; e_0 + e_0 is the zero word."""
+    n = 1 << tau.r
+    return tuple(((1 << a) ^ 1) | (((1 << tau.images[a]) ^ 1) << n) for a in range(n))
+
+
 def _check_reps(s: CosetUnionCode, tau: PointPerm) -> None:
-    n = 1 << s.r
-    for a in range(n):
-        expect = ((1 << a) ^ 1 if a else 0) | ((((1 << tau.images[a]) ^ 1) if tau.images[a] else 0) << n)
-        if s.reps[a] != expect:
+    for a, (rep, expect) in enumerate(zip_longest(s.reps, coset_reps(tau))):
+        if rep != expect:
             raise InconsistentInput(f"rep at point {a} does not match the permutation")
 
 

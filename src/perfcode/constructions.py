@@ -9,7 +9,14 @@ from typing import Callable
 
 from ._bits import parity
 from .algebra import BitMatrix, PointPerm
-from .codes import CosetUnionCode, ExplicitCode, LinearCode, extended_hamming
+from .codes import (
+    CosetUnionCode,
+    ExplicitCode,
+    LinearCode,
+    apply_coordinate_perm,  # re-exported: the coordinate action of the dub1/dub2 lifts
+    coset_reps,
+    extended_hamming,
+)
 from .errors import BudgetExceeded
 
 S_TAU_MAX_R = 5
@@ -21,27 +28,20 @@ def build_s_tau(tau: PointPerm) -> CosetUnionCode:
     """S_tau = union over a of (H + e_a + e_0) x (H + e_tau(a) + e_0).
 
     The base code is H x H with H the extended Hamming code of length
-    2^r; the representative of coset a is (e_a + e_0 | e_tau(a) + e_0).
-    Contains the all-zero word since tau fixes 0.
+    2^r; the representatives are `coset_reps(tau)`.  Contains the
+    all-zero word since tau fixes 0.
     """
     tau.require_zero_fixing()
     r = tau.r
     if r > S_TAU_MAX_R:
         raise BudgetExceeded(f"build_s_tau supports r <= {S_TAU_MAX_R}, got {r}")
-    if r < 3:
-        raise ValueError(f"build_s_tau needs r >= 3, got {r}")
     n = 1 << r
     h = extended_hamming(r)
     gen_rows = tuple(h.generators.row_bits) + tuple(
         row << n for row in h.generators.row_bits
     )
     base = LinearCode(2 * n, BitMatrix(len(gen_rows), 2 * n, gen_rows))
-    reps = tuple(
-        (((1 << a) ^ 1) if a else 0)
-        | ((((1 << tau.images[a]) ^ 1) if tau.images[a] else 0) << n)
-        for a in range(n)
-    )
-    return CosetUnionCode(r=r, base=base, reps=reps)
+    return CosetUnionCode(r=r, base=base, reps=coset_reps(tau))
 
 
 def tau_product(tau: PointPerm, tau2: PointPerm) -> PointPerm:
@@ -144,11 +144,6 @@ def dub1(pi, t: int, m: int) -> tuple[int, ...]:
 def dub2(pi, t: int, m: int) -> tuple[int, ...]:
     """Lift a coordinate permutation of D to M(C,D): (i, j) -> (i, pi(j))."""
     return tuple(i * m + pi[j] for i in range(t) for j in range(m))
-
-
-def apply_coordinate_perm(word: int, perm: tuple[int, ...]) -> int:
-    """Position perm[p] of the image carries position p of the word."""
-    return sum(((word >> p) & 1) << perm[p] for p in range(len(perm)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import mul_rows
 from .algebra import BitMatrix, PointPerm, gl_rows_cached, identity_matrix
 from .errors import BudgetExceeded, NotAnAutomorphism
 
@@ -88,38 +87,29 @@ class _Tables:
     """Unipotent-matrix action and multiplication tables for one r."""
 
     def __init__(self, r: int):
-        self.r = r
         rows_list = gl_rows_cached(r)
-        ident = tuple(1 << i for i in range(r))
-
-        def unipotent(rows) -> bool:
-            # 2-power order in GL(r,2) is equivalent to (M + I)^r = 0
-            nil = tuple(rows[i] ^ ident[i] for i in range(r))
-            power = nil
-            for _ in range(r - 1):
-                power = mul_rows(power, nil)
-            return not any(power)
-
-        self.uni = [rows for rows in rows_list if unipotent(rows)]
-        nu = len(self.uni)
-        self.id_idx = self.uni.index(ident)
-        arr = np.array(self.uni, dtype=np.int64)
-        self.app = app = _point_maps(arr, r)
-        code = (arr * (np.int64(1) << (r * np.arange(r)))).sum(axis=1)
-        code2idx = np.full(1 << (r * r), -1, dtype=np.int32)
-        code2idx[code] = np.arange(nu, dtype=np.int32)
+        maps = _point_maps(np.array(rows_list, dtype=np.int64), r)
+        # 2-power order in GL(r,2) is equivalent to (M + I)^r = 0
+        nil = maps ^ np.arange(1 << r, dtype=np.int16)
+        power = nil
+        for _ in range(r - 1):
+            power = np.take_along_axis(nil, power.astype(np.intp), axis=1)
+        keep = np.flatnonzero(~power.any(axis=1))
+        self.uni = [rows_list[k] for k in keep]
+        self.id_idx = self.uni.index(tuple(1 << i for i in range(r)))
+        self.app = app = maps[keep]
+        nu = len(keep)
+        # a unipotent is looked up by its columns M e_j, r bits each
+        cols = app[:, 1 << np.arange(r)].astype(np.intp)
+        shifts = r * np.arange(r)
+        code2idx = np.full(1 << (r * r), -1, dtype=np.int16)
+        code2idx[(cols << shifts).sum(axis=1)] = np.arange(nu)
+        # -1 marks a non-unipotent product (prunes the branch)
         mul = np.empty((nu, nu), dtype=np.int16)
         chunk = max(1, (1 << 22) // (nu * r))
         for s in range(0, nu, chunk):
-            e = min(nu, s + chunk)
-            prod_rows = np.zeros((e - s, nu, r), dtype=np.int64)
-            for i in range(r):
-                for j in range(r):
-                    bit = (arr[s:e, i] >> j) & 1
-                    prod_rows[:, :, i] ^= bit[:, None] * arr[None, :, j]
-            ccode = (prod_rows * (np.int64(1) << (r * np.arange(r)))).sum(axis=2)
-            mul[s:e] = code2idx[ccode]
-        self.mul = mul          # -1 marks a non-unipotent product (prunes the branch)
+            prod = app[s : s + chunk][:, cols]  # column j of M_a M_b is M_a(M_b e_j)
+            mul[s : s + chunk] = code2idx[(prod.astype(np.intp) << shifts).sum(axis=2)]
         # tuples of ints, which the cyclic garbage collector stops walking
         self.app_l = tuple(tuple(row.tolist()) for row in app)
         self.mul_l = tuple(tuple(row.tolist()) for row in mul)
@@ -154,7 +144,6 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
         mats = mats.copy()
         mats[a] = k
         assigned = [p for p in range(n) if mats[p] >= 0]
-        count = len(assigned)
         queue = [a]
         while queue:
             c = queue.pop()
@@ -170,11 +159,8 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
                         return None
                     cur = mats[t]
                     if cur < 0:
-                        if count >= n:
-                            return None
                         mats[t] = prod
                         assigned.append(t)
-                        count += 1
                         queue.append(t)
                     elif cur != prod:
                         return None

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from perfcode import (
+    BitMatrix,
     BudgetExceeded,
     InconsistentInput,
     LengthMismatch,
+    LinearCode,
     PointPerm,
     ZeroNotFixed,
     apply_point_perm_to_code,
@@ -59,6 +61,21 @@ class TestExtendedHamming:
     def test_bad_r(self):
         with pytest.raises(ValueError):
             extended_hamming(1)
+
+
+class TestContains:
+    def test_every_length_8_word(self):
+        h = extended_hamming(3)
+        words = set(h.words())
+        assert all(h.contains(w) == (w in words) for w in range(1 << 8))
+
+    def test_dependent_generators(self):
+        # the third generator is the sum of the first two, the fourth repeats one
+        gens = (0b00001111, 0b00110011, 0b00111100, 0b00110011)
+        code = LinearCode(8, BitMatrix(len(gens), 8, gens))
+        words = set(code.words())
+        assert len(words) == 4
+        assert all(code.contains(w) == (w in words) for w in range(1 << 8))
 
 
 def _explicit(linear):

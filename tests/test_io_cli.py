@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from perfcode import (
     ExplicitCode,
     PointPerm,
+    brute_kernel_dim,
+    brute_min_distance,
+    brute_rank,
     build_s_tau,
     catalog_taus,
     classify,
@@ -197,6 +201,27 @@ class TestCli:
         assert cli_main(["stats", "--tau", str(tau_path)]) == 0
         captured = capsys.readouterr().out
         assert "rank=" in captured and "kernel_dim=" in captured
+
+    @pytest.mark.parametrize("images", [(0, *p) for p in permutations((1, 2, 3))], ids=str)
+    def test_build_stau_and_stats_at_r2(self, tmp_path, capsys, images):
+        # every zero-fixing tau of F^2 is linear: S_tau is an [8, 4, 4] code
+        tau = PointPerm(2, images)
+        tau_path, out = tmp_path / "tau.json", tmp_path / "stau.code"
+        pio.save_point_perm(tau_path, tau)
+        assert cli_main(["build-stau", "--tau", str(tau_path), "--out", str(out)]) == 0
+        assert pio.load_code_file(out).reps == build_s_tau(tau).reps
+        capsys.readouterr()
+        assert cli_main(["stats", "--tau", str(tau_path)]) == 0
+        assert capsys.readouterr().out.split() == [
+            "n=8", "size=2^4", "rank=4", "kernel_dim=4", "min_distance=4"
+        ]
+        explicit = explicit_materialize(build_s_tau(tau))
+        assert (
+            len(explicit.words),
+            brute_rank(explicit),
+            brute_kernel_dim(explicit),
+            brute_min_distance(explicit),
+        ) == (16, 4, 4, 4)
 
     def test_sqs_and_check_roundtrip(self, tmp_path, rng, capsys):
         tau = random_zero_fixing(4, rng)

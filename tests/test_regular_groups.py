@@ -6,6 +6,7 @@ import pytest
 
 from aut_oracle import closure_automorphism_perms
 from perfcode import regular_groups
+from perfcode.algebra import gl_rows_cached
 from perfcode.regular_groups import automorphism_census
 from perfcode import (
     BitMatrix,
@@ -131,6 +132,47 @@ class TestAutomorphisms:
                     for a in range(8)
                     for b in range(8)
                 )
+
+
+def is_unipotent(m: BitMatrix) -> bool:
+    """Oracle: (M + I)^r = 0, with the product of BitMatrix."""
+    r = m.rows
+    nil = BitMatrix(r, r, tuple(row ^ (1 << i) for i, row in enumerate(m.row_bits)))
+    power = nil
+    for _ in range(r - 1):
+        power = power @ nil
+    return not any(power.row_bits)
+
+
+class TestTables:
+    """The enumeration tables against BitMatrix products and sigma_m."""
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_unipotents_and_their_point_maps(self, r):
+        tab = regular_groups._tables(r)
+        expected = [rows for rows in gl_rows_cached(r) if is_unipotent(BitMatrix(r, r, rows))]
+        assert tab.uni == expected
+        assert tab.uni[tab.id_idx] == identity_matrix(r).row_bits
+        for rows, app in zip(tab.uni, tab.app_l):
+            assert app == sigma_m(BitMatrix(r, r, rows)).images
+        assert tab.app.tolist() == [list(app) for app in tab.app_l]
+
+    @pytest.mark.parametrize("r, samples", [(3, None), (4, 20_000)])
+    def test_products(self, r, samples):
+        tab = regular_groups._tables(r)
+        index = {rows: k for k, rows in enumerate(tab.uni)}
+        nu = len(tab.uni)
+        if samples is None:
+            pairs = [(a, b) for a in range(nu) for b in range(nu)]
+        else:
+            rng = random.Random(2024)
+            pairs = [(rng.randrange(nu), rng.randrange(nu)) for _ in range(samples)]
+        hits = 0
+        for a, b in pairs:
+            prod = BitMatrix(r, r, tab.uni[a]) @ BitMatrix(r, r, tab.uni[b])
+            assert tab.mul_l[a][b] == index.get(prod.row_bits, -1)
+            hits += tab.mul_l[a][b] >= 0
+        assert 0 < hits < len(pairs)  # both branches are exercised
 
 
 R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
