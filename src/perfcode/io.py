@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -256,20 +257,34 @@ def save_tau_catalog(path, catalog: TauCatalog) -> None:
 
 def load_tau_catalog(path) -> TauCatalog:
     """Inverse of save_tau_catalog (a bare list must not be empty); every row
-    must be a zero-fixing permutation of F^r with r in {3, 4}."""
+    must be a zero-fixing permutation of F^r with r in {3, 4}.  Every tau is
+    a list of integers, the ids are integers in [0, 2^63) and `complete` is
+    a boolean; JSON that merely converts to these is malformed."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
             if isinstance(obj, list):
                 if not obj:
                     raise ValueError("catalog must be a non-empty list")
-                items, r, complete = obj, int(obj[0]["r"]), True
+                items, r, complete = obj, obj[0]["r"], True
             else:
-                items, r, complete = obj["taus"], int(obj["r"]), bool(obj["complete"])
-            images = np.array([[int(x) for x in it["tau"]] for it in items], dtype=np.int64)
-            gids = [int(it["group_id"]) for it in items]
-            aids = [int(it["aut_id"]) for it in items]
-            if any(int(it["r"]) != r for it in items):
+                items, r, complete = obj["taus"], obj["r"], obj["complete"]
+                if type(complete) is not bool:
+                    raise ValueError(f"complete must be true or false, got {complete!r}")
+            if type(items) is not list:
+                raise ValueError("taus must be a list")
+            taus = [it["tau"] for it in items]
+            if not set(map(type, taus)) <= {list}:
+                raise ValueError("every tau must be a list")
+            gids = [it["group_id"] for it in items]
+            aids = [it["aut_id"] for it in items]
+            numbers = chain([r], (it["r"] for it in items), gids, aids, chain.from_iterable(taus))
+            if not set(map(type, numbers)) <= {int}:  # bool, float and str are not int
+                raise ValueError("r, the ids and the images must be integers")
+            if items and not (0 <= min(gids + aids) and max(gids + aids) < 1 << 63):
+                raise ValueError("ids must lie in [0, 2^63)")
+            images = np.array(taus, dtype=np.int64)
+            if any(it["r"] != r for it in items):
                 raise ValueError("mixed r in catalog")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"bad tau catalog: {exc}") from exc

@@ -110,9 +110,13 @@ class _Tables:
         for s in range(0, nu, chunk):
             prod = app[s : s + chunk][:, cols]  # column j of M_a M_b is M_a(M_b e_j)
             mul[s : s + chunk] = code2idx[(prod.astype(np.intp) << shifts).sum(axis=2)]
-        # tuples of ints, which the cyclic garbage collector stops walking
+        # tuples of ints, which the cyclic garbage collector stops walking;
+        # the rows of mul_l share one int object per index (an object-array
+        # lookup, where -1 reads back the last entry, -1) instead of
+        # holding one int per slot
         self.app_l = tuple(tuple(row.tolist()) for row in app)
-        self.mul_l = tuple(tuple(row.tolist()) for row in mul)
+        shared = np.array([*range(nu), -1], dtype=object)
+        self.mul_l = tuple(tuple(shared[row].tolist()) for row in mul)
 
 
 _TABLES: dict[int, _Tables] = {}

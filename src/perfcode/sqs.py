@@ -364,12 +364,16 @@ class _SqsIndex:
     def _branch_choices(self, img: list[int], used: list[bool]):
         """Next decision point and its candidate images.
 
-        Prefers a quadruple with exactly two assigned points: the images
-        of its two free points must fill an image quadruple through the
-        two known images, which caps the branching at a handful of pairs
-        instead of every unused point.
+        Prefers the first quadruple with exactly two assigned points: the
+        images of its two free points must fill an image quadruple through
+        the two known images, which caps the branching at a handful of
+        pairs instead of every unused point.
         """
-        for quad in self.quads:
+        # no quadruple has two points mapped while fewer than two are, or
+        # two free while none is: skip the scan at the top level's
+        # one-point maps and at every complete map
+        quads = self.quads if 2 <= self.v - used.count(False) < self.v else ()
+        for quad in quads:
             known_img = []
             free = []
             for p in quad:

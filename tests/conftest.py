@@ -1,11 +1,20 @@
+import os
 import random
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from perfcode import PointPerm, automorphisms, catalog_taus, enumerate_regular_subgroups
 from perfcode.codes import kernel_dims
+
+# CI runs draw the same examples every time and print a reproduction blob
+# on failure, so a property-test failure there reproduces locally with
+# `CI=1 pytest ...`; local runs keep hypothesis' defaults
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -244,8 +244,21 @@ def isin_kernel_dim(code: ExplicitCode) -> int:
     return span_dim(words[in_code].tolist())
 
 
+def random_coset_union(length: int, rng: random.Random) -> ExplicitCode:
+    """A union of random cosets of a random linear code, so that the kernel
+    is often larger than {0}; the coset of 0 is dropped now and then."""
+    basis = [rng.randrange(1 << length) for _ in range(rng.randrange(length))]
+    linear = {0}
+    for row in basis:
+        linear |= {w ^ row for w in linear}
+    shifts = {0} | {rng.randrange(1 << length) for _ in range(rng.randrange(1, 4))}
+    if rng.random() < 0.25:
+        shifts.discard(0)
+    return ExplicitCode(length, tuple(sorted({w ^ s for w in linear for s in shifts})))
+
+
 class TestBruteKernelDim:
-    """The membership-table kernel oracle against np.isin on explicit codes."""
+    """The Walsh–Hadamard kernel oracle against the pairwise np.isin count."""
 
     @pytest.mark.parametrize(
         "length, words, kernel",
@@ -253,18 +266,58 @@ class TestBruteKernelDim:
             (4, (0b0000, 0b0001, 0b0010, 0b0100), 0),  # non-linear, trivial kernel
             (4, (0, 1, 2, 12, 13, 14), 1),  # three cosets of {0, 12}: non-linear
             (4, (0, 3, 5, 6), 2),  # linear
+            (4, (3, 5, 6, 9), 0),  # no zero word: no word translates C onto itself
+            (4, (0,), 0),
+            (4, (9,), 0),
+            (0, (0,), 0),
+            (5, (), 0),
         ],
     )
     def test_small_codes(self, length, words, kernel):
         code = ExplicitCode(length, words)
         assert brute_kernel_dim(code) == isin_kernel_dim(code) == kernel
 
-    def test_hamming_and_s_tau(self, rng):
-        hamming = extended_hamming(3)
-        codes = [ExplicitCode(hamming.length, tuple(sorted(hamming.words())))]
-        codes += [explicit_materialize(build_s_tau(random_zero_fixing(3, rng))) for _ in range(2)]
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_random_codes(self, length):
+        local = random.Random(1000 + length)
+        codes = [random_coset_union(length, local) for _ in range(12)]
+        codes += [ExplicitCode(length, (local.randrange(1 << length),)) for _ in range(2)]
+        words = sorted(local.sample(range(1, 1 << length), min(5, (1 << length) - 1)))
+        codes.append(ExplicitCode(length, tuple(words)))  # without the zero word
+        assert any(0 not in code.words for code in codes)
         for code in codes:
             assert brute_kernel_dim(code) == isin_kernel_dim(code)
+
+    def test_hamming_and_s_tau(self, rng, r3_taus):
+        hamming = extended_hamming(3)
+        code = ExplicitCode(hamming.length, tuple(hamming.words()))
+        assert brute_kernel_dim(code) == isin_kernel_dim(code) == 4
+        # every S_tau at r=2, and r=3 ones from the catalog and at random
+        local = random.Random(41)
+        taus = [PointPerm(2, (0, *rest)) for rest in permutations((1, 2, 3))]
+        taus += local.sample(r3_taus, 4) + [random_zero_fixing(3, rng) for _ in range(2)]
+        kernels = set()
+        for tau in taus:
+            code = explicit_materialize(build_s_tau(tau))
+            kernel = brute_kernel_dim(code)
+            assert kernel == isin_kernel_dim(code) == perm_kernel_dim(tau)
+            kernels.add(kernel)
+        assert len(kernels) > 2
+
+    def test_exact_at_the_top_of_the_range(self):
+        # the largest counts: |C| 2^length = 2^40 for the whole space of length 20
+        assert brute_kernel_dim(ExplicitCode(20, tuple(range(1 << 20)))) == 20
+        hamming = extended_hamming(4)
+        assert brute_kernel_dim(ExplicitCode(16, tuple(hamming.words()))) == 11
+
+    def test_at_the_length_cap(self):
+        # cosets of {0, all-ones} through random words: the kernel is {0, all-ones}
+        ones = (1 << BRUTE_TABLE_MAX_LENGTH) - 1
+        local = random.Random(43)
+        shifts = [0, *local.sample(range(1, 1 << BRUTE_TABLE_MAX_LENGTH), 20)]
+        words = sorted({s ^ w for s in shifts for w in (0, ones)})
+        code = ExplicitCode(BRUTE_TABLE_MAX_LENGTH, tuple(words))
+        assert brute_kernel_dim(code) == isin_kernel_dim(code) == 1
 
     def test_length_cap(self):
         with pytest.raises(BudgetExceeded):

@@ -309,6 +309,49 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("complete", "false"),  # a string, which bool() would read as true
+            ("complete", 0),
+            ("r", 3.7),
+            ("r", True),
+            ("item r", 3.0),
+            ("group_id", 2**70),  # past int64
+            ("group_id", 1 << 63),
+            ("group_id", -1),
+            ("group_id", 0.5),
+            ("aut_id", True),
+            ("aut_id", "1"),
+            ("tau", "02134567"),  # a string, not a list
+            ("tau", {"0": 0}),
+            ("tau", [0, 2, 1, 3, 4, 5, 6, 7.0]),
+            ("tau", [0, 2, True, 3, 4, 5, 6, 7]),
+            ("tau", [0, 2, 1, 3, 4, 5, 6, 2**70]),
+        ],
+    )
+    def test_catalog_fields_must_have_their_json_types(self, tmp_path, capsys, field, value):
+        items = [
+            {"tau": [0, 1, 2, 3, 4, 5, 6, 7], "r": 3, "group_id": 0, "aut_id": 0},
+            {"tau": [0, 2, 1, 3, 4, 5, 6, 7], "r": 3, "group_id": 1, "aut_id": 0},
+        ]
+        obj = {"r": 3, "complete": False, "taus": items}
+        if field in obj:
+            obj[field] = value
+        else:
+            items[1][field.removeprefix("item ")] = value
+        path = tmp_path / "catalog.json"
+        out = tmp_path / "classes.json"
+        # a field of a row is checked in the complete (bare list) form too
+        texts = [json.dumps(obj)] + ([] if field in obj else [json.dumps(items)])
+        for text in texts:
+            path.write_text(text)
+            assert cli_main(["classify", "--catalog", str(path), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("malformed input: bad tau catalog")
+            assert "Traceback" not in err
+            assert not out.exists()
+
     def test_enum_and_catalog_and_classify_pipeline(self, tmp_path, capsys):
         groups_path = tmp_path / "groups.json"
         assert (

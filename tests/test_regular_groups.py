@@ -174,6 +174,13 @@ class TestTables:
             hits += tab.mul_l[a][b] >= 0
         assert 0 < hits < len(pairs)  # both branches are exercised
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_product_table_shares_its_ints(self, r):
+        # one int object per unipotent index and one for -1, not one per slot
+        tab = regular_groups._tables(r)
+        nu = len(tab.uni)
+        assert len({id(k) for row in tab.mul_l for k in row}) <= nu + 1
+
 
 R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
 

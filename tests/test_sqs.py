@@ -28,7 +28,36 @@ from perfcode import (
     xi_swap,
 )
 from perfcode import ExplicitCode
+from perfcode import sqs as sqs_module
 from conftest import random_zero_fixing
+
+
+def scan_branch_choices(index, img, used):
+    """The search's branch choices found by scanning every quadruple, at
+    every node, for the first with exactly two assigned points."""
+    for quad in index.quads:
+        known_img = []
+        free = []
+        for p in quad:
+            if img[p] >= 0:
+                known_img.append(img[p])
+            else:
+                free.append(p)
+        if len(free) != 2:
+            continue
+        a, b = sorted(known_img)
+        p, p2 = free
+        cands = []
+        for target in index.pair_quads[(a, b)]:
+            rest = [z for z in target if z != a and z != b]
+            for z, w in (rest, rest[::-1]):
+                if not used[z] and not used[w]:
+                    cands.append((p, z, p2, w))
+        return cands
+    p = next((x for x in range(index.v) if img[x] < 0), None)
+    if p is None:
+        return None
+    return [(p, c, None, None) for c in range(index.v) if not used[c]]
 
 
 def random_nonlinear(r, rng):
@@ -283,6 +312,27 @@ class TestAutOrder:
             moved = compose(compose(sigma_m(local.choice(mats)), tau), sigma_m(local.choice(mats)))
             assert aut_order(moved) == base
         assert aut_order(invert_perm(tau)) == base
+
+    def test_branch_choices_match_a_scan_of_every_quadruple(self, monkeypatch, r3_taus):
+        # the search must branch where a scan of every quadruple says, at
+        # every node, including those where it skips the scan
+        mapped = set()  # how many points the nodes had mapped
+
+        class ScanChecked(sqs_module._SqsIndex):
+            def _branch_choices(self, img, used):
+                choices = super()._branch_choices(img, used)
+                assert choices == scan_branch_choices(self, img, used)
+                mapped.add(sum(x >= 0 for x in img))
+                return choices
+
+        monkeypatch.setattr(sqs_module, "_SqsIndex", ScanChecked)
+        local = random.Random(39)
+        taus = local.sample(r3_taus, 4) + [random_nonlinear(3, local) for _ in range(2)]
+        for tau in taus + [identity_perm(4)]:
+            assert count_automorphisms(sqs_from_tau(tau)) == aut_order(tau)
+        # both ends of the skipped range (1 and every point of an r=3 or r=4
+        # system) and the first count that scans (2)
+        assert {1, 2, 16, 32} <= mapped
 
     def test_second_count_is_zero_or_the_first(self, r3_taus):
         # N1 = #{A : tau sigma_A tau linear} is 0 or N0, and N0 exactly when
