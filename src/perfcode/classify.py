@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import span_dim
-from .algebra import BitMatrix, PointPerm, double_coset_member, invert, invert_perm, sigma_m
+from .algebra import SEARCH_MAX_R, BitMatrix, PointPerm, double_coset_member, invert, invert_perm, sigma_m
 from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
 from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
@@ -247,8 +247,8 @@ def classify(taus, provenance=None) -> list[CatalogEntry]:
         raise MixedDimensions("all permutations must share one r")
     for t in taus:
         t.require_zero_fixing()
-    if r > 5:
-        raise BudgetExceeded("classification supports r <= 5")
+    if r > SEARCH_MAX_R:
+        raise BudgetExceeded(f"classification supports r <= {SEARCH_MAX_R}")
     images = np.array([t.images for t in taus], dtype=np.int8)
     induced = [t.induced for t in taus]
     if provenance is None:

@@ -107,8 +107,8 @@ _HAMMING_CACHE: dict[int, LinearCode] = {}
 
 def extended_hamming(r: int) -> LinearCode:
     """The extended Hamming code {x : sum of set positions = 0, wt(x) even}."""
-    if not 2 <= r <= 6:
-        raise ValueError(f"extended_hamming supports 2 <= r <= 6, got {r}")
+    if not 1 <= r <= 6:
+        raise ValueError(f"extended_hamming supports 1 <= r <= 6, got {r}")
     if r not in _HAMMING_CACHE:
         n = 1 << r
         basis = nullspace_basis(hamming_parity_rows(r), n)

@@ -18,7 +18,7 @@ from .algebra import BitMatrix, PointPerm
 from .classify import CatalogEntry
 from .codes import CosetUnionCode, ExplicitCode, LinearCode
 from .errors import MalformedInput
-from .regular_groups import RegularSubgroup, TauCatalog
+from .regular_groups import ENUM_MAX_R, ENUM_MIN_R, RegularSubgroup, TauCatalog
 from .sqs import SQS
 
 
@@ -41,6 +41,20 @@ def _read_text(path, what: str) -> str:
         raise MalformedInput(f"bad {what}: {exc}") from exc
 
 
+def _decode_json(text: str, what: str, convert):
+    """convert(the JSON value of text).  Text that is not JSON, nests past
+    the parser's recursion limit, or has a missing key or a value of the
+    wrong type or range is malformed input."""
+    try:
+        return convert(json.loads(text))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise MalformedInput(f"bad {what}: {exc}") from exc
+
+
+def _load_json(path, what: str, convert):
+    return _decode_json(_read_text(path, what), what, convert)
+
+
 def matrix_to_strings(m: BitMatrix) -> list[str]:
     return [row_to_string(row, m.cols) for row in m.row_bits]
 
@@ -61,16 +75,16 @@ def dump_point_perm(tau: PointPerm) -> str:
     return json.dumps({"r": tau.r, "perm": list(tau.images)}, separators=(",", ":"))
 
 
+def _point_perm_from_obj(obj) -> PointPerm:
+    r, images = int(obj["r"]), tuple(int(x) for x in obj["perm"])
+    # checked before PointPerm forms 1 << r, which a huge r makes huge
+    if len(images).bit_length() != r + 1:
+        raise ValueError(f"{len(images)} images do not fit r={r}")
+    return PointPerm(r, images)
+
+
 def parse_point_perm(text: str) -> PointPerm:
-    try:
-        obj = json.loads(text)
-        r, images = int(obj["r"]), tuple(int(x) for x in obj["perm"])
-        # checked before PointPerm forms 1 << r, which a huge r makes huge
-        if len(images).bit_length() != r + 1:
-            raise ValueError(f"{len(images)} images do not fit r={r}")
-        return PointPerm(r, images)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInput(f"bad permutation file: {exc}") from exc
+    return _decode_json(text, "permutation file", _point_perm_from_obj)
 
 
 def save_point_perm(path, tau: PointPerm) -> None:
@@ -79,7 +93,7 @@ def save_point_perm(path, tau: PointPerm) -> None:
 
 
 def load_point_perm(path) -> PointPerm:
-    return parse_point_perm(_read_text(path, "permutation file"))
+    return _load_json(path, "permutation file", _point_perm_from_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +233,9 @@ def save_groups(path, r: int, groups, complete: bool) -> None:
 
 
 def load_groups(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-            return int(obj["r"]), bool(obj["complete"]), [
-                group_from_obj(g) for g in obj["groups"]
-            ]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad groups file: {exc}") from exc
+    return _load_json(path, "groups file", lambda obj: (
+        int(obj["r"]), bool(obj["complete"]), [group_from_obj(g) for g in obj["groups"]]
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -260,45 +269,44 @@ def load_tau_catalog(path) -> TauCatalog:
     must be a zero-fixing permutation of F^r with r in {3, 4}.  Every tau is
     a list of integers, the ids are integers in [0, 2^63) and `complete` is
     a boolean; JSON that merely converts to these is malformed."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-            if isinstance(obj, list):
-                if not obj:
-                    raise ValueError("catalog must be a non-empty list")
-                items, r, complete = obj, obj[0]["r"], True
-            else:
-                items, r, complete = obj["taus"], obj["r"], obj["complete"]
-                if type(complete) is not bool:
-                    raise ValueError(f"complete must be true or false, got {complete!r}")
-            if type(items) is not list:
-                raise ValueError("taus must be a list")
-            taus = [it["tau"] for it in items]
-            if not set(map(type, taus)) <= {list}:
-                raise ValueError("every tau must be a list")
-            gids = [it["group_id"] for it in items]
-            aids = [it["aut_id"] for it in items]
-            numbers = chain([r], (it["r"] for it in items), gids, aids, chain.from_iterable(taus))
-            if not set(map(type, numbers)) <= {int}:  # bool, float and str are not int
-                raise ValueError("r, the ids and the images must be integers")
-            if items and not (0 <= min(gids + aids) and max(gids + aids) < 1 << 63):
-                raise ValueError("ids must lie in [0, 2^63)")
-            images = np.array(taus, dtype=np.int64)
-            if any(it["r"] != r for it in items):
-                raise ValueError("mixed r in catalog")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedInput(f"bad tau catalog: {exc}") from exc
-    if r not in (3, 4):
-        raise MalformedInput(f"bad tau catalog: r must be 3 or 4, got {r}")
+    return _load_json(path, "tau catalog", _tau_catalog_from_obj)
+
+
+def _tau_catalog_from_obj(obj) -> TauCatalog:
+    if isinstance(obj, list):
+        if not obj:
+            raise ValueError("catalog must be a non-empty list")
+        items, r, complete = obj, obj[0]["r"], True
+    else:
+        items, r, complete = obj["taus"], obj["r"], obj["complete"]
+        if type(complete) is not bool:
+            raise ValueError(f"complete must be true or false, got {complete!r}")
+    if type(items) is not list:
+        raise ValueError("taus must be a list")
+    taus = [it["tau"] for it in items]
+    if not set(map(type, taus)) <= {list}:
+        raise ValueError("every tau must be a list")
+    gids = [it["group_id"] for it in items]
+    aids = [it["aut_id"] for it in items]
+    numbers = chain([r], (it["r"] for it in items), gids, aids, chain.from_iterable(taus))
+    if not set(map(type, numbers)) <= {int}:  # bool, float and str are not int
+        raise ValueError("r, the ids and the images must be integers")
+    if items and not (0 <= min(gids + aids) and max(gids + aids) < 1 << 63):
+        raise ValueError("ids must lie in [0, 2^63)")
+    images = np.array(taus, dtype=np.int64)
+    if any(it["r"] != r for it in items):
+        raise ValueError("mixed r in catalog")
+    if r not in (ENUM_MIN_R, ENUM_MAX_R):
+        raise ValueError(f"r must be {ENUM_MIN_R} or {ENUM_MAX_R}, got {r}")
     n = 1 << r
     images = images.reshape(-1, n) if images.size == 0 else images
     if images.shape != (len(items), n):
-        raise MalformedInput(f"bad tau catalog: every tau needs {n} images")
+        raise ValueError(f"every tau needs {n} images")
     if ((images < 0) | (images >= n)).any() or images[:, 0].any():
-        raise MalformedInput(f"bad tau catalog: images must lie in [0, {n}) and fix 0")
+        raise ValueError(f"images must lie in [0, {n}) and fix 0")
     images = images.astype(np.int8)
     if (np.sort(images, axis=1) != np.arange(n, dtype=np.int8)).any():
-        raise MalformedInput("bad tau catalog: a tau repeats an image")
+        raise ValueError("a tau repeats an image")
     return TauCatalog(r, images, gids, aids, complete=complete)
 
 
@@ -329,25 +337,21 @@ def emit_catalog_json(entries: list[CatalogEntry]) -> str:
 
 
 def parse_catalog_json(text: str) -> list[CatalogEntry]:
-    try:
-        items = json.loads(text)
-        return [
-            CatalogEntry(
-                tau_id=str(it["tau_id"]),
-                r=int(it["r"]),
-                rank=int(it["rank"]),
-                kernel_dim=int(it["kernel_dim"]),
-                intersection_dim=int(it["intersection_dim"]),
-                point_transitive=bool(it["point_transitive"]),
-                aut_order=None if it["aut_order"] is None else int(it["aut_order"]),
-                class_id=int(it["class_id"]),
-                non_mollard=bool(it["non_mollard"]),
-                provenance=str(it["provenance"]),
-            )
-            for it in items
-        ]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad classification JSON: {exc}") from exc
+    return _decode_json(text, "classification JSON", lambda items: [
+        CatalogEntry(
+            tau_id=str(it["tau_id"]),
+            r=int(it["r"]),
+            rank=int(it["rank"]),
+            kernel_dim=int(it["kernel_dim"]),
+            intersection_dim=int(it["intersection_dim"]),
+            point_transitive=bool(it["point_transitive"]),
+            aut_order=None if it["aut_order"] is None else int(it["aut_order"]),
+            class_id=int(it["class_id"]),
+            non_mollard=bool(it["non_mollard"]),
+            provenance=str(it["provenance"]),
+        )
+        for it in items
+    ])
 
 
 def emit_catalog_csv(entries: list[CatalogEntry]) -> str:

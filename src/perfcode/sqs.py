@@ -111,33 +111,18 @@ class DichotomyReport:
         return not self.part1_counterexamples and not self.part2_missing
 
 
-def _q0_pairs(tau: PointPerm, a: int, b: int) -> list[frozenset[int]]:
-    """Quadruples through left points a and b (a != b)."""
-    n = 1 << tau.r
-    s = a ^ b
-    out = []
-    for c in range(n):
-        d = c ^ s
-        if c < d and c != a and c != b:
-            out.append(frozenset((a, b, c, d)))
-    t = tau.images[s]
-    for c in range(n):
-        d = c ^ t
-        if c < d:
-            out.append(frozenset((a, b, n + c, n + d)))
-    return out
-
-
-def _qtau_pairs(tau: PointPerm, a: int, b: int) -> list[frozenset[int]]:
-    """Quadruples through left point a and right point b."""
-    n = 1 << tau.r
-    out = []
-    for c in range(n):
-        if c == a:
-            continue
-        d = b ^ tau.images[a ^ c]
-        out.append(frozenset((a, c, n + b, n + d)))
-    return out
+def _pair_table(quads) -> tuple[list[int], dict[tuple[int, int], list]]:
+    """The bit mask 1<<a | 1<<b | 1<<c | 1<<d of each quadruple (a sorted
+    tuple), and for every point pair x < y the (quadruple, mask) entries
+    through it, in the order of `quads`."""
+    masks = []
+    table: dict[tuple[int, int], list] = {}
+    for quad in quads:
+        mask = sum(1 << p for p in quad)
+        masks.append(mask)
+        for pair in combinations(quad, 2):
+            table.setdefault(pair, []).append((quad, mask))
+    return masks, table
 
 
 def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
@@ -146,35 +131,29 @@ def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
     (i) through two same-side points, symmetric differences of distinct
     quadruples stay in SQS_tau; (ii) through a left/right point pair
     there is always a quadruple pair whose symmetric difference leaves it.
+    One walk over the quadruples through each point pair, in sorted order,
+    checks both; the witness for (a, b) is the first pair through left-a,
+    right-b whose symmetric difference leaves the system.
     """
     tau.require_zero_fixing()
     if is_linear(tau) is not None:
         raise AffineInput("tau is linear; the system is affine")
     n = 1 << tau.r
-    system = {frozenset(q) for q in sqs_from_tau(tau).quadruples}
-    tau_inv = invert_perm(tau)
-    part1 = []
-    for a, b in combinations(range(n), 2):
-        # through right points a, b: those through left a, b of SQS_{tau^-1}, sides swapped
-        right = [frozenset(p ^ n for p in q) for q in _q0_pairs(tau_inv, a, b)]
-        for group in (_q0_pairs(tau, a, b), right):
-            for q1, q2 in combinations(group, 2):
-                if q1 ^ q2 not in system:
-                    part1.append((tuple(sorted(q1)), tuple(sorted(q2))))
-    missing = []
-    witnesses = {}
-    for a in range(n):
-        for b in range(n):
-            found = None
-            group = _qtau_pairs(tau, a, b)
-            for q1, q2 in combinations(group, 2):
-                if q1 ^ q2 not in system:
-                    found = (tuple(sorted(q1)), tuple(sorted(q2)))
-                    break
-            if found is None:
-                missing.append((a, b))
-            else:
-                witnesses[(a, b)] = found
+    masks, table = _pair_table(sorted(sqs_from_tau(tau).quadruples))
+    quad_masks = set(masks)
+    part1, missing, witnesses = [], [], {}
+    for x, y in combinations(range(2 * n), 2):
+        outside = (
+            (q1, q2)
+            for (q1, m1), (q2, m2) in combinations(table[(x, y)], 2)
+            if m1 ^ m2 not in quad_masks
+        )
+        if (x < n) == (y < n):
+            part1.extend(outside)
+        elif (found := next(outside, None)) is None:
+            missing.append((x, y - n))
+        else:
+            witnesses[(x, y - n)] = found
     return DichotomyReport(
         part1_counterexamples=tuple(part1),
         part2_missing=tuple(missing),
@@ -297,26 +276,23 @@ class _SqsIndex:
     def __init__(self, q: SQS):
         self.v = q.order
         self.quads = [tuple(sorted(quad)) for quad in q.quadruples]
-        masks = [sum(1 << p for p in quad) for quad in self.quads]
+        masks, pairs = _pair_table(self.quads)
         self.quad_masks = set(masks)
         # others[x]: the other three points of each quadruple through x
         self.others: list[list[tuple[int, int, int]]] = [[] for _ in range(self.v)]
         self.completion: dict[int, int] = {}
-        self.pair_quads: dict[tuple[int, int], list] = {}
-        pair_masks: dict[tuple[int, int], list[int]] = {}
         for quad, mask in zip(self.quads, masks):
             for p in quad:
                 self.others[p].append(tuple(x for x in quad if x != p))
                 self.completion[mask ^ (1 << p)] = p
-            for x, y in combinations(quad, 2):
-                self.pair_quads.setdefault((x, y), []).append(quad)
-                pair_masks.setdefault((x, y), []).append(mask)
         # pair invariant: how many pairs of distinct quadruples through
         # (x, y) have their symmetric difference inside the system; an
         # isomorphism must match it, which prunes image candidates early
+        self.pair_quads: dict[tuple[int, int], list] = {}
         self.pair_inv = [[0] * self.v for _ in range(self.v)]
-        for (x, y), ms in pair_masks.items():
-            inv = sum(1 for m1, m2 in combinations(ms, 2) if m1 ^ m2 in self.quad_masks)
+        for (x, y), through in pairs.items():
+            self.pair_quads[(x, y)] = [quad for quad, _ in through]
+            inv = sum(1 for (_, m1), (_, m2) in combinations(through, 2) if m1 ^ m2 in self.quad_masks)
             self.pair_inv[x][y] = self.pair_inv[y][x] = inv
         self.point_inv = [tuple(sorted(row)) for row in self.pair_inv]
 

@@ -58,9 +58,15 @@ class TestExtendedHamming:
         assert len(words) == 2048
         assert sum(1 for w in words if weight(w) == 4) == expected
 
+    def test_r1_is_the_zero_code(self):
+        # the parity rows 10 and 11 leave only the zero word of length 2
+        h = extended_hamming(1)
+        assert (h.length, h.dim, h.words()) == (2, 0, [0])
+
     def test_bad_r(self):
-        with pytest.raises(ValueError):
-            extended_hamming(1)
+        for r in (0, 7):
+            with pytest.raises(ValueError):
+                extended_hamming(r)
 
 
 class TestContains:

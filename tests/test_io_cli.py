@@ -21,6 +21,7 @@ from perfcode import (
     extended_hamming,
     identity_perm,
     sqs_from_tau,
+    weight4_supports,
 )
 from perfcode.cli import cli_main
 from perfcode.classify import classify_catalog
@@ -37,6 +38,7 @@ _FILE_COMMANDS = [
     ["hadamard", "--tau", "{path}", "--out", "{out}"],
     ["check-sqs", "--in", "{path}"],
 ]
+_CLASSIFY = ["classify", "--catalog", "{path}", "--out", "{out}"]
 
 # the complete r=3 census, `catalog-taus --r 3` then `classify`: every
 # classification change must reproduce these bytes
@@ -223,6 +225,26 @@ class TestCli:
             brute_min_distance(explicit),
         ) == (16, 4, 4, 4)
 
+    def test_build_stau_and_stats_at_r1(self, tmp_path, capsys):
+        # the length-2 extended Hamming code is {00}, so S_tau is {0000, 1111},
+        # the [4, 1, 4] extended perfect code, and its SQS is one quadruple
+        tau = PointPerm(1, (0, 1))
+        tau_path, out = tmp_path / "tau.json", tmp_path / "stau.code"
+        pio.save_point_perm(tau_path, tau)
+        assert cli_main(["build-stau", "--tau", str(tau_path), "--out", str(out)]) == 0
+        assert pio.load_code_file(out).reps == build_s_tau(tau).reps
+        capsys.readouterr()
+        assert cli_main(["stats", "--tau", str(tau_path)]) == 0
+        assert capsys.readouterr().out.split() == [
+            "n=4", "size=2^1", "rank=1", "kernel_dim=1", "min_distance=4"
+        ]
+        explicit = explicit_materialize(build_s_tau(tau))
+        assert explicit.words == (0, 0b1111)
+        assert (
+            brute_rank(explicit), brute_kernel_dim(explicit), brute_min_distance(explicit)
+        ) == (1, 1, 4)
+        assert weight4_supports(explicit) == {frozenset(q) for q in sqs_from_tau(tau).quadruples}
+
     def test_sqs_and_check_roundtrip(self, tmp_path, rng, capsys):
         tau = random_zero_fixing(4, rng)
         tau_path = tmp_path / "tau.json"
@@ -254,20 +276,30 @@ class TestCli:
         bad.write_text("not json")
         assert cli_main(["report", "--tau", str(bad)]) == 3
 
-    @pytest.mark.parametrize(
-        "command",
-        _FILE_COMMANDS + [["classify", "--catalog", "{path}", "--out", "{out}"]],
-        ids=lambda command: command[0],
-    )
+    @pytest.mark.parametrize("command", _FILE_COMMANDS + [_CLASSIFY], ids=lambda command: command[0])
     def test_undecodable_input_exit_3(self, tmp_path, capsys, command):
+        # bytes that are not UTF-8, and JSON nested past the parser's recursion limit
         bad, out = tmp_path / "bad", tmp_path / "out"
-        bad.write_bytes(b"\xff\xfe\x00\x01not utf-8")
         argv = [arg.format(path=bad, out=out) for arg in command]
-        assert cli_main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("malformed input: ")
-        assert "Traceback" not in err
-        assert not out.exists()
+        for content in (b"\xff\xfe\x00\x01not utf-8", b"[" * 100_000):
+            bad.write_bytes(content)
+            assert cli_main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("malformed input: ")
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_every_json_reader_rejects_deep_nesting(self, tmp_path):
+        from perfcode import MalformedInput
+
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        readers = [pio.load_point_perm, pio.load_groups, pio.load_tau_catalog]
+        readers += [lambda p: pio.parse_point_perm(p.read_text())]
+        readers += [lambda p: pio.parse_catalog_json(p.read_text())]
+        for read in readers:
+            with pytest.raises(MalformedInput):
+                read(path)
 
     @pytest.mark.parametrize(
         "text",
@@ -502,3 +534,97 @@ class TestFileInputProperties:
     @given(text=_sqs_with_bad_point(), command=st.sampled_from(_FILE_COMMANDS))
     def test_sqs_with_a_bad_point_exits_3(self, text, command):
         assert _run_on_text(command, text) == 3
+
+
+# values of the wrong JSON type for each catalog field
+_NOT_INT = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(0, 7), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NOT_LIST = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_NOT_BOOL = st.one_of(
+    st.none(), st.integers(), st.floats(), st.text(max_size=5), st.lists(st.booleans(), max_size=2),
+)
+_PAST_INT64 = st.one_of(st.integers(1 << 63, 1 << 80), st.integers(-(1 << 80), -(1 << 63)))
+
+
+@st.composite
+def _catalog_file(draw):
+    """(JSON text, exit code): a complete or partial catalog that
+    `classify` must accept, or one with a single defect that makes it
+    malformed input."""
+    r = draw(st.sampled_from([3, 4]))
+    n = 1 << r
+    ids = st.integers(0, (1 << 63) - 1)
+    items = [
+        {"tau": [0] + draw(st.permutations(range(1, n))), "r": r,
+         "group_id": draw(ids), "aut_id": draw(ids)}
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    complete = draw(st.booleans())
+    obj = items if complete else {"r": r, "complete": False, "taus": items}
+    defects = ["none", "empty list"] if complete else ["none", "top r", "complete", "taus", "top key"]
+    if items:
+        defects += ["image type", "image range", "repeated image", "tau type", "id type",
+                    "id range", "item r", "item type", "item key"]
+    defect = draw(st.sampled_from(defects))
+    item = draw(st.sampled_from(items)) if items else None
+    j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    id_field = draw(st.sampled_from(["group_id", "aut_id"]))
+    if defect == "none":
+        # an empty complete catalog is an empty bare list, which is malformed
+        return json.dumps(obj), 3 if obj == [] else 0 if complete else 2
+    if defect == "empty list":
+        obj = []
+    elif defect == "top r":
+        obj["r"] = draw(st.one_of(_NOT_INT, st.integers().filter(lambda x: x not in (3, 4))))
+    elif defect == "complete":
+        obj["complete"] = draw(_NOT_BOOL)
+    elif defect == "taus":
+        obj["taus"] = draw(_NOT_LIST)
+    elif defect == "top key":
+        del obj[draw(st.sampled_from(["r", "complete", "taus"]))]
+    elif defect == "image type":
+        item["tau"][j] = draw(_NOT_INT)
+    elif defect == "image range":
+        item["tau"][j] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=n), _PAST_INT64))
+    elif defect == "repeated image":
+        item["tau"][j] = item["tau"][k]
+    elif defect == "tau type":
+        item["tau"] = draw(_NOT_LIST)
+    elif defect == "id type":
+        item[id_field] = draw(_NOT_INT)
+    elif defect == "id range":
+        item[id_field] = draw(st.one_of(st.integers(max_value=-1), _PAST_INT64))
+    elif defect == "item r":
+        item["r"] = draw(st.one_of(_NOT_INT, st.integers().filter(lambda x: x != r)))
+    elif defect == "item type":
+        items[items.index(item)] = draw(st.one_of(_NOT_LIST, st.lists(st.integers(0, 7), max_size=3)))
+    elif defect == "item key":
+        del item[draw(st.sampled_from(["tau", "r", "group_id", "aut_id"]))]
+    return json.dumps(obj), 3
+
+
+_any_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["r", "complete", "taus", "tau", "group_id", "aut_id", "x"]),
+                      inner, max_size=4),
+    max_leaves=10,
+)
+
+
+class TestCatalogFileProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_catalog_file())
+    def test_catalog_files_give_their_exit_code(self, case):
+        text, expected = case
+        assert _run_on_text(_CLASSIFY, text) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.builds(json.dumps, _any_json))
+    def test_any_json_catalog_gives_an_exit_code(self, text):
+        assert _run_on_text(_CLASSIFY, text) in (0, 2, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -30,6 +31,10 @@ from perfcode import (
 from perfcode import ExplicitCode
 from perfcode import sqs as sqs_module
 from conftest import random_zero_fixing
+
+# symmetric_difference_dichotomy over the non-linear taus of the complete
+# r=3 catalog: see TestSymdiffDichotomy.test_r3_catalog_reports_are_pinned
+DICHOTOMY_R3_SHA256 = "edb86a58a1583b9c668da6458bf89a2347e48cd6989a98765fe0baa457770b79"
 
 
 def scan_branch_choices(index, img, used):
@@ -135,6 +140,34 @@ class TestSymdiffDichotomy:
     def test_affine_input_rejected(self):
         with pytest.raises(AffineInput):
             symmetric_difference_dichotomy(identity_perm(3))
+
+    def test_r3_catalog_reports_are_pinned(self, r3_catalog):
+        # every report of the non-linear r=3 catalog, witnesses and their
+        # order included, in catalog order
+        digest = hashlib.sha256()
+        checked = 0
+        for i in range(len(r3_catalog)):
+            tau = r3_catalog.perm(i)
+            if is_linear(tau) is not None:
+                continue
+            rep = symmetric_difference_dichotomy(tau)
+            digest.update(repr((
+                rep.part1_counterexamples, rep.part2_missing, sorted(rep.part2_witnesses.items())
+            )).encode())
+            checked += 1
+        assert checked == 1204
+        assert digest.hexdigest() == DICHOTOMY_R3_SHA256
+
+    def test_dichotomy_at_r4(self):
+        tau = random_nonlinear(4, random.Random(40))
+        report = symmetric_difference_dichotomy(tau)
+        assert report.part1_counterexamples == ()
+        assert report.part2_missing == ()
+        assert len(report.part2_witnesses) == 256
+        system = {frozenset(q) for q in sqs_from_tau(tau).quadruples}
+        for q1, q2 in report.part2_witnesses.values():
+            assert frozenset(q1) in system and frozenset(q2) in system
+            assert frozenset(q1) ^ frozenset(q2) not in system
 
 
 class TestStructuredAction:
