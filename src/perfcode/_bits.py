@@ -38,6 +38,12 @@ def mul_rows(a_rows, b_rows) -> tuple[int, ...]:
     return tuple(out)
 
 
+def transpose(rows, width: int) -> tuple[int, ...]:
+    """The bit-packed rows of the transpose of a matrix with bit-packed
+    rows `width` columns wide: bit i of row j is bit j of rows[i]."""
+    return tuple(sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(width))
+
+
 def span_dim(vecs) -> int:
     """Dimension of the GF(2) span of an iterable of bit-packed vectors."""
     pivots: list[tuple[int, int]] = []

@@ -12,11 +12,12 @@ Conventions (global for the whole package):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._bits import mul_rows, parity, reduce_vec, span_basis, span_dim, weight
+from ._bits import mul_rows, parity, reduce_vec, span_basis, span_dim, transpose, weight
 from .errors import BudgetExceeded, DimensionMismatch, NotInvertible, ZeroNotFixed
 
 GL_ENUM_MAX_R = 6
@@ -89,11 +90,7 @@ class BitMatrix:
         return BitMatrix(self.rows, other.cols, mul_rows(self.row_bits, other.row_bits))
 
     def transpose(self) -> "BitMatrix":
-        cols = tuple(
-            sum(((self.row_bits[i] >> j) & 1) << i for i in range(self.rows))
-            for j in range(self.cols)
-        )
-        return BitMatrix(self.cols, self.rows, cols)
+        return BitMatrix(self.cols, self.rows, transpose(self.row_bits, self.cols))
 
 
 def identity_matrix(r: int) -> BitMatrix:
@@ -146,13 +143,9 @@ def _gl_rows(r: int):
     yield from extend([], [])
 
 
-_GL_CACHE: dict[int, list] = {}
-
-
-def gl_rows_cached(r: int) -> list:
-    if r not in _GL_CACHE:
-        _GL_CACHE[r] = list(_gl_rows(r))
-    return _GL_CACHE[r]
+@functools.cache
+def gl_rows_cached(r: int) -> tuple:
+    return tuple(_gl_rows(r))
 
 
 def gl_enumerate(r: int):
@@ -273,9 +266,8 @@ class AffineTransform:
 
 
 def _matrix_from_map(images, r: int) -> BitMatrix:
-    cols = [int(images[1 << j]) for j in range(r)]
-    rows = (sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(r))
-    return BitMatrix(r, r, tuple(rows))
+    """The matrix whose column j is the image of e_j."""
+    return BitMatrix(r, r, transpose([int(images[1 << j]) for j in range(r)], r))
 
 
 def _add_pair(zw: list, wz: list, z: int, w: int, r: int) -> bool:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import span_dim
+from ._bits import span_dim, transpose
 from .algebra import SEARCH_MAX_R, BitMatrix, PointPerm, double_coset_member, invert, invert_perm, sigma_m
 from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
@@ -66,22 +66,12 @@ def _tau_id(r: int, images) -> str:
     return f"r{r}-{body}"
 
 
-_PARITY_ROWS: dict[int, list[int]] = {}
-
-
 def perm_intersection_dim(tau: PointPerm) -> int:
     """dim(tau(H) ∩ H); invariant under pre/post composition with GL."""
     r = tau.r
-    n = 1 << r
-    inv = invert_perm(tau).images
-    if r not in _PARITY_ROWS:
-        _PARITY_ROWS[r] = hamming_parity_rows(r)
-    rows = _PARITY_ROWS[r].copy()
-    rows.extend(
-        sum(((inv[b] >> j) & 1) << b for b in range(n)) for j in range(r)
-    )
     # the all-ones parity row of tau(H) equals that of H; skip the duplicate
-    return n - span_dim(rows)
+    rows = hamming_parity_rows(r) + transpose(invert_perm(tau).images, r)
+    return (1 << r) - span_dim(rows)
 
 
 def _gl_generators(r: int) -> tuple[BitMatrix, ...]:

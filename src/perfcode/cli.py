@@ -16,7 +16,7 @@ from .classify import classify_catalog, composed_series, tau_id_string, transiti
 from .codes import explicit_materialize, extended_hamming, stats_coset_union
 from .constructions import build_s_tau, hadamard_a_tau, mollard
 from .errors import BudgetExceeded, MalformedInput, PerfcodeError
-from .regular_groups import catalog_taus, enumerate_regular_subgroups
+from .regular_groups import ENUM_MAX_R, ENUM_MIN_R, catalog_taus, enumerate_regular_subgroups
 from .sqs import sqs_from_tau, validate_sqs
 
 
@@ -74,6 +74,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_enum_regular(args) -> int:
+    # checked up front: the stream refuses a large r only once it is read,
+    # with the BudgetExceeded that the loop below takes for a spent budget
+    if not ENUM_MIN_R <= args.r <= ENUM_MAX_R:
+        raise ValueError(f"enum-regular supports {ENUM_MIN_R} <= r <= {ENUM_MAX_R}, got {args.r}")
     budget = args.budget_seconds if args.budget_seconds is not None else _env_budget()
     groups = []
     complete = True
@@ -146,10 +150,9 @@ def cmd_mollard(args) -> int:
     from .codes import ExplicitCode
 
     def factor(length: int) -> ExplicitCode:
-        r = length.bit_length() - 1
-        if 1 << r != length:
+        if length < 1 or length & (length - 1):
             raise MalformedInput(f"factor length {length} is not a power of two")
-        code = extended_hamming(r)
+        code = extended_hamming(length.bit_length() - 1)
         return ExplicitCode(code.length, tuple(code.words()))
 
     m_code = mollard(factor(args.t), factor(args.m))

@@ -8,12 +8,12 @@ bit p, with coordinates indexed by the points of F^r when n = 2^r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import zip_longest
 
 import numpy as np
 
-from ._bits import nullspace_basis, reduce_vec, span_basis, span_dim, span_words, weight
+from ._bits import nullspace_basis, reduce_vec, span_basis, span_dim, span_words, transpose, weight
 from .algebra import BitMatrix, PointPerm, additivity_table
 from .errors import BudgetExceeded, InconsistentInput, LengthMismatch
 
@@ -90,31 +90,25 @@ class CosetUnionCode:
         return (1 << self.r) * self.base.size
 
 
-def hamming_parity_rows(r: int) -> list[int]:
+@cache
+def hamming_parity_rows(r: int) -> tuple[int, ...]:
     """Parity-check rows of the extended Hamming code of length 2^r.
 
     Row i (i < r) has bit b equal to coordinate i of the point b; the
     last row is all-ones (overall parity).
     """
     n = 1 << r
-    rows = [sum(((b >> i) & 1) << b for b in range(n)) for i in range(r)]
-    rows.append((1 << n) - 1)
-    return rows
+    return transpose(range(n), r) + ((1 << n) - 1,)
 
 
-_HAMMING_CACHE: dict[int, LinearCode] = {}
-
-
+@cache
 def extended_hamming(r: int) -> LinearCode:
     """The extended Hamming code {x : sum of set positions = 0, wt(x) even}."""
     if not 1 <= r <= 6:
         raise ValueError(f"extended_hamming supports 1 <= r <= 6, got {r}")
-    if r not in _HAMMING_CACHE:
-        n = 1 << r
-        basis = nullspace_basis(hamming_parity_rows(r), n)
-        gen = BitMatrix(len(basis), n, tuple(basis))
-        _HAMMING_CACHE[r] = LinearCode(n, gen)
-    return _HAMMING_CACHE[r]
+    n = 1 << r
+    basis = nullspace_basis(hamming_parity_rows(r), n)
+    return LinearCode(n, BitMatrix(len(basis), n, tuple(basis)))
 
 
 def dual_rows(code: LinearCode) -> list[int]:

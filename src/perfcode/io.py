@@ -130,7 +130,8 @@ def save_code_file(path, code) -> None:
 
 
 def load_code_file(path):
-    """Inverse of save_code_file; the section structure picks the type."""
+    """Inverse of save_code_file; the section structure picks the type.
+    Every row must be n bits long, and explicit words must not repeat."""
     lines = [ln.strip() for ln in _read_text(path, "code file").split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise MalformedInput("missing code header")
@@ -142,22 +143,27 @@ def load_code_file(path):
     body = lines[1:]
     if not body:
         raise MalformedInput("empty code file")
+
+    def rows(strings) -> list[int]:
+        out = [string_to_row(s) for s in strings]
+        if any(len(s) != n for s in strings):
+            raise MalformedInput(f"row length does not match the header n={n}")
+        return out
+
     if body[0] != "G":
-        words = tuple(sorted(string_to_row(s) for s in body))
-        if any(len(s) != n for s in body):
-            raise MalformedInput("word length does not match header")
-        return ExplicitCode(n, words)
-    try:
-        r_idx = body.index("R")
-    except ValueError:
-        gens = [string_to_row(s) for s in body[1:]]
-        return LinearCode(n, BitMatrix(len(gens), n, tuple(gens)))
-    gens = [string_to_row(s) for s in body[1:r_idx]]
-    reps = [string_to_row(s) for s in body[r_idx + 1 :]]
-    r = len(reps).bit_length() - 1
-    if 1 << r != len(reps) or n != 2 << r:
-        raise MalformedInput("coset-union sections do not match the header")
+        words = rows(body)
+        if len(set(words)) != len(words):
+            raise MalformedInput("explicit code repeats a word")
+        return ExplicitCode(n, tuple(sorted(words)))
+    r_idx = body.index("R") if "R" in body else len(body)
+    gens = rows(body[1:r_idx])
     base = LinearCode(n, BitMatrix(len(gens), n, tuple(gens)))
+    if r_idx == len(body):
+        return base
+    reps = rows(body[r_idx + 1 :])
+    r = len(reps).bit_length() - 1
+    if not reps or 1 << r != len(reps) or n != 2 << r:
+        raise MalformedInput("coset-union sections do not match the header")
     return CosetUnionCode(r=r, base=base, reps=tuple(reps))
 
 
@@ -336,22 +342,31 @@ def emit_catalog_json(entries: list[CatalogEntry]) -> str:
     return json.dumps([_entry_obj(e) for e in entries], separators=(",", ":")) + "\n"
 
 
+# the JSON types of the columns: bool is not int here, and aut_order is
+# null where no order is reported
+_COLUMN_TYPES = (
+    (("tau_id", "provenance"), {str}, "a string"),
+    (("r", "rank", "kernel_dim", "intersection_dim", "class_id"), {int}, "an integer"),
+    (("point_transitive", "non_mollard"), {bool}, "true or false"),
+    (("aut_order",), {int, type(None)}, "an integer or null"),
+)
+
+
+def _entries_from_obj(items) -> list[CatalogEntry]:
+    if type(items) is not list:
+        raise ValueError("classification JSON must be a list")
+    for cols, types, what in _COLUMN_TYPES:
+        for col in cols:
+            if not {type(it[col]) for it in items} <= types:
+                raise ValueError(f"{col} must be {what}")
+    return [CatalogEntry(**{col: it[col] for col in CSV_COLUMNS}) for it in items]
+
+
 def parse_catalog_json(text: str) -> list[CatalogEntry]:
-    return _decode_json(text, "classification JSON", lambda items: [
-        CatalogEntry(
-            tau_id=str(it["tau_id"]),
-            r=int(it["r"]),
-            rank=int(it["rank"]),
-            kernel_dim=int(it["kernel_dim"]),
-            intersection_dim=int(it["intersection_dim"]),
-            point_transitive=bool(it["point_transitive"]),
-            aut_order=None if it["aut_order"] is None else int(it["aut_order"]),
-            class_id=int(it["class_id"]),
-            non_mollard=bool(it["non_mollard"]),
-            provenance=str(it["provenance"]),
-        )
-        for it in items
-    ])
+    """Inverse of emit_catalog_json.  Every field must have its JSON type;
+    values that merely convert to it (the string "false" for a flag, 8.9
+    for a dimension) are malformed."""
+    return _decode_json(text, "classification JSON", _entries_from_obj)
 
 
 def emit_catalog_csv(entries: list[CatalogEntry]) -> str:

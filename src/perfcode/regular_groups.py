@@ -9,6 +9,7 @@ is unipotent, which the enumeration uses as a pre-filter.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -119,17 +120,13 @@ class _Tables:
         self.mul_l = tuple(tuple(shared[row].tolist()) for row in mul)
 
 
-_TABLES: dict[int, _Tables] = {}
-
-
+@functools.cache
 def _tables(r: int) -> _Tables:
     if r < ENUM_MIN_R:
         raise ValueError(f"enumeration needs r >= {ENUM_MIN_R}, got {r}")
     if r > ENUM_MAX_R:
         raise BudgetExceeded(f"enumeration supports r <= {ENUM_MAX_R}, got {r}")
-    if r not in _TABLES:
-        _TABLES[r] = _Tables(r)
-    return _TABLES[r]
+    return _Tables(r)
 
 
 def _enumerate_regular_idx(r: int, deadline: float | None):
@@ -137,7 +134,9 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
 
     Depth-first over the smallest unassigned point; matrix candidates in
     enumeration order; closure propagation assigns forced values and
-    backtracks on the first violation.
+    backtracks on the first violation.  The deadline is checked before each
+    assignment is yielded, so BudgetExceeded means a group is still missing,
+    never that only dead ends were left to search.
     """
     tab = _tables(r)
     n = 1 << r
@@ -171,10 +170,10 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
         return mats
 
     def dfs(mats: list[int]):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("regular-subgroup enumeration budget exhausted")
         a = next((p for p in range(n) if mats[p] < 0), None)
         if a is None:
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("regular-subgroup enumeration budget exhausted")
             yield mats
             return
         pts = np.array([p for p in range(n) if mats[p] >= 0], dtype=np.int64)
@@ -229,45 +228,22 @@ def _label_orders(mul: list[list[int]], n: int) -> list[int]:
     return orders
 
 
-def _min_generators(mul: list[list[int]], n: int) -> list[int]:
-    def closure(gens):
-        seen = {0}
-        frontier = [0]
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-        while frontier:
-            x = frontier.pop()
-            for y in list(seen):
-                for z in (mul[x][y], mul[y][x]):
-                    if z not in seen:
-                        seen.add(z)
-                        frontier.append(z)
-        return seen
-
-    gens: list[int] = []
-    cl = {0}
-    while len(cl) < n:
-        nxt = next(a for a in range(n) if a not in cl)
-        gens.append(nxt)
-        cl = closure(gens)
-    return gens
-
-
 def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     """All product-preserving label bijections fixing 0, as the rows of a
     (k, n) array of images.
 
-    A level-by-level search over the images of the minimal generators
-    `gens`, one numpy array of partial maps per level.  At level i every
+    A level-by-level search over the images of generators that it picks
+    as it goes: gens[i] is the least label outside H_{i-1} = <gens[:i]>,
+    and the search stops once H_i holds all n labels.  At level i every
     surviving map is repeated once per candidate image for gens[i] of the
     same element order that is not yet an image, and extended to
     H_i = <gens[:i+1]> breadth first along right multiplication,
-    img[x h] = img[x] img[h].  A row survives when every Cayley edge x h
-    (x in H_i, h in gens[:i+1]) maps to img[x] img[h], which with
-    img[0] = 0 makes it a homomorphism on H_i, and no x != 0 maps to 0,
-    which makes it injective.  The last level is Aut(G).
+    img[x h] = img[x] img[h]; in a finite group the labels this reaches
+    from 0 are the subgroup gens[:i+1] generate.  A row survives when
+    every Cayley edge x h (x in H_i, h in gens[:i+1]) maps to
+    img[x] img[h], which with img[0] = 0 makes it a homomorphism on H_i,
+    and no x != 0 maps to 0, which makes it injective.  The last level is
+    Aut(G).
 
     Ordering guarantee: rows stay parent-major with candidates ascending,
     so the rows are sorted lexicographically by the tuple of generator
@@ -276,12 +252,13 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     the tau catalog are row positions.
     """
     orders = np.array(_label_orders(mul, n))
-    gens = _min_generators(mul, n)
     table = np.array(mul, dtype=np.intp)
     img = np.zeros((1, n), dtype=np.intp)
-    members = [0]
-    for i, g in enumerate(gens):
-        step = gens[: i + 1]
+    gens: list[int] = []
+    members, seen = [0], {0}
+    while len(members) < n:
+        g = next(a for a in range(n) if a not in seen)
+        gens.append(g)
         cands = np.flatnonzero(orders == orders[g])
         used = np.zeros((len(img), n), dtype=bool)
         used[np.arange(len(img))[:, None], img[:, members]] = True
@@ -294,7 +271,7 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
         while frontier:
             xs, hs, ys, cx, ch, cy = [], [], [], [], [], []
             for x in frontier:
-                for h in step:
+                for h in gens:
                     y = mul[x][h]
                     if y in seen:
                         cx.append(x)
@@ -332,14 +309,13 @@ def automorphism_census(r: int, budget_seconds: float | None = None):
     order, as the (k, 2^r) array of `_automorphism_perms`; each row is an
     induced tau.
 
-    Raises BudgetExceeded mid-stream, between two groups, once the time
-    budget runs out, so the groups yielded before are whole."""
+    Raises BudgetExceeded mid-stream once the time budget runs out: the
+    enumeration checks the deadline before it hands over each group, so
+    the groups yielded before are whole and are the first ones in order."""
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tab = _tables(r)
     for mats_idx in _enumerate_regular_idx(r, deadline):
         yield _automorphism_perms(_mult_table(tab.app[mats_idx]), 1 << r)
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("automorphism census budget exhausted")
 
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:

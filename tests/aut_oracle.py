@@ -5,13 +5,44 @@ differential oracle for the automorphism search of
 It backtracks over generator images filtered by element order; closure
 propagation extends each partial map over all products (left and right)
 and rejects on the first inconsistency, so a completed map is a
-homomorphism on the whole multiplication table.  It shares only the
-minimal generators and the element orders with the search it checks.
+homomorphism on the whole multiplication table.  It picks its generators
+by its own closure, so it shares only the element orders with the search
+it checks; equal output also checks the generators the search picks.
 """
 
 from __future__ import annotations
 
-from perfcode.regular_groups import _label_orders, _min_generators
+from perfcode.regular_groups import _label_orders
+
+
+def min_generators(mul: list[list[int]], n: int) -> list[int]:
+    """Generators chosen greedily: each is the least label outside the
+    subgroup the ones before it generate, that subgroup being the closure
+    of 0 and the generators under all products (left and right)."""
+
+    def closure(gens):
+        seen = {0}
+        frontier = [0]
+        for g in gens:
+            if g not in seen:
+                seen.add(g)
+                frontier.append(g)
+        while frontier:
+            x = frontier.pop()
+            for y in list(seen):
+                for z in (mul[x][y], mul[y][x]):
+                    if z not in seen:
+                        seen.add(z)
+                        frontier.append(z)
+        return seen
+
+    gens: list[int] = []
+    cl = {0}
+    while len(cl) < n:
+        nxt = next(a for a in range(n) if a not in cl)
+        gens.append(nxt)
+        cl = closure(gens)
+    return gens
 
 
 def closure_automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, ...]]:
@@ -20,7 +51,7 @@ def closure_automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, 
     by_order: dict[int, list[int]] = {}
     for a in range(n):
         by_order.setdefault(orders[a], []).append(a)
-    gens = _min_generators(mul, n)
+    gens = min_generators(mul, n)
     out: list[tuple[int, ...]] = []
 
     def close(img: list[int], seeds: list[int]) -> bool:

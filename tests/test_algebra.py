@@ -89,6 +89,15 @@ class TestInvert:
         m = BitMatrix(3, 3, (0b010, 0b100, 0b001))
         assert invert(m) == m.transpose()
 
+    def test_transpose_entries(self):
+        rng = random.Random(13)
+        for _ in range(50):
+            rows, cols = rng.randrange(0, 6), rng.randrange(0, 6)
+            m = BitMatrix(rows, cols, tuple(rng.randrange(1 << cols) for _ in range(rows)))
+            t = m.transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            assert all(t.entry(j, i) == m.entry(i, j) for i in range(rows) for j in range(cols))
+
     def test_singular(self):
         with pytest.raises(NotInvertible):
             invert(BitMatrix(3, 3, (0b011, 0b011, 0b100)))
@@ -339,7 +348,7 @@ class TestGlEnumerate:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_cached_rows_match_filtered_product(self, r):
         expect = [rows for rows in product(range(1 << r), repeat=r) if span_dim(rows) == r]
-        assert gl_rows_cached(r) == expect
+        assert gl_rows_cached(r) == tuple(expect)
 
     def test_r5_stream_prefix(self):
         stream = gl_enumerate(5)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from perfcode import (
     ExplicitCode,
+    MalformedInput,
     PointPerm,
     brute_kernel_dim,
     brute_min_distance,
@@ -101,6 +102,24 @@ class TestCodeFiles:
         pio.save_code_file(path, code)
         assert pio.load_code_file(path).words == code.words
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=4 k=1\n0000\n1111\n0000\n",  # a repeated word
+            "n=4 k=1\n0000\n111\n",  # a short word
+            "n=4 k=1\nG\n11\n",  # a short generator
+            "n=4 k=1\nG\n11110\n",  # a long generator
+            "n=4 k=2\nG\n1111\nR\n11111111\n0000\n",  # long representatives
+            "n=4 k=2\nG\n1111\nR\n000\n111\n",  # short representatives
+            "n=8 k=4\nG\n11111111\nR\n",  # no representatives
+        ],
+    )
+    def test_rows_must_fit_the_header(self, tmp_path, text):
+        path = tmp_path / "bad.code"
+        path.write_text(text)
+        with pytest.raises(MalformedInput):
+            pio.load_code_file(path)
+
 
 class TestSqsFiles:
     def test_roundtrip_and_canonical_order(self, tmp_path, rng):
@@ -175,6 +194,32 @@ class TestCatalogFiles:
         text = pio.emit_catalog_json(entries)
         assert pio.parse_catalog_json(text) == entries
         assert pio.emit_catalog_json(pio.parse_catalog_json(text)) == text
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("point_transitive", "false"),  # a string, which bool() would read as true
+            ("point_transitive", 1),
+            ("non_mollard", None),
+            ("kernel_dim", 8.9),
+            ("intersection_dim", True),
+            ("r", "3"),
+            ("rank", 13.0),
+            ("class_id", False),
+            ("aut_order", 1536.0),
+            ("aut_order", True),
+            ("tau_id", 7),
+            ("provenance", 1),
+            ("provenance", None),
+        ],
+    )
+    def test_classification_fields_must_have_their_json_types(self, r3_taus, field, value):
+        entries = classify(r3_taus[:3])
+        items = json.loads(pio.emit_catalog_json(entries))
+        assert pio.parse_catalog_json(json.dumps(items)) == entries
+        items[1][field] = value
+        with pytest.raises(MalformedInput):
+            pio.parse_catalog_json(json.dumps(items))
 
     def test_csv_shape(self, rng):
         taus = [random_zero_fixing(3, rng) for _ in range(4)]
@@ -439,6 +484,13 @@ class TestCli:
         assert "partial" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 41
 
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_enum_regular_outside_its_range_exits_1(self, tmp_path, capsys, r):
+        out = tmp_path / "groups.json"
+        assert cli_main(["enum-regular", "--r", str(r), "--out", str(out)]) == 1
+        assert "3 <= r <= 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_exit_2(self, tmp_path, capsys):
         groups_path = tmp_path / "partial.json"
         code = cli_main(
@@ -472,6 +524,13 @@ class TestCli:
         assert loaded.size == 2048 and loaded.length == 16
 
         assert cli_main(["mollard", "--t", "8", "--m", "4", "--out", str(m_out)]) == 2
+
+    @pytest.mark.parametrize("length", [0, 3, -4])
+    def test_mollard_factor_length_not_a_power_of_two_exits_3(self, tmp_path, capsys, length):
+        out = tmp_path / "mollard.code"
+        assert cli_main(["mollard", "--t", str(length), "--m", "4", "--out", str(out)]) == 3
+        assert f"factor length {length} is not a power of two" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # floats stay below 64 so that no draw asks for a 2^r-sized allocation;

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -373,6 +374,27 @@ class TestCatalog:
     def test_budget_returns_partial_flag(self):
         catalog = catalog_taus(3, budget_seconds=0.0)
         assert not catalog.complete
+
+    def test_deadline_passed_in_the_last_search_keeps_the_catalog_complete(self, monkeypatch):
+        # the clock passes the deadline while the automorphisms of the last
+        # group are searched; the subgroup search then meets only a dead end
+        # and no further group, so every group is in and the catalog is complete
+        now = [0.0]
+        monkeypatch.setattr(regular_groups, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        search = regular_groups._automorphism_perms
+        calls = []
+
+        def search_then_tick(mul, n):
+            calls.append(n)
+            if len(calls) == 232:
+                now[0] = 100.0
+            return search(mul, n)
+
+        monkeypatch.setattr(regular_groups, "_automorphism_perms", search_then_tick)
+        catalog = catalog_taus(3, budget_seconds=10.0)
+        assert len(calls) == 232
+        assert len(catalog) == 1372
+        assert catalog.complete
 
     def test_entries_tagged_induced(self, r3_catalog):
         tau, _ = r3_catalog[0]
