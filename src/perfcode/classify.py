@@ -22,7 +22,8 @@ SERIES_MAX_R = 12
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One classified permutation; CSV columns follow this field order."""
+    """One classified permutation.  Its fields, in order and with their types,
+    are the columns of the classification JSON and CSV."""
 
     tau_id: str
     r: int

@@ -3,14 +3,21 @@ regular-subgroup files, tau catalogs, and classification output (JSON/CSV).
 
 Bitstring convention: the leftmost character of a row or word string is
 coordinate 0 (column 1); so "110" encodes the integer 0b011 = 3.
+
+Every reader raises MalformedInput on input outside its format's schema.
+JSON values must have their JSON types: "false" is not a flag, and true or
+3.9 is not an integer.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io as _io
 import json
+import re
 from itertools import chain
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -55,6 +62,27 @@ def _load_json(path, what: str, convert):
     return _decode_json(_read_text(path, what), what, convert)
 
 
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               bool: "true or false", type(None): "null"}
+
+
+def _require(values, types: set, what: str) -> None:
+    """Raise ValueError unless the type of every value, as json.loads gives
+    it, is in types: bool is not int here, and neither is float."""
+    if not set(map(type, values)) <= types:
+        raise ValueError(f"{what} must be " + " or ".join(sorted(_JSON_NAMES[t] for t in types)))
+
+
+def _read_headed(path, what: str, keys: str) -> tuple[list[int], list[str]]:
+    """(header values, other non-blank lines) of a text file whose first line
+    gives exactly the one-letter keys, in order, decimal values: "n=8 k=4"."""
+    lines = [ln.strip() for ln in _read_text(path, what).split("\n") if ln.strip()] or [""]
+    header = re.fullmatch(r"\s+".join(f"{k}=([0-9]+)" for k in keys), lines[0])
+    if header is None:
+        raise MalformedInput(f"bad {what} header {lines[0]!r}, expected {' '.join(k + '=<int>' for k in keys)!r}")
+    return [int(v) for v in header.groups()], lines[1:]
+
+
 def matrix_to_strings(m: BitMatrix) -> list[str]:
     return [row_to_string(row, m.cols) for row in m.row_bits]
 
@@ -76,11 +104,14 @@ def dump_point_perm(tau: PointPerm) -> str:
 
 
 def _point_perm_from_obj(obj) -> PointPerm:
-    r, images = int(obj["r"]), tuple(int(x) for x in obj["perm"])
+    r, images = obj["r"], obj["perm"]
+    _require([r], {int}, "r")
+    _require([images], {list}, "perm")
+    _require(images, {int}, "every image")
     # checked before PointPerm forms 1 << r, which a huge r makes huge
     if len(images).bit_length() != r + 1:
         raise ValueError(f"{len(images)} images do not fit r={r}")
-    return PointPerm(r, images)
+    return PointPerm(r, tuple(images))
 
 
 def parse_point_perm(text: str) -> PointPerm:
@@ -101,48 +132,44 @@ def load_point_perm(path) -> PointPerm:
 # ---------------------------------------------------------------------------
 
 
+def _code_k(code) -> int | None:
+    """log2 of the code's size: r + dim(base) for a coset-union code, dim for a
+    linear one, None for an explicit code whose size is not a power of two."""
+    if isinstance(code, ExplicitCode):
+        k = code.size.bit_length() - 1
+        return k if k >= 0 and 1 << k == code.size else None
+    if isinstance(code, CosetUnionCode):
+        return code.r + code.base.dim
+    if isinstance(code, LinearCode):
+        return code.dim
+    raise TypeError(f"cannot serialize {type(code).__name__}")
+
+
 def save_code_file(path, code) -> None:
     """Write a code file: header "n=<length> k=<log2 size>", then either
     explicit 0/1 word lines, or a "G" generator section optionally
     followed by an "R" representative section (coset-union codes)."""
-    lines = []
+    if (k := _code_k(code)) is None:
+        raise ValueError("explicit code size is not a power of two")
+
+    def rows(words) -> list[str]:
+        return [row_to_string(w, code.length) for w in words]
+
+    lines = [f"n={code.length} k={k}"]
     if isinstance(code, ExplicitCode):
-        k = code.size.bit_length() - 1
-        if 1 << k != code.size:
-            raise ValueError("explicit code size is not a power of two")
-        lines.append(f"n={code.length} k={k}")
-        lines.extend(row_to_string(w, code.length) for w in code.words)
+        lines += rows(code.words)
     elif isinstance(code, CosetUnionCode):
-        k = code.r + code.base.dim
-        lines.append(f"n={code.length} k={k}")
-        lines.append("G")
-        lines.extend(row_to_string(w, code.length) for w in code.base.generators.row_bits)
-        lines.append("R")
-        lines.extend(row_to_string(w, code.length) for w in code.reps)
-    elif isinstance(code, LinearCode):
-        lines.append(f"n={code.length} k={code.dim}")
-        lines.append("G")
-        lines.extend(row_to_string(w, code.length) for w in code.generators.row_bits)
+        lines += ["G", *rows(code.base.generators.row_bits), "R", *rows(code.reps)]
     else:
-        raise TypeError(f"cannot serialize {type(code).__name__}")
+        lines += ["G", *rows(code.generators.row_bits)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_code_file(path):
-    """Inverse of save_code_file; the section structure picks the type.
-    Every row must be n bits long, and explicit words must not repeat."""
-    lines = [ln.strip() for ln in _read_text(path, "code file").split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise MalformedInput("missing code header")
-    try:
-        fields = dict(part.split("=") for part in lines[0].split())
-        n = int(fields["n"])
-    except (ValueError, KeyError) as exc:
-        raise MalformedInput(f"bad code header: {lines[0]!r}") from exc
-    body = lines[1:]
-    if not body:
-        raise MalformedInput("empty code file")
+    """Inverse of save_code_file; the section structure picks the type.  Every
+    row is n bits long, explicit words do not repeat, and there are 2^k words."""
+    (n, k), body = _read_headed(path, "code file", "nk")
 
     def rows(strings) -> list[int]:
         out = [string_to_row(s) for s in strings]
@@ -150,21 +177,24 @@ def load_code_file(path):
             raise MalformedInput(f"row length does not match the header n={n}")
         return out
 
-    if body[0] != "G":
+    if body[:1] != ["G"]:
         words = rows(body)
         if len(set(words)) != len(words):
             raise MalformedInput("explicit code repeats a word")
-        return ExplicitCode(n, tuple(sorted(words)))
-    r_idx = body.index("R") if "R" in body else len(body)
-    gens = rows(body[1:r_idx])
-    base = LinearCode(n, BitMatrix(len(gens), n, tuple(gens)))
-    if r_idx == len(body):
-        return base
-    reps = rows(body[r_idx + 1 :])
-    r = len(reps).bit_length() - 1
-    if not reps or 1 << r != len(reps) or n != 2 << r:
-        raise MalformedInput("coset-union sections do not match the header")
-    return CosetUnionCode(r=r, base=base, reps=tuple(reps))
+        code = ExplicitCode(n, tuple(sorted(words)))
+    else:
+        r_idx = body.index("R") if "R" in body else len(body)
+        gens = rows(body[1:r_idx])
+        code = LinearCode(n, BitMatrix(len(gens), n, tuple(gens)))
+        if r_idx < len(body):
+            reps = rows(body[r_idx + 1 :])
+            r = len(reps).bit_length() - 1
+            if not reps or 1 << r != len(reps) or n != 2 << r:
+                raise MalformedInput("coset-union sections do not match the header")
+            code = CosetUnionCode(r=r, base=code, reps=tuple(reps))
+    if _code_k(code) != k:
+        raise MalformedInput(f"header k={k} does not match a code of {code.size} words")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +212,15 @@ def save_sqs(path, q: SQS) -> None:
 
 
 def load_sqs(path) -> SQS:
-    lines = [ln.strip() for ln in _read_text(path, "SQS file").split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("v="):
-        raise MalformedInput("missing SQS header")
-    try:
-        fields = dict(part.split("=") for part in lines[0].split())
-        v, b = int(fields["v"]), int(fields["b"])
-    except (ValueError, KeyError) as exc:
-        raise MalformedInput(f"bad SQS header: {lines[0]!r}") from exc
+    (v, b), body = _read_headed(path, "SQS file", "vb")
     if v <= 0:
         raise MalformedInput(f"bad SQS header: order must be positive, got {v}")
     quads = set()
-    for ln in lines[1:]:
-        try:
-            quad = tuple(sorted(int(x) for x in ln.split()))
-        except ValueError as exc:
-            raise MalformedInput(f"bad quadruple line {ln!r}") from exc
-        if len(quad) != 4:
+    for ln in body:
+        if not re.fullmatch(r"[0-9]+(\s+[0-9]+){3}", ln):
             raise MalformedInput(f"bad quadruple line {ln!r}")
-        if quad[0] < 0 or quad[3] >= v or len(set(quad)) != 4:
+        quad = tuple(sorted(map(int, ln.split())))
+        if quad[3] >= v or len(set(quad)) != 4:
             raise MalformedInput(f"quadruple {ln!r} needs four distinct points in [0, {v})")
         quads.add(quad)
     if len(quads) != b:
@@ -221,13 +241,18 @@ def group_to_obj(group: RegularSubgroup) -> dict:
 
 
 def group_from_obj(obj: dict) -> RegularSubgroup:
-    try:
-        r = int(obj["r"])
-        mats = tuple(
-            matrix_from_strings(obj["mats"][str(a)]) for a in range(1 << r)
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad group object: {exc}") from exc
+    """Inverse of group_to_obj: an r x r matrix of row bitstrings under each key "0" .. "2^r - 1"."""
+    r, mats = obj["r"], obj["mats"]
+    _require([r], {int}, "a group's r")
+    _require([mats], {dict}, "mats")
+    # the count is checked before 1 << r is formed, which a huge r makes huge
+    if len(mats).bit_length() != r + 1 or set(mats) != {str(a) for a in range(1 << r)}:
+        raise ValueError(f"mats must have exactly the keys 0 .. 2^{r} - 1")
+    _require(mats.values(), {list}, "every matrix")
+    _require(chain.from_iterable(mats.values()), {str}, "every row")
+    mats = tuple(matrix_from_strings(mats[str(a)]) for a in range(1 << r))
+    if any((m.rows, m.cols) != (r, r) for m in mats):
+        raise ValueError(f"every matrix must be {r} x {r}")
     return RegularSubgroup(r=r, mats=mats)
 
 
@@ -238,10 +263,22 @@ def save_groups(path, r: int, groups, complete: bool) -> None:
         fh.write("\n")
 
 
+def _groups_from_obj(obj):
+    r, complete, groups = obj["r"], obj["complete"], obj["groups"]
+    _require([r], {int}, "r")
+    _require([complete], {bool}, "complete")
+    _require([groups], {list}, "groups")
+    if not ENUM_MIN_R <= r <= ENUM_MAX_R:
+        raise ValueError(f"r must lie in [{ENUM_MIN_R}, {ENUM_MAX_R}], got {r}")
+    groups = [group_from_obj(g) for g in groups]
+    if any(g.r != r for g in groups):
+        raise ValueError(f"every group must have the file's r={r}")
+    return r, complete, groups
+
+
 def load_groups(path):
-    return _load_json(path, "groups file", lambda obj: (
-        int(obj["r"]), bool(obj["complete"]), [group_from_obj(g) for g in obj["groups"]]
-    ))
+    """(r, complete, groups), the inverse of save_groups; every group has the file's r."""
+    return _load_json(path, "groups file", _groups_from_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +309,8 @@ def save_tau_catalog(path, catalog: TauCatalog) -> None:
 
 def load_tau_catalog(path) -> TauCatalog:
     """Inverse of save_tau_catalog (a bare list must not be empty); every row
-    must be a zero-fixing permutation of F^r with r in {3, 4}.  Every tau is
-    a list of integers, the ids are integers in [0, 2^63) and `complete` is
-    a boolean; JSON that merely converts to these is malformed."""
+    must be a zero-fixing permutation of F^r with r in {3, 4}, and the ids
+    lie in [0, 2^63)."""
     return _load_json(path, "tau catalog", _tau_catalog_from_obj)
 
 
@@ -285,18 +321,14 @@ def _tau_catalog_from_obj(obj) -> TauCatalog:
         items, r, complete = obj, obj[0]["r"], True
     else:
         items, r, complete = obj["taus"], obj["r"], obj["complete"]
-        if type(complete) is not bool:
-            raise ValueError(f"complete must be true or false, got {complete!r}")
-    if type(items) is not list:
-        raise ValueError("taus must be a list")
+        _require([complete], {bool}, "complete")
+    _require([items], {list}, "taus")
     taus = [it["tau"] for it in items]
-    if not set(map(type, taus)) <= {list}:
-        raise ValueError("every tau must be a list")
+    _require(taus, {list}, "every tau")
     gids = [it["group_id"] for it in items]
     aids = [it["aut_id"] for it in items]
     numbers = chain([r], (it["r"] for it in items), gids, aids, chain.from_iterable(taus))
-    if not set(map(type, numbers)) <= {int}:  # bool, float and str are not int
-        raise ValueError("r, the ids and the images must be integers")
+    _require(numbers, {int}, "each of r, the ids and the images")
     if items and not (0 <= min(gids + aids) and max(gids + aids) < 1 << 63):
         raise ValueError("ids must lie in [0, 2^63)")
     images = np.array(taus, dtype=np.int64)
@@ -320,18 +352,7 @@ def _tau_catalog_from_obj(obj) -> TauCatalog:
 # Classification output
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "tau_id",
-    "r",
-    "rank",
-    "kernel_dim",
-    "intersection_dim",
-    "point_transitive",
-    "aut_order",
-    "class_id",
-    "non_mollard",
-    "provenance",
-]
+CSV_COLUMNS = [f.name for f in dataclasses.fields(CatalogEntry)]
 
 
 def _entry_obj(e: CatalogEntry) -> dict:
@@ -342,30 +363,17 @@ def emit_catalog_json(entries: list[CatalogEntry]) -> str:
     return json.dumps([_entry_obj(e) for e in entries], separators=(",", ":")) + "\n"
 
 
-# the JSON types of the columns: bool is not int here, and aut_order is
-# null where no order is reported
-_COLUMN_TYPES = (
-    (("tau_id", "provenance"), {str}, "a string"),
-    (("r", "rank", "kernel_dim", "intersection_dim", "class_id"), {int}, "an integer"),
-    (("point_transitive", "non_mollard"), {bool}, "true or false"),
-    (("aut_order",), {int, type(None)}, "an integer or null"),
-)
-
-
 def _entries_from_obj(items) -> list[CatalogEntry]:
-    if type(items) is not list:
-        raise ValueError("classification JSON must be a list")
-    for cols, types, what in _COLUMN_TYPES:
-        for col in cols:
-            if not {type(it[col]) for it in items} <= types:
-                raise ValueError(f"{col} must be {what}")
+    _require([items], {list}, "classification JSON")
+    for col, hint in get_type_hints(CatalogEntry).items():
+        # an optional column, int | None, takes null as well
+        _require([it[col] for it in items], set(get_args(hint)) or {hint}, col)
     return [CatalogEntry(**{col: it[col] for col in CSV_COLUMNS}) for it in items]
 
 
 def parse_catalog_json(text: str) -> list[CatalogEntry]:
-    """Inverse of emit_catalog_json.  Every field must have its JSON type;
-    values that merely convert to it (the string "false" for a flag, 8.9
-    for a dimension) are malformed."""
+    """Inverse of emit_catalog_json; every field has the JSON type of its
+    CatalogEntry field."""
     return _decode_json(text, "classification JSON", _entries_from_obj)
 
 
@@ -374,15 +382,6 @@ def emit_catalog_csv(entries: list[CatalogEntry]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for e in entries:
-        obj = _entry_obj(e)
-        row = []
-        for col in CSV_COLUMNS:
-            val = obj[col]
-            if isinstance(val, bool):
-                row.append("true" if val else "false")
-            elif val is None:
-                row.append("")
-            else:
-                row.append(str(val))
-        writer.writerow(row)
+        # flags are written true/false; csv writes a null aut_order as ""
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in _entry_obj(e).values()])
     return buf.getvalue()

@@ -16,8 +16,6 @@ from .algebra import (
     count_linear_products,
     double_coset_member,
     gl_order,
-    identity_matrix,
-    invert,
     invert_perm,
     is_linear,
 )
@@ -206,12 +204,12 @@ class SqsIsomorphism:
 
 
 def sqs_isomorphic(tau: PointPerm, tau_p: PointPerm):
-    """Witness that SQS_tau and SQS_tau' are isomorphic, or None.
+    """Witness that SQS_tau and SQS_tau' are isomorphic, or None: isomorphic
+    iff tau' lies in GL tau GL (t=0) or GL tau^{-1} GL (t=1).
 
-    Both linear: always isomorphic (both systems affine).  Mixed
-    linearity: never (only the affine system satisfies the part-(i)
-    dichotomy everywhere).  Both non-linear: isomorphic iff tau' lies in
-    GL tau GL (t=0) or GL tau^{-1} GL (t=1).
+    The search decides the linear cases too: two linear maps give the
+    witness (I, lin' lin^{-1}, 0), both systems being affine, and GL lin GL
+    holds no non-linear map.
     """
     if tau.r != tau_p.r:
         raise DimensionMismatch("permutations live over different dimensions")
@@ -219,11 +217,6 @@ def sqs_isomorphic(tau: PointPerm, tau_p: PointPerm):
     tau_p.require_zero_fixing()
     if tau.r > SQS_MAX_R:
         raise BudgetExceeded(f"sqs_isomorphic supports r <= {SQS_MAX_R}")
-    lin, lin_p = is_linear(tau), is_linear(tau_p)
-    if (lin is None) != (lin_p is None):
-        return None
-    if lin is not None and lin_p is not None:
-        return SqsIsomorphism(identity_matrix(tau.r), lin_p @ invert(lin), 0)
     witness = double_coset_member(tau_p, tau, group="GL")
     if witness is not None:
         return SqsIsomorphism(witness[0], witness[1], 0)

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import tempfile
-from itertools import permutations
+from functools import cache
+from itertools import islice, permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcode import (
     ExplicitCode,
@@ -18,6 +19,7 @@ from perfcode import (
     build_s_tau,
     catalog_taus,
     classify,
+    enumerate_regular_subgroups,
     explicit_materialize,
     extended_hamming,
     identity_perm,
@@ -120,6 +122,38 @@ class TestCodeFiles:
         with pytest.raises(MalformedInput):
             pio.load_code_file(path)
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_every_code_kind_roundtrips_to_an_equal_object(self, tmp_path, rng, r):
+        hamming, s_tau = extended_hamming(3), build_s_tau(random_zero_fixing(r, rng))
+        path = tmp_path / "c.code"
+        for code in [hamming, ExplicitCode(8, tuple(hamming.words())), s_tau, s_tau.base, explicit_materialize(s_tau)]:
+            pio.save_code_file(path, code)
+            assert pio.load_code_file(path) == code
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=4 k=7\n0000\n1111\n",  # k does not match two words
+            "n=4 k=x\n0000\n1111\n",  # a value that is not an integer
+            "n=4 k=1.0\n0000\n1111\n",
+            "n=4 k=-1\n0000\n1111\n",
+            "n=4\n0000\n1111\n",  # no k
+            "k=1\n0000\n1111\n",  # no n
+            "n=4 k=1 v=2\n0000\n1111\n",  # an extra key
+            "n=4 k=1 k=1\n0000\n1111\n",
+            "n=4 k=1\n",  # no words
+            "n=3 k=1\n000\n111\n101\n",  # three words: no k fits
+            "n=4 k=2\nG\n1111\n",  # a linear code of dimension 1
+            "n=4 k=2\nG\n1111\n1111\n",  # dependent generators
+            "n=4 k=2\nG\n1100\n0011\nR\n0000\n1010\n",  # 2^(1 + 2) words
+        ],
+    )
+    def test_header_must_name_n_and_the_code_size(self, tmp_path, text):
+        path = tmp_path / "bad.code"
+        path.write_text(text)
+        with pytest.raises(MalformedInput):
+            pio.load_code_file(path)
+
 
 class TestSqsFiles:
     def test_roundtrip_and_canonical_order(self, tmp_path, rng):
@@ -133,6 +167,16 @@ class TestSqsFiles:
             quad_lines, key=lambda ln: tuple(int(x) for x in ln.split())
         )
         assert pio.load_sqs(path).quadruples == q.quadruples
+
+    @pytest.mark.parametrize(
+        "header",
+        ["v=8 b=2", "v=8 b=x", "v=8 b=1.0", "v=8", "b=1", "v=8 b=1 k=1", "v=8 b=1 b=1", "v=+8 b=1"],
+    )
+    def test_header_must_name_v_and_b(self, tmp_path, header):
+        path = tmp_path / "bad.sqs"
+        path.write_text(header + "\n0 1 2 3\n")
+        with pytest.raises(MalformedInput):
+            pio.load_sqs(path)
 
 
 class TestGroupFiles:
@@ -534,7 +578,7 @@ class TestCli:
 
 
 # floats stay below 64 so that no draw asks for a 2^r-sized allocation;
-# -inf and nan still reach int()
+# -inf and nan are drawn as well
 _json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 17), st.floats(max_value=64), st.text(max_size=3),
 )
@@ -687,3 +731,111 @@ class TestCatalogFileProperties:
     @given(text=st.builds(json.dumps, _any_json))
     def test_any_json_catalog_gives_an_exit_code(self, text):
         assert _run_on_text(_CLASSIFY, text) in (0, 2, 3)
+
+
+# wrong JSON types that int() or bool() would convert, and some that no
+# conversion takes
+def _wrong_int(x):
+    wrong = [float(x), x + 0.5, str(x), [x], None]
+    return st.sampled_from(wrong + [bool(x)] * (x in (0, 1)))
+
+
+@st.composite
+def _perm_file(draw):
+    """(JSON text, exit code of `report`): a zero-fixing permutation file of
+    r <= 4, valid or with a single defect."""
+    r = draw(st.integers(0, 4))
+    perm = [0] + draw(st.permutations(range(1, 1 << r)))
+    obj = {"r": r, "perm": perm}
+    defects = ["none", "r type", "perm type", "image type", "count"] + ["repeated image"] * (r > 0)
+    defect = draw(st.sampled_from(defects))
+    j, k = draw(st.lists(st.integers(0, len(perm) - 1), min_size=2, max_size=2, unique=r > 0))
+    if defect == "none":
+        return json.dumps(obj), 0
+    if defect == "r type":
+        obj["r"] = draw(_wrong_int(r))
+    elif defect == "perm type":
+        obj["perm"] = draw(st.sampled_from(["".join(map(str, perm)), dict.fromkeys(map(str, perm), 0), None, r]))
+    elif defect == "image type":
+        perm[j] = draw(_wrong_int(perm[j]))
+    elif defect == "count":
+        obj["perm"] = draw(st.sampled_from([perm[:-1], perm + [len(perm)], perm + perm]))
+    elif defect == "repeated image":
+        perm[j] = perm[k]
+    return json.dumps(obj), 3
+
+
+@cache
+def _r3_group_objs():
+    return [pio.group_to_obj(g) for g in islice(enumerate_regular_subgroups(3), 6)]
+
+
+@st.composite
+def _groups_file(draw):
+    """(JSON text, groups or None): a groups file holding a prefix of the r=3
+    groups, or the same with a single defect (None)."""
+    groups = json.loads(json.dumps(_r3_group_objs()[: draw(st.integers(0, 6))]))
+    obj = {"r": 3, "complete": draw(st.booleans()), "groups": groups}
+    defects = ["none", "r type", "complete type", "groups type", "r range"]
+    if groups:
+        defects += ["group r type", "group r", "row type", "missing key", "extra key", "short matrix", "wide matrix"]
+    defect = draw(st.sampled_from(defects))
+    group = draw(st.sampled_from(groups)) if groups else None
+    mat = group["mats"][str(draw(st.integers(0, 7)))] if groups else None
+    if defect == "none":
+        return json.dumps(obj), groups
+    if defect == "r type":
+        obj["r"] = draw(_wrong_int(3))
+    elif defect == "r range":
+        obj["r"] = draw(st.sampled_from([2, 5, -1, 1 << 70]))
+    elif defect == "complete type":
+        obj["complete"] = draw(st.sampled_from(["false", "true", 0, 1, None, []]))
+    elif defect == "groups type":
+        obj["groups"] = draw(st.sampled_from([{str(i): g for i, g in enumerate(groups)}, None, "groups", 3]))
+    elif defect == "group r type":
+        group["r"] = draw(_wrong_int(3))
+    elif defect == "group r":
+        # a group's r, or the file's, changes: the r=3 groups then do not fit r=4
+        if draw(st.booleans()):
+            obj["r"] = 4
+        else:
+            group["r"] = draw(st.sampled_from([2, 4]))
+    elif defect == "row type":
+        i = draw(st.integers(0, 2))
+        mat[i] = draw(st.sampled_from([list(mat[i]), int(mat[i], 2), None]))
+    elif defect == "missing key":
+        del group["mats"][str(draw(st.integers(0, 7)))]
+    elif defect == "extra key":
+        group["mats"][draw(st.sampled_from(["8", "x", "-1"]))] = ["100", "010", "001"]
+    elif defect == "short matrix":
+        mat.pop()
+    elif defect == "wide matrix":
+        mat[:] = [row + "0" for row in mat]
+    return json.dumps(obj), None
+
+
+class TestJsonReaderProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_perm_file())
+    @example(case=('{"r": 3.9, "perm": "02134567"}', 3))
+    @example(case=('{"r": true, "perm": [0, 1]}', 3))
+    def test_permutation_files_give_their_exit_code(self, case):
+        text, expected = case
+        assert _run_on_text(["report", "--tau", "{path}"], text) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_groups_file())
+    @example(case=('{"r": 3, "complete": "false", "groups": []}', None))
+    def test_groups_files_roundtrip_or_are_malformed(self, case):
+        text, groups = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "groups.json"
+            path.write_text(text)
+            if groups is None:
+                with pytest.raises(MalformedInput):
+                    pio.load_groups(path)
+                return
+            r, complete, loaded = pio.load_groups(path)
+            pio.save_groups(path, r, loaded, complete)
+            assert path.read_text() == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+            assert [pio.group_to_obj(g) for g in loaded] == groups

@@ -17,11 +17,13 @@ from perfcode import (
     gl_order,
     identity_matrix,
     identity_perm,
+    invert,
     invert_perm,
     is_linear,
     symmetric_difference_dichotomy,
     point_transitive,
     sigma_m,
+    SqsIsomorphism,
     sqs_from_tau,
     sqs_isomorphic,
     validate_sqs,
@@ -270,6 +272,24 @@ class TestIsomorphism:
         a, b = rng.choice(mats), rng.choice(mats)
         witness = sqs_isomorphic(sigma_m(a), sigma_m(b))
         assert witness is not None and witness.t == 0
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_linear_pairs_get_the_affine_witness(self, r):
+        # the search alone decides linear pairs: A = I and B = lin' lin^{-1}
+        mats = list(gl_enumerate(r))
+        local = random.Random(36 + r)
+        for _ in range(200):
+            a, b = local.choice(mats), local.choice(mats)
+            expect = SqsIsomorphism(identity_matrix(r), b @ invert(a), 0)
+            assert sqs_isomorphic(sigma_m(a), sigma_m(b)) == expect
+
+    def test_mixed_linearity_never_isomorphic_at_r4(self, rng):
+        mats = list(gl_enumerate(4))
+        for _ in range(20):
+            tau, lin = random_nonlinear(4, rng), sigma_m(rng.choice(mats))
+            assert sqs_isomorphic(tau, lin) is None
+            assert sqs_isomorphic(lin, tau) is None
+            assert sqs_isomorphic(invert_perm(tau), lin) is None
 
     def test_equivalence_relation(self, rng):
         taus = [random_nonlinear(3, rng) for _ in range(6)]
