@@ -8,6 +8,7 @@ budget for the enumeration commands.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -23,6 +24,15 @@ from .sqs import sqs_from_tau, validate_sqs
 def _env_budget() -> float | None:
     raw = os.environ.get("PERFCODE_BUDGET_SECONDS")
     return float(raw) if raw else None
+
+
+def _check_out(path) -> None:
+    """Raise, before any work, the error that open(path, "w") would raise
+    after it when path is a directory or its directory does not exist."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def cmd_hamming(args) -> int:
@@ -237,6 +247,8 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out"):
+            _check_out(args.out)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

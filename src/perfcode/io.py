@@ -222,9 +222,11 @@ def load_sqs(path) -> SQS:
         quad = tuple(sorted(map(int, ln.split())))
         if quad[3] >= v or len(set(quad)) != 4:
             raise MalformedInput(f"quadruple {ln!r} needs four distinct points in [0, {v})")
+        if quad in quads:
+            raise MalformedInput(f"quadruple {ln!r} repeats an earlier line")
         quads.add(quad)
-    if len(quads) != b:
-        raise MalformedInput(f"header claims {b} quadruples, file has {len(quads)}")
+    if len(body) != b:
+        raise MalformedInput(f"header claims {b} quadruples, file has {len(body)}")
     return SQS(order=v, quadruples=frozenset(quads))
 
 
@@ -286,24 +288,22 @@ def load_groups(path):
 # ---------------------------------------------------------------------------
 
 
+_CATALOG_BLOCK_ROWS = 8192
+
+
 def save_tau_catalog(path, catalog: TauCatalog) -> None:
     """Complete: a JSON list of {"tau": [...], "r":, "group_id":, "aut_id":}.  Partial:
-    {"r":, "complete": false, "taus": <list>}, which no reader of bare lists takes as complete."""
+    {"r":, "complete": false, "taus": <list>}, which no reader of bare lists takes as complete.
+    Rows are formatted a block at a time through one template, in json.dumps' compact form."""
+    template = '{"tau":[' + ",".join(["%d"] * (1 << catalog.r)) + f'],"r":{catalog.r},"group_id":%d,"aut_id":%d}}'
     with open(path, "w") as fh:
-        if not catalog.complete:
-            fh.write(f'{{"r":{catalog.r},"complete":false,"taus":')
-        fh.write("[")
-        for i in range(len(catalog)):
-            if i:
-                fh.write(",")
-            gid, aid = catalog.provenance(i)
-            images = [int(x) for x in catalog.images[i]]
-            fh.write(
-                json.dumps(
-                    {"tau": images, "r": catalog.r, "group_id": gid, "aut_id": aid},
-                    separators=(",", ":"),
-                )
-            )
+        fh.write("[" if catalog.complete else f'{{"r":{catalog.r},"complete":false,"taus":[')
+        for start in range(0, len(catalog), _CATALOG_BLOCK_ROWS):
+            rows = slice(start, start + _CATALOG_BLOCK_ROWS)
+            block = np.column_stack(
+                (catalog.images[rows].astype(np.int64), catalog.group_ids[rows], catalog.aut_ids[rows])
+            ).tolist()
+            fh.write(("," if start else "") + ",".join(template % tuple(v) for v in block))
         fh.write("]\n" if catalog.complete else "]}\n")
 
 

@@ -31,6 +31,7 @@ from perfcode.classify import classify_catalog
 from perfcode.regular_groups import TauCatalog
 from perfcode import io as pio
 from conftest import random_zero_fixing
+import catalog_oracle
 
 # every command that reads a permutation or an SQS file
 _FILE_COMMANDS = [
@@ -47,6 +48,8 @@ _CLASSIFY = ["classify", "--catalog", "{path}", "--out", "{out}"]
 # classification change must reproduce these bytes
 R3_CENSUS_JSON_SHA256 = "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3"
 R3_CENSUS_CSV_SHA256 = "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150"
+# the catalog file of `catalog-taus --r 3`, which every catalog writer must reproduce
+R3_CATALOG_SHA256 = "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2"
 
 
 class TestBitstrings:
@@ -178,6 +181,27 @@ class TestSqsFiles:
         with pytest.raises(MalformedInput):
             pio.load_sqs(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "v=8 b=1\n0 1 2 3\n3 2 1 0\n",  # a repeat in another point order
+            "v=8 b=1\n0 1 2 3\n0 1 2 3\n",
+            "v=8 b=2\n0 1 2 3\n4 5 6 7\n7 5 6 4\n",
+            "v=8 b=2\n0 1 2 3\n1 0 3 2\n",  # b counts lines, but a line repeats
+            "v=8 b=3\n0 1 2 3\n4 5 6 7\n2 1 0 3\n",
+        ],
+    )
+    def test_a_repeated_quadruple_is_malformed(self, tmp_path, text):
+        path = tmp_path / "bad.sqs"
+        path.write_text(text)
+        with pytest.raises(MalformedInput, match="repeats an earlier line"):
+            pio.load_sqs(path)
+
+    def test_points_and_lines_in_any_order(self, tmp_path):
+        path = tmp_path / "q.sqs"
+        path.write_text("v=8 b=2\n7 6 5 4\n3 1 2 0\n")
+        assert pio.load_sqs(path).quadruples == {(0, 1, 2, 3), (4, 5, 6, 7)}
+
 
 class TestGroupFiles:
     def test_roundtrip(self, tmp_path):
@@ -193,6 +217,20 @@ class TestGroupFiles:
         r, complete, loaded = pio.load_groups(path)
         assert r == 3 and complete is False
         assert [g.mats for g in loaded] == [g.mats for g in groups]
+
+
+# catalog ids: a small one, or any int64 that the reader takes
+_ids = st.one_of(st.integers(0, 9999), st.integers(0, (1 << 63) - 1))
+
+
+def _saved_bytes(tmp_path, catalog) -> bytes:
+    pio.save_tau_catalog(tmp_path / "saved.json", catalog)
+    return (tmp_path / "saved.json").read_bytes()
+
+
+def _oracle_bytes(tmp_path, catalog) -> bytes:
+    catalog_oracle.save_tau_catalog(tmp_path / "oracle.json", catalog)
+    return (tmp_path / "oracle.json").read_bytes()
 
 
 class TestCatalogFiles:
@@ -211,26 +249,58 @@ class TestCatalogFiles:
     @given(
         r=st.sampled_from([3, 4]),
         complete=st.booleans(),
-        rows=st.lists(st.tuples(st.randoms(use_true_random=False), st.integers(0, 9999)), max_size=6),
+        rows=st.lists(st.tuples(st.randoms(use_true_random=False), _ids, _ids), max_size=6),
     )
     def test_partial_flag_roundtrip(self, r, complete, rows):
         # a partial catalog, empty or not, must load back partial; an empty
-        # complete catalog would be an empty bare list, which is malformed
+        # complete catalog would be an empty bare list, which is malformed.
+        # Every file has the oracle writer's bytes.
         assume(rows or not complete)
-        images = [[0] + rnd.sample(range(1, 1 << r), (1 << r) - 1) for rnd, _ in rows]
+        images = [[0] + rnd.sample(range(1, 1 << r), (1 << r) - 1) for rnd, _, _ in rows]
         catalog = TauCatalog(
             r, np.array(images, dtype=np.int8).reshape(-1, 1 << r),
-            [g for _, g in rows], list(range(len(rows))), complete=complete,
+            [g for _, g, _ in rows], [a for _, _, a in rows], complete=complete,
         )
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "catalog.json"
-            pio.save_tau_catalog(path, catalog)
-            loaded = pio.load_tau_catalog(path)
+            assert _saved_bytes(Path(tmp), catalog) == _oracle_bytes(Path(tmp), catalog)
+            loaded = pio.load_tau_catalog(Path(tmp) / "saved.json")
         assert (loaded.r, loaded.complete, len(loaded)) == (r, complete, len(rows))
         assert np.array_equal(loaded.images, catalog.images)
         assert [loaded.provenance(i) for i in range(len(rows))] == [
             catalog.provenance(i) for i in range(len(rows))
         ]
+
+    @pytest.mark.parametrize("form", ["complete", "partial"])
+    def test_r3_catalog_matches_the_oracle_writer(self, tmp_path, r3_catalog, form):
+        catalog = TauCatalog(3, r3_catalog.images, r3_catalog.group_ids, r3_catalog.aut_ids,
+                             complete=form == "complete")
+        saved = _saved_bytes(tmp_path, catalog)
+        assert saved == _oracle_bytes(tmp_path, catalog)
+        if form == "complete":
+            assert hashlib.sha256(saved).hexdigest() == R3_CATALOG_SHA256
+
+    def test_empty_partial_catalog_matches_the_oracle_writer(self, tmp_path):
+        catalog = TauCatalog(4, np.zeros((0, 16), dtype=np.int8), [], [], complete=False)
+        saved = _saved_bytes(tmp_path, catalog)
+        assert saved == _oracle_bytes(tmp_path, catalog) == b'{"r":4,"complete":false,"taus":[]}\n'
+
+    @pytest.mark.parametrize("offset, blocks", [(1, 0), (-1, 1), (0, 1), (1, 1), (1, 2)])
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_r4_block_edges_match_the_oracle_writer(self, tmp_path, offset, blocks, complete):
+        # 1, block - 1, block, block + 1 and 2 block + 1 rows of seeded random
+        # zero-fixing taus, with distinct group and aut ids near 2^63 - 1
+        rows = blocks * pio._CATALOG_BLOCK_ROWS + offset
+        gen = np.random.default_rng(rows)
+        images = np.zeros((rows, 16), dtype=np.int8)
+        images[:, 1:] = np.argsort(gen.random((rows, 15)), axis=1) + 1
+        ids = gen.choice(np.arange((1 << 63) - 4 * rows, 1 << 63, dtype=np.int64), 2 * rows, replace=False)
+        catalog = TauCatalog(4, images, ids[:rows], ids[rows:], complete=complete)
+        saved = _saved_bytes(tmp_path, catalog)
+        assert saved == _oracle_bytes(tmp_path, catalog)
+        loaded = pio.load_tau_catalog(tmp_path / "saved.json")
+        assert np.array_equal(loaded.images, images) and loaded.complete == complete
+        assert np.array_equal(loaded.group_ids, catalog.group_ids)
+        assert np.array_equal(loaded.aut_ids, catalog.aut_ids)
 
     def test_classification_json_roundtrip(self, rng):
         taus = [random_zero_fixing(3, rng) for _ in range(6)]
@@ -397,6 +467,7 @@ class TestCli:
             "v=16 b=1\n6 16 6 16\n",  # repeated point past the order
             "v=16 b=1\n-2 2 13 7\n",  # negative point
             "v=16 b=2\n0 1 2 3\n0 4 4 9\n",  # repeated point
+            "v=16 b=1\n0 1 2 3\n3 2 1 0\n",  # repeated quadruple
             "v=0 b=0\n",  # empty order
             "v=-4 b=1\n0 1 2 3\n",  # negative order
         ],
@@ -483,6 +554,7 @@ class TestCli:
 
         catalog_path = tmp_path / "catalog.json"
         assert cli_main(["catalog-taus", "--r", "3", "--out", str(catalog_path)]) == 0
+        assert hashlib.sha256(catalog_path.read_bytes()).hexdigest() == R3_CATALOG_SHA256
 
         out_json = tmp_path / "classes.json"
         assert (
@@ -527,6 +599,30 @@ class TestCli:
         assert cli_main(args) == 2
         assert "partial" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 41
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["enum-regular", "--r", "3", "--out", "{out}"],
+            ["catalog-taus", "--r", "3", "--out", "{out}"],
+            ["classify", "--catalog", "{catalog}", "--out", "{out}"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_unwritable_out_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("cli.enumerate_regular_subgroups", "cli.catalog_taus", "cli.classify_catalog",
+                     "io.load_tau_catalog"):
+            monkeypatch.setattr(f"perfcode.{name}", no_work)
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text('{"r":3,"complete":false,"taus":[]}\n')
+        missing = tmp_path / "no" / "such" / "out.json"
+        for out, message in [(missing, "[Errno 2] No such file or directory"), (tmp_path, "[Errno 21] Is a directory")]:
+            assert cli_main([arg.format(out=out, catalog=catalog) for arg in command]) == 3
+            assert capsys.readouterr().err == f"malformed input: {message}: '{out}'\n"
+        assert not missing.parent.exists()
 
     @pytest.mark.parametrize("r", [2, 5])
     def test_enum_regular_outside_its_range_exits_1(self, tmp_path, capsys, r):
