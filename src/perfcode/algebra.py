@@ -221,13 +221,47 @@ def additivity_table(images) -> np.ndarray:
     (N, 2^r) batch of rows.
 
     Every linearity question reads this table: f is linear iff it is all
-    true, the linear structure set of f is the set of its all-true rows,
-    and its row sums are the point invariant of the double-coset search."""
+    true, and the linear structure set of f is the set of its all-true
+    rows.  Its row sums c_f(x) are the entries D_f[x, f(x)] of the
+    difference table that `point_spectra` counts."""
     f = np.asarray(images)
     if f.shape[-1] > 1 << TABLE_MAX_R:
         raise BudgetExceeded(f"additivity tables support r <= {TABLE_MAX_R}")
     pts = np.arange(f.shape[-1])
     return f[..., pts[:, None] ^ pts] == f[..., :, None] ^ f[..., None, :]
+
+
+def point_spectra(images) -> np.ndarray:
+    """[..., x, :] is the spectrum of point x under f, for one row of images f
+    or an (N, 2^r) batch of rows: c_f(x) = #{y : f(x ^ y) = f(x) ^ f(y)},
+    then row x of the difference table D_f[x, a] = #{y : f(x ^ y) ^ f(y) = a}
+    (Nyberg, EUROCRYPT '93) in ascending order.  c_f(x) is the entry
+    D_f[x, f(x)] of that row, read off before the sort.
+
+    g = sigma_B f sigma_A^-1 has D_g[A x, B a] = D_f[x, a] and c_g(A x) =
+    c_f(x), so x and A x have one spectrum; the table of f^-1 is D_f
+    transposed, so the spectra of f^-1 are those of the columns of D_f."""
+    f = np.asarray(images)
+    n = f.shape[-1]
+    pts = np.arange(n)
+    diff = f[..., pts[:, None] ^ pts] ^ f[..., None, :]
+    base = np.arange(0, diff.size, n).reshape(diff.shape[:-1])  # where each row of D_f starts
+    counts = np.bincount((base[..., None] + diff).ravel(), minlength=diff.size)
+    c = counts[base + f]
+    counts = counts.reshape(diff.shape)
+    counts.sort(-1)
+    return np.concatenate([c[..., None], counts], -1)
+
+
+@functools.lru_cache(maxsize=32)
+def _spectrum_keys(images: tuple) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The point spectra of one permutation as bytes, point by point and
+    sorted.  Cached, so the searches that share a permutation compute its
+    spectra once: `aut_order`'s count and transitivity search share tau and
+    tau^-1, and the bucket tests of `classify` a class representative."""
+    spectra = point_spectra(images).astype(np.int8)  # counts of at most 2^r <= 32 points
+    keys = tuple(spectra.view(np.dtype((np.void, spectra.shape[-1])))[:, 0].tolist())
+    return keys, tuple(sorted(keys))
 
 
 def is_linear(tau: PointPerm) -> BitMatrix | None:
@@ -287,17 +321,19 @@ def _linear_solutions(g, f, r: int):
     g(A x) = B f(x) for all x and some B in GL(r,2).
 
     Depth first over the columns of A, known on V_k = [0, 2^k) at depth k.
-    Prunes on the point invariant c_f(x) = #{y : f(x ^ y) = f(x) ^ f(y)}
-    (g = sigma_B f sigma_A^-1 gives c_g(A x) = c_f(x)) and on pairs
+    Prunes on the point spectra of `point_spectra` (x under f and A x under
+    g have one spectrum), compared as bytes (`_spectrum_keys`), and on pairs
     (f(x), g(A x)) that do not extend B to a linear bijection; reads A(e_k)
     off when some f(e_k ^ v) lies in the span B is known on.  Ascending
     candidates put the identity first."""
-    cf, cg = additivity_table([f, g]).sum(-1).tolist()
-    if sorted(cf) != sorted(cg):
-        return
     f, g = [int(z) for z in f], [int(w) for w in g]
+    (sf, multiset_f), (sg, multiset_g) = _spectrum_keys(tuple(f)), _spectrum_keys(tuple(g))
+    if multiset_f != multiset_g:
+        return
     g_inv = {w: y for y, w in enumerate(g)}
-    candidates = {c: [y for y in range(1, 1 << r) if cg[y] == c] for c in set(cg)}
+    candidates: dict[bytes, list[int]] = {}
+    for y in range(1, 1 << r):
+        candidates.setdefault(sg[y], []).append(y)
     amap = [0] * (1 << r)
 
     def extend(k, zw, wz):
@@ -305,7 +341,7 @@ def _linear_solutions(g, f, r: int):
             yield amap
             return
         lo = 1 << k
-        cands = candidates.get(cf[lo], ())
+        cands = candidates.get(sf[lo], ())
         for v in range(lo):
             red = reduce_vec(zw, f[lo | v] << r)
             if not red >> r:  # B f(e_k ^ v) = red is known
@@ -315,7 +351,7 @@ def _linear_solutions(g, f, r: int):
             zw2, wz2 = zw.copy(), wz.copy()
             for v in range(lo):
                 x, y = lo | v, c ^ amap[v]
-                if cg[y] != cf[x] or not _add_pair(zw2, wz2, f[x], g[y], r):
+                if sg[y] != sf[x] or not _add_pair(zw2, wz2, f[x], g[y], r):
                     break
                 amap[x] = y
             else:

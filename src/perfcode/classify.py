@@ -10,12 +10,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import span_dim, transpose
-from .algebra import SEARCH_MAX_R, BitMatrix, PointPerm, double_coset_member, invert, invert_perm, sigma_m
+from .algebra import (
+    SEARCH_MAX_R,
+    BitMatrix,
+    PointPerm,
+    double_coset_member,
+    invert,
+    invert_perm,
+    point_spectra,
+    sigma_m,
+)
 from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
 from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
 from .regular_groups import TauCatalog
-from .sqs import aut_order, point_transitive
+from .sqs import aut_order, aut_order_and_transitivity, point_transitive
 
 SERIES_MAX_R = 12
 
@@ -98,6 +107,27 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse permutation of each row of an (N, 2^r) image array."""
+    inv = np.empty_like(rows)
+    np.put_along_axis(inv, rows.astype(np.intp), np.arange(rows.shape[1], dtype=rows.dtype)[None, :], axis=1)
+    return inv
+
+
+def _spectra_keys(rows: np.ndarray) -> list[tuple[bytes, bytes]]:
+    """sorted((S(tau), S(tau^-1))) for each row tau of an (N, 2^r) image
+    array, where S(tau) is the multiset of its point spectra as canonical
+    bytes.  S(sigma_B tau sigma_A^-1) = S(tau), so the key is constant on a
+    class."""
+    count, n = rows.shape
+    spectra = point_spectra(np.concatenate([rows, _inverse_rows(rows)]))
+    # entries are counts of at most 2^r <= 32 points, so int8 row keys hold them
+    multisets = _row_keys(spectra.reshape(-1, n + 1)).reshape(2 * count, n)
+    multisets.sort(axis=1)
+    keys = [m.tobytes() for m in multisets]
+    return [tuple(sorted(pair)) for pair in zip(keys[:count], keys[count:])]
+
+
 def _edge_images(rows: np.ndarray, r: int):
     """Yield the rows moved by each edge transform: the identity (which
     joins equal rows), conjugation tau -> sigma_M tau sigma_M^-1 by each of
@@ -109,9 +139,7 @@ def _edge_images(rows: np.ndarray, r: int):
         conj = np.empty_like(rows)
         conj[:, pts] = pts[rows]  # conj(M x) = M tau(x)
         yield conj
-    inv = np.empty_like(rows)
-    np.put_along_axis(inv, rows.astype(np.intp), np.arange(rows.shape[1], dtype=np.int8)[None, :], axis=1)
-    yield inv
+    yield _inverse_rows(rows)
 
 
 def _orbit_edges(rows: np.ndarray, r: int) -> np.ndarray:
@@ -164,22 +192,24 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     the invariants and the bucket double-coset tests; every member takes
     its orbit's invariants and class.  So each class representative is the
     least member of its class and class ids are canonical regardless of
-    input order.  aut_order and point_transitive are computed once per
-    class (both are constant on isomorphism classes) and assigned to the
-    members.
+    input order.  A bucket holds the orbits with one invariant triple and
+    one `_spectra_keys` key, both constant on a class.  aut_order and
+    point_transitive are computed once per class, from one search, and
+    assigned to the members.
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
     root = _orbit_roots(_orbit_edges(rows, r)).tolist()
     rows_l = rows.tolist()
+    least = [p for p, q in enumerate(root) if p == q]
 
     buckets: dict[tuple, list] = {}
     class_reps: list[PointPerm] = []
     orbit_of: dict[int, tuple] = {}  # least member -> (invariant triple, class id)
-    for p in [p for p, least in enumerate(root) if p == least]:
+    for p, spectra_key in zip(least, _spectra_keys(rows[least])):
         perm = PointPerm(r, tuple(rows_l[p]))
         key = _invariant_triple(rows_l[p], r)
-        bucket = buckets.setdefault(key, [])
+        bucket = buckets.setdefault((key, spectra_key), [])
         found = -1
         for cid, rep, rep_inv in bucket:
             if (
@@ -194,13 +224,13 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
             bucket.append((found, perm, invert_perm(perm)))
         orbit_of[p] = (key, found)
 
-    class_aut = [aut_order(rep) for rep in class_reps]
-    class_pt = [point_transitive(rep)[0] for rep in class_reps]
+    class_stats = [aut_order_and_transitivity(rep) for rep in class_reps]
 
     min_kernel = base_dim(r)
     entries = []
     for p, i in enumerate(order.tolist()):
         (rank_val, kernel_val, inter_val), cid = orbit_of[root[p]]
+        aut_val, transitive = class_stats[cid]
         entries.append(
             CatalogEntry(
                 tau_id=_tau_id(r, rows_l[p]),
@@ -208,8 +238,8 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
                 rank=rank_val,
                 kernel_dim=kernel_val,
                 intersection_dim=inter_val,
-                point_transitive=bool(class_pt[cid]),
-                aut_order=class_aut[cid],
+                point_transitive=transitive,
+                aut_order=aut_val,
                 class_id=cid,
                 non_mollard=bool(induced[i]) and kernel_val == min_kernel,
                 provenance=provenance[i],

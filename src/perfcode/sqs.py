@@ -248,13 +248,19 @@ def aut_order(tau: PointPerm) -> int:
     N1 = #{A : tau o sigma_A o tau   linear} (t=1).
     Linear tau: the affine system of order 2^{r+1}, |Aut| = 2^{r+1} |GL(r+1,2)|.
     """
-    tau.require_zero_fixing()
+    return aut_order_and_transitivity(tau)[0]
+
+
+def aut_order_and_transitivity(tau: PointPerm) -> tuple[int, bool]:
+    """(aut_order(tau), point_transitive(tau)[0]) from one point_transitive
+    call, so one tau^{-1}-against-tau search."""
+    transitive, witness = point_transitive(tau)
     r = tau.r
-    if is_linear(tau) is not None:
-        return (1 << (r + 1)) * gl_order(r + 1)
+    if transitive and witness is None:  # tau is linear
+        return (1 << (r + 1)) * gl_order(r + 1), True
     # N1 = N0 when tau^{-1} lies in GL tau GL (a coset of N0's group), else N1 = 0
     n0 = count_linear_products(tau, invert_perm(tau))
-    return (1 << (2 * r)) * n0 * (2 if point_transitive(tau)[0] else 1)
+    return (1 << (2 * r)) * n0 * (2 if transitive else 1), transitive
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from perfcode import PointPerm, automorphisms, catalog_taus, enumerate_regular_subgroups
+from perfcode import BitMatrix, PointPerm, automorphisms, catalog_taus, enumerate_regular_subgroups, rank
 from perfcode.codes import kernel_dims
 
 # CI runs draw the same examples every time and print a reproduction blob
@@ -48,6 +48,13 @@ def random_zero_fixing(r: int, rng: random.Random) -> PointPerm:
     rest = list(range(1, 1 << r))
     rng.shuffle(rest)
     return PointPerm(r, tuple([0] + rest))
+
+
+def random_gl(r: int, rng: random.Random) -> BitMatrix:
+    while True:
+        m = BitMatrix(r, r, tuple(rng.randrange(1, 1 << r) for _ in range(r)))
+        if rank(m) == r:
+            return m
 
 
 @pytest.fixture()

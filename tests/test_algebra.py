@@ -26,9 +26,9 @@ from perfcode import (
     sigma_m,
 )
 from perfcode._bits import nullspace_basis, span_dim, span_words
-from perfcode.algebra import gl_rows_cached
+from perfcode.algebra import gl_rows_cached, point_spectra
 from perfcode.codes import hamming_parity_rows, perm_rank
-from conftest import random_zero_fixing
+from conftest import random_gl, random_zero_fixing
 from sweep_oracle import sweep_count, sweep_member
 
 
@@ -324,6 +324,69 @@ class TestSearchR4:
         for tau in taus:
             for right in (tau, invert_perm(tau)):
                 assert count_linear_products(tau, right) == sweep_count(tau, right)
+
+    def test_two_sided_products_inverses_and_misses(self):
+        # 20 seeded pairs against one tau each: sigma_B tau sigma_A^-1 with
+        # A != B (a hit), tau^-1, the product's inverse, and a random miss
+        local = random.Random(48)
+        mats = list(gl_enumerate(4))
+        pairs = []
+        for _ in range(5):
+            tau = random_zero_fixing(4, local)
+            a_mat, b_mat = local.sample(mats, 2)
+            prod = compose(compose(sigma_m(b_mat), tau), invert_perm(sigma_m(a_mat)))
+            pairs += [(prod, tau), (invert_perm(tau), tau), (invert_perm(prod), tau)]
+            pairs.append((random_zero_fixing(4, local), tau))
+        hits = [_check_member(t, u) for t, u in pairs]
+        assert all(hits[0::4]) and not any(hits[3::4])
+        assert hits[1::4] == hits[2::4]
+        for t, u in pairs:
+            for right in (u, invert_perm(u)):
+                assert count_linear_products(t, right) == sweep_count(t, right)
+
+
+def _difference_table(images) -> list[list[int]]:
+    """Oracle: D_f[x][a] = #{y : f(x ^ y) ^ f(y) = a}, one pair at a time."""
+    n = len(images)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[x][images[x ^ y] ^ images[y]] += 1
+    return table
+
+
+class TestPointSpectra:
+    """point_spectra against a pure-Python difference table, and the two
+    laws that the search and the classifier rely on."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_rows_and_columns_of_the_table(self, r):
+        # tau's spectra are the rows of its table, with c_tau(x) = D[x][tau(x)];
+        # the spectra of tau^-1 are its columns, with D[tau^-1(u)][u]
+        local = random.Random(46 + r)
+        for _ in range(3):
+            tau = random_zero_fixing(r, local)
+            inv = invert_perm(tau).images
+            table = _difference_table(tau.images)
+            rows = [[table[x][tau(x)]] + sorted(table[x]) for x in range(1 << r)]
+            cols = [[table[inv[u]][u]] + sorted(row[u] for row in table) for u in range(1 << r)]
+            assert point_spectra(tau.images).tolist() == rows
+            assert point_spectra([tau.images, inv]).tolist() == [rows, cols]
+
+    @pytest.mark.parametrize("r, zero_fixing", [(3, True), (4, True), (5, True), (3, False)])
+    def test_constant_on_double_cosets(self, r, zero_fixing):
+        # g = sigma_B tau sigma_A^-1 gives A x the spectrum of x, so the
+        # multisets of spectra of tau and g are equal
+        local = random.Random(50 + r)
+        for _ in range(6):
+            if zero_fixing:
+                tau = random_zero_fixing(r, local)
+            else:
+                tau = PointPerm(r, tuple(local.sample(range(1 << r), 1 << r)))
+            a_mat, b_mat = random_gl(r, local), random_gl(r, local)
+            g = compose(compose(sigma_m(b_mat), tau), invert_perm(sigma_m(a_mat)))
+            spectra_f, spectra_g = point_spectra([tau.images, g.images]).tolist()
+            assert [spectra_g[a_mat.apply(x)] for x in range(1 << r)] == spectra_f
 
 
 class TestGlEnumerate:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from perfcode import (
-    BitMatrix,
     BudgetExceeded,
     ExcludedLength,
     MixedDimensions,
@@ -27,7 +26,6 @@ from perfcode import (
 from perfcode._bits import mul_rows
 from perfcode.algebra import double_coset_member, gl_order, identity_matrix
 from perfcode.algebra import invert as mat_invert
-from perfcode.algebra import rank as mat_rank
 from perfcode.classify import (
     SERIES_BASE_TAUS,
     _gl_generators,
@@ -42,8 +40,9 @@ from perfcode.classify import (
 )
 from perfcode.codes import base_dim, kernel_dims
 from perfcode.regular_groups import automorphism_census
+from perfcode import sqs as sqs_module
 from classify_oracle import classify_oracle
-from conftest import random_zero_fixing
+from conftest import random_gl, random_zero_fixing
 
 
 class TestClassify:
@@ -208,19 +207,12 @@ def _conjugate(tau: PointPerm, m) -> PointPerm:
     return compose(compose(sigma_m(m), tau), sigma_m(mat_invert(m)))
 
 
-def _random_gl(r: int, rng: random.Random):
-    while True:
-        m = BitMatrix(r, r, tuple(rng.randrange(1, 1 << r) for _ in range(r)))
-        if mat_rank(m) == r:
-            return m
-
-
 def _with_conjugates(taus, r: int, rng: random.Random):
     """Each tau, its inverse, its conjugates by the GL generators and by two
     random matrices, and one conjugate of the inverse, shuffled."""
     out = []
     for tau in taus:
-        mats = [*_gl_generators(r), _random_gl(r, rng), _random_gl(r, rng)]
+        mats = [*_gl_generators(r), random_gl(r, rng), random_gl(r, rng)]
         out += [tau, invert_perm(tau), _conjugate(invert_perm(tau), mats[0])]
         out += [_conjugate(tau, m) for m in mats]
     rng.shuffle(out)
@@ -254,6 +246,44 @@ class TestOrbitClassification:
         taus = _with_conjugates([random_zero_fixing(5, rng) for _ in range(2)], 5, rng)
         taus += taus[:2]  # equal rows join one orbit
         assert classify(taus) == classify_oracle(taus)
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_two_sided_products_match_oracle(self, r, rng):
+        # sigma_B tau sigma_A^-1 with A != B, and its inverse, lie in other
+        # orbits than tau: only the bucket tests can merge them
+        taus = []
+        for _ in range(4):
+            tau = random_zero_fixing(r, rng)
+            taus.append(tau)
+            for _ in range(2):
+                a_mat, b_mat = random_gl(r, rng), random_gl(r, rng)
+                assert a_mat != b_mat
+                prod = compose(compose(sigma_m(b_mat), tau), sigma_m(mat_invert(a_mat)))
+                taus += [prod, invert_perm(prod)]
+        rng.shuffle(taus)
+        entries = classify(taus)
+        assert entries == classify_oracle(taus)
+        assert len({e.class_id for e in entries}) == 4
+        rows = _sorted_rows(np.array([t.images for t in taus], dtype=np.int8))
+        assert len(set(_orbit_roots(_orbit_edges(rows, r)).tolist())) > 4
+
+    def test_one_inverse_search_per_class(self, monkeypatch, rng):
+        # aut_order and point transitivity of a class come from one
+        # tau^-1-against-tau search, made for the class representative
+        searched = []
+
+        def counted(tau_p, tau, group="GL"):
+            if tau_p == invert_perm(tau):
+                searched.append(tau_id_string(tau))
+            return double_coset_member(tau_p, tau, group)
+
+        monkeypatch.setattr(sqs_module, "double_coset_member", counted)
+        taus = _with_conjugates([random_zero_fixing(4, rng) for _ in range(5)], 4, rng)
+        entries = classify(taus)
+        reps = {}
+        for e in entries:
+            reps.setdefault(e.class_id, e.tau_id)
+        assert sorted(searched) == sorted(reps.values())
 
     @pytest.mark.parametrize("r, order", [(3, 168), (4, 20160)])
     def test_generators_generate_gl(self, r, order):

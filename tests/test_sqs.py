@@ -31,8 +31,11 @@ from perfcode import (
     xi_swap,
 )
 from perfcode import ExplicitCode
+from perfcode import algebra as algebra_module
 from perfcode import sqs as sqs_module
+from perfcode.algebra import point_spectra
 from conftest import random_zero_fixing
+from sweep_oracle import sweep_member
 
 # symmetric_difference_dichotomy over the non-linear taus of the complete
 # r=3 catalog: see TestSymdiffDichotomy.test_r3_catalog_reports_are_pinned
@@ -327,6 +330,16 @@ class TestPointTransitive:
             moved = compose(compose(sigma_m(local.choice(mats)), tau), sigma_m(local.choice(mats)))
             assert point_transitive(moved)[0] == base
 
+    def test_spectra_gap_is_a_miss(self):
+        # tau and tau^-1 have different multisets of point spectra, so the
+        # search returns before it starts; the sweep of GL(4,2) agrees
+        tau = random_zero_fixing(4, random.Random(0))
+        inv = invert_perm(tau)
+        spectra = [sorted(map(tuple, s)) for s in point_spectra([tau.images, inv.images]).tolist()]
+        assert spectra[0] != spectra[1]
+        assert point_transitive(tau) == (False, None)
+        assert sweep_member(inv, tau) is None
+
 
 class TestAutOrder:
     def test_linear_r3_closed_form(self):
@@ -386,6 +399,25 @@ class TestAutOrder:
         # both ends of the skipped range (1 and every point of an r=3 or r=4
         # system) and the first count that scans (2)
         assert {1, 2, 16, 32} <= mapped
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_spectra_computed_once_per_permutation(self, monkeypatch, r):
+        # the count and the transitivity search share the point spectra of
+        # tau and tau^-1: one computation of each, however the search ends
+        local = random.Random(40 + r)
+        for tau in [random_nonlinear(r, local) for _ in range(3)]:
+            expected = aut_order(tau)
+            computed = []
+
+            def counted(images):
+                computed.append(tuple(images))
+                return point_spectra(images)
+
+            algebra_module._spectrum_keys.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(algebra_module, "point_spectra", counted)
+                assert aut_order(tau) == expected
+            assert sorted(computed) == sorted([tau.images, invert_perm(tau).images])
 
     def test_second_count_is_zero_or_the_first(self, r3_taus):
         # N1 = #{A : tau sigma_A tau linear} is 0 or N0, and N0 exactly when
