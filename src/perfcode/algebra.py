@@ -216,35 +216,42 @@ def invert_perm(tau: PointPerm) -> PointPerm:
     return PointPerm(tau.r, tuple(out), induced=tau.induced)
 
 
+def _differences(f) -> np.ndarray:
+    """[..., x, y] = f(x ^ y) ^ f(y), for one row of images f or an
+    (N, 2^r) batch of rows: the one n x n gather behind `additivity_table`
+    and `point_spectra`."""
+    if f.shape[-1] > 1 << TABLE_MAX_R:
+        raise BudgetExceeded(f"additivity tables support r <= {TABLE_MAX_R}")
+    pts = np.arange(f.shape[-1])
+    return f[..., pts[:, None] ^ pts] ^ f[..., None, :]
+
+
 def additivity_table(images) -> np.ndarray:
     """[..., x, y] = f(x ^ y) == f(x) ^ f(y), for one row of images f or an
-    (N, 2^r) batch of rows.
+    (N, 2^r) batch of rows: the entries of `_differences` equal to f(x).
 
     Every linearity question reads this table: f is linear iff it is all
     true, and the linear structure set of f is the set of its all-true
     rows.  Its row sums c_f(x) are the entries D_f[x, f(x)] of the
-    difference table that `point_spectra` counts."""
+    difference table that `point_spectra` counts from the same gather."""
     f = np.asarray(images)
-    if f.shape[-1] > 1 << TABLE_MAX_R:
-        raise BudgetExceeded(f"additivity tables support r <= {TABLE_MAX_R}")
-    pts = np.arange(f.shape[-1])
-    return f[..., pts[:, None] ^ pts] == f[..., :, None] ^ f[..., None, :]
+    return _differences(f) == f[..., :, None]
 
 
 def point_spectra(images) -> np.ndarray:
     """[..., x, :] is the spectrum of point x under f, for one row of images f
     or an (N, 2^r) batch of rows: c_f(x) = #{y : f(x ^ y) = f(x) ^ f(y)},
     then row x of the difference table D_f[x, a] = #{y : f(x ^ y) ^ f(y) = a}
-    (Nyberg, EUROCRYPT '93) in ascending order.  c_f(x) is the entry
-    D_f[x, f(x)] of that row, read off before the sort.
+    (Nyberg, EUROCRYPT '93) in ascending order.  D_f bincounts the rows of
+    `_differences`, and c_f(x) is its entry D_f[x, f(x)], read off before
+    the sort.
 
     g = sigma_B f sigma_A^-1 has D_g[A x, B a] = D_f[x, a] and c_g(A x) =
     c_f(x), so x and A x have one spectrum; the table of f^-1 is D_f
     transposed, so the spectra of f^-1 are those of the columns of D_f."""
     f = np.asarray(images)
     n = f.shape[-1]
-    pts = np.arange(n)
-    diff = f[..., pts[:, None] ^ pts] ^ f[..., None, :]
+    diff = _differences(f)
     base = np.arange(0, diff.size, n).reshape(diff.shape[:-1])  # where each row of D_f starts
     counts = np.bincount((base[..., None] + diff).ravel(), minlength=diff.size)
     c = counts[base + f]
@@ -254,11 +261,13 @@ def point_spectra(images) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _spectrum_keys(images: tuple) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+def spectrum_keys(images: tuple) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     """The point spectra of one permutation as bytes, point by point and
-    sorted.  Cached, so the searches that share a permutation compute its
-    spectra once: `aut_order`'s count and transitivity search share tau and
-    tau^-1, and the bucket tests of `classify` a class representative."""
+    sorted: the one encoding of the spectra.  The sorted tuple is constant
+    on a GL double coset.  Cached, so everything that shares a permutation
+    computes its spectra once: `aut_order`'s count and transitivity search
+    share tau and tau^-1, and `classify` keys each orbit's least member and
+    its inverse by them, then tests and counts its class from the cache."""
     spectra = point_spectra(images).astype(np.int8)  # counts of at most 2^r <= 32 points
     keys = tuple(spectra.view(np.dtype((np.void, spectra.shape[-1])))[:, 0].tolist())
     return keys, tuple(sorted(keys))
@@ -322,12 +331,12 @@ def _linear_solutions(g, f, r: int):
 
     Depth first over the columns of A, known on V_k = [0, 2^k) at depth k.
     Prunes on the point spectra of `point_spectra` (x under f and A x under
-    g have one spectrum), compared as bytes (`_spectrum_keys`), and on pairs
+    g have one spectrum), compared as bytes (`spectrum_keys`), and on pairs
     (f(x), g(A x)) that do not extend B to a linear bijection; reads A(e_k)
     off when some f(e_k ^ v) lies in the span B is known on.  Ascending
     candidates put the identity first."""
     f, g = [int(z) for z in f], [int(w) for w in g]
-    (sf, multiset_f), (sg, multiset_g) = _spectrum_keys(tuple(f)), _spectrum_keys(tuple(g))
+    (sf, multiset_f), (sg, multiset_g) = spectrum_keys(tuple(f)), spectrum_keys(tuple(g))
     if multiset_f != multiset_g:
         return
     g_inv = {w: y for y, w in enumerate(g)}

@@ -17,8 +17,8 @@ from .algebra import (
     double_coset_member,
     invert,
     invert_perm,
-    point_spectra,
     sigma_m,
+    spectrum_keys,
 )
 from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
@@ -114,20 +114,6 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _spectra_keys(rows: np.ndarray) -> list[tuple[bytes, bytes]]:
-    """sorted((S(tau), S(tau^-1))) for each row tau of an (N, 2^r) image
-    array, where S(tau) is the multiset of its point spectra as canonical
-    bytes.  S(sigma_B tau sigma_A^-1) = S(tau), so the key is constant on a
-    class."""
-    count, n = rows.shape
-    spectra = point_spectra(np.concatenate([rows, _inverse_rows(rows)]))
-    # entries are counts of at most 2^r <= 32 points, so int8 row keys hold them
-    multisets = _row_keys(spectra.reshape(-1, n + 1)).reshape(2 * count, n)
-    multisets.sort(axis=1)
-    keys = [m.tobytes() for m in multisets]
-    return [tuple(sorted(pair)) for pair in zip(keys[:count], keys[count:])]
-
-
 def _edge_images(rows: np.ndarray, r: int):
     """Yield the rows moved by each edge transform: the identity (which
     joins equal rows), conjugation tau -> sigma_M tau sigma_M^-1 by each of
@@ -193,9 +179,11 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     its orbit's invariants and class.  So each class representative is the
     least member of its class and class ids are canonical regardless of
     input order.  A bucket holds the orbits with one invariant triple and
-    one `_spectra_keys` key, both constant on a class.  aut_order and
-    point_transitive are computed once per class, from one search, and
-    assigned to the members.
+    one pair sorted((S(tau), S(tau^-1))) of `spectrum_keys` multisets, both
+    constant on a class.  One loop over the least members keys, tests and
+    counts: the spectra of a member and of its inverse are computed once,
+    for its key, and the bucket tests and the one search that gives a new
+    class its aut_order and point transitivity read them from the cache.
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
@@ -204,12 +192,14 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     least = [p for p, q in enumerate(root) if p == q]
 
     buckets: dict[tuple, list] = {}
-    class_reps: list[PointPerm] = []
+    class_stats: list[tuple[int, bool]] = []  # (aut_order, point transitive) per class
     orbit_of: dict[int, tuple] = {}  # least member -> (invariant triple, class id)
-    for p, spectra_key in zip(least, _spectra_keys(rows[least])):
+    for p in least:
         perm = PointPerm(r, tuple(rows_l[p]))
-        key = _invariant_triple(rows_l[p], r)
-        bucket = buckets.setdefault((key, spectra_key), [])
+        inv = invert_perm(perm)
+        triple = _invariant_triple(perm)
+        spectra_key = tuple(sorted((spectrum_keys(perm.images)[1], spectrum_keys(inv.images)[1])))
+        bucket = buckets.setdefault((triple, spectra_key), [])
         found = -1
         for cid, rep, rep_inv in bucket:
             if (
@@ -219,12 +209,10 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
                 found = cid
                 break
         if found < 0:
-            found = len(class_reps)
-            class_reps.append(perm)
-            bucket.append((found, perm, invert_perm(perm)))
-        orbit_of[p] = (key, found)
-
-    class_stats = [aut_order_and_transitivity(rep) for rep in class_reps]
+            found = len(class_stats)
+            class_stats.append(aut_order_and_transitivity(perm))
+            bucket.append((found, perm, inv))
+        orbit_of[p] = (triple, found)
 
     min_kernel = base_dim(r)
     entries = []
@@ -248,17 +236,17 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     return entries
 
 
-def _invariant_triple(images_row, r: int):
-    perm = PointPerm(r, tuple(int(x) for x in images_row))
+def _invariant_triple(perm: PointPerm):
     return perm_rank(perm), perm_kernel_dim(perm), perm_intersection_dim(perm)
 
 
-def classify(taus, provenance=None) -> list[CatalogEntry]:
+def classify(taus) -> list[CatalogEntry]:
     """Classify permutations into isomorphism classes of their codes/SQS.
 
     Entries with equal class_id are pairwise sqs-isomorphic; the output
     order, representatives, and class ids are canonical (sorted by image
-    tuple), so shuffled input yields an identical result.
+    tuple), so shuffled input yields an identical result.  Every entry's
+    provenance is "user".
     """
     taus = list(taus)
     if not taus:
@@ -272,9 +260,7 @@ def classify(taus, provenance=None) -> list[CatalogEntry]:
         raise BudgetExceeded(f"classification supports r <= {SEARCH_MAX_R}")
     images = np.array([t.images for t in taus], dtype=np.int8)
     induced = [t.induced for t in taus]
-    if provenance is None:
-        provenance = ["user"] * len(taus)
-    return _classify_arrays(images, r, induced, list(provenance))
+    return _classify_arrays(images, r, induced, ["user"] * len(taus))
 
 
 def classify_catalog(catalog: TauCatalog, kernel_dim: int | None = None) -> list[CatalogEntry]:

@@ -30,13 +30,6 @@ class RegularSubgroup:
     r: int
     mats: tuple[BitMatrix, ...]
 
-    def element(self, a: int):
-        return a, self.mats[a]
-
-    def mult(self, a: int, b: int) -> int:
-        """Label of g_a * g_b, i.e. a + M_a b."""
-        return a ^ self.mats[a].apply(b)
-
     def mult_table(self) -> list[list[int]]:
         rows = np.array([m.row_bits for m in self.mats], dtype=np.int64)
         return _mult_table(_point_maps(rows, self.r))

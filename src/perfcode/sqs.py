@@ -209,14 +209,13 @@ def sqs_isomorphic(tau: PointPerm, tau_p: PointPerm):
 
     The search decides the linear cases too: two linear maps give the
     witness (I, lin' lin^{-1}, 0), both systems being affine, and GL lin GL
-    holds no non-linear map.
+    holds no non-linear map.  Above SEARCH_MAX_R the search raises
+    BudgetExceeded.
     """
     if tau.r != tau_p.r:
         raise DimensionMismatch("permutations live over different dimensions")
     tau.require_zero_fixing()
     tau_p.require_zero_fixing()
-    if tau.r > SQS_MAX_R:
-        raise BudgetExceeded(f"sqs_isomorphic supports r <= {SQS_MAX_R}")
     witness = double_coset_member(tau_p, tau, group="GL")
     if witness is not None:
         return SqsIsomorphism(witness[0], witness[1], 0)

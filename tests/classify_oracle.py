@@ -17,18 +17,16 @@ from perfcode.classify import CatalogEntry, _invariant_triple, tau_id_string
 from perfcode.sqs import aut_order, point_transitive
 
 
-def classify_oracle(taus, provenance=None) -> list[CatalogEntry]:
+def classify_oracle(taus) -> list[CatalogEntry]:
     """`perfcode.classify` through the per-tau path."""
     taus = list(taus)
     r = taus[0].r
     images = np.array([t.images for t in taus], dtype=np.int8)
     induced = [t.induced for t in taus]
-    if provenance is None:
-        provenance = ["user"] * len(taus)
-    return _classify_arrays(images, r, induced, list(provenance))
+    return _classify_arrays(images, r, induced)
 
 
-def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
+def _classify_arrays(images: np.ndarray, r: int, induced):
     """Core classification over an (N, 2^r) image array.
 
     Entries are processed in ascending lexicographic order of the image
@@ -39,13 +37,14 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     """
     count = len(images)
     order = np.lexsort(images.T[::-1])
-    invariants = [_invariant_triple(images[i], r) for i in range(count)]
+    perms = [PointPerm(r, tuple(int(x) for x in images[i])) for i in range(count)]
+    invariants = [_invariant_triple(perm) for perm in perms]
 
     buckets: dict[tuple, list] = {}
     class_reps: list[PointPerm] = []
     class_of = np.empty(count, dtype=np.int64)
     for i in order:
-        perm = PointPerm(r, tuple(int(x) for x in images[i]))
+        perm = perms[i]
         key = invariants[i]
         bucket = buckets.setdefault(key, [])
         found = -1
@@ -82,7 +81,7 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
                 aut_order=class_aut[cid],
                 class_id=cid,
                 non_mollard=bool(induced[i]) and kernel_val == min_kernel,
-                provenance=provenance[i],
+                provenance="user",
             )
         )
     return entries

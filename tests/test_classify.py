@@ -1,4 +1,6 @@
 import random
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from perfcode import (
     transitivity_report,
 )
 from perfcode._bits import mul_rows
-from perfcode.algebra import double_coset_member, gl_order, identity_matrix
+from perfcode import algebra as algebra_module
+from perfcode.algebra import double_coset_member, gl_order, identity_matrix, point_spectra
 from perfcode.algebra import invert as mat_invert
 from perfcode.classify import (
     SERIES_BASE_TAUS,
@@ -224,13 +227,17 @@ class TestOrbitClassification:
     tests/classify_oracle.py, and the orbit edges and witnesses it relies on."""
 
     def test_r3_catalog_matches_oracle(self, r3_catalog, r3_taus):
-        provenance = [f"g{g}:a{a}" for g, a in map(r3_catalog.provenance, range(len(r3_catalog)))]
+        pairs = map(r3_catalog.provenance, range(len(r3_catalog)))
+        provenance = {tau_id_string(tau): f"g{g}:a{a}" for tau, (g, a) in zip(r3_taus, pairs)}
+        assert len(provenance) == len(r3_taus)
         entries = classify_catalog(r3_catalog)
-        assert entries == classify_oracle(r3_taus, provenance)
-        pairs = list(zip(r3_taus, provenance))
-        random.Random(54).shuffle(pairs)
-        taus, prov = map(list, zip(*pairs))
-        assert classify(taus, prov) == entries
+        # every row keeps its own (group, automorphism) pair through the sort
+        assert [e.provenance for e in entries] == [provenance[e.tau_id] for e in entries]
+        as_user = [replace(e, provenance="user") for e in entries]
+        assert as_user == classify_oracle(r3_taus)
+        taus = list(r3_taus)
+        random.Random(54).shuffle(taus)
+        assert classify(taus) == as_user
 
     def test_r4_prefix_matches_oracle(self, r4_prefix_min_kernel):
         taus = r4_prefix_min_kernel
@@ -284,6 +291,42 @@ class TestOrbitClassification:
         for e in entries:
             reps.setdefault(e.class_id, e.tau_id)
         assert sorted(searched) == sorted(reps.values())
+
+    def test_spectra_computed_once_per_orbit(self, monkeypatch, rng):
+        # the bucket key, the bucket tests and the class statistics share the
+        # spectra of each orbit's least member and of its inverse
+        taus = [random_zero_fixing(4, rng) for _ in range(6)]
+        for tau in taus[:3]:
+            a_mat, b_mat = random_gl(4, rng), random_gl(4, rng)
+            prod = compose(compose(sigma_m(b_mat), tau), sigma_m(mat_invert(a_mat)))
+            taus += [prod, invert_perm(prod)]
+        rows = _sorted_rows(np.array([t.images for t in taus], dtype=np.int8))
+        least = sorted(set(_orbit_roots(_orbit_edges(rows, 4)).tolist()))
+        assert len(least) == 9
+        expected = []
+        for p in least:
+            perm = PointPerm(4, tuple(rows[p].tolist()))
+            expected += [perm.images, invert_perm(perm).images]
+
+        computed = []
+
+        def counted(images):
+            batch = np.asarray(images)
+            computed.extend(map(tuple, batch.reshape(-1, batch.shape[-1]).tolist()))
+            return point_spectra(images)
+
+        algebra_module.spectrum_keys.cache_clear()
+        with monkeypatch.context() as patch:
+            # count through every perfcode module that holds the name, so an
+            # import of point_spectra outside algebra cannot bypass the count
+            for module in list(sys.modules.values()):
+                held = getattr(module, "point_spectra", None)
+                if module.__name__.startswith("perfcode") and held is point_spectra:
+                    patch.setattr(module, "point_spectra", counted)
+            entries = classify(taus)
+        assert entries == classify_oracle(taus)
+        assert len({e.class_id for e in entries}) == 6
+        assert sorted(computed) == sorted(expected)
 
     @pytest.mark.parametrize("r, order", [(3, 168), (4, 20160)])
     def test_generators_generate_gl(self, r, order):
@@ -362,5 +405,5 @@ class TestOrbitClassification:
         assert len(set(root.tolist())) == 15
         by_orbit = {}
         for least, row in zip(root.tolist(), rows.tolist()):
-            by_orbit.setdefault(least, set()).add(_invariant_triple(row, 3))
+            by_orbit.setdefault(least, set()).add(_invariant_triple(PointPerm(3, tuple(row))))
         assert all(len(triples) == 1 for triples in by_orbit.values())

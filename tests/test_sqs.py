@@ -5,6 +5,7 @@ import pytest
 
 from perfcode import (
     AffineInput,
+    BudgetExceeded,
     SQS,
     apply_structured,
     aut_order,
@@ -294,6 +295,14 @@ class TestIsomorphism:
             assert sqs_isomorphic(lin, tau) is None
             assert sqs_isomorphic(invert_perm(tau), lin) is None
 
+    def test_budget_guard(self, rng):
+        # the search's own size guard: no system is built at any r
+        tau = random_nonlinear(6, rng)
+        with pytest.raises(BudgetExceeded):
+            sqs_isomorphic(tau, tau)
+        with pytest.raises(BudgetExceeded):
+            sqs_isomorphic(identity_perm(6), tau)
+
     def test_equivalence_relation(self, rng):
         taus = [random_nonlinear(3, rng) for _ in range(6)]
         rel = {
@@ -413,7 +422,7 @@ class TestAutOrder:
                 computed.append(tuple(images))
                 return point_spectra(images)
 
-            algebra_module._spectrum_keys.cache_clear()
+            algebra_module.spectrum_keys.cache_clear()
             with monkeypatch.context() as patch:
                 patch.setattr(algebra_module, "point_spectra", counted)
                 assert aut_order(tau) == expected
