@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import span_dim, transpose
 from .algebra import (
     SEARCH_MAX_R,
     BitMatrix,
@@ -20,9 +19,9 @@ from .algebra import (
     sigma_m,
     spectrum_keys,
 )
-from .codes import base_dim, hamming_parity_rows, kernel_dims, perm_kernel_dim, perm_rank
+from .codes import base_dim, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
-from .errors import BudgetExceeded, ExcludedLength, MixedDimensions
+from .errors import BudgetExceeded, ExcludedLength, InconsistentInput, MixedDimensions
 from .regular_groups import TauCatalog
 from .sqs import aut_order, aut_order_and_transitivity, point_transitive
 
@@ -77,11 +76,22 @@ def _tau_id(r: int, images) -> str:
 
 
 def perm_intersection_dim(tau: PointPerm) -> int:
-    """dim(tau(H) ∩ H); invariant under pre/post composition with GL."""
-    r = tau.r
-    # the all-ones parity row of tau(H) equals that of H; skip the duplicate
-    rows = hamming_parity_rows(r) + transpose(invert_perm(tau).images, r)
-    return (1 << r) - span_dim(rows)
+    """dim(tau(H) ∩ H), read off the rank of S_tau; invariant under GL on both sides.
+
+    For zero-fixing tau the parity rows of H and tau(H) are the functions
+    x -> x_i, x -> (tau^-1 x)_i and 1 on F^r.  Re-indexed by x = tau(a), they
+    become a -> tau(a)_i, a -> a_i and 1.  The first 2r span the syndrome
+    space whose dimension `perm_rank` adds to 2 dim(H); 1 lies outside it,
+    as every other function vanishes at 0 = tau(0).  Translations preserve
+    H, so any other tau takes the value of x -> tau(x) ^ tau(0)."""
+    if shift := tau.images[0]:
+        tau = PointPerm(tau.r, tuple(v ^ shift for v in tau.images))
+    return _intersection_from_rank(tau.r, perm_rank(tau))
+
+
+def _intersection_from_rank(r: int, rank: int) -> int:
+    """dim(tau(H) ∩ H) = 2 dim(H) + 2^r - 1 - rank(S_tau) for zero-fixing tau."""
+    return base_dim(r) + (1 << r) - 1 - rank
 
 
 def _gl_generators(r: int) -> tuple[BitMatrix, ...]:
@@ -175,15 +185,14 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     The rows are split into orbits under GL conjugation and inversion
     (`_orbit_edges`), which never leave a class.  Orbits are processed in
     ascending lexicographic order of their least member, which alone gets
-    the invariants and the bucket double-coset tests; every member takes
-    its orbit's invariants and class.  So each class representative is the
-    least member of its class and class ids are canonical regardless of
-    input order.  A bucket holds the orbits with one invariant triple and
-    one pair sorted((S(tau), S(tau^-1))) of `spectrum_keys` multisets, both
-    constant on a class.  One loop over the least members keys, tests and
-    counts: the spectra of a member and of its inverse are computed once,
-    for its key, and the bucket tests and the one search that gives a new
-    class its aut_order and point transitivity read them from the cache.
+    a rank, spectra and bucket double-coset tests, so each class
+    representative is the least member of its class and class ids are
+    canonical regardless of input order.  A bucket holds the orbits with
+    one rank and one pair sorted((S(tau), S(tau^-1))) of `spectrum_keys`
+    multisets; the spectra fix the kernel dimension (log2 #{x : c_tau(x) =
+    2^r}) and the rank the intersection dimension.  The bucket tests and
+    the search for a new class's aut_order and point transitivity read the
+    cached spectra; the class columns are computed once, for the founder.
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
@@ -192,33 +201,31 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     least = [p for p, q in enumerate(root) if p == q]
 
     buckets: dict[tuple, list] = {}
-    class_stats: list[tuple[int, bool]] = []  # (aut_order, point transitive) per class
-    orbit_of: dict[int, tuple] = {}  # least member -> (invariant triple, class id)
+    class_columns: list[tuple] = []  # (rank, kernel, intersection, aut_order, transitive) per class
+    class_of: dict[int, int] = {}  # least member -> class id
     for p in least:
         perm = PointPerm(r, tuple(rows_l[p]))
         inv = invert_perm(perm)
-        triple = _invariant_triple(perm)
+        rank = perm_rank(perm)
         spectra_key = tuple(sorted((spectrum_keys(perm.images)[1], spectrum_keys(inv.images)[1])))
-        bucket = buckets.setdefault((triple, spectra_key), [])
-        found = -1
+        bucket = buckets.setdefault((rank, spectra_key), [])
         for cid, rep, rep_inv in bucket:
-            if (
-                double_coset_member(perm, rep) is not None
-                or double_coset_member(perm, rep_inv) is not None
-            ):
+            if double_coset_member(perm, rep) is not None or double_coset_member(perm, rep_inv) is not None:
                 found = cid
                 break
-        if found < 0:
-            found = len(class_stats)
-            class_stats.append(aut_order_and_transitivity(perm))
+        else:
+            found = len(class_columns)
+            class_columns.append(
+                (rank, perm_kernel_dim(perm), _intersection_from_rank(r, rank), *aut_order_and_transitivity(perm))
+            )
             bucket.append((found, perm, inv))
-        orbit_of[p] = (triple, found)
+        class_of[p] = found
 
     min_kernel = base_dim(r)
     entries = []
     for p, i in enumerate(order.tolist()):
-        (rank_val, kernel_val, inter_val), cid = orbit_of[root[p]]
-        aut_val, transitive = class_stats[cid]
+        cid = class_of[root[p]]
+        rank_val, kernel_val, inter_val, aut_val, transitive = class_columns[cid]
         entries.append(
             CatalogEntry(
                 tau_id=_tau_id(r, rows_l[p]),
@@ -234,10 +241,6 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
             )
         )
     return entries
-
-
-def _invariant_triple(perm: PointPerm):
-    return perm_rank(perm), perm_kernel_dim(perm), perm_intersection_dim(perm)
 
 
 def classify(taus) -> list[CatalogEntry]:
@@ -350,16 +353,16 @@ def composed_series(r: int):
     n = 1 << r
     inv_images = invert_perm(tau).images
     a_inv = invert(wit_a)
-    assert all(
-        inv_images[x] == wit_b.apply(tau.images[a_inv.apply(x)]) for x in range(n)
-    ), "block-diagonal witness failed to verify"
+    if any(inv_images[x] != wit_b.apply(tau.images[a_inv.apply(x)]) for x in range(n)):
+        raise InconsistentInput("block-diagonal witness failed to verify")
 
+    rank = perm_rank(tau)
     entry = CatalogEntry(
         tau_id=tau_id_string(tau),
         r=r,
-        rank=perm_rank(tau),
+        rank=rank,
         kernel_dim=base_dim(r),
-        intersection_dim=perm_intersection_dim(tau),
+        intersection_dim=_intersection_from_rank(r, rank),
         point_transitive=True,
         aut_order=aut_order(tau) if r <= 4 else None,
         class_id=0,

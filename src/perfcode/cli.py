@@ -1,29 +1,45 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 validation failure, 2 budget exhaustion,
-3 malformed input.  PERFCODE_BUDGET_SECONDS provides the default time
-budget for the enumeration commands.
+3 malformed input, usage errors included.  PERFCODE_BUDGET_SECONDS
+provides the default time budget for the enumeration commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 
 from . import io as pio
 from .classify import classify_catalog, composed_series, tau_id_string, transitivity_report
-from .codes import explicit_materialize, extended_hamming, stats_coset_union
+from .codes import ExplicitCode, explicit_materialize, extended_hamming, stats_coset_union
 from .constructions import build_s_tau, hadamard_a_tau, mollard
 from .errors import BudgetExceeded, MalformedInput, PerfcodeError
 from .regular_groups import ENUM_MAX_R, ENUM_MIN_R, catalog_taus, enumerate_regular_subgroups
 from .sqs import sqs_from_tau, validate_sqs
 
 
-def _env_budget() -> float | None:
-    raw = os.environ.get("PERFCODE_BUDGET_SECONDS")
-    return float(raw) if raw else None
+def _budget(args) -> float | None:
+    """--budget-seconds, else a non-empty PERFCODE_BUDGET_SECONDS, else None; `inf`
+    is none, and a non-number or NaN (a deadline no clock passes) is malformed."""
+    raw = args.budget_seconds
+    if raw is None and not (raw := os.environ.get("PERFCODE_BUDGET_SECONDS")):
+        return None
+    try:
+        if not math.isnan(seconds := float(raw)):
+            return seconds
+    except ValueError:
+        pass
+    raise MalformedInput(f"budget must be a number of seconds, got {raw!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors are malformed input, exit 3: 2 means budget exhaustion."""
+        self.exit(3, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _check_out(path) -> None:
@@ -88,11 +104,10 @@ def cmd_enum_regular(args) -> int:
     # with the BudgetExceeded that the loop below takes for a spent budget
     if not ENUM_MIN_R <= args.r <= ENUM_MAX_R:
         raise ValueError(f"enum-regular supports {ENUM_MIN_R} <= r <= {ENUM_MAX_R}, got {args.r}")
-    budget = args.budget_seconds if args.budget_seconds is not None else _env_budget()
     groups = []
     complete = True
     try:
-        for group in enumerate_regular_subgroups(args.r, budget_seconds=budget):
+        for group in enumerate_regular_subgroups(args.r, budget_seconds=_budget(args)):
             groups.append(group)
     except BudgetExceeded:
         complete = False
@@ -103,8 +118,7 @@ def cmd_enum_regular(args) -> int:
 
 
 def cmd_catalog_taus(args) -> int:
-    budget = args.budget_seconds if args.budget_seconds is not None else _env_budget()
-    catalog = catalog_taus(args.r, budget_seconds=budget)
+    catalog = catalog_taus(args.r, budget_seconds=_budget(args))
     pio.save_tau_catalog(args.out, catalog)
     status = "complete" if catalog.complete else "partial"
     print(f"wrote {len(catalog)} distinct taus ({status}) to {args.out}")
@@ -114,13 +128,9 @@ def cmd_catalog_taus(args) -> int:
 def cmd_classify(args) -> int:
     catalog = pio.load_tau_catalog(args.catalog)
     entries = classify_catalog(catalog)
-    text = (
-        pio.emit_catalog_json(entries)
-        if args.format == "json"
-        else pio.emit_catalog_csv(entries)
-    )
+    emit = pio.emit_catalog_json if args.format == "json" else pio.emit_catalog_csv
     with open(args.out, "w") as fh:
-        fh.write(text)
+        fh.write(emit(entries))
     classes = len({e.class_id for e in entries})
     status = "" if catalog.complete else " of a partial catalog"
     print(f"classified {len(entries)} entries{status} into {classes} classes -> {args.out}")
@@ -157,8 +167,6 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_mollard(args) -> int:
-    from .codes import ExplicitCode
-
     def factor(length: int) -> ExplicitCode:
         if length < 1 or length & (length - 1):
             raise MalformedInput(f"factor length {length} is not a power of two")
@@ -173,7 +181,7 @@ def cmd_mollard(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perfcode",
         description="Extended perfect propelinear codes, their SQS, and classification.",
     )
@@ -205,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum-regular", help="enumerate regular subgroups of GA(r,2)")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--budget-seconds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enum_regular)
 
     p = sub.add_parser("catalog-taus", help="catalog induced permutations")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--budget-seconds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_catalog_taus)
 

@@ -4,8 +4,7 @@ permutations, the Mollard composition, and the Hadamard analog A_tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from ._bits import parity
 from .algebra import BitMatrix, PointPerm
@@ -17,7 +16,7 @@ from .codes import (
     coset_reps,
     extended_hamming,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InconsistentInput
 
 S_TAU_MAX_R = 5
 HADAMARD_MAX_R = 4
@@ -84,13 +83,9 @@ def p2(z: int, t: int, m: int) -> int:
     return out
 
 
-def zero_phi(_: int) -> int:
-    return 0
-
-
 @dataclass(frozen=True)
 class MollardCode:
-    """M(C,D) = {z : p1(z) in C, p2(z) in phi(p1(z)) + D}.
+    """M(C,D) = {z : p1(z) in C, p2(z) in D}.
 
     Coordinates are pairs (row, col) flattened row-major: (i, j) -> i*m + j.
     """
@@ -99,7 +94,6 @@ class MollardCode:
     m: int
     c: ExplicitCode
     d: ExplicitCode
-    phi: Callable[[int], int] = field(default=zero_phi, compare=False)
 
     @property
     def length(self) -> int:
@@ -110,10 +104,7 @@ class MollardCode:
         return self.c.size * self.d.size * (1 << (self.t * self.m - self.t - self.m + 1))
 
     def contains(self, z: int) -> bool:
-        u = p1(z, self.t, self.m)
-        if u not in self.c.words:
-            return False
-        return (p2(z, self.t, self.m) ^ self.phi(u)) in self.d.words
+        return p1(z, self.t, self.m) in self.c.words and p2(z, self.t, self.m) in self.d.words
 
     def materialize(self) -> ExplicitCode:
         if self.length > MOLLARD_BUDGET_BITS:
@@ -122,18 +113,14 @@ class MollardCode:
             )
         c_set = frozenset(self.c.words)
         d_set = frozenset(self.d.words)
-        words = []
-        for z in range(1 << self.length):
-            u = p1(z, self.t, self.m)
-            if u in c_set and (p2(z, self.t, self.m) ^ self.phi(u)) in d_set:
-                words.append(z)
-        return ExplicitCode(self.length, tuple(words))
+        t, m = self.t, self.m
+        words = tuple(z for z in range(1 << self.length) if p1(z, t, m) in c_set and p2(z, t, m) in d_set)
+        return ExplicitCode(self.length, words)
 
 
-def mollard(c: ExplicitCode, d: ExplicitCode, phi: Callable[[int], int] = zero_phi) -> MollardCode:
+def mollard(c: ExplicitCode, d: ExplicitCode) -> MollardCode:
     """The Mollard composition of two extended perfect codes containing 0."""
-    t, m = c.length, d.length
-    return MollardCode(t=t, m=m, c=c, d=d, phi=phi)
+    return MollardCode(t=c.length, m=d.length, c=c, d=d)
 
 
 def dub1(pi, t: int, m: int) -> tuple[int, ...]:
@@ -182,5 +169,6 @@ def hadamard_a_tau(tau: PointPerm) -> HadamardCode:
         for u in halves[a]:
             for v in halves[tau.images[a]]:
                 words.add(u | (v << n))
-    assert len(words) == 4 * n
+    if len(words) != 4 * n:
+        raise InconsistentInput(f"A_tau has {len(words)} words, not {4 * n}")
     return HadamardCode(r=r, tau=tau, words=ExplicitCode(2 * n, tuple(sorted(words))))

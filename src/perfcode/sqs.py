@@ -19,7 +19,7 @@ from .algebra import (
     invert_perm,
     is_linear,
 )
-from .errors import AffineInput, BudgetExceeded, DimensionMismatch
+from .errors import AffineInput, BudgetExceeded, DimensionMismatch, InconsistentInput
 
 SQS_MAX_R = 5
 
@@ -433,8 +433,8 @@ def count_automorphisms(q: SQS) -> int:
         img, used = img[:], used[:]
         img[p] = p
         used[p] = True
-        ok = index.propagate(img, used, [p])
-        assert ok, "identity must stabilize every prefix"
+        if not index.propagate(img, used, [p]):
+            raise InconsistentInput("the identity does not stabilize every prefix")
     gens: list[list[int]] = []
     order = 1
     for img, used, p in reversed(levels):

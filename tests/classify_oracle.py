@@ -4,17 +4,34 @@ orbit-at-a-time classification of `perfcode.classify`.
 Every row gets its own invariant triple and its own double-coset tests
 against the representatives of its invariant bucket, in ascending
 lexicographic order of the image tuples; no orbit is formed.  It shares
-the invariants, the double-coset search and `aut_order` /
-`point_transitive` with the code it checks.
+the rank, the kernel dimension, the double-coset search and `aut_order` /
+`point_transitive` with the code it checks, and computes the intersection
+dimension by its own GF(2) elimination, where the code it checks reads it
+off the rank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from perfcode._bits import span_dim, transpose
 from perfcode.algebra import PointPerm, double_coset_member, invert_perm
-from perfcode.classify import CatalogEntry, _invariant_triple, tau_id_string
+from perfcode.classify import CatalogEntry, tau_id_string
+from perfcode.codes import hamming_parity_rows, perm_kernel_dim, perm_rank
 from perfcode.sqs import aut_order, point_transitive
+
+
+def intersection_dim(tau: PointPerm) -> int:
+    """dim(tau(H) ∩ H) as 2^r minus the rank of the stacked parity rows of
+    H and tau(H)."""
+    r = tau.r
+    # the all-ones parity row of tau(H) equals that of H; skip the duplicate
+    rows = hamming_parity_rows(r) + transpose(invert_perm(tau).images, r)
+    return (1 << r) - span_dim(rows)
+
+
+def _invariant_triple(perm: PointPerm):
+    return perm_rank(perm), perm_kernel_dim(perm), intersection_dim(perm)
 
 
 def classify_oracle(taus) -> list[CatalogEntry]:

@@ -1,5 +1,9 @@
+import importlib
+import os
 import random
+import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +36,6 @@ from perfcode.algebra import invert as mat_invert
 from perfcode.classify import (
     SERIES_BASE_TAUS,
     _gl_generators,
-    _invariant_triple,
     _orbit_edges,
     _orbit_roots,
     classify_catalog,
@@ -44,8 +47,11 @@ from perfcode.classify import (
 from perfcode.codes import base_dim, kernel_dims
 from perfcode.regular_groups import automorphism_census
 from perfcode import sqs as sqs_module
-from classify_oracle import classify_oracle
+from classify_oracle import _invariant_triple, classify_oracle
 from conftest import random_gl, random_zero_fixing
+
+# the module, which the package's `classify` function shadows as an attribute
+classify_module = importlib.import_module("perfcode.classify")
 
 
 class TestClassify:
@@ -120,11 +126,18 @@ class TestInvariantFormulas:
         assert perm_intersection_dim(tau) == 4
 
     def test_intersection_dim_matches_code_computation(self, rng):
-        h = extended_hamming(3)
-        for _ in range(10):
-            tau = random_zero_fixing(3, rng)
-            expected = intersect(apply_point_perm_to_code(tau, h), h).dim
-            assert perm_intersection_dim(tau) == expected
+        # zero-fixing taus, their translates and unconstrained permutations
+        for r in range(2, 6):
+            h = extended_hamming(r)
+            n = 1 << r
+            for _ in range(10):
+                tau = random_zero_fixing(r, rng)
+                shift = rng.randrange(1, n)
+                translate = PointPerm(r, tuple(v ^ shift for v in tau.images))
+                free = PointPerm(r, tuple(rng.sample(range(n), n)))
+                for perm in (tau, translate, free):
+                    expected = intersect(apply_point_perm_to_code(perm, h), h).dim
+                    assert perm_intersection_dim(perm) == expected
 
 
 class TestKernelFilter:
@@ -201,6 +214,53 @@ class TestSeries:
         with pytest.raises(BudgetExceeded):
             composed_series(13)
 
+    @pytest.mark.parametrize(
+        "r, columns",
+        [
+            (3, (13, 8, 2, 1536)),
+            (4, (28, 22, 9, 2048)),
+            (6, (124, 114, 53, None)),
+            (7, (251, 240, 116, None)),
+            (12, (8184, 8166, 4077, None)),
+        ],
+    )
+    def test_pinned_columns(self, r, columns):
+        # (rank, kernel dim, intersection dim, aut_order)
+        _, _, entry = composed_series(r)
+        assert (entry.rank, entry.kernel_dim, entry.intersection_dim, entry.aut_order) == columns
+
+    def test_witness_check_survives_optimize(self):
+        # the block-diagonal witness is certified by an explicit raise, so a
+        # wrong witness is refused under `python -O` too
+        script = textwrap.dedent(
+            """
+            import importlib
+            from perfcode.errors import InconsistentInput
+
+            series = importlib.import_module("perfcode.classify")
+            base = series._series_base
+
+            def wrong(r):
+                tau, (a, b) = base(r)
+                return tau, (a, b @ series._gl_generators(r)[0])
+
+            series._series_base = wrong
+            try:
+                series.composed_series(6)
+            except InconsistentInput:
+                print("refused")
+            else:
+                print("returned")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sys.modules["perfcode"].__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["refused"]
+
 
 def _sorted_rows(images: np.ndarray) -> np.ndarray:
     return images[np.lexsort(images.T[::-1])]
@@ -220,6 +280,17 @@ def _with_conjugates(taus, r: int, rng: random.Random):
         out += [_conjugate(tau, m) for m in mats]
     rng.shuffle(out)
     return out
+
+
+def _products_batch(rng: random.Random) -> list[PointPerm]:
+    """6 random r=4 taus, then sigma_B tau sigma_A^-1 and its inverse for
+    the first 3: 12 taus in 9 orbits."""
+    taus = [random_zero_fixing(4, rng) for _ in range(6)]
+    for tau in taus[:3]:
+        a_mat, b_mat = random_gl(4, rng), random_gl(4, rng)
+        prod = compose(compose(sigma_m(b_mat), tau), sigma_m(mat_invert(a_mat)))
+        taus += [prod, invert_perm(prod)]
+    return taus
 
 
 class TestOrbitClassification:
@@ -295,11 +366,7 @@ class TestOrbitClassification:
     def test_spectra_computed_once_per_orbit(self, monkeypatch, rng):
         # the bucket key, the bucket tests and the class statistics share the
         # spectra of each orbit's least member and of its inverse
-        taus = [random_zero_fixing(4, rng) for _ in range(6)]
-        for tau in taus[:3]:
-            a_mat, b_mat = random_gl(4, rng), random_gl(4, rng)
-            prod = compose(compose(sigma_m(b_mat), tau), sigma_m(mat_invert(a_mat)))
-            taus += [prod, invert_perm(prod)]
+        taus = _products_batch(rng)
         rows = _sorted_rows(np.array([t.images for t in taus], dtype=np.int8))
         least = sorted(set(_orbit_roots(_orbit_edges(rows, 4)).tolist()))
         assert len(least) == 9
@@ -327,6 +394,26 @@ class TestOrbitClassification:
         assert entries == classify_oracle(taus)
         assert len({e.class_id for e in entries}) == 6
         assert sorted(computed) == sorted(expected)
+
+    def test_class_columns_computed_once_per_class(self, monkeypatch, rng):
+        # orbits get their rank and spectra; the kernel dimension, like the
+        # other class columns, is computed once, for each class's founder
+        taus = _products_batch(rng)
+        expected = classify_oracle(taus)
+        computed = []
+
+        def counted(perm):
+            computed.append(tau_id_string(perm))
+            return perm_kernel_dim(perm)
+
+        monkeypatch.setattr(classify_module, "perm_kernel_dim", counted)
+        entries = classify(taus)
+        assert entries == expected
+        reps = {}
+        for e in entries:
+            reps.setdefault(e.class_id, e.tau_id)
+        assert len(reps) == 6
+        assert sorted(computed) == sorted(reps.values())
 
     @pytest.mark.parametrize("r, order", [(3, 168), (4, 20160)])
     def test_generators_generate_gl(self, r, order):

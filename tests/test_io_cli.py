@@ -640,6 +640,60 @@ class TestCli:
         _, complete, _ = pio.load_groups(groups_path)
         assert complete is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--out", "{out}"],
+            ["no-such-command"],
+            ["classify", "--catalog", "{out}", "--out", "{out}", "--format", "xml"],
+            ["series", "--r", "three"],
+        ],
+        ids=["missing-argument", "unknown-command", "format-xml", "r-three"],
+    )
+    def test_usage_error_exits_3(self, tmp_path, capsys, argv):
+        # 2 is reserved for budget exhaustion: a typo must not read as a partial run
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([arg.format(out=out) for arg in argv])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: perfcode")
+        assert "error: " in captured.err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: perfcode")
+
+    @pytest.mark.parametrize(
+        "flag, env",
+        [("nan", None), ("abc", None), (None, "nan"), (None, "abc")],
+        ids=["flag-nan", "flag-abc", "env-nan", "env-abc"],
+    )
+    def test_malformed_budget_exits_3(self, tmp_path, capsys, monkeypatch, flag, env):
+        # a NaN deadline is never passed, so it would silently mean no budget
+        if env is None:
+            monkeypatch.delenv("PERFCODE_BUDGET_SECONDS", raising=False)
+        else:
+            monkeypatch.setenv("PERFCODE_BUDGET_SECONDS", env)
+        out = tmp_path / "catalog.json"
+        argv = ["catalog-taus", "--r", "3", "--out", str(out)]
+        if flag is not None:
+            argv += ["--budget-seconds", flag]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"malformed input: budget must be a number of seconds, got {flag or env!r}\n"
+        assert not out.exists()
+
+    def test_infinite_budget_is_no_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PERFCODE_BUDGET_SECONDS", "abc")  # the flag takes precedence
+        out = tmp_path / "catalog.json"
+        assert cli_main(["catalog-taus", "--r", "3", "--budget-seconds", "inf", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == R3_CATALOG_SHA256
+
     def test_series_and_report(self, tmp_path, rng, capsys):
         assert cli_main(["series", "--r", "6"]) == 0
         out = capsys.readouterr().out
