@@ -5,6 +5,7 @@ reports, and the composed series of neighbor transitive codes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,19 +61,63 @@ class TransitivityReport:
     neighbor_transitive: bool
 
 
-_HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
-
-
 def tau_id_string(tau: PointPerm) -> str:
-    return _tau_id(tau.r, tau.images)
+    return _tau_ids(tau.r, np.array([tau.images]))[0]
 
 
-def _tau_id(r: int, images) -> str:
-    if r <= 4:
-        body = bytes(images).translate(_HEX_DIGITS).decode()
-    else:
-        body = ".".join(str(v) for v in images)
-    return f"r{r}-{body}"
+def _tau_ids(r: int, rows: np.ndarray) -> list[str]:
+    """The id of each row of an (N, 2^r) image array: one hex digit per image
+    for r <= 4, in one pass over the array, and dotted decimals beyond."""
+    if r > 4:
+        return [f"r{r}-" + ".".join(map(str, row)) for row in rows.tolist()]
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[rows]
+    return np.char.add(f"r{r}-".encode(), digits.view(f"S{rows.shape[1]}").ravel()).astype(str).tolist()
+
+
+class Classification(Sequence):
+    """Classified permutations as columns, with entries built on demand: the
+    lexsorted int8 `rows` (row p is input row order[p]), their class ids and
+    induced flags, each class's (rank, kernel, intersection, aut_order,
+    transitive), and the rows' provenance `source`: the input's (group_ids,
+    aut_ids), written "g<group>:a<aut>", or one string for every row."""
+
+    def __init__(self, r: int, rows, order, class_ids, classes: list[tuple], induced, source):
+        self.r, self.rows, self.order, self.class_ids = r, rows, order, class_ids
+        self.classes, self.induced, self.source = classes, induced, source
+        # the columns between tau_id and provenance, at 2 * class id + induced flag
+        self.middles = [(r, rank, kern, inter, trans, aut, cid, flag and kern == base_dim(r))
+                        for cid, (rank, kern, inter, aut, trans) in enumerate(classes) for flag in (False, True)]
+
+    def columns(self, rows=slice(None)) -> tuple[list[str], list[tuple], list[int], list[str]]:
+        """(tau ids, `middles`, each row's index into them, provenances) of
+        the rows, a slice or a list of positions."""
+        keys = (2 * self.class_ids[rows] + self.induced[rows]).tolist()
+        if isinstance(self.source, str):
+            provenance = [self.source] * len(keys)
+        else:
+            picked = self.order[rows]
+            provenance = ["g%d:a%d" % ids for ids in zip(*(col[picked].tolist() for col in self.source))]
+        return _tau_ids(self.r, self.rows[rows]), self.middles, keys, provenance
+
+    def _entries(self, rows):
+        tau_ids, middles, keys, provenance = self.columns(rows)
+        return (CatalogEntry(t, *middles[k], p) for t, k, p in zip(tau_ids, keys, provenance))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._entries(i))
+        return next(self._entries([range(len(self))[i]]))
+
+    def __iter__(self):
+        return self._entries(slice(None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def perm_intersection_dim(tau: PointPerm) -> int:
@@ -179,7 +224,7 @@ def _orbit_roots(edges: np.ndarray) -> np.ndarray:
             label = jumped
 
 
-def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
+def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classification:
     """Core classification over an (N, 2^r) image array.
 
     The rows are split into orbits under GL conjugation and inversion
@@ -196,15 +241,14 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
-    root = _orbit_roots(_orbit_edges(rows, r)).tolist()
-    rows_l = rows.tolist()
-    least = [p for p, q in enumerate(root) if p == q]
+    root = _orbit_roots(_orbit_edges(rows, r))
+    least = np.flatnonzero(root == np.arange(len(rows)))
 
     buckets: dict[tuple, list] = {}
     class_columns: list[tuple] = []  # (rank, kernel, intersection, aut_order, transitive) per class
-    class_of: dict[int, int] = {}  # least member -> class id
+    class_of = []  # the class id of each least member
     for p in least:
-        perm = PointPerm(r, tuple(rows_l[p]))
+        perm = PointPerm(r, tuple(rows[p].tolist()))
         inv = invert_perm(perm)
         rank = perm_rank(perm)
         spectra_key = tuple(sorted((spectrum_keys(perm.images)[1], spectrum_keys(inv.images)[1])))
@@ -219,31 +263,13 @@ def _classify_arrays(images: np.ndarray, r: int, induced, provenance):
                 (rank, perm_kernel_dim(perm), _intersection_from_rank(r, rank), *aut_order_and_transitivity(perm))
             )
             bucket.append((found, perm, inv))
-        class_of[p] = found
+        class_of.append(found)
 
-    min_kernel = base_dim(r)
-    entries = []
-    for p, i in enumerate(order.tolist()):
-        cid = class_of[root[p]]
-        rank_val, kernel_val, inter_val, aut_val, transitive = class_columns[cid]
-        entries.append(
-            CatalogEntry(
-                tau_id=_tau_id(r, rows_l[p]),
-                r=r,
-                rank=rank_val,
-                kernel_dim=kernel_val,
-                intersection_dim=inter_val,
-                point_transitive=transitive,
-                aut_order=aut_val,
-                class_id=cid,
-                non_mollard=bool(induced[i]) and kernel_val == min_kernel,
-                provenance=provenance[i],
-            )
-        )
-    return entries
+    class_ids = np.array(class_of, dtype=np.intp)[np.searchsorted(least, root)]
+    return Classification(r, rows, order, class_ids, class_columns, np.asarray(induced, dtype=bool)[order], source)
 
 
-def classify(taus) -> list[CatalogEntry]:
+def classify(taus) -> Sequence[CatalogEntry]:
     """Classify permutations into isomorphism classes of their codes/SQS.
 
     Entries with equal class_id are pairwise sqs-isomorphic; the output
@@ -262,26 +288,20 @@ def classify(taus) -> list[CatalogEntry]:
     if r > SEARCH_MAX_R:
         raise BudgetExceeded(f"classification supports r <= {SEARCH_MAX_R}")
     images = np.array([t.images for t in taus], dtype=np.int8)
-    induced = [t.induced for t in taus]
-    return _classify_arrays(images, r, induced, ["user"] * len(taus))
+    return _classify_arrays(images, r, [t.induced for t in taus], "user")
 
 
-def classify_catalog(catalog: TauCatalog, kernel_dim: int | None = None) -> list[CatalogEntry]:
+def classify_catalog(catalog: TauCatalog, kernel_dim: int | None = None) -> Classification:
     """Classify a tau catalog, optionally filtered to one kernel dimension.
 
     Stays in array form throughout, so the full r=4 catalog (millions of
     permutations) is classified without materializing permutation objects.
     """
-    r = catalog.r
-    images = catalog.images
-    gids, aids = catalog.group_ids, catalog.aut_ids
+    images, gids, aids = catalog.images, catalog.group_ids, catalog.aut_ids
     if kernel_dim is not None:
         keep = kernel_dims(images) == kernel_dim
-        images = images[keep]
-        gids, aids = gids[keep], aids[keep]
-    provenance = [f"g{int(g)}:a{int(a)}" for g, a in zip(gids, aids)]
-    induced = [True] * len(images)
-    return _classify_arrays(images, r, induced, provenance)
+        images, gids, aids = images[keep], gids[keep], aids[keep]
+    return _classify_arrays(images, catalog.r, np.ones(len(images), dtype=bool), (gids, aids))
 
 
 def transitivity_report(tau: PointPerm) -> TransitivityReport:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -131,7 +132,7 @@ def cmd_classify(args) -> int:
     emit = pio.emit_catalog_json if args.format == "json" else pio.emit_catalog_csv
     with open(args.out, "w") as fh:
         fh.write(emit(entries))
-    classes = len({e.class_id for e in entries})
+    classes = len(entries.classes)
     status = "" if catalog.complete else " of a partial catalog"
     print(f"classified {len(entries)} entries{status} into {classes} classes -> {args.out}")
     return 0 if catalog.complete else 2
@@ -180,6 +181,7 @@ def cmd_mollard(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="perfcode",

@@ -15,14 +15,16 @@ import csv
 import dataclasses
 import io as _io
 import json
+import operator
 import re
+from collections.abc import Sequence
 from itertools import chain
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .algebra import BitMatrix, PointPerm
-from .classify import CatalogEntry
+from .classify import CatalogEntry, Classification
 from .codes import CosetUnionCode, ExplicitCode, LinearCode
 from .errors import MalformedInput
 from .regular_groups import ENUM_MAX_R, ENUM_MIN_R, RegularSubgroup, TauCatalog
@@ -353,14 +355,28 @@ def _tau_catalog_from_obj(obj) -> TauCatalog:
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = [f.name for f in dataclasses.fields(CatalogEntry)]
+_ENTRY_COLUMNS = operator.attrgetter(*CSV_COLUMNS)
 
 
-def _entry_obj(e: CatalogEntry) -> dict:
-    return {c: getattr(e, c) for c in CSV_COLUMNS}
+def _columns(entries) -> tuple[list[str], list[tuple], list[int], list[str]]:
+    """The emitters' columns: a Classification's own, or any other entries' read in one pass."""
+    if isinstance(entries, Classification):
+        return entries.columns()
+    rows = list(map(_ENTRY_COLUMNS, entries))
+    index: dict[tuple, int] = {}
+    # keyed by the types too: True == 1, but the two are written apart
+    keys = [index.setdefault(((m := row[1:-1]), tuple(map(type, m))), len(index)) for row in rows]
+    return [row[0] for row in rows], [m for m, _ in index], keys, [row[-1] for row in rows]
 
 
-def emit_catalog_json(entries: list[CatalogEntry]) -> str:
-    return json.dumps([_entry_obj(e) for e in entries], separators=(",", ":")) + "\n"
+def emit_catalog_json(entries: Sequence[CatalogEntry]) -> str:
+    """The compact json.dumps of the entries as objects: it formats each
+    distinct middle tuple once, and its string encoder quotes the rest."""
+    tau_ids, middles, keys, provenance = _columns(entries)
+    fields = [json.dumps(dict(zip(CSV_COLUMNS[1:-1], m)), separators=(",", ":"))[1:-1] for m in middles]
+    quote = json.encoder.encode_basestring_ascii
+    objs = (f'{{"tau_id":{quote(t)},{fields[k]},"provenance":{quote(p)}}}' for t, k, p in zip(tau_ids, keys, provenance))
+    return f"[{','.join(objs)}]\n"
 
 
 def _entries_from_obj(items) -> list[CatalogEntry]:
@@ -377,11 +393,12 @@ def parse_catalog_json(text: str) -> list[CatalogEntry]:
     return _decode_json(text, "classification JSON", _entries_from_obj)
 
 
-def emit_catalog_csv(entries: list[CatalogEntry]) -> str:
+def emit_catalog_csv(entries: Sequence[CatalogEntry]) -> str:
+    tau_ids, middles, keys, provenance = _columns(entries)
+    # flags are written true/false; csv writes a null aut_order as ""
+    cells = [tuple(str(v).lower() if isinstance(v, bool) else v for v in m) for m in middles]
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for e in entries:
-        # flags are written true/false; csv writes a null aut_order as ""
-        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in _entry_obj(e).values()])
+    writer.writerows((t, *cells[k], p) for t, k, p in zip(tau_ids, keys, provenance))
     return buf.getvalue()

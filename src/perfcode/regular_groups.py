@@ -10,6 +10,7 @@ is unipotent, which the enumeration uses as a pre-filter.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -186,6 +187,13 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
     yield from dfs(start)
 
 
+def _deadline(budget_seconds: float | None) -> float | None:
+    """When a budget ends; None and inf never do, and NaN, which no clock passes, is refused."""
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number of seconds, got nan")
+    return None if budget_seconds is None else time.monotonic() + budget_seconds
+
+
 def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
     """Yield every regular subgroup of GA(r,2) exactly once.
 
@@ -193,7 +201,7 @@ def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
     budget runs out (everything yielded before that is valid, the stream
     is just incomplete).
     """
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    deadline = _deadline(budget_seconds)
     tab = _tables(r)
     for mats_idx in _enumerate_regular_idx(r, deadline):
         mats = tuple(BitMatrix(r, r, tab.uni[k]) for k in mats_idx)
@@ -305,7 +313,7 @@ def automorphism_census(r: int, budget_seconds: float | None = None):
     Raises BudgetExceeded mid-stream once the time budget runs out: the
     enumeration checks the deadline before it hands over each group, so
     the groups yielded before are whole and are the first ones in order."""
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    deadline = _deadline(budget_seconds)
     tab = _tables(r)
     for mats_idx in _enumerate_regular_idx(r, deadline):
         yield _automorphism_perms(_mult_table(tab.app[mats_idx]), 1 << r)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,7 @@ from perfcode.classify import (
     tau_id_string,
 )
 from perfcode.codes import base_dim, kernel_dims
-from perfcode.regular_groups import automorphism_census
+from perfcode.regular_groups import TauCatalog, automorphism_census
 from perfcode import sqs as sqs_module
 from classify_oracle import _invariant_triple, classify_oracle
 from conftest import random_gl, random_zero_fixing
@@ -149,6 +150,52 @@ class TestKernelFilter:
             want = sorted(tau_id_string(t) for t, kt in zip(r3_taus, kernels) if kt == k)
             assert sorted(e.tau_id for e in entries) == want
             assert all(e.kernel_dim == k for e in entries)
+
+
+class TestClassificationSequence:
+    """`classify_catalog` returns a read-only sequence that builds its entries
+    on demand from columns; it behaves as the list of those entries."""
+
+    def test_indexing_slicing_and_iteration(self, r3_catalog):
+        entries = classify_catalog(r3_catalog)
+        listed = list(entries)
+        assert isinstance(entries, Sequence) and len(entries) == len(listed) == 1372
+        assert [entries[i] for i in range(len(entries))] == listed
+        assert list(entries) == listed  # a second pass gives the same entries
+        assert entries[0] == listed[0] and entries[-1] == listed[-1]
+        assert entries[-1372] == listed[0]
+        for i in (1372, -1373):
+            with pytest.raises(IndexError):
+                entries[i]
+        for cut in (slice(5, 9), slice(None, None, -97), slice(1300, None, 7), slice(10, 3), slice(2000, None),
+                    slice(0, 0)):
+            assert entries[cut] == listed[cut]
+            assert isinstance(entries[cut], list)
+
+    def test_equality_both_ways(self, r3_catalog):
+        entries = classify_catalog(r3_catalog)
+        listed = list(entries)
+        assert entries == listed and listed == entries and entries == tuple(listed)
+        assert not (entries != listed) and not (listed != entries)
+        changed = listed[:]
+        changed[700] = replace(changed[700], provenance="user")
+        for other in (listed[:-1], listed + listed[:1], changed, []):
+            assert entries != other and other != entries
+            assert not (entries == other) and not (other == entries)
+        order = np.random.default_rng(19).permutation(len(r3_catalog))
+        shuffled = TauCatalog(3, r3_catalog.images[order], r3_catalog.group_ids[order],
+                              r3_catalog.aut_ids[order], complete=True)
+        assert classify_catalog(shuffled) == entries
+        assert entries != 1372
+
+    def test_empty_result(self, r3_catalog):
+        entries = classify_catalog(r3_catalog, kernel_dim=0)
+        assert len(entries) == 0 and not entries
+        assert list(entries) == [] and entries[:] == [] and entries[3:9] == []
+        assert entries == [] and [] == entries
+        for i in (0, -1):
+            with pytest.raises(IndexError):
+                entries[i]
 
 
 class TestTransitivityReport:

@@ -1,6 +1,11 @@
+import csv
 import hashlib
+import importlib
+import io
 import json
+import random
 import tempfile
+from dataclasses import replace
 from functools import cache
 from itertools import islice, permutations
 from pathlib import Path
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from perfcode import (
+    CatalogEntry,
     ExplicitCode,
     MalformedInput,
     PointPerm,
@@ -23,10 +29,11 @@ from perfcode import (
     explicit_materialize,
     extended_hamming,
     identity_perm,
+    invert_perm,
     sqs_from_tau,
     weight4_supports,
 )
-from perfcode.cli import cli_main
+from perfcode.cli import build_parser, cli_main
 from perfcode.classify import classify_catalog
 from perfcode.regular_groups import TauCatalog
 from perfcode import io as pio
@@ -345,6 +352,66 @@ class TestCatalogFiles:
         assert all(ln.count(",") == len(pio.CSV_COLUMNS) - 1 for ln in lines)
 
 
+def _mixed_induced(taus, rng):
+    return [PointPerm(t.r, t.images, induced=rng.random() < 0.5) for t in taus]
+
+
+class TestClassificationOutput:
+    """The emitters format a classification straight from its columns and any
+    other sequence of entries from columns read off them: the two agree."""
+
+    @pytest.mark.parametrize("kernel_dim", [None, 8, 9, 11])
+    def test_columns_and_entries_emit_the_same_text(self, r3_catalog, kernel_dim):
+        entries = classify_catalog(r3_catalog, kernel_dim=kernel_dim)
+        assert len(entries) > 0
+        for emit in (pio.emit_catalog_json, pio.emit_catalog_csv):
+            assert emit(entries) == emit(list(entries))
+
+    @pytest.mark.parametrize("r, count", [(4, 12), (5, 3)])
+    def test_random_batches_emit_the_same_text(self, r, count):
+        rng = random.Random(1900 + r)
+        taus = [random_zero_fixing(r, rng) for _ in range(count)]
+        # equal rows and inverses join classes; half the rows are tagged induced
+        entries = classify(_mixed_induced(taus + taus[:2] + [invert_perm(t) for t in taus[:2]], rng))
+        assert len({e.class_id for e in entries}) < len(entries)
+        assert {e.non_mollard for e in entries} == {False, True}
+        for emit in (pio.emit_catalog_json, pio.emit_catalog_csv):
+            assert emit(entries) == emit(list(entries))
+
+    def test_strings_are_escaped_as_json_and_csv_escape_them(self):
+        base = CatalogEntry("r3-01234567", 3, 11, 11, 4, True, None, 0, False, "user")
+        odd = ['say "hi"', "back\\slash", "a,b", "line\nbreak", "caf\u00e9 \u2192 \U0001d53d", ""]
+        entries = [replace(base, tau_id=t, provenance=p) for t, p in zip(odd, odd[::-1])]
+        entries += [replace(base, aut_order=1536, non_mollard=True), replace(base, point_transitive=1)]
+        objs = [{col: getattr(e, col) for col in pio.CSV_COLUMNS} for e in entries]
+        assert pio.emit_catalog_json(entries) == json.dumps(objs, separators=(",", ":")) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(pio.CSV_COLUMNS)
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in obj.values()] for obj in objs)
+        assert pio.emit_catalog_csv(entries) == buf.getvalue()
+        assert pio.parse_catalog_json(pio.emit_catalog_json(entries[:-1])) == entries[:-1]
+
+    def test_no_entry_is_built_to_classify_and_emit(self, monkeypatch, r3_catalog):
+        # the columns replace the rows: the census path builds no CatalogEntry
+        classify_module = importlib.import_module("perfcode.classify")
+        built = []
+
+        class Counted(classify_module.CatalogEntry):
+            def __init__(self, *args, **kwargs):
+                built.append(args or kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "CatalogEntry", Counted)
+        entries = classify_catalog(r3_catalog)
+        texts = pio.emit_catalog_json(entries), pio.emit_catalog_csv(entries)
+        assert built == []
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == R3_CENSUS_JSON_SHA256
+        assert hashlib.sha256(texts[1].encode()).hexdigest() == R3_CENSUS_CSV_SHA256
+        entries[-1]  # an entry is built when it is indexed
+        assert len(built) == 1
+
+
 class TestCli:
     def test_hamming(self, tmp_path, capsys):
         out = tmp_path / "h.code"
@@ -660,6 +727,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("usage: perfcode")
         assert "error: " in captured.err
+        assert not out.exists()
+
+    def test_usage_errors_in_a_row_give_one_usage(self, tmp_path, capsys):
+        # the parser is built once per process; a failed parse leaves it as it was
+        assert build_parser() is build_parser()
+        out = tmp_path / "out.json"
+        errs = []
+        for argv in (["classify", "--out", str(out)], ["classify", "--out", str(out), "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 3
+            errs.append(capsys.readouterr().err)
+        usages = [err.split("perfcode classify: error: ")[0] for err in errs]
+        assert usages[0] == usages[1] and usages[0].startswith("usage: perfcode classify")
+        assert errs[0] != errs[1]
         assert not out.exists()
 
     def test_help_exits_0(self, capsys):

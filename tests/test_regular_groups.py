@@ -100,6 +100,11 @@ class TestEnumeration:
                 got.append(g.mats)
         assert got == full[: len(got)]
 
+    def test_nan_budget_is_refused(self):
+        # monotonic() + nan is never passed: NaN would silently mean no budget
+        with pytest.raises(ValueError, match="nan"):
+            next(enumerate_regular_subgroups(3, float("nan")))
+
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
             list(enumerate_regular_subgroups(2))
@@ -374,6 +379,10 @@ class TestCatalog:
     def test_budget_returns_partial_flag(self):
         catalog = catalog_taus(3, budget_seconds=0.0)
         assert not catalog.complete
+
+    def test_nan_budget_is_refused(self):
+        with pytest.raises(ValueError, match="nan"):
+            catalog_taus(3, budget_seconds=float("nan"))
 
     def test_deadline_passed_in_the_last_search_keeps_the_catalog_complete(self, monkeypatch):
         # the clock passes the deadline while the automorphisms of the last
