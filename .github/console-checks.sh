@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# The console-script checks: run the installed `perfcode` command and compare
+# its outputs with pinned bytes and digests.  Run it from an empty directory;
+# it writes its files there.  bash -e, as a workflow `run:` step uses.
+set -e
+
+perfcode series --r 6 > series6.txt
+printf '%s\n' tau_id=r6-0.6.2.5.4.3.1.7.48.54.50.53.52.51.49.55.16.22.18.21.20.19.17.23.40.46.42.45.44.43.41.47.32.38.34.37.36.35.33.39.24.30.26.29.28.27.25.31.8.14.10.13.12.11.9.15.56.62.58.61.60.59.57.63 \
+  length=128 rank=124 kernel_dim=114 non_mollard=true neighbor_transitive=true | diff - series6.txt
+perfcode catalog-taus --r 3 --out catalog.json
+echo "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2  catalog.json" | sha256sum -c
+perfcode classify --catalog catalog.json --out classes.csv --format csv
+echo "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150  classes.csv" | sha256sum -c
+perfcode classify --catalog catalog.json --out classes.json
+echo "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3  classes.json" | sha256sum -c
+# the classification is canonical: a seeded shuffle of the catalog rows gives the same bytes
+python -c "import json, random; rows = json.load(open('catalog.json')); random.Random(19).shuffle(rows); json.dump(rows, open('shuffled.json', 'w'))"
+perfcode classify --catalog shuffled.json --out shuffled.csv --format csv
+echo "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150  shuffled.csv" | sha256sum -c
+perfcode classify --catalog shuffled.json --out shuffled-classes.json
+echo "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3  shuffled-classes.json" | sha256sum -c
+echo '{"r": 3, "perm": [0, 1, 2, 4, 3, 5, 6, 7]}' > tau.json
+perfcode sqs --tau tau.json --out tau.sqs
+perfcode check-sqs --in tau.sqs
+# the tau^-1-against-tau search through the installed script: a
+# non-linear r=4 tau that is not point transitive, and a point
+# transitive non-linear r=5 tau
+echo '{"r": 4, "perm": [0, 10, 4, 7, 13, 11, 8, 9, 5, 3, 6, 12, 2, 1, 15, 14]}' > tau4.json
+perfcode report --tau tau4.json > report4.txt
+printf '%s\n' tau_id=r4-0a47db89536c21fe coordinate_transitive=false \
+  transitive=unverified neighbor_transitive=false | diff - report4.txt
+echo '{"r": 5, "perm": [0, 2, 1, 3, 16, 22, 17, 7, 8, 30, 13, 11, 24, 10, 29, 15, 4, 6, 21, 23, 20, 18, 5, 19, 12, 26, 25, 31, 28, 14, 9, 27]}' > tau5.json
+perfcode report --tau tau5.json > report5.txt
+printf '%s\n' tau_id=r5-0.2.1.3.16.22.17.7.8.30.13.11.24.10.29.15.4.6.21.23.20.18.5.19.12.26.25.31.28.14.9.27 \
+  coordinate_transitive=true transitive=unverified neighbor_transitive=false | diff - report5.txt
+# a float r and a string perm are malformed input: exit 3
+echo '{"r": 3.9, "perm": "02134567"}' > bad.json
+rc=0
+perfcode report --tau bad.json || rc=$?
+test "$rc" -eq 3
+# a usage error is malformed input too: exit 3, never 2 (budget exhaustion)
+rc=0
+perfcode classify --out classes.json || rc=$?
+test "$rc" -eq 3

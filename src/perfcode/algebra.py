@@ -332,14 +332,13 @@ def _linear_solutions(g, f, r: int):
     Depth first over the columns of A, known on V_k = [0, 2^k) at depth k.
     Prunes on the point spectra of `point_spectra` (x under f and A x under
     g have one spectrum), compared as bytes (`spectrum_keys`), and on pairs
-    (f(x), g(A x)) that do not extend B to a linear bijection; reads A(e_k)
-    off when some f(e_k ^ v) lies in the span B is known on.  Ascending
-    candidates put the identity first."""
+    (f(x), g(A x)) that do not extend B to a linear bijection: a candidate
+    for A(e_k) that contradicts a B f(e_k ^ v) already known fails at that
+    pair.  Ascending candidates put the identity first."""
     f, g = [int(z) for z in f], [int(w) for w in g]
     (sf, multiset_f), (sg, multiset_g) = spectrum_keys(tuple(f)), spectrum_keys(tuple(g))
     if multiset_f != multiset_g:
         return
-    g_inv = {w: y for y, w in enumerate(g)}
     candidates: dict[bytes, list[int]] = {}
     for y in range(1, 1 << r):
         candidates.setdefault(sg[y], []).append(y)
@@ -350,13 +349,8 @@ def _linear_solutions(g, f, r: int):
             yield amap
             return
         lo = 1 << k
-        cands = candidates.get(sf[lo], ())
-        for v in range(lo):
-            red = reduce_vec(zw, f[lo | v] << r)
-            if not red >> r:  # B f(e_k ^ v) = red is known
-                cands = (g_inv[red] ^ amap[v],)
-                break
-        for c in cands:  # c in A(V_k) makes A singular: the w << r | z echelon rejects it
+        # c in A(V_k) makes A singular: the w << r | z echelon rejects it
+        for c in candidates.get(sf[lo], ()):
             zw2, wz2 = zw.copy(), wz.copy()
             for v in range(lo):
                 x, y = lo | v, c ^ amap[v]

@@ -45,10 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_out(path) -> None:
     """Raise, before any work, the error that open(path, "w") would raise
-    after it when path is a directory or its directory does not exist."""
+    after it when path is empty, a directory, or in no existing directory."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 

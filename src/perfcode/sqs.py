@@ -251,15 +251,15 @@ def aut_order(tau: PointPerm) -> int:
 
 
 def aut_order_and_transitivity(tau: PointPerm) -> tuple[int, bool]:
-    """(aut_order(tau), point_transitive(tau)[0]) from one point_transitive
-    call, so one tau^{-1}-against-tau search."""
-    transitive, witness = point_transitive(tau)
+    """(aut_order(tau), point_transitive(tau)[0]) from the counts of the
+    formula: N1 > 0 iff tau^{-1} lies in GL tau GL, and then the A counted
+    by N1 are a coset of N0's group, so N0 = N1 needs no second count."""
     r = tau.r
-    if transitive and witness is None:  # tau is linear
+    if is_linear(tau) is not None:
         return (1 << (r + 1)) * gl_order(r + 1), True
-    # N1 = N0 when tau^{-1} lies in GL tau GL (a coset of N0's group), else N1 = 0
-    n0 = count_linear_products(tau, invert_perm(tau))
-    return (1 << (2 * r)) * n0 * (2 if transitive else 1), transitive
+    n1 = count_linear_products(tau, tau)
+    n0 = n1 if n1 else count_linear_products(tau, invert_perm(tau))
+    return (1 << (2 * r)) * (n0 + n1), n1 > 0
 
 
 # ---------------------------------------------------------------------------

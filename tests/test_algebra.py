@@ -26,10 +26,10 @@ from perfcode import (
     sigma_m,
 )
 from perfcode._bits import nullspace_basis, span_dim, span_words
-from perfcode.algebra import gl_rows_cached, point_spectra
+from perfcode.algebra import _linear_solutions, gl_rows_cached, point_spectra
 from perfcode.codes import hamming_parity_rows, perm_rank
 from conftest import random_gl, random_zero_fixing
-from sweep_oracle import sweep_count, sweep_member
+from sweep_oracle import sigma_table, sweep, sweep_count, sweep_member
 
 
 def xor_span_size(rows) -> int:
@@ -343,6 +343,36 @@ class TestSearchR4:
         for t, u in pairs:
             for right in (u, invert_perm(u)):
                 assert count_linear_products(t, right) == sweep_count(t, right)
+
+
+def _assert_sweep_solutions(left, right):
+    """The search yields the point map of every A that the sweep marks for
+    left o sigma_A o right, each once: its sorted copies equal the sweep's."""
+    found = sorted(tuple(m) for m in _linear_solutions(left.images, invert_perm(right).images, left.r))
+    swept = sorted(map(tuple, sigma_table(left.r)[sweep(left, right)[1]].tolist()))
+    assert found == swept
+    return len(found)
+
+
+class TestSolutionSets:
+    """The solution sets of the N0 and N1 problems (right = tau^{-1} and
+    right = tau), map by map against the sweep, not only by count."""
+
+    def test_r3_catalog(self, r3_taus):
+        counts = [_assert_sweep_solutions(t, right) for t in r3_taus for right in (invert_perm(t), t)]
+        assert min(counts[0::2]) >= 1 and max(counts[1::2]) > 1
+
+    def test_r4_with_conjugates_and_inverses(self, r4_prefix_min_kernel):
+        local = random.Random(46)
+        mats = list(gl_enumerate(4))
+        taus = [random_zero_fixing(4, local) for _ in range(4)] + local.sample(r4_prefix_min_kernel, 2)
+        for tau in list(taus):
+            a_mat, b_mat = local.sample(mats, 2)
+            conj = compose(compose(sigma_m(a_mat), tau), sigma_m(invert(a_mat)))
+            prod = compose(compose(sigma_m(b_mat), tau), sigma_m(invert(a_mat)))
+            taus += [invert_perm(tau), conj, invert_perm(conj), prod]
+        counts = [_assert_sweep_solutions(t, right) for t in taus for right in (invert_perm(t), t)]
+        assert max(counts) > 1 and 0 in counts
 
 
 def _difference_table(images) -> list[list[int]]:

@@ -32,7 +32,7 @@ from perfcode import (
 )
 from perfcode._bits import mul_rows
 from perfcode import algebra as algebra_module
-from perfcode.algebra import double_coset_member, gl_order, identity_matrix, point_spectra
+from perfcode.algebra import count_linear_products, double_coset_member, gl_order, identity_matrix, point_spectra
 from perfcode.algebra import invert as mat_invert
 from perfcode.classify import (
     SERIES_BASE_TAUS,
@@ -392,23 +392,41 @@ class TestOrbitClassification:
         rows = _sorted_rows(np.array([t.images for t in taus], dtype=np.int8))
         assert len(set(_orbit_roots(_orbit_edges(rows, r)).tolist())) > 4
 
-    def test_one_inverse_search_per_class(self, monkeypatch, rng):
-        # aut_order and point transitivity of a class come from one
-        # tau^-1-against-tau search, made for the class representative
-        searched = []
+    def test_one_count_per_class(self, monkeypatch, rng, r3_taus):
+        # aut_order and point transitivity of a class come from the counts of
+        # the formula, made for the class representative: N1 always, N0 only
+        # when N1 = 0 (not point transitive), and no tau^-1-against-tau search
+        n1_counted, n0_counted, searched = [], [], []
 
-        def counted(tau_p, tau, group="GL"):
+        def counted(left, right):
+            if right == left:
+                n1_counted.append(tau_id_string(left))
+            elif right == invert_perm(left):
+                n0_counted.append(tau_id_string(left))
+            return count_linear_products(left, right)
+
+        def searched_dcm(tau_p, tau, group="GL"):
             if tau_p == invert_perm(tau):
                 searched.append(tau_id_string(tau))
             return double_coset_member(tau_p, tau, group)
 
-        monkeypatch.setattr(sqs_module, "double_coset_member", counted)
-        taus = _with_conjugates([random_zero_fixing(4, rng) for _ in range(5)], 4, rng)
-        entries = classify(taus)
-        reps = {}
-        for e in entries:
-            reps.setdefault(e.class_id, e.tau_id)
-        assert sorted(searched) == sorted(reps.values())
+        monkeypatch.setattr(sqs_module, "count_linear_products", counted)
+        monkeypatch.setattr(sqs_module, "double_coset_member", searched_dcm)
+        # the seeded r=4 batch is not point transitive; every r=3 tau is, and
+        # a linear representative is decided without a count
+        batches = [_with_conjugates([random_zero_fixing(4, rng) for _ in range(5)], 4, rng),
+                   random.Random(21).sample(r3_taus, 24)]
+        for taus in batches:
+            n1_counted.clear()
+            n0_counted.clear()
+            by_id = {tau_id_string(t): t for t in taus}
+            reps = {}
+            for e in classify(taus):
+                reps.setdefault(e.class_id, e)
+            reps = [e for e in reps.values() if is_linear(by_id[e.tau_id]) is None]
+            assert sorted(n1_counted) == sorted(e.tau_id for e in reps)
+            assert sorted(n0_counted) == sorted(e.tau_id for e in reps if not e.point_transitive)
+        assert len(reps) > 1 and n0_counted == [] and searched == []
 
     def test_spectra_computed_once_per_orbit(self, monkeypatch, rng):
         # the bucket key, the bucket tests and the class statistics share the

@@ -686,7 +686,8 @@ class TestCli:
         catalog = tmp_path / "catalog.json"
         catalog.write_text('{"r":3,"complete":false,"taus":[]}\n')
         missing = tmp_path / "no" / "such" / "out.json"
-        for out, message in [(missing, "[Errno 2] No such file or directory"), (tmp_path, "[Errno 21] Is a directory")]:
+        for out, message in [(missing, "[Errno 2] No such file or directory"), ("", "[Errno 2] No such file or directory"),
+                             (tmp_path, "[Errno 21] Is a directory")]:
             assert cli_main([arg.format(out=out, catalog=catalog) for arg in command]) == 3
             assert capsys.readouterr().err == f"malformed input: {message}: '{out}'\n"
         assert not missing.parent.exists()

@@ -31,11 +31,11 @@ from perfcode import (
     weight4_supports,
     xi_swap,
 )
-from perfcode import ExplicitCode
+from perfcode import ExplicitCode, PointPerm
 from perfcode import algebra as algebra_module
 from perfcode import sqs as sqs_module
 from perfcode.algebra import point_spectra
-from conftest import random_zero_fixing
+from conftest import random_gl, random_zero_fixing
 from sweep_oracle import sweep_member
 
 # symmetric_difference_dichotomy over the non-linear taus of the complete
@@ -411,8 +411,8 @@ class TestAutOrder:
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_spectra_computed_once_per_permutation(self, monkeypatch, r):
-        # the count and the transitivity search share the point spectra of
-        # tau and tau^-1: one computation of each, however the search ends
+        # the N1 and N0 counts share the point spectra of tau and tau^-1:
+        # one computation of each, however many counts are made
         local = random.Random(40 + r)
         for tau in [random_nonlinear(r, local) for _ in range(3)]:
             expected = aut_order(tau)
@@ -430,7 +430,7 @@ class TestAutOrder:
 
     def test_second_count_is_zero_or_the_first(self, r3_taus):
         # N1 = #{A : tau sigma_A tau linear} is 0 or N0, and N0 exactly when
-        # tau^{-1} lies in GL tau GL; aut_order counts only N0
+        # tau^{-1} lies in GL tau GL; aut_order counts N0 only when N1 = 0
         from perfcode import count_linear_products
 
         local = random.Random(38)
@@ -441,6 +441,22 @@ class TestAutOrder:
             n1 = count_linear_products(tau, tau)
             assert n1 == (n0 if point_transitive(tau)[0] else 0)
             assert aut_order(tau) == (1 << (2 * tau.r)) * (n0 + n1)
+
+    def test_paired_result_matches_its_parts(self, r3_taus, r4_prefix_min_kernel):
+        # the counts give what aut_order and point_transitive's search give
+        from perfcode.sqs import aut_order_and_transitivity
+
+        local = random.Random(37)
+        # a point transitive non-linear r=5 tau
+        tau5 = PointPerm(5, (0, 2, 1, 3, 16, 22, 17, 7, 8, 30, 13, 11, 24, 10, 29, 15,
+                             4, 6, 21, 23, 20, 18, 5, 19, 12, 26, 25, 31, 28, 14, 9, 27))
+        taus = [identity_perm(r) for r in (3, 4, 5)] + [sigma_m(random_gl(r, local)) for r in (3, 4, 5)]
+        taus += r3_taus + local.sample(r4_prefix_min_kernel, 4)
+        taus += [random_zero_fixing(4, local) for _ in range(20)]
+        taus += [random_zero_fixing(5, local) for _ in range(4)] + [tau5]
+        results = [aut_order_and_transitivity(t) for t in taus]
+        assert results == [(aut_order(t), point_transitive(t)[0]) for t in taus]
+        assert results[-1][1] and not all(transitive for _, transitive in results[-21:-1])
 
     def test_counted_maps_are_automorphisms(self, rng):
         # every structured map counted by the formula fixes the system
