@@ -7,6 +7,9 @@ set -e
 perfcode series --r 6 > series6.txt
 printf '%s\n' tau_id=r6-0.6.2.5.4.3.1.7.48.54.50.53.52.51.49.55.16.22.18.21.20.19.17.23.40.46.42.45.44.43.41.47.32.38.34.37.36.35.33.39.24.30.26.29.28.27.25.31.8.14.10.13.12.11.9.15.56.62.58.61.60.59.57.63 \
   length=128 rank=124 kernel_dim=114 non_mollard=true neighbor_transitive=true | diff - series6.txt
+# the subgroup DFS, in its deterministic order
+perfcode enum-regular --r 3 --out groups.json
+echo "92f02b6ebedc75965fff93aa075d6ceb5b9cceaf3dd858f7075790b612fa0972  groups.json" | sha256sum -c
 perfcode catalog-taus --r 3 --out catalog.json
 echo "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2  catalog.json" | sha256sum -c
 perfcode classify --catalog catalog.json --out classes.csv --format csv

@@ -45,11 +45,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_out(path) -> None:
     """Raise, before any work, the error that open(path, "w") would raise
-    after it when path is empty, a directory, or in no existing directory."""
+    after it when path is empty, a directory, too long, or in no existing directory."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    try:
+        os.stat(path)  # an over-long name fails here, with ENAMETOOLONG
+    except FileNotFoundError:
+        pass
 
 
 def cmd_hamming(args) -> int:
@@ -61,10 +65,7 @@ def cmd_hamming(args) -> int:
 def cmd_build_stau(args) -> int:
     tau = pio.load_point_perm(args.tau)
     code = build_s_tau(tau)
-    if args.materialize:
-        pio.save_code_file(args.out, explicit_materialize(code))
-    else:
-        pio.save_code_file(args.out, code)
+    pio.save_code_file(args.out, explicit_materialize(code) if args.materialize else code)
     print(f"wrote S_tau (r={tau.r}, length {code.length}) to {args.out}")
     return 0
 
@@ -263,7 +264,9 @@ def cli_main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 2
-    except (MalformedInput, FileNotFoundError, IsADirectoryError) as exc:
+    except (MalformedInput, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # a failed read or write, not a command-line path
         print(f"malformed input: {exc}", file=sys.stderr)
         return 3
     except (PerfcodeError, ValueError) as exc:

@@ -21,7 +21,6 @@ from .errors import BudgetExceeded, NotAnAutomorphism
 
 ENUM_MIN_R = 3
 ENUM_MAX_R = 4
-AUT_MAX_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,10 @@ def _point_maps(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 class _Tables:
-    """Unipotent-matrix action and multiplication tables for one r."""
+    """Unipotent-matrix action and multiplication tables for one r.
+
+    `mul` is the one product table; the DFS reads it through `mul_l`, one
+    memoryview per row, so mul_l[a][b] is a Python int with no per-entry copy."""
 
     def __init__(self, r: int):
         rows_list = gl_rows_cached(r)
@@ -100,18 +102,13 @@ class _Tables:
         code2idx = np.full(1 << (r * r), -1, dtype=np.int16)
         code2idx[(cols << shifts).sum(axis=1)] = np.arange(nu)
         # -1 marks a non-unipotent product (prunes the branch)
-        mul = np.empty((nu, nu), dtype=np.int16)
+        self.mul = mul = np.empty((nu, nu), dtype=np.int16)
         chunk = max(1, (1 << 22) // (nu * r))
         for s in range(0, nu, chunk):
             prod = app[s : s + chunk][:, cols]  # column j of M_a M_b is M_a(M_b e_j)
             mul[s : s + chunk] = code2idx[(prod.astype(np.intp) << shifts).sum(axis=2)]
-        # tuples of ints, which the cyclic garbage collector stops walking;
-        # the rows of mul_l share one int object per index (an object-array
-        # lookup, where -1 reads back the last entry, -1) instead of
-        # holding one int per slot
         self.app_l = tuple(tuple(row.tolist()) for row in app)
-        shared = np.array([*range(nu), -1], dtype=object)
-        self.mul_l = tuple(tuple(shared[row].tolist()) for row in mul)
+        self.mul_l = tuple(map(memoryview, mul))
 
 
 @functools.cache
@@ -296,8 +293,8 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
 def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
     """All automorphisms of the group, as permutations of the element labels."""
     n = 1 << group.r
-    if n > AUT_MAX_ORDER:
-        raise BudgetExceeded(f"automorphism search supports order <= {AUT_MAX_ORDER}")
+    if n > 1 << ENUM_MAX_R:
+        raise BudgetExceeded(f"automorphism search supports order <= {1 << ENUM_MAX_R}")
     mul = group.mult_table()
     return [
         GroupAutomorphism(perm=PointPerm(group.r, tuple(images)))

@@ -1,8 +1,10 @@
 import csv
+import errno
 import hashlib
 import importlib
 import io
 import json
+import os
 import random
 import tempfile
 from dataclasses import replace
@@ -671,8 +673,9 @@ class TestCli:
         "command",
         [
             ["enum-regular", "--r", "3", "--out", "{out}"],
-            ["catalog-taus", "--r", "3", "--out", "{out}"],
+            ["catalog-taus", "--r", "4", "--out", "{out}"],
             ["classify", "--catalog", "{catalog}", "--out", "{out}"],
+            ["hamming", "--r", "3", "--out", "{out}"],
         ],
         ids=lambda command: command[0],
     )
@@ -681,16 +684,27 @@ class TestCli:
             raise AssertionError("work started before --out was checked")
 
         for name in ("cli.enumerate_regular_subgroups", "cli.catalog_taus", "cli.classify_catalog",
-                     "io.load_tau_catalog"):
+                     "cli.extended_hamming", "io.load_tau_catalog"):
             monkeypatch.setattr(f"perfcode.{name}", no_work)
         catalog = tmp_path / "catalog.json"
         catalog.write_text('{"r":3,"complete":false,"taus":[]}\n')
         missing = tmp_path / "no" / "such" / "out.json"
+        too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
         for out, message in [(missing, "[Errno 2] No such file or directory"), ("", "[Errno 2] No such file or directory"),
-                             (tmp_path, "[Errno 21] Is a directory")]:
+                             (tmp_path, "[Errno 21] Is a directory"), (tmp_path / ("x" * 300), too_long)]:
             assert cli_main([arg.format(out=out, catalog=catalog) for arg in command]) == 3
             assert capsys.readouterr().err == f"malformed input: {message}: '{out}'\n"
         assert not missing.parent.exists()
+
+    @pytest.mark.parametrize("command", _FILE_COMMANDS + [_CLASSIFY], ids=lambda command: command[0])
+    def test_input_path_errors_exit_3(self, tmp_path, capsys, command):
+        # a path through a regular file, and a name longer than a directory entry
+        afile = tmp_path / "t.json"
+        afile.write_text('{"r": 3, "perm": [0, 1, 2, 4, 3, 5, 6, 7]}')
+        for path, code in [(afile / "x", errno.ENOTDIR), (tmp_path / ("x" * 300), errno.ENAMETOOLONG)]:
+            assert cli_main([arg.format(path=path, out=tmp_path / "out") for arg in command]) == 3
+            message = f"[Errno {code}] {os.strerror(code)}: '{path}'"
+            assert capsys.readouterr().err == f"malformed input: {message}\n"
 
     @pytest.mark.parametrize("r", [2, 5])
     def test_enum_regular_outside_its_range_exits_1(self, tmp_path, capsys, r):

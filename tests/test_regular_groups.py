@@ -1,8 +1,10 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from aut_oracle import closure_automorphism_perms
@@ -86,6 +88,14 @@ class TestEnumeration:
         for group in sample:
             assert verify_regular(group) is None
             assert group_table_is_a_group(group)
+
+    def test_r4_prefix_digest(self):
+        # the DFS order at the paper's size, where the 4,096 x 4,096 product
+        # table drives it: the point -> unipotent-index tuples of the first
+        # R4_PREFIX groups, as int16 bytes
+        groups = list(islice(regular_groups._enumerate_regular_idx(4, None), R4_PREFIX))
+        digest = hashlib.sha256(np.array(groups, dtype=np.int16).tobytes()).hexdigest()
+        assert digest == "5b3f66fcfb38281c3bdd11267c60de0cf1c2bfff60e9132a26d5effbbffb5f7a"
 
     def test_deterministic_stream(self):
         first = [g.mats for g in enumerate_regular_subgroups(3)]
@@ -181,11 +191,12 @@ class TestTables:
         assert 0 < hits < len(pairs)  # both branches are exercised
 
     @pytest.mark.parametrize("r", [3, 4])
-    def test_product_table_shares_its_ints(self, r):
-        # one int object per unipotent index and one for -1, not one per slot
+    def test_product_lookups_are_views_of_the_one_table(self, r):
+        # mul_l reads mul in place: no per-entry copy of the product table
         tab = regular_groups._tables(r)
-        nu = len(tab.uni)
-        assert len({id(k) for row in tab.mul_l for k in row}) <= nu + 1
+        assert len(tab.mul_l) == len(tab.mul)
+        for a, row in enumerate(tab.mul_l):
+            assert np.shares_memory(np.asarray(row), tab.mul[a])
 
 
 R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
