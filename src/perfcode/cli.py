@@ -44,16 +44,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_out(path) -> None:
-    """Raise, before any work, the error that open(path, "w") would raise
-    after it when path is empty, a directory, too long, or in no existing directory."""
+    """Raise, before any work, the error that open(path, "w") would raise after
+    it when path is empty, a directory, too long, through a file, or in no existing directory."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not path or not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     try:
-        os.stat(path)  # an over-long name fails here, with ENAMETOOLONG
+        os.stat(path)  # fails here with ENAMETOOLONG or ENOTDIR, as open() would
     except FileNotFoundError:
         pass
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def cmd_hamming(args) -> int:

@@ -80,8 +80,9 @@ def _point_maps(rows: np.ndarray, r: int) -> np.ndarray:
 class _Tables:
     """Unipotent-matrix action and multiplication tables for one r.
 
-    `mul` is the one product table; the DFS reads it through `mul_l`, one
-    memoryview per row, so mul_l[a][b] is a Python int with no per-entry copy."""
+    `mul` is the one product table, built one unipotent row at a time; the
+    DFS reads it through `mul_l`, one memoryview per row, so mul_l[a][b] is
+    a Python int with no per-entry copy."""
 
     def __init__(self, r: int):
         rows_list = gl_rows_cached(r)
@@ -103,10 +104,9 @@ class _Tables:
         code2idx[(cols << shifts).sum(axis=1)] = np.arange(nu)
         # -1 marks a non-unipotent product (prunes the branch)
         self.mul = mul = np.empty((nu, nu), dtype=np.int16)
-        chunk = max(1, (1 << 22) // (nu * r))
-        for s in range(0, nu, chunk):
-            prod = app[s : s + chunk][:, cols]  # column j of M_a M_b is M_a(M_b e_j)
-            mul[s : s + chunk] = code2idx[(prod.astype(np.intp) << shifts).sum(axis=2)]
+        # column j of M_a M_b is M_a(M_b e_j)
+        for a, row in enumerate(app.astype(np.intp)):
+            mul[a] = code2idx[(row[cols] << shifts).sum(axis=1)]
         self.app_l = tuple(tuple(row.tolist()) for row in app)
         self.mul_l = tuple(map(memoryview, mul))
 
@@ -123,44 +123,40 @@ def _tables(r: int) -> _Tables:
 def _enumerate_regular_idx(r: int, deadline: float | None):
     """Yield assignments point -> unipotent index, in deterministic DFS order.
 
-    Depth-first over the smallest unassigned point; matrix candidates in
-    enumeration order; closure propagation assigns forced values and
-    backtracks on the first violation.  The deadline is checked before each
-    assignment is yielded, so BudgetExceeded means a group is still missing,
-    never that only dead ends were left to search.
+    Depth-first over the smallest unassigned point, with matrix candidates
+    in enumeration order.  The points chosen on the path generate the
+    node's subgroup, so each node is closed under them alone: every
+    assigned element times every generator, assigning the products it
+    reaches and backtracking on the first violation.  The deadline is
+    checked before each assignment is yielded, so BudgetExceeded means a
+    group is still missing, never that only dead ends were left to search.
     """
     tab = _tables(r)
     n = 1 << r
     app_l, mul_l = tab.app_l, tab.mul_l
     app_np = tab.app
 
-    def propagate(mats: list[int], a: int, k: int):
-        mats = mats.copy()
-        mats[a] = k
-        assigned = [p for p in range(n) if mats[p] >= 0]
-        queue = [a]
-        while queue:
-            c = queue.pop()
-            kc = mats[c]
-            row_c = app_l[kc]
-            for b in assigned[:]:
-                kb = mats[b]
-                for t, prod in (
-                    (c ^ row_c[b], mul_l[kc][kb]),
-                    (b ^ app_l[kb][c], mul_l[kb][kc]),
-                ):
-                    if prod < 0:
-                        return None
-                    cur = mats[t]
-                    if cur < 0:
-                        mats[t] = prod
-                        assigned.append(t)
-                        queue.append(t)
-                    elif cur != prod:
-                        return None
+    def close(mats: list[int], gens: list[int]):
+        # in a finite group, right products by the generators reach the
+        # whole subgroup they generate
+        queue = [x for x in range(n) if mats[x] >= 0]
+        for x in queue:
+            kx = mats[x]
+            row_x, mul_x = app_l[kx], mul_l[kx]
+            for s in gens:
+                prod = mul_x[mats[s]]
+                if prod < 0:
+                    return None
+                t = x ^ row_x[s]
+                cur = mats[t]
+                if cur < 0:
+                    mats[t] = prod
+                    queue.append(t)
+                elif cur != prod:
+                    return None
         return mats
 
-    def dfs(mats: list[int]):
+    def dfs(mats: list[int], gens: list[int]):
         a = next((p for p in range(n) if mats[p] < 0), None)
         if a is None:
             if deadline is not None and time.monotonic() > deadline:
@@ -174,14 +170,16 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
         # any candidate whose product translation hits an assigned point dies
         trans = a ^ app_np[:, pts]
         alive = np.flatnonzero(~assigned_mask[trans].any(axis=1))
+        gens = gens + [a]
         for k in alive:
-            closed = propagate(mats, a, int(k))
-            if closed is not None:
-                yield from dfs(closed)
+            child = mats.copy()
+            child[a] = int(k)
+            if close(child, gens) is not None:
+                yield from dfs(child, gens)
 
     start = [-1] * n
     start[0] = tab.id_idx
-    yield from dfs(start)
+    yield from dfs(start, [])
 
 
 def _deadline(budget_seconds: float | None) -> float | None:

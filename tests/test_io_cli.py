@@ -690,8 +690,10 @@ class TestCli:
         catalog.write_text('{"r":3,"complete":false,"taus":[]}\n')
         missing = tmp_path / "no" / "such" / "out.json"
         too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+        not_dir = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}"
         for out, message in [(missing, "[Errno 2] No such file or directory"), ("", "[Errno 2] No such file or directory"),
-                             (tmp_path, "[Errno 21] Is a directory"), (tmp_path / ("x" * 300), too_long)]:
+                             (tmp_path, "[Errno 21] Is a directory"), (tmp_path / ("x" * 300), too_long),
+                             (catalog / "x", not_dir)]:
             assert cli_main([arg.format(out=out, catalog=catalog) for arg in command]) == 3
             assert capsys.readouterr().err == f"malformed input: {message}: '{out}'\n"
         assert not missing.parent.exists()

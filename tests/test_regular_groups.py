@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from aut_oracle import closure_automorphism_perms
+from enum_oracle import all_pairs_regular_idx
 from perfcode import regular_groups
 from perfcode.algebra import gl_rows_cached
 from perfcode.regular_groups import automorphism_census
@@ -82,10 +83,7 @@ class TestEnumeration:
         )
 
     def test_all_pass_verify_and_group_axioms(self):
-        rng = random.Random(41)
-        groups = list(enumerate_regular_subgroups(3))
-        sample = rng.sample(groups, 40)
-        for group in sample:
+        for group in enumerate_regular_subgroups(3):
             assert verify_regular(group) is None
             assert group_table_is_a_group(group)
 
@@ -96,6 +94,14 @@ class TestEnumeration:
         groups = list(islice(regular_groups._enumerate_regular_idx(4, None), R4_PREFIX))
         digest = hashlib.sha256(np.array(groups, dtype=np.int16).tobytes()).hexdigest()
         assert digest == "5b3f66fcfb38281c3bdd11267c60de0cf1c2bfff60e9132a26d5effbbffb5f7a"
+
+    @pytest.mark.parametrize("r, count", [(3, None), (4, 600)])
+    def test_stream_matches_the_all_pairs_oracle(self, r, count):
+        # the generator closure and the translation pre-filter against the
+        # all-pairs closure over every unipotent: the same groups, in order
+        got = list(islice(regular_groups._enumerate_regular_idx(r, None), count))
+        assert got == list(islice(all_pairs_regular_idx(r), count))
+        assert len(got) == (232 if count is None else count)
 
     def test_deterministic_stream(self):
         first = [g.mats for g in enumerate_regular_subgroups(3)]
@@ -189,6 +195,18 @@ class TestTables:
             assert tab.mul_l[a][b] == index.get(prod.row_bits, -1)
             hits += tab.mul_l[a][b] >= 0
         assert 0 < hits < len(pairs)  # both branches are exercised
+
+    @pytest.mark.parametrize(
+        "r, digest",
+        [
+            (3, "f2c67574159f8c6eeb2459c6d5b1c06bd568622c4231d4b2af896918b38eeaf0"),
+            (4, "ea08ce7538b6118adb8ca5e5af6ba99d76eef5fa3734a52673c4ba55b2444b1f"),
+        ],
+    )
+    def test_product_table_digest(self, r, digest):
+        # every entry, where test_products samples r=4
+        mul = regular_groups._tables(r).mul
+        assert hashlib.sha256(mul.astype("<i2").tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_product_lookups_are_views_of_the_one_table(self, r):
