@@ -183,52 +183,43 @@ def _edge_images(rows: np.ndarray, r: int):
     yield _inverse_rows(rows)
 
 
-def _orbit_edges(rows: np.ndarray, r: int) -> np.ndarray:
-    """Edges between the lexicographically sorted rows of an (N, 2^r) image array.
+def _orbit_roots(rows: np.ndarray, r: int) -> np.ndarray:
+    """The least position in each row's orbit among the lexicographically
+    sorted rows of an (N, 2^r) image array, where each transform of
+    `_edge_images` joins a row to its image when that image is a row.
 
-    Row k of the (E, N) result holds, for each row, the position of its
-    image under edge transform k of `_edge_images`, or -1 when that image
-    is not a row."""
+    Union-find, one transform at a time: hook every root to the least root
+    it has an edge to, then pointer jump until every label is a root, and
+    repeat until no edge of the transform is apart.  Merges only join
+    components, so the edges of earlier transforms stay inside one."""
     keys = _row_keys(rows)
-    edges = []
+    label = np.arange(len(rows))
     for moved in _edge_images(rows, r):
         moved_keys = _row_keys(moved)
-        pos = np.searchsorted(keys, moved_keys)
-        hit = np.flatnonzero(pos < len(keys))
-        hit = hit[keys[pos[hit]] == moved_keys[hit]]
-        edge = np.full(len(keys), -1, dtype=np.intp)
-        edge[hit] = pos[hit]
-        edges.append(edge)
-    return np.array(edges)
-
-
-def _orbit_roots(edges: np.ndarray) -> np.ndarray:
-    """The least position in each row's connected component of the edges:
-    union-find by hooking every root to the least root it has an edge to,
-    then pointer jumping until every label is a root."""
-    count = edges.shape[1]
-    src = np.broadcast_to(np.arange(count), edges.shape)[edges >= 0]
-    dst = edges[edges >= 0]
-    label = np.arange(count)
-    while True:
-        a, b = label[src], label[dst]
-        apart = a != b
-        if not apart.any():
-            return label
-        src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        dst = np.searchsorted(keys, moved_keys)
+        src = np.flatnonzero(dst < len(keys))
+        src = src[keys[dst[src]] == moved_keys[src]]
+        dst = dst[src]
         while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
+            a, b = label[src], label[dst]
+            apart = a != b
+            if not apart.any():
                 break
-            label = jumped
+            src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+    return label
 
 
 def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classification:
     """Core classification over an (N, 2^r) image array.
 
     The rows are split into orbits under GL conjugation and inversion
-    (`_orbit_edges`), which never leave a class.  Orbits are processed in
+    (`_orbit_roots`), which never leave a class.  Orbits are processed in
     ascending lexicographic order of their least member, which alone gets
     a rank, spectra and bucket double-coset tests, so each class
     representative is the least member of its class and class ids are
@@ -241,7 +232,7 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
-    root = _orbit_roots(_orbit_edges(rows, r))
+    root = _orbit_roots(rows, r)
     least = np.flatnonzero(root == np.arange(len(rows)))
 
     buckets: dict[tuple, list] = {}

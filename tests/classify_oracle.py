@@ -1,5 +1,6 @@
 """The per-tau classification, kept as the differential oracle for the
-orbit-at-a-time classification of `perfcode.classify`.
+orbit-at-a-time classification of `perfcode.classify`, and a pure-Python
+union-find over the moves that form its orbits.
 
 Every row gets its own invariant triple and its own double-coset tests
 against the representatives of its invariant bucket, in ascending
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from perfcode._bits import span_dim, transpose
-from perfcode.algebra import PointPerm, double_coset_member, invert_perm
+from perfcode.algebra import BitMatrix, PointPerm, double_coset_member, identity_matrix, invert_perm
 from perfcode.classify import CatalogEntry, tau_id_string
 from perfcode.codes import hamming_parity_rows, perm_kernel_dim, perm_rank
 from perfcode.sqs import aut_order, point_transitive
@@ -28,6 +29,54 @@ def intersection_dim(tau: PointPerm) -> int:
     # the all-ones parity row of tau(H) equals that of H; skip the duplicate
     rows = hamming_parity_rows(r) + transpose(invert_perm(tau).images, r)
     return (1 << r) - span_dim(rows)
+
+
+def orbit_moves(r: int) -> list[BitMatrix | None]:
+    """The moves that join rows into orbits: conjugation by the identity and
+    by the transvections x_i += x_{i+1} and x_{i+1} += x_i for i < r - 1,
+    then inversion, written None."""
+    moves = [identity_matrix(r)]
+    for i, j in [(i, i + 1) for i in range(r - 1)] + [(i + 1, i) for i in range(r - 1)]:
+        rows = list(identity_matrix(r).row_bits)
+        rows[i] |= 1 << j
+        moves.append(BitMatrix(r, r, tuple(rows)))
+    return moves + [None]
+
+
+def apply_move(perm: PointPerm, move: BitMatrix | None) -> PointPerm:
+    """tau^-1 for None, else sigma_M tau sigma_M^-1, which maps M x to M tau(x)."""
+    if move is None:
+        return invert_perm(perm)
+    images = [0] * len(perm.images)
+    for x, y in enumerate(perm.images):
+        images[move.apply(x)] = move.apply(y)
+    return PointPerm(perm.r, tuple(images))
+
+
+def orbit_roots_oracle(perms) -> list[int]:
+    """The least position in each perm's orbit, where every move of
+    `orbit_moves` joins a perm to its image when the image is in the list."""
+    perms = list(perms)
+    if not perms:
+        return []
+    parent = list(range(len(perms)))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    position = {}
+    for p, perm in enumerate(perms):
+        position.setdefault(perm.images, p)
+    for move in orbit_moves(perms[0].r):
+        for p, perm in enumerate(perms):
+            q = position.get(apply_move(perm, move).images)
+            if q is not None:
+                a, b = find(p), find(q)
+                parent[max(a, b)] = min(a, b)
+    return [find(p) for p in range(len(perms))]
 
 
 def _invariant_triple(perm: PointPerm):

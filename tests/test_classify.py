@@ -36,8 +36,8 @@ from perfcode.algebra import count_linear_products, double_coset_member, gl_orde
 from perfcode.algebra import invert as mat_invert
 from perfcode.classify import (
     SERIES_BASE_TAUS,
+    _edge_images,
     _gl_generators,
-    _orbit_edges,
     _orbit_roots,
     classify_catalog,
     perm_intersection_dim,
@@ -48,7 +48,7 @@ from perfcode.classify import (
 from perfcode.codes import base_dim, kernel_dims
 from perfcode.regular_groups import TauCatalog, automorphism_census
 from perfcode import sqs as sqs_module
-from classify_oracle import _invariant_triple, classify_oracle
+from classify_oracle import _invariant_triple, apply_move, classify_oracle, orbit_moves, orbit_roots_oracle
 from conftest import random_gl, random_zero_fixing
 
 # the module, which the package's `classify` function shadows as an attribute
@@ -342,7 +342,7 @@ def _products_batch(rng: random.Random) -> list[PointPerm]:
 
 class TestOrbitClassification:
     """Orbit-at-a-time classification against the per-tau path of
-    tests/classify_oracle.py, and the orbit edges and witnesses it relies on."""
+    tests/classify_oracle.py, and the orbits and witnesses it relies on."""
 
     def test_r3_catalog_matches_oracle(self, r3_catalog, r3_taus):
         pairs = map(r3_catalog.provenance, range(len(r3_catalog)))
@@ -390,7 +390,7 @@ class TestOrbitClassification:
         assert entries == classify_oracle(taus)
         assert len({e.class_id for e in entries}) == 4
         rows = _sorted_rows(np.array([t.images for t in taus], dtype=np.int8))
-        assert len(set(_orbit_roots(_orbit_edges(rows, r)).tolist())) > 4
+        assert len(set(_orbit_roots(rows, r).tolist())) > 4
 
     def test_one_count_per_class(self, monkeypatch, rng, r3_taus):
         # aut_order and point transitivity of a class come from the counts of
@@ -433,7 +433,7 @@ class TestOrbitClassification:
         # spectra of each orbit's least member and of its inverse
         taus = _products_batch(rng)
         rows = _sorted_rows(np.array([t.images for t in taus], dtype=np.int8))
-        least = sorted(set(_orbit_roots(_orbit_edges(rows, 4)).tolist()))
+        least = sorted(set(_orbit_roots(rows, 4).tolist()))
         assert len(least) == 9
         expected = []
         for p in least:
@@ -491,6 +491,8 @@ class TestOrbitClassification:
         assert len(seen) == order == gl_order(r)
 
     def test_edges_hold_point_by_point(self, r3_catalog, rng):
+        # each transform of _edge_images moves every row as the identity, a
+        # conjugation by a GL generator, or inversion does, point by point
         extra = _with_conjugates([random_zero_fixing(4, rng) for _ in range(3)], 4, rng)
         for r, images in (
             (3, r3_catalog.images),
@@ -498,15 +500,34 @@ class TestOrbitClassification:
         ):
             rows = _sorted_rows(images)
             perms = [PointPerm(r, tuple(row)) for row in rows.tolist()]
-            index = {p.images: i for i, p in reversed(list(enumerate(perms)))}
-            edges = _orbit_edges(rows, r)
             moves = [lambda t: t, *(lambda t, m=m: _conjugate(t, m) for m in _gl_generators(r)), invert_perm]
-            assert edges.shape == (len(moves), len(rows))
-            for move, targets in zip(moves, edges.tolist()):
-                for perm, target in zip(perms, targets):
-                    assert target == index.get(move(perm).images, -1)
+            yielded = [moved.tolist() for moved in _edge_images(rows, r)]
+            assert len(yielded) == len(moves)
+            for move, moved in zip(moves, yielded):
+                assert moved == [list(move(perm).images) for perm in perms]
             if r == 3:  # the catalog is closed under conjugation and inversion
-                assert (edges >= 0).all()
+                assert all(sorted(moved) == rows.tolist() for moved in yielded)
+
+    def test_orbit_roots_match_the_oracle(self, r3_catalog, rng):
+        # repeated rows; the two copies of the last tau have no other row one
+        # move away, so only the identity transform joins them
+        r4 = _with_conjugates([random_zero_fixing(4, rng) for _ in range(4)], 4, rng)
+        r4 += r4[::3] + [random_zero_fixing(4, rng)] * 2
+        r5 = _with_conjugates([random_zero_fixing(5, rng) for _ in range(2)], 5, rng)
+        for r, images, orbits in (
+            (3, r3_catalog.images, 15),
+            (4, np.array([t.images for t in r4], dtype=np.int8), None),
+            (5, np.array([t.images for t in r5], dtype=np.int8), None),
+            (4, np.array([r4[0].images], dtype=np.int8), 1),
+            (4, np.zeros((0, 16), dtype=np.int8), 0),
+        ):
+            rows = _sorted_rows(images)
+            root = _orbit_roots(rows, r)
+            expected = orbit_roots_oracle(PointPerm(r, tuple(row)) for row in rows.tolist())
+            assert root.tolist() == expected
+            if orbits is not None:
+                assert len(set(expected)) == orbits
+            assert len(set(expected)) < len(rows) or len(rows) < 2
 
     def test_conjugation_path_is_witness(self, r3_catalog, r4_prefix_min_kernel):
         for r, images in (
@@ -514,29 +535,33 @@ class TestOrbitClassification:
             (4, np.array([t.images for t in r4_prefix_min_kernel], dtype=np.int8)),
         ):
             rows = _sorted_rows(images)
-            edges = _orbit_edges(rows, r)
-            root = _orbit_roots(edges)
-            moves = [identity_matrix(r), *_gl_generators(r)]
-            # breadth first from each orbit's least member over the undirected
-            # edges: row p = sigma_P rep^(+-1) sigma_P^-1, kept as path[p] = (P, inverted)
+            root = _orbit_roots(rows, r)
+            perms = [PointPerm(r, tuple(row)) for row in rows.tolist()]
+            index = {p.images: i for i, p in reversed(list(enumerate(perms)))}
+            # the oracle's moves as undirected steps (q, move, +1 forward or -1 back)
+            steps = [[] for _ in perms]
+            for move in orbit_moves(r):
+                for p, perm in enumerate(perms):
+                    q = index.get(apply_move(perm, move).images)
+                    if q is not None:
+                        steps[p].append((q, move, +1))
+                        steps[q].append((p, move, -1))
+            # breadth first from each orbit's least member: row p = sigma_P
+            # rep^(+-1) sigma_P^-1, kept as path[p] = (P, inverted)
             path = {int(p): (identity_matrix(r), False) for p in np.flatnonzero(root == np.arange(len(rows)))}
             frontier = list(path)
             while frontier:
                 nxt = []
                 for p in frontier:
                     mat, inverted = path[p]
-                    for k, targets in enumerate(edges):
-                        steps = [(int(q), +1) for q in [targets[p]] if q >= 0]
-                        steps += [(int(q), -1) for q in np.flatnonzero(targets == p)]
-                        for q, way in steps:
-                            if q in path:
-                                continue
-                            if k < len(moves):
-                                step = moves[k] if way > 0 else mat_invert(moves[k])
-                                path[q] = (step @ mat, inverted)
-                            else:
-                                path[q] = (mat, not inverted)
-                            nxt.append(q)
+                    for q, move, way in steps[p]:
+                        if q in path:
+                            continue
+                        if move is None:
+                            path[q] = (mat, not inverted)
+                        else:
+                            path[q] = ((move if way > 0 else mat_invert(move)) @ mat, inverted)
+                        nxt.append(q)
                 frontier = nxt
             assert sorted(path) == list(range(len(rows)))
             local = random.Random(55)
@@ -553,7 +578,7 @@ class TestOrbitClassification:
 
     def test_invariants_constant_on_r3_orbits(self, r3_catalog):
         rows = _sorted_rows(r3_catalog.images)
-        root = _orbit_roots(_orbit_edges(rows, 3))
+        root = _orbit_roots(rows, 3)
         assert len(set(root.tolist())) == 15
         by_orbit = {}
         for least, row in zip(root.tolist(), rows.tolist()):

@@ -37,7 +37,7 @@ from perfcode import (
 )
 from perfcode.cli import build_parser, cli_main
 from perfcode.classify import classify_catalog
-from perfcode.regular_groups import TauCatalog
+from perfcode.regular_groups import TauCatalog, automorphism_census
 from perfcode import io as pio
 from conftest import random_zero_fixing
 import catalog_oracle
@@ -59,6 +59,9 @@ R3_CENSUS_JSON_SHA256 = "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4e
 R3_CENSUS_CSV_SHA256 = "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150"
 # the catalog file of `catalog-taus --r 3`, which every catalog writer must reproduce
 R3_CATALOG_SHA256 = "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2"
+# the classification JSON of the kernel-22 taus of the first 165 regular
+# subgroups of GA(4,2): 9,216 taus in one class
+R4_SLICE_JSON_SHA256 = "dc6fdd5a71f69172c06cbfd6e4fed9605b9d3a1e9aa66eebe0f23b4976ede178"
 
 
 class TestBitstrings:
@@ -379,6 +382,21 @@ class TestClassificationOutput:
         assert {e.non_mollard for e in entries} == {False, True}
         for emit in (pio.emit_catalog_json, pio.emit_catalog_csv):
             assert emit(entries) == emit(list(entries))
+
+    def test_r4_slice_classification_bytes(self):
+        # group 164 is the first whose taus have kernel dimension 22
+        auts = list(islice(automorphism_census(4), 165))
+        images = np.concatenate(auts).astype(np.int8)
+        gids = np.repeat(np.arange(len(auts)), [len(a) for a in auts])
+        aids = np.concatenate([np.arange(len(a)) for a in auts])
+        # deduplicated in first-seen order, as catalog_taus does
+        _, first = np.unique(images, axis=0, return_index=True)
+        first.sort()
+        catalog = TauCatalog(4, images[first], gids[first], aids[first], complete=True)
+        entries = classify_catalog(catalog, kernel_dim=22)
+        assert len(entries) == 9216 and len(entries.classes) == 1
+        text = pio.emit_catalog_json(entries)
+        assert hashlib.sha256(text.encode()).hexdigest() == R4_SLICE_JSON_SHA256
 
     def test_strings_are_escaped_as_json_and_csv_escape_them(self):
         base = CatalogEntry("r3-01234567", 3, 11, 11, 4, True, None, 0, False, "user")
