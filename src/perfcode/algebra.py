@@ -157,6 +157,22 @@ def gl_enumerate(r: int):
         yield BitMatrix(r, r, rows)
 
 
+def gl_generators(r: int) -> tuple[BitMatrix, ...]:
+    """The transvections x_i += x_{i+1} and x_{i+1} += x_i for i < r - 1,
+    which generate GL(r,2); each is an involution.
+
+    More generators than the two GL(r,2) needs: an input that is not
+    closed under conjugation (a catalog prefix) splits into fewer
+    components when more conjugates are one step away."""
+
+    def transvection(i: int, j: int) -> BitMatrix:
+        return BitMatrix(r, r, tuple(1 << k | (1 << j if k == i else 0) for k in range(r)))
+
+    return tuple(transvection(i, i + 1) for i in range(r - 1)) + tuple(
+        transvection(i + 1, i) for i in range(r - 1)
+    )
+
+
 @dataclass(frozen=True)
 class PointPerm:
     """Permutation of the 2^r points of F^r.

@@ -15,6 +15,7 @@ from .algebra import (
     BitMatrix,
     PointPerm,
     double_coset_member,
+    gl_generators,
     invert,
     invert_perm,
     sigma_m,
@@ -139,22 +140,6 @@ def _intersection_from_rank(r: int, rank: int) -> int:
     return base_dim(r) + (1 << r) - 1 - rank
 
 
-def _gl_generators(r: int) -> tuple[BitMatrix, ...]:
-    """The transvections x_i += x_{i+1} and x_{i+1} += x_i for i < r - 1,
-    which generate GL(r,2).
-
-    More generators than the two GL(r,2) needs: an input that is not
-    closed under conjugation (a catalog prefix) splits into fewer
-    components when more conjugates are one step away."""
-
-    def transvection(i: int, j: int) -> BitMatrix:
-        return BitMatrix(r, r, tuple(1 << k | (1 << j if k == i else 0) for k in range(r)))
-
-    return tuple(transvection(i, i + 1) for i in range(r - 1)) + tuple(
-        transvection(i + 1, i) for i in range(r - 1)
-    )
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One byte-string key per int8 row; images are non-negative, so the
     keys order like the image tuples."""
@@ -172,10 +157,10 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
 def _edge_images(rows: np.ndarray, r: int):
     """Yield the rows moved by each edge transform: the identity (which
     joins equal rows), conjugation tau -> sigma_M tau sigma_M^-1 by each of
-    `_gl_generators(r)` (which stays in the GL double coset of tau), and
+    `gl_generators(r)` (which stays in the GL double coset of tau), and
     inversion.  Every one of them maps a class to itself."""
     yield rows
-    for m in _gl_generators(r):
+    for m in gl_generators(r):
         pts = np.array(sigma_m(m).images, dtype=np.int8)
         conj = np.empty_like(rows)
         conj[:, pts] = pts[rows]  # conj(M x) = M tau(x)

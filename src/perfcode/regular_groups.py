@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BitMatrix, PointPerm, gl_rows_cached, identity_matrix
+from .algebra import BitMatrix, PointPerm, gl_generators, gl_rows_cached, identity_matrix, sigma_m
 from .errors import BudgetExceeded, NotAnAutomorphism
 
 ENUM_MIN_R = 3
@@ -82,7 +82,10 @@ class _Tables:
 
     `mul` is the one product table, built one unipotent row at a time; the
     DFS reads it through `mul_l`, one memoryview per row, so mul_l[a][b] is
-    a Python int with no per-entry copy."""
+    a Python int with no per-entry copy.  `code2idx` is the one lookup from
+    a matrix's columns to its unipotent index; `transvections` holds, for
+    each of `gl_generators(r)`, its point map sigma_T and the index map
+    c_T: u -> index of T M_u T."""
 
     def __init__(self, r: int):
         rows_list = gl_rows_cached(r)
@@ -97,18 +100,26 @@ class _Tables:
         self.id_idx = self.uni.index(tuple(1 << i for i in range(r)))
         self.app = app = maps[keep]
         nu = len(keep)
-        # a unipotent is looked up by its columns M e_j, r bits each
-        cols = app[:, 1 << np.arange(r)].astype(np.intp)
-        shifts = r * np.arange(r)
-        code2idx = np.full(1 << (r * r), -1, dtype=np.int16)
-        code2idx[(cols << shifts).sum(axis=1)] = np.arange(nu)
+        # a unipotent is looked up by its columns M e_j, r bits each:
+        # code2idx[cols @ weights]
+        units = 1 << np.arange(r)
+        cols = app[:, units].astype(np.intp)
+        weights = 1 << (r * np.arange(r))
+        self.code2idx = np.full(1 << (r * r), -1, dtype=np.int16)
+        self.code2idx[cols @ weights] = np.arange(nu)
         # -1 marks a non-unipotent product (prunes the branch)
         self.mul = mul = np.empty((nu, nu), dtype=np.int16)
         # column j of M_a M_b is M_a(M_b e_j)
         for a, row in enumerate(app.astype(np.intp)):
-            mul[a] = code2idx[(row[cols] << shifts).sum(axis=1)]
+            mul[a] = self.code2idx[row[cols] @ weights]
         self.app_l = tuple(tuple(row.tolist()) for row in app)
         self.mul_l = tuple(map(memoryview, mul))
+        self.transvections = []
+        for t in gl_generators(r):
+            sigma = np.array(sigma_m(t).images, dtype=np.intp)
+            # column j of T M_u T is T(M_u(T e_j))
+            conj = self.code2idx[sigma[app[:, sigma[units]]] @ weights]
+            self.transvections.append((sigma, conj))
 
 
 @functools.cache
@@ -224,22 +235,50 @@ def _label_orders(mul: list[list[int]], n: int) -> list[int]:
     return orders
 
 
+def _levels(mul: list[list[int]], n: int):
+    """The generators of the automorphism search, one level each.
+
+    gens[i] is the least label outside H_{i-1} = <gens[:i]>, and the last
+    level is the first whose H_i = <gens[:i+1]> holds all n labels.  Yields
+    (gens[i], layers, members): a breadth-first walk over H_i along right
+    multiplication by gens[:i+1] from 0, in a finite group the subgroup they
+    generate, as one (tree, cross) pair per layer, each three parallel lists
+    x, h, y of the Cayley edges x h = y whose y is new (tree) or already
+    reached (cross); and H_i's labels in the order the walk reached them."""
+    gens: list[int] = []
+    seen = {0}
+    while len(seen) < n:
+        g = next(a for a in range(n) if a not in seen)
+        gens.append(g)
+        members, seen, frontier, layers = [0], {0}, [0], []
+        while frontier:
+            tree, cross = ([], [], []), ([], [], [])
+            for x in frontier:
+                for h in gens:
+                    y = mul[x][h]
+                    edges = cross if y in seen else tree
+                    seen.add(y)
+                    edges[0].append(x)
+                    edges[1].append(h)
+                    edges[2].append(y)
+            layers.append((tree, cross))
+            members += tree[2]
+            frontier = tree[2]
+        yield g, layers, members
+
+
 def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     """All product-preserving label bijections fixing 0, as the rows of a
     (k, n) array of images.
 
-    A level-by-level search over the images of generators that it picks
-    as it goes: gens[i] is the least label outside H_{i-1} = <gens[:i]>,
-    and the search stops once H_i holds all n labels.  At level i every
-    surviving map is repeated once per candidate image for gens[i] of the
-    same element order that is not yet an image, and extended to
-    H_i = <gens[:i+1]> breadth first along right multiplication,
-    img[x h] = img[x] img[h]; in a finite group the labels this reaches
-    from 0 are the subgroup gens[:i+1] generate.  A row survives when
-    every Cayley edge x h (x in H_i, h in gens[:i+1]) maps to
-    img[x] img[h], which with img[0] = 0 makes it a homomorphism on H_i,
-    and no x != 0 maps to 0, which makes it injective.  The last level is
-    Aut(G).
+    A level-by-level search over the images of the generators `_levels`
+    picks.  At level i every surviving map is repeated once per candidate
+    image for gens[i] of the same element order that is not yet an image,
+    and extended to H_i along the level's walk: each tree edge x h = y
+    defines img[y] = img[x] img[h].  A row survives when every cross edge
+    maps to img[x] img[h] too, which with img[0] = 0 makes it a
+    homomorphism on H_i, and no x != 0 maps to 0, which makes it
+    injective.  The last level is Aut(G).
 
     Ordering guarantee: rows stay parent-major with candidates ascending,
     so the rows are sorted lexicographically by the tuple of generator
@@ -250,41 +289,21 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     orders = np.array(_label_orders(mul, n))
     table = np.array(mul, dtype=np.intp)
     img = np.zeros((1, n), dtype=np.intp)
-    gens: list[int] = []
-    members, seen = [0], {0}
-    while len(members) < n:
-        g = next(a for a in range(n) if a not in seen)
-        gens.append(g)
+    reached = [0]
+    for g, layers, members in _levels(mul, n):
         cands = np.flatnonzero(orders == orders[g])
         used = np.zeros((len(img), n), dtype=bool)
-        used[np.arange(len(img))[:, None], img[:, members]] = True
+        used[np.arange(len(img))[:, None], img[:, reached]] = True
         parent, pick = np.nonzero(~used[:, cands])
         img = img[parent]
         img[:, g] = cands[pick]
-        # breadth first over H_i: tree edges define the images of each new
-        # layer, the layer's other Cayley edges x h drop the rows they break
-        members, seen, frontier = [0], {0}, [0]
-        while frontier:
-            xs, hs, ys, cx, ch, cy = [], [], [], [], [], []
-            for x in frontier:
-                for h in gens:
-                    y = mul[x][h]
-                    if y in seen:
-                        cx.append(x)
-                        ch.append(h)
-                        cy.append(y)
-                    else:
-                        seen.add(y)
-                        xs.append(x)
-                        hs.append(h)
-                        ys.append(y)
+        for (xs, hs, ys), (cx, ch, cy) in layers:
             if ys:
                 img[:, ys] = table[img[:, xs], img[:, hs]]
             if cy:
                 img = img[(img[:, cy] == table[img[:, cx], img[:, ch]]).all(axis=1)]
-            members += ys
-            frontier = ys
         img = img[(img[:, members[1:]] != 0).all(axis=1)]
+        reached = members
     return img
 
 
@@ -300,18 +319,77 @@ def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
     ]
 
 
+def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
+    """The GL(r,2)-conjugates M G M^-1 of the group G = `mats` (point ->
+    unipotent index, int16), keyed by their own int16 bytes, each with the
+    point map sigma_M of one M that carries G to it.
+
+    Breadth first under `tab.transvections`: conjugation by sigma_T sends
+    g_a = (a, M_a) to (T a, T M_a T), so the conjugate of H is c_T[H[sigma_T]]
+    (T is an involution), and sigma_{TM} = sigma_T o sigma_M."""
+    n = len(mats)
+    klass = {mats.tobytes(): np.arange(n)}
+    groups, sigmas = mats[None, :], np.arange(n)[None, :]
+    while len(groups):
+        new_groups, new_sigmas = [], []
+        for sigma_t, conj_t in tab.transvections:
+            for group, sigma in zip(conj_t[groups[:, sigma_t]], sigma_t[sigmas]):
+                key = group.tobytes()
+                if key not in klass:
+                    klass[key] = sigma
+                    new_groups.append(group)
+                    new_sigmas.append(sigma)
+        groups = np.array(new_groups, dtype=np.int16).reshape(-1, n)
+        sigmas = np.array(new_sigmas, dtype=np.intp).reshape(-1, n)
+    return klass
+
+
+def _carried_automorphisms(auts: np.ndarray, sigma: np.ndarray, mul: list[list[int]], n: int) -> np.ndarray:
+    """Aut(M G M^-1) from Aut(G) and sigma_M: the conjugate induces
+    sigma_M tau sigma_M^-1 for each tau of G.  The rows are sorted by their
+    images of the generators `_levels` picks, the order of the conjugate's
+    own search."""
+    inverse = np.empty_like(sigma)
+    inverse[sigma] = np.arange(n)
+    carried = sigma[auts[:, inverse]]
+    gens = [g for g, _, _ in _levels(mul, n)]
+    return carried[np.lexsort(carried[:, gens[::-1]].T)]
+
+
 def automorphism_census(r: int, budget_seconds: float | None = None):
     """Yield Aut(G) of every regular subgroup G of GA(r,2), in enumeration
-    order, as the (k, 2^r) array of `_automorphism_perms`; each row is an
+    order, as the (k, 2^r) array `_automorphism_perms` gives; each row is an
     induced tau.
+
+    One search per GL(r,2)-conjugacy class: the first group of a class
+    that the enumeration meets is searched, its class is walked at once
+    (`_conjugacy_class`), and every later member, met in its turn, gets the
+    searched rows carried by conjugation and re-sorted into its own
+    generator-image order, so each array equals the member's own search.
+    At r=3 the 232 groups form 8 classes, at r=4 the 62,896 form 39.
 
     Raises BudgetExceeded mid-stream once the time budget runs out: the
     enumeration checks the deadline before it hands over each group, so
     the groups yielded before are whole and are the first ones in order."""
     deadline = _deadline(budget_seconds)
     tab = _tables(r)
+    n = 1 << r
+    # key -> (the searched rows of its class, sigma_M carrying them to it);
+    # the enumeration meets each group once, so its entry is popped then
+    carried: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     for mats_idx in _enumerate_regular_idx(r, deadline):
-        yield _automorphism_perms(_mult_table(tab.app[mats_idx]), 1 << r)
+        mats = np.array(mats_idx, dtype=np.int16)
+        key = mats.tobytes()
+        mul = _mult_table(tab.app[mats])
+        found = carried.pop(key, None)
+        if found is None:
+            auts = _automorphism_perms(mul, n)
+            klass = _conjugacy_class(tab, mats)
+            del klass[key]
+            carried.update((other, (auts, sigma)) for other, sigma in klass.items())
+        else:
+            auts = _carried_automorphisms(*found, mul, n)
+        yield auts
 
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:
@@ -365,9 +443,14 @@ class TauCatalog:
 def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     """Aggregate induced permutations over all (group, automorphism) pairs.
 
-    Deduplicates by exact permutation equality, keeping the first
-    (group, automorphism) pair in enumeration order as provenance.  On
-    budget exhaustion the partial catalog is returned with complete=False.
+    The pairs come from `automorphism_census`, which searches once per
+    conjugacy class; an aut_id is a row position in the group's own search
+    order either way.  Each tau is packed one nibble per point into a
+    uint64 code, and deduplicated by exact permutation equality, keeping
+    the first (group, automorphism) pair in enumeration order as
+    provenance; the images are unpacked from the codes' bytes.  On budget
+    exhaustion the partial catalog is returned with complete=False: the
+    pairs of the first k groups, all of them.
     """
     if r not in (ENUM_MIN_R, ENUM_MAX_R):
         raise ValueError(f"catalog_taus supports r in {{3, 4}}, got {r}")
@@ -390,5 +473,9 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     _, first = np.unique(codes, return_index=True)
     first.sort()  # first-seen order over the deduplicated set
     codes, gids, aids = codes[first], gids[first], aids[first]
-    images = ((codes[:, None] >> shifts[None, :]) & 15).astype(np.int8)
+    # little-endian bytes: the low nibble of byte k is point 2k, the high one point 2k + 1
+    packed = codes.astype("<u8").view(np.uint8).reshape(len(codes), 8)[:, : n // 2]
+    images = np.empty((len(codes), n), dtype=np.int8)
+    images[:, 0::2] = packed & 15
+    images[:, 1::2] = packed >> 4
     return TauCatalog(r, images, gids, aids, complete)

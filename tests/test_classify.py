@@ -32,12 +32,18 @@ from perfcode import (
 )
 from perfcode._bits import mul_rows
 from perfcode import algebra as algebra_module
-from perfcode.algebra import count_linear_products, double_coset_member, gl_order, identity_matrix, point_spectra
+from perfcode.algebra import (
+    count_linear_products,
+    double_coset_member,
+    gl_generators,
+    gl_order,
+    identity_matrix,
+    point_spectra,
+)
 from perfcode.algebra import invert as mat_invert
 from perfcode.classify import (
     SERIES_BASE_TAUS,
     _edge_images,
-    _gl_generators,
     _orbit_roots,
     classify_catalog,
     perm_intersection_dim,
@@ -289,7 +295,7 @@ class TestSeries:
 
             def wrong(r):
                 tau, (a, b) = base(r)
-                return tau, (a, b @ series._gl_generators(r)[0])
+                return tau, (a, b @ series.gl_generators(r)[0])
 
             series._series_base = wrong
             try:
@@ -322,7 +328,7 @@ def _with_conjugates(taus, r: int, rng: random.Random):
     random matrices, and one conjugate of the inverse, shuffled."""
     out = []
     for tau in taus:
-        mats = [*_gl_generators(r), random_gl(r, rng), random_gl(r, rng)]
+        mats = [*gl_generators(r), random_gl(r, rng), random_gl(r, rng)]
         out += [tau, invert_perm(tau), _conjugate(invert_perm(tau), mats[0])]
         out += [_conjugate(tau, m) for m in mats]
     rng.shuffle(out)
@@ -482,7 +488,7 @@ class TestOrbitClassification:
 
     @pytest.mark.parametrize("r, order", [(3, 168), (4, 20160)])
     def test_generators_generate_gl(self, r, order):
-        gens = [m.row_bits for m in _gl_generators(r)]
+        gens = [m.row_bits for m in gl_generators(r)]
         seen = {identity_matrix(r).row_bits}
         frontier = list(seen)
         while frontier:
@@ -500,7 +506,7 @@ class TestOrbitClassification:
         ):
             rows = _sorted_rows(images)
             perms = [PointPerm(r, tuple(row)) for row in rows.tolist()]
-            moves = [lambda t: t, *(lambda t, m=m: _conjugate(t, m) for m in _gl_generators(r)), invert_perm]
+            moves = [lambda t: t, *(lambda t, m=m: _conjugate(t, m) for m in gl_generators(r)), invert_perm]
             yielded = [moved.tolist() for moved in _edge_images(rows, r)]
             assert len(yielded) == len(moves)
             for move, moved in zip(moves, yielded):

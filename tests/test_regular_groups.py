@@ -10,7 +10,8 @@ import pytest
 from aut_oracle import closure_automorphism_perms
 from enum_oracle import all_pairs_regular_idx
 from perfcode import regular_groups
-from perfcode.algebra import gl_rows_cached
+from perfcode.algebra import gl_enumerate, gl_generators, gl_rows_cached
+from perfcode.algebra import invert as mat_invert
 from perfcode.regular_groups import automorphism_census
 from perfcode import (
     BitMatrix,
@@ -216,6 +217,16 @@ class TestTables:
         for a, row in enumerate(tab.mul_l):
             assert np.shares_memory(np.asarray(row), tab.mul[a])
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_transvection_conjugation_tables(self, r):
+        # c_T[u] is the index of T M_u T, and sigma_T is b -> T b
+        tab = regular_groups._tables(r)
+        index = {rows: k for k, rows in enumerate(tab.uni)}
+        assert len(tab.transvections) == 2 * (r - 1)
+        for (sigma, conj), t in zip(tab.transvections, gl_generators(r)):
+            assert tuple(sigma.tolist()) == sigma_m(t).images
+            assert [index[(t @ BitMatrix(r, r, rows) @ t).row_bits] for rows in tab.uni] == conj.tolist()
+
 
 R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
 
@@ -235,6 +246,18 @@ def r3_tables():
 @pytest.fixture(scope="module")
 def r4_prefix_tables():
     return mult_tables(4, R4_PREFIX)
+
+
+def count_searches(monkeypatch) -> list[int]:
+    """Record each call of the automorphism search; returns the record."""
+    search, calls = regular_groups._automorphism_perms, []
+
+    def counted(mul, n):
+        calls.append(n)
+        return search(mul, n)
+
+    monkeypatch.setattr(regular_groups, "_automorphism_perms", counted)
+    return calls
 
 
 class TestAutomorphismOracle:
@@ -262,6 +285,49 @@ class TestAutomorphismOracle:
         groups = list(enumerate_regular_subgroups(3))
         assert len(census) == len(groups) == 232
         for auts, group in zip(census, groups):
+            assert [tuple(row) for row in auts.tolist()] == [a.perm.images for a in automorphisms(group)]
+
+    def test_one_search_per_conjugacy_class(self, monkeypatch):
+        searches = count_searches(monkeypatch)
+        walk, class_sizes = regular_groups._conjugacy_class, []
+
+        def record_class(tab, mats):
+            klass = walk(tab, mats)
+            class_sizes.append(len(klass))
+            return klass
+
+        monkeypatch.setattr(regular_groups, "_conjugacy_class", record_class)
+        searched = []
+        for gid, _ in enumerate(automorphism_census(3)):
+            if len(searches) > len(searched):
+                searched.append(gid)
+        assert len(searches) == 8
+        assert sum(class_sizes) == 232
+
+        # the oracle: orbits under conjugation by every M of GL(3,2), by
+        # BitMatrix products; each class is searched at its first group
+        groups = [tuple(m.row_bits for m in g.mats) for g in enumerate_regular_subgroups(3)]
+        position = {g: gid for gid, g in enumerate(groups)}
+        matrices = {rows for g in groups for rows in g}
+        orbits = {g: set() for g in groups}
+        for m in gl_enumerate(3):
+            m_inv, pts = mat_invert(m), sigma_m(m).images
+            conj_of = {rows: (m @ BitMatrix(3, 3, rows) @ m_inv).row_bits for rows in matrices}
+            for g in groups:
+                conj = [None] * 8
+                for a, rows in enumerate(g):
+                    conj[pts[a]] = conj_of[rows]
+                orbits[g].add(tuple(conj))
+        assert searched == sorted({min(map(position.get, orbit)) for orbit in orbits.values()})
+        assert sorted(class_sizes) == sorted(len(orbits[groups[gid]]) for gid in searched)
+
+    def test_r4_prefix_matches_the_search(self, monkeypatch):
+        # carried groups of the r=4 prefix, row for row and in order
+        searches = count_searches(monkeypatch)
+        census = list(islice(automorphism_census(4), 600))
+        assert len(searches) < 600
+        monkeypatch.undo()
+        for auts, group in zip(census, islice(enumerate_regular_subgroups(4), 600)):
             assert [tuple(row) for row in auts.tolist()] == [a.perm.images for a in automorphisms(group)]
 
     def test_r3_catalog_rows_and_provenance(self, r3_catalog, r3_tables):
@@ -415,22 +481,24 @@ class TestCatalog:
 
     def test_deadline_passed_in_the_last_search_keeps_the_catalog_complete(self, monkeypatch):
         # the clock passes the deadline while the automorphisms of the last
-        # group are searched; the subgroup search then meets only a dead end
-        # and no further group, so every group is in and the catalog is complete
+        # group are found, carried by conjugation rather than searched; the
+        # subgroup search then meets only a dead end and no further group,
+        # so every group is in and the catalog is complete
         now = [0.0]
         monkeypatch.setattr(regular_groups, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        search = regular_groups._automorphism_perms
-        calls = []
+        searches = count_searches(monkeypatch)
+        carry, carried = regular_groups._carried_automorphisms, []
 
-        def search_then_tick(mul, n):
-            calls.append(n)
-            if len(calls) == 232:
+        def carry_then_tick(auts, sigma, mul, n):
+            carried.append(n)
+            if len(searches) + len(carried) == 232:
                 now[0] = 100.0
-            return search(mul, n)
+            return carry(auts, sigma, mul, n)
 
-        monkeypatch.setattr(regular_groups, "_automorphism_perms", search_then_tick)
+        monkeypatch.setattr(regular_groups, "_carried_automorphisms", carry_then_tick)
         catalog = catalog_taus(3, budget_seconds=10.0)
-        assert len(calls) == 232
+        assert (len(searches), len(carried)) == (8, 224)
+        assert now[0] == 100.0  # the clock passed in the 232nd group's carry
         assert len(catalog) == 1372
         assert catalog.complete
 
