@@ -2,9 +2,13 @@
 
 Vectors are Python ints; bit j of the int is coordinate j.  All routines
 are pure and allocation-light; the double-coset search lives in `algebra`.
+`pack_words` and `packed_rank` hold many words at once as rows of uint64
+limbs, for the brute-force oracles over thousands of code words.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def parity(x: int) -> int:
@@ -52,6 +56,40 @@ def span_dim(vecs) -> int:
         if cur:
             pivots.append((cur.bit_length() - 1, cur))
     return len(pivots)
+
+
+def pack_words(words, length: int) -> np.ndarray:
+    """A sequence of words, Python ints that fit in `length` bits, as an
+    (N, ceil(length / 64)) array of uint64 limbs: bit j of limb i is
+    coordinate 64 i + j.  A word too long for the limbs raises
+    OverflowError."""
+    words = np.array(words, dtype=object)
+    packed = np.empty((words.size, (length + 63) >> 6), dtype=np.uint64)
+    for i in range(packed.shape[1] - 1):
+        packed[:, i] = words & 0xFFFF_FFFF_FFFF_FFFF
+        words = words >> 64
+    if packed.shape[1]:
+        packed[:, -1] = words
+    return packed
+
+
+def packed_rank(rows: np.ndarray) -> int:
+    """Dimension of the GF(2) span of the rows of a `pack_words` array.
+
+    An elimination over all rows at once, top bit first: the highest bit
+    set in any row is a pivot, and the first row holding it is XORed into
+    every row that holds it, itself included, which clears that bit from
+    all of them.  The caller's array is left as it was.
+    """
+    rows = rows.copy()
+    rank = 0
+    for limb in range(rows.shape[1] - 1, -1, -1):
+        column = rows[:, limb]
+        while top := int(np.bitwise_or.reduce(column)):
+            hit = np.flatnonzero((column >> np.uint64(top.bit_length() - 1)) & np.uint64(1))
+            rows[hit] ^= rows[hit[0]]
+            rank += 1
+    return rank
 
 
 def span_basis(vecs) -> list[int]:

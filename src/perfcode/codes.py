@@ -13,7 +13,16 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ._bits import nullspace_basis, reduce_vec, span_basis, span_dim, span_words, transpose, weight
+from ._bits import (
+    nullspace_basis,
+    pack_words,
+    packed_rank,
+    reduce_vec,
+    span_basis,
+    span_dim,
+    span_words,
+    transpose,
+)
 from .algebra import BitMatrix, PointPerm, additivity_table
 from .errors import BudgetExceeded, InconsistentInput, LengthMismatch
 
@@ -225,8 +234,9 @@ def explicit_materialize(s: CosetUnionCode) -> ExplicitCode:
 
 
 def brute_rank(code: ExplicitCode) -> int:
-    """Dimension of the linear span of the words."""
-    return span_dim(code.words)
+    """Dimension of the linear span of the words, by one elimination over
+    all of them at once (independent of `span_dim`, which `perm_rank` uses)."""
+    return packed_rank(pack_words(code.words, code.length))
 
 
 # The Sylvester-Hadamard matrix (-1)^popcount(i & j) on 3 bits; its leading
@@ -242,10 +252,12 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     2^n: at every x, the sum over y of (-1)^popcount(x & y) values[y].
 
     The butterflies are blocked: each pass applies a Hadamard matrix with
-    `@` across the next few bits of the index.
+    `@` across the next few bits of the index.  The first pass, over the
+    lowest bits, is one plain matrix product.
     """
     n = values.size.bit_length() - 1
-    done = 0
+    done = min(_WALSH_BLOCK, n)
+    values = values.reshape(-1, 1 << done) @ _HADAMARD[: 1 << done, : 1 << done].T
     while done < n:
         k = min(_WALSH_BLOCK, n - done)
         values = _HADAMARD[: 1 << k, : 1 << k] @ values.reshape(-1, 1 << k, 1 << done)
@@ -276,7 +288,8 @@ def brute_kernel_dim(code: ExplicitCode) -> int:
     # which the length cap keeps <= 2^46 < 2^53: every intermediate is an
     # exactly held integer
     counts = _walsh(spectrum * spectrum)
-    return span_dim(words[counts[words] == len(words) << code.length].tolist())
+    kernel = words[counts[words] == len(words) << code.length]
+    return packed_rank(kernel.astype(np.uint64)[:, None])  # the cap keeps a word in one limb
 
 
 def brute_min_distance(code: ExplicitCode) -> int:
@@ -293,8 +306,8 @@ def brute_min_distance(code: ExplicitCode) -> int:
 
 def weight4_supports(code: ExplicitCode) -> set[frozenset[int]]:
     """Supports of the weight-4 codewords (the SQS of an extended perfect code)."""
-    out = set()
-    for w in code.words:
-        if weight(w) == 4:
-            out.add(frozenset(p for p in range(code.length) if (w >> p) & 1))
-    return out
+    packed = pack_words(code.words, code.length)
+    packed = packed[np.bitwise_count(packed).sum(axis=1) == 4]
+    bits = (packed[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    _, positions = np.nonzero(bits.reshape(packed.shape[0], 64 * packed.shape[1]))
+    return set(map(frozenset, positions.reshape(-1, 4).tolist()))

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .algebra import (
     BitMatrix,
     PointPerm,
@@ -266,6 +268,39 @@ def aut_order_and_transitivity(tau: PointPerm) -> tuple[int, bool]:
 # Independent automorphism counting by backtracking (oracle for aut_order)
 # ---------------------------------------------------------------------------
 
+# the largest order whose point sets fit the uint64 masks of _pair_invariant
+PAIR_INVARIANT_MAX_ORDER = 64
+
+
+def _pair_invariant(quads, masks, v: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """For every point pair x, y: how many pairs of distinct quadruples
+    through it have their symmetric difference among the quadruples (the
+    v x v table, symmetric), and each point's row of it, sorted.
+
+    `quads` are sorted 4-tuples and `masks` their `_pair_table` masks.  The
+    six pairs of every quadruple are sorted by pair; each quadruple is then
+    paired with the one d places on in that order, for d = 1, 2, ... while
+    any such two share a pair, which visits every two quadruples through
+    a pair once, however many quadruples each pair has.
+    """
+    quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
+    masks = np.array(masks, dtype=np.uint64)
+    first, second = np.triu_indices(4, 1)  # the six pairs of slots
+    keys = (quads[:, first] * v + quads[:, second]).reshape(-1)
+    order = np.argsort(keys)
+    keys, through = keys[order], masks[order // 6]
+    members = np.sort(masks)
+    hits = [keys[:0]]
+    d = 1
+    while (lead := np.flatnonzero(keys[d:] == keys[:-d])).size:
+        sym = through[lead] ^ through[lead + d]
+        at = np.minimum(np.searchsorted(members, sym), members.size - 1)
+        hits.append(keys[lead[members[at] == sym]])
+        d += 1
+    counts = np.bincount(np.concatenate(hits), minlength=v * v).reshape(v, v)
+    pair_inv = counts + np.triu(counts, 1).T  # keys have x <= y: mirror them
+    return pair_inv.tolist(), list(map(tuple, np.sort(pair_inv, axis=1).tolist()))
+
 
 class _SqsIndex:
     """Lookup tables of one system; a point set {a, b, c} is keyed by the
@@ -273,6 +308,10 @@ class _SqsIndex:
 
     def __init__(self, q: SQS):
         self.v = q.order
+        if self.v > PAIR_INVARIANT_MAX_ORDER:
+            raise BudgetExceeded(
+                f"count_automorphisms supports order <= {PAIR_INVARIANT_MAX_ORDER}, got {self.v}"
+            )
         self.quads = [tuple(sorted(quad)) for quad in q.quadruples]
         masks, pairs = _pair_table(self.quads)
         self.quad_masks = set(masks)
@@ -280,19 +319,13 @@ class _SqsIndex:
         self.others: list[list[tuple[int, int, int]]] = [[] for _ in range(self.v)]
         self.completion: dict[int, int] = {}
         for quad, mask in zip(self.quads, masks):
-            for p in quad:
-                self.others[p].append(tuple(x for x in quad if x != p))
+            for i, p in enumerate(quad):
+                self.others[p].append(quad[:i] + quad[i + 1 :])
                 self.completion[mask ^ (1 << p)] = p
-        # pair invariant: how many pairs of distinct quadruples through
-        # (x, y) have their symmetric difference inside the system; an
-        # isomorphism must match it, which prunes image candidates early
-        self.pair_quads: dict[tuple[int, int], list] = {}
-        self.pair_inv = [[0] * self.v for _ in range(self.v)]
-        for (x, y), through in pairs.items():
-            self.pair_quads[(x, y)] = [quad for quad, _ in through]
-            inv = sum(1 for (_, m1), (_, m2) in combinations(through, 2) if m1 ^ m2 in self.quad_masks)
-            self.pair_inv[x][y] = self.pair_inv[y][x] = inv
-        self.point_inv = [tuple(sorted(row)) for row in self.pair_inv]
+        self.pair_quads = {pair: [quad for quad, _ in through] for pair, through in pairs.items()}
+        # an isomorphism must match the pair invariant, which prunes image
+        # candidates early
+        self.pair_inv, self.point_inv = _pair_invariant(self.quads, masks, self.v)
 
     def compatible(self, img: list[int], p: int, c: int) -> bool:
         """Invariant screen for mapping p to c under the partial map."""

@@ -29,7 +29,7 @@ from perfcode import (
     stats_coset_union,
 )
 from perfcode._bits import span_dim, weight
-from perfcode.codes import BRUTE_TABLE_MAX_LENGTH, ExplicitCode, perm_kernel_dim
+from perfcode.codes import BRUTE_TABLE_MAX_LENGTH, ExplicitCode, _walsh, perm_kernel_dim, weight4_supports
 from conftest import random_zero_fixing
 
 
@@ -328,3 +328,43 @@ class TestBruteKernelDim:
     def test_length_cap(self):
         with pytest.raises(BudgetExceeded):
             brute_kernel_dim(ExplicitCode(BRUTE_TABLE_MAX_LENGTH + 1, (0, 1)))
+
+
+def butterfly_walsh(values: np.ndarray) -> np.ndarray:
+    """The radix-2 Walsh–Hadamard butterflies, one bit of the index at a time."""
+    values = values.copy()
+    half = 1
+    while half < values.size:
+        pairs = values.reshape(-1, 2, half)
+        pairs[:] = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]], axis=1)
+        half *= 2
+    return values
+
+
+class TestWalsh:
+    @pytest.mark.parametrize("n", range(13))
+    def test_equals_the_butterflies(self, n):
+        # integer entries, so that every sum is exact in any order
+        values = np.random.default_rng(n).integers(-1000, 1000, 1 << n).astype(np.float64)
+        assert np.array_equal(_walsh(values), butterfly_walsh(values))
+
+
+def python_weight4_supports(code: ExplicitCode) -> set[frozenset[int]]:
+    return {
+        frozenset(p for p in range(code.length) if (w >> p) & 1)
+        for w in code.words
+        if bin(w).count("1") == 4
+    }
+
+
+class TestWeight4Supports:
+    @pytest.mark.parametrize("length", [0, 3, 4, 8, 16, 63, 64, 65, 130])
+    def test_random_codes(self, length):
+        rng = random.Random(3000 + length)
+        for _ in range(8):
+            words = {rng.getrandbits(length) for _ in range(rng.randrange(50))}
+            if length >= 4:
+                words |= {sum(1 << p for p in rng.sample(range(length), 4)) for _ in range(30)}
+                words.add(sum(1 << p for p in range(length - 4, length)))  # the top bit
+            code = ExplicitCode(length, tuple(sorted(words)))
+            assert weight4_supports(code) == python_weight4_supports(code)

@@ -57,6 +57,8 @@ _CLASSIFY = ["classify", "--catalog", "{path}", "--out", "{out}"]
 # classification change must reproduce these bytes
 R3_CENSUS_JSON_SHA256 = "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3"
 R3_CENSUS_CSV_SHA256 = "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150"
+# the groups file of `enum-regular --r 3`, in the DFS's order
+R3_GROUPS_SHA256 = "92f02b6ebedc75965fff93aa075d6ceb5b9cceaf3dd858f7075790b612fa0972"
 # the catalog file of `catalog-taus --r 3`, which every catalog writer must reproduce
 R3_CATALOG_SHA256 = "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2"
 # the classification JSON of the kernel-22 taus of the first 165 regular
@@ -638,6 +640,7 @@ class TestCli:
         )
         r, complete, groups = pio.load_groups(groups_path)
         assert r == 3 and complete and len(groups) == 232
+        assert hashlib.sha256(groups_path.read_bytes()).hexdigest() == R3_GROUPS_SHA256
 
         catalog_path = tmp_path / "catalog.json"
         assert cli_main(["catalog-taus", "--r", "3", "--out", str(catalog_path)]) == 0
@@ -739,8 +742,11 @@ class TestCli:
             ["enum-regular", "--r", "4", "--budget-seconds", "0.3", "--out", str(groups_path)]
         )
         assert code == 2
-        _, complete, _ = pio.load_groups(groups_path)
+        _, complete, groups = pio.load_groups(groups_path)
         assert complete is False
+        # the texts kept during the DFS give the bytes of one json.dump
+        obj = {"r": 4, "complete": False, "groups": [pio.group_to_obj(g) for g in groups]}
+        assert groups_path.read_text() == json.dumps(obj, separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize(
         "argv",

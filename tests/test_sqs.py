@@ -36,6 +36,7 @@ from perfcode import algebra as algebra_module
 from perfcode import sqs as sqs_module
 from perfcode.algebra import point_spectra
 from conftest import random_gl, random_zero_fixing
+from pair_invariant_oracle import pair_invariant_loop
 from sweep_oracle import sweep_member
 
 # symmetric_difference_dichotomy over the non-linear taus of the complete
@@ -348,6 +349,49 @@ class TestPointTransitive:
         assert spectra[0] != spectra[1]
         assert point_transitive(tau) == (False, None)
         assert sweep_member(inv, tau) is None
+
+
+class TestPairInvariant:
+    """The array-built pair invariant of the automorphism counter against
+    the per-pair loop it replaced."""
+
+    @staticmethod
+    def _check(q: SQS):
+        index = sqs_module._SqsIndex(q)
+        assert (index.pair_inv, index.point_inv) == pair_invariant_loop(index.quads, q.order)
+        return index
+
+    def test_r3_catalog_systems(self, r3_taus):
+        local = random.Random(45)
+        for tau in local.sample(r3_taus, 20) + [identity_perm(3)]:
+            self._check(sqs_from_tau(tau))
+
+    def test_r4_affine_system(self):
+        index = self._check(sqs_from_tau(identity_perm(4)))
+        assert set(index.point_inv) == {index.point_inv[0]}
+
+    def test_r5_identity_system(self):
+        # v = 64: the masks of quadruples through point 63 have bit 63 set
+        q = sqs_from_tau(identity_perm(5))
+        assert any(63 in quad for quad in q.quadruples)
+        self._check(q)
+
+    def test_ragged_quadruple_set(self):
+        # not an SQS: pairs lie in different numbers of quadruples, and some
+        # quadruples share three points, so their symmetric difference is a pair
+        local = random.Random(46)
+        quads = set(local.sample(sorted(sqs_from_tau(identity_perm(3)).quadruples), 90))
+        quads |= {(0, 1, 2, 9), (0, 1, 2, 10), (0, 1, 3, 11), (0, 1, 9, 10), (5, 9, 10, 15)}
+        index = self._check(SQS(order=16, quadruples=frozenset(quads)))
+        counts = {len(index.pair_quads[pair]) for pair in index.pair_quads}
+        assert len(counts) > 2
+
+    def test_empty_system(self):
+        self._check(SQS(order=8, quadruples=frozenset()))
+
+    def test_order_above_64(self):
+        with pytest.raises(BudgetExceeded):
+            count_automorphisms(SQS(order=65, quadruples=frozenset({(0, 1, 2, 64)})))
 
 
 class TestAutOrder:
