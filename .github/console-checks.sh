@@ -19,6 +19,10 @@ echo "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2  catalog.
 # automorphisms carried by conjugation to 62,857 of the 62,896 groups
 perfcode catalog-taus --r 4 --out catalog4.json
 echo "2c52aa2991eb0aa45aa75c9daf8682d940efd6a102780a8a28c91dfd531fec86  catalog4.json" | sha256sum -c
+# its complete classification, 9 classes: the only full-size check of the
+# classifier's orbit pass, whose conjugation edges come from perfcode.algebra
+perfcode classify --catalog catalog4.json --out classes4.csv --format csv
+echo "4c40b4342330598db631231ac8de071d307bf8a2d20fcfe654d2c405b7aa2861  classes4.csv" | sha256sum -c
 perfcode classify --catalog catalog.json --out classes.csv --format csv
 echo "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150  classes.csv" | sha256sum -c
 perfcode classify --catalog catalog.json --out classes.json

@@ -232,6 +232,24 @@ def invert_perm(tau: PointPerm) -> PointPerm:
     return PointPerm(tau.r, tuple(out), induced=tau.induced)
 
 
+def inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse permutation of each row of an (..., n) image array, in its
+    dtype: the order that sorts the row, as its images are distinct."""
+    return np.argsort(rows, axis=-1).astype(rows.dtype, copy=False)
+
+
+def conjugate_rows(rows: np.ndarray, sigma) -> np.ndarray:
+    """sigma o tau o sigma^-1 for every row tau of an (..., n) image array and
+    every point map sigma, one (n,) row or a stack (..., n) of them: an array
+    of shape rows.shape[:-1] + sigma.shape, in the dtype of `rows`.  A gather:
+    (sigma tau sigma^-1)(x) = sigma(tau(sigma^-1 x))."""
+    sigma = np.asarray(sigma, dtype=rows.dtype)
+    inner = np.take(rows, inverse_rows(sigma), axis=-1)  # C-contiguous, where rows[..., inv] is not
+    if sigma.ndim == 1:
+        return sigma[inner]
+    return np.take_along_axis(sigma[(None,) * (rows.ndim - 1)], inner, axis=-1)
+
+
 def _differences(f) -> np.ndarray:
     """[..., x, y] = f(x ^ y) ^ f(y), for one row of images f or an
     (N, 2^r) batch of rows: the one n x n gather behind `additivity_table`

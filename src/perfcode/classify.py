@@ -14,8 +14,10 @@ from .algebra import (
     SEARCH_MAX_R,
     BitMatrix,
     PointPerm,
+    conjugate_rows,
     double_coset_member,
     gl_generators,
+    inverse_rows,
     invert,
     invert_perm,
     sigma_m,
@@ -147,13 +149,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
-def _inverse_rows(rows: np.ndarray) -> np.ndarray:
-    """The inverse permutation of each row of an (N, 2^r) image array."""
-    inv = np.empty_like(rows)
-    np.put_along_axis(inv, rows.astype(np.intp), np.arange(rows.shape[1], dtype=rows.dtype)[None, :], axis=1)
-    return inv
-
-
 def _edge_images(rows: np.ndarray, r: int):
     """Yield the rows moved by each edge transform: the identity (which
     joins equal rows), conjugation tau -> sigma_M tau sigma_M^-1 by each of
@@ -161,11 +156,8 @@ def _edge_images(rows: np.ndarray, r: int):
     inversion.  Every one of them maps a class to itself."""
     yield rows
     for m in gl_generators(r):
-        pts = np.array(sigma_m(m).images, dtype=np.int8)
-        conj = np.empty_like(rows)
-        conj[:, pts] = pts[rows]  # conj(M x) = M tau(x)
-        yield conj
-    yield _inverse_rows(rows)
+        yield conjugate_rows(rows, sigma_m(m).images)
+    yield inverse_rows(rows)
 
 
 def _orbit_roots(rows: np.ndarray, r: int) -> np.ndarray:

@@ -172,8 +172,8 @@ def cmd_hadamard(args) -> int:
 
 def cmd_mollard(args) -> int:
     def factor(length: int) -> ExplicitCode:
-        if length < 1 or length & (length - 1):
-            raise MalformedInput(f"factor length {length} is not a power of two")
+        if length < 2 or length & (length - 1):
+            raise MalformedInput(f"factor length {length} is not a power of two >= 2")
         code = extended_hamming(length.bit_length() - 1)
         return ExplicitCode(code.length, tuple(code.words()))
 

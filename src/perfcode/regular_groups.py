@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BitMatrix, PointPerm, gl_generators, gl_rows_cached, identity_matrix, sigma_m
-from .errors import BudgetExceeded, NotAnAutomorphism
+from .algebra import BitMatrix, PointPerm, conjugate_rows, gl_rows_cached, identity_matrix
+from .errors import BudgetExceeded, InconsistentInput, NotAnAutomorphism
 
 ENUM_MIN_R = 3
 ENUM_MAX_R = 4
@@ -78,18 +78,18 @@ def _point_maps(rows: np.ndarray, r: int) -> np.ndarray:
 
 
 class _Tables:
-    """Unipotent-matrix action and multiplication tables for one r.
+    """GL(r,2) point maps and the unipotent tables for one r.
 
-    `mul` is the one product table, built one unipotent row at a time; the
-    DFS reads it through `mul_l`, one memoryview per row, so mul_l[a][b] is
-    a Python int with no per-entry copy.  `code2idx` is the one lookup from
-    a matrix's columns to its unipotent index; `transvections` holds, for
-    each of `gl_generators(r)`, its point map sigma_T and the index map
-    c_T: u -> index of T M_u T."""
+    `gl` holds sigma_M of every M in GL(r,2), in `gl_enumerate` order (the
+    identity first), and `app` its unipotent rows.  `mul` is the one product
+    table, built one unipotent row at a time; the DFS reads it through
+    `mul_l`, one memoryview per row, so mul_l[a][b] is a Python int with no
+    per-entry copy.  `code2idx` is the one lookup from a matrix's columns
+    M e_j = sigma_M(units) to its unipotent index: code2idx[cols @ weights]."""
 
     def __init__(self, r: int):
         rows_list = gl_rows_cached(r)
-        maps = _point_maps(np.array(rows_list, dtype=np.int64), r)
+        self.gl = maps = _point_maps(np.array(rows_list, dtype=np.int64), r)
         # 2-power order in GL(r,2) is equivalent to (M + I)^r = 0
         nil = maps ^ np.arange(1 << r, dtype=np.int16)
         power = nil
@@ -100,11 +100,10 @@ class _Tables:
         self.id_idx = self.uni.index(tuple(1 << i for i in range(r)))
         self.app = app = maps[keep]
         nu = len(keep)
-        # a unipotent is looked up by its columns M e_j, r bits each:
-        # code2idx[cols @ weights]
-        units = 1 << np.arange(r)
+        # a unipotent is looked up by its columns M e_j, r bits each
+        self.units = units = 1 << np.arange(r)
         cols = app[:, units].astype(np.intp)
-        weights = 1 << (r * np.arange(r))
+        self.weights = weights = 1 << (r * np.arange(r))
         self.code2idx = np.full(1 << (r * r), -1, dtype=np.int16)
         self.code2idx[cols @ weights] = np.arange(nu)
         # -1 marks a non-unipotent product (prunes the branch)
@@ -114,12 +113,6 @@ class _Tables:
             mul[a] = self.code2idx[row[cols] @ weights]
         self.app_l = tuple(tuple(row.tolist()) for row in app)
         self.mul_l = tuple(map(memoryview, mul))
-        self.transvections = []
-        for t in gl_generators(r):
-            sigma = np.array(sigma_m(t).images, dtype=np.intp)
-            # column j of T M_u T is T(M_u(T e_j))
-            conj = self.code2idx[sigma[app[:, sigma[units]]] @ weights]
-            self.transvections.append((sigma, conj))
 
 
 @functools.cache
@@ -322,26 +315,16 @@ def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
 def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
     """The GL(r,2)-conjugates M G M^-1 of the group G = `mats` (point ->
     unipotent index, int16), keyed by their own int16 bytes, each with the
-    point map sigma_M of one M that carries G to it.
+    point map sigma_M of the first M in `tab.gl` that carries G to it.
 
-    Breadth first under `tab.transvections`: conjugation by sigma_T sends
-    g_a = (a, M_a) to (T a, T M_a T), so the conjugate of H is c_T[H[sigma_T]]
-    (T is an involution), and sigma_{TM} = sigma_T o sigma_M."""
-    n = len(mats)
-    klass = {mats.tobytes(): np.arange(n)}
-    groups, sigmas = mats[None, :], np.arange(n)[None, :]
-    while len(groups):
-        new_groups, new_sigmas = [], []
-        for sigma_t, conj_t in tab.transvections:
-            for group, sigma in zip(conj_t[groups[:, sigma_t]], sigma_t[sigmas]):
-                key = group.tobytes()
-                if key not in klass:
-                    klass[key] = sigma
-                    new_groups.append(group)
-                    new_sigmas.append(sigma)
-        groups = np.array(new_groups, dtype=np.int16).reshape(-1, n)
-        sigmas = np.array(new_sigmas, dtype=np.intp).reshape(-1, n)
-    return klass
+    The class is the image of G under every point map at once: conjugation
+    by sigma_M sends g_a = (a, M_a) to (M a, M M_a M^-1), and the columns of
+    M M_a M^-1 are those of sigma_M sigma_{M_a} sigma_M^-1 at the units."""
+    conj = conjugate_rows(tab.app[mats], tab.gl)[..., tab.units]  # (point a, M, column)
+    groups = np.empty_like(tab.gl)
+    np.put_along_axis(groups, tab.gl.astype(np.intp), tab.code2idx[conj @ tab.weights].T, axis=1)
+    _, first = np.unique(groups.view(np.dtype((np.void, groups[0].nbytes))).ravel(), return_index=True)
+    return {groups[k].tobytes(): tab.gl[k] for k in first}
 
 
 def _carried_automorphisms(auts: np.ndarray, sigma: np.ndarray, mul: list[list[int]], n: int) -> np.ndarray:
@@ -349,9 +332,7 @@ def _carried_automorphisms(auts: np.ndarray, sigma: np.ndarray, mul: list[list[i
     sigma_M tau sigma_M^-1 for each tau of G.  The rows are sorted by their
     images of the generators `_levels` picks, the order of the conjugate's
     own search."""
-    inverse = np.empty_like(sigma)
-    inverse[sigma] = np.arange(n)
-    carried = sigma[auts[:, inverse]]
+    carried = conjugate_rows(auts, sigma)
     gens = [g for g, _, _ in _levels(mul, n)]
     return carried[np.lexsort(carried[:, gens[::-1]].T)]
 
@@ -362,7 +343,8 @@ def automorphism_census(r: int, budget_seconds: float | None = None):
     induced tau.
 
     One search per GL(r,2)-conjugacy class: the first group of a class
-    that the enumeration meets is searched, its class is walked at once
+    that the enumeration meets is searched, its class is computed at once
+    as the group's image under every GL(r,2) point map
     (`_conjugacy_class`), and every later member, met in its turn, gets the
     searched rows carried by conjugation and re-sorted into its own
     generator-image order, so each array equals the member's own search.
@@ -370,7 +352,9 @@ def automorphism_census(r: int, budget_seconds: float | None = None):
 
     Raises BudgetExceeded mid-stream once the time budget runs out: the
     enumeration checks the deadline before it hands over each group, so
-    the groups yielded before are whole and are the first ones in order."""
+    the groups yielded before are whole and are the first ones in order.
+    An enumeration that ends before meeting every conjugate of the groups
+    it met has missed a group: InconsistentInput."""
     deadline = _deadline(budget_seconds)
     tab = _tables(r)
     n = 1 << r
@@ -390,6 +374,8 @@ def automorphism_census(r: int, budget_seconds: float | None = None):
         else:
             auts = _carried_automorphisms(*found, mul, n)
         yield auts
+    if carried:
+        raise InconsistentInput(f"the enumeration missed {len(carried)} of the conjugates of the groups it yielded")
 
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from perfcode import (
@@ -26,7 +27,7 @@ from perfcode import (
     sigma_m,
 )
 from perfcode._bits import nullspace_basis, span_dim, span_words
-from perfcode.algebra import _linear_solutions, gl_rows_cached, point_spectra
+from perfcode.algebra import _linear_solutions, conjugate_rows, gl_rows_cached, inverse_rows, point_spectra
 from perfcode.codes import hamming_parity_rows, perm_rank
 from conftest import random_gl, random_zero_fixing
 from sweep_oracle import sigma_table, sweep, sweep_count, sweep_member
@@ -513,6 +514,56 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             compose(identity_perm(3), identity_perm(4))
+
+
+def random_rows(r: int, count: int, rng: random.Random) -> np.ndarray:
+    """`count` random permutations of the 2^r points, as int8 image rows."""
+    n = 1 << r
+    return np.array([rng.sample(range(n), n) for _ in range(count)], dtype=np.int8).reshape(count, n)
+
+
+def non_involution(r: int, rng: random.Random) -> BitMatrix:
+    """A random M in GL(r,2) with M M != I, so that sigma_M^-1 != sigma_M."""
+    while (m := random_gl(r, rng)) @ m == identity_matrix(r):
+        pass
+    return m
+
+
+class TestRowPermutations:
+    """The row inverse and the row conjugation against PointPerm products."""
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_inverse_rows_match_invert_perm(self, r, rng):
+        for count in (0, 1, 9):
+            rows = random_rows(r, count, rng)
+            inv = inverse_rows(rows)
+            assert inv.dtype == rows.dtype and inv.shape == rows.shape
+            assert inv.tolist() == [list(invert_perm(PointPerm(r, tuple(row))).images) for row in rows.tolist()]
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_conjugate_rows_match_compose(self, r, rng):
+        # sigma_M tau sigma_M^-1 for one M at a time, on batches of every size
+        for count in (0, 1, 9):
+            rows = random_rows(r, count, rng)
+            for _ in range(3):
+                m = non_involution(r, rng)
+                sigma, sigma_inv = sigma_m(m), sigma_m(invert(m))
+                got = conjugate_rows(rows, np.array(sigma.images))
+                assert got.dtype == rows.dtype and got.shape == rows.shape
+                taus = [PointPerm(r, tuple(row)) for row in rows.tolist()]
+                assert got.tolist() == [list(compose(compose(sigma, tau), sigma_inv).images) for tau in taus]
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_conjugate_rows_by_a_stack_of_point_maps(self, r, rng):
+        # every row by every point map: shape rows.shape[:-1] + sigma.shape
+        rows = random_rows(r, 5, rng)
+        mats = [non_involution(r, rng) for _ in range(4)]
+        sigmas = np.array([sigma_m(m).images for m in mats], dtype=np.int16)
+        got = conjugate_rows(rows, sigmas)
+        assert got.dtype == rows.dtype and got.shape == (5, 4, 1 << r)
+        for row, conj_row in zip(rows.tolist(), got.tolist()):
+            tau = PointPerm(r, tuple(row))
+            assert conj_row == [list(compose(compose(sigma_m(m), tau), sigma_m(invert(m))).images) for m in mats]
 
 
 class TestDoubleCoset:

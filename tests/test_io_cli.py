@@ -842,7 +842,7 @@ class TestCli:
 
         assert cli_main(["mollard", "--t", "8", "--m", "4", "--out", str(m_out)]) == 2
 
-    @pytest.mark.parametrize("length", [0, 3, -4])
+    @pytest.mark.parametrize("length", [0, 1, 3, -4])
     def test_mollard_factor_length_not_a_power_of_two_exits_3(self, tmp_path, capsys, length):
         out = tmp_path / "mollard.code"
         assert cli_main(["mollard", "--t", str(length), "--m", "4", "--out", str(out)]) == 3

@@ -10,13 +10,14 @@ import pytest
 from aut_oracle import closure_automorphism_perms
 from enum_oracle import all_pairs_regular_idx
 from perfcode import regular_groups
-from perfcode.algebra import gl_enumerate, gl_generators, gl_rows_cached
+from perfcode.algebra import gl_enumerate, gl_order, gl_rows_cached
 from perfcode.algebra import invert as mat_invert
 from perfcode.regular_groups import automorphism_census
 from perfcode import (
     BitMatrix,
     BudgetExceeded,
     GroupAutomorphism,
+    InconsistentInput,
     NotAnAutomorphism,
     PointPerm,
     RegularSubgroup,
@@ -217,15 +218,17 @@ class TestTables:
         for a, row in enumerate(tab.mul_l):
             assert np.shares_memory(np.asarray(row), tab.mul[a])
 
-    @pytest.mark.parametrize("r", [3, 4])
-    def test_transvection_conjugation_tables(self, r):
-        # c_T[u] is the index of T M_u T, and sigma_T is b -> T b
+    @pytest.mark.parametrize("r, samples", [(3, None), (4, 2_000)])
+    def test_gl_point_maps(self, r, samples):
+        # row k of the table is sigma_M of the k-th matrix of gl_enumerate,
+        # the identity first
         tab = regular_groups._tables(r)
-        index = {rows: k for k, rows in enumerate(tab.uni)}
-        assert len(tab.transvections) == 2 * (r - 1)
-        for (sigma, conj), t in zip(tab.transvections, gl_generators(r)):
-            assert tuple(sigma.tolist()) == sigma_m(t).images
-            assert [index[(t @ BitMatrix(r, r, rows) @ t).row_bits] for rows in tab.uni] == conj.tolist()
+        mats = list(gl_enumerate(r))
+        assert mats[0] == identity_matrix(r)
+        assert tab.gl.shape == (len(mats), 1 << r) == (gl_order(r), 1 << r)
+        picked = range(len(mats)) if samples is None else random.Random(26).sample(range(len(mats)), samples)
+        for k in picked:
+            assert tuple(tab.gl[k].tolist()) == sigma_m(mats[k]).images
 
 
 R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
@@ -289,11 +292,11 @@ class TestAutomorphismOracle:
 
     def test_one_search_per_conjugacy_class(self, monkeypatch):
         searches = count_searches(monkeypatch)
-        walk, class_sizes = regular_groups._conjugacy_class, []
+        walk, classes = regular_groups._conjugacy_class, []
 
         def record_class(tab, mats):
             klass = walk(tab, mats)
-            class_sizes.append(len(klass))
+            classes.append((mats, dict(klass)))  # the census deletes the searched group's entry
             return klass
 
         monkeypatch.setattr(regular_groups, "_conjugacy_class", record_class)
@@ -302,7 +305,7 @@ class TestAutomorphismOracle:
             if len(searches) > len(searched):
                 searched.append(gid)
         assert len(searches) == 8
-        assert sum(class_sizes) == 232
+        assert sum(len(klass) for _, klass in classes) == 232
 
         # the oracle: orbits under conjugation by every M of GL(3,2), by
         # BitMatrix products; each class is searched at its first group
@@ -310,8 +313,10 @@ class TestAutomorphismOracle:
         position = {g: gid for gid, g in enumerate(groups)}
         matrices = {rows for g in groups for rows in g}
         orbits = {g: set() for g in groups}
+        by_point_map = {}
         for m in gl_enumerate(3):
             m_inv, pts = mat_invert(m), sigma_m(m).images
+            by_point_map[pts] = m
             conj_of = {rows: (m @ BitMatrix(3, 3, rows) @ m_inv).row_bits for rows in matrices}
             for g in groups:
                 conj = [None] * 8
@@ -319,7 +324,21 @@ class TestAutomorphismOracle:
                     conj[pts[a]] = conj_of[rows]
                 orbits[g].add(tuple(conj))
         assert searched == sorted({min(map(position.get, orbit)) for orbit in orbits.values()})
-        assert sorted(class_sizes) == sorted(len(orbits[groups[gid]]) for gid in searched)
+
+        # each member is a conjugate of the searched group, and its sigma_M
+        # carries the searched group to it point by point
+        uni = regular_groups._tables(3).uni
+        for gid, (mats, klass) in zip(searched, classes):
+            rep = groups[gid]
+            assert rep == tuple(uni[k] for k in mats.tolist())
+            members = {tuple(uni[k] for k in np.frombuffer(key, dtype=np.int16).tolist()): key for key in klass}
+            assert set(members) == orbits[rep]
+            for member, key in members.items():
+                sigma = tuple(klass[key].tolist())
+                m = by_point_map[sigma]
+                m_inv = mat_invert(m)
+                for a in range(8):
+                    assert member[sigma[a]] == (m @ BitMatrix(3, 3, rep[a]) @ m_inv).row_bits
 
     def test_r4_prefix_matches_the_search(self, monkeypatch):
         # carried groups of the r=4 prefix, row for row and in order
@@ -462,11 +481,16 @@ class TestCatalog:
                 first_seen.setdefault(aut.perm.images, (gid, aid))
         assert any(images[15] >= 8 for images in first_seen)  # sets the top bit
 
+        # the enumeration stops after the prefix as a budget stops it
         full = regular_groups._enumerate_regular_idx
-        monkeypatch.setattr(
-            regular_groups, "_enumerate_regular_idx", lambda r, d: islice(full(r, d), len(groups))
-        )
+
+        def prefix(r, deadline):
+            yield from islice(full(r, deadline), len(groups))
+            raise BudgetExceeded("the prefix ends here")
+
+        monkeypatch.setattr(regular_groups, "_enumerate_regular_idx", prefix)
         catalog = catalog_taus(4)
+        assert not catalog.complete
         assert [(catalog.perm(i).images, catalog.provenance(i)) for i in range(len(catalog))] == list(
             first_seen.items()
         )
@@ -501,6 +525,21 @@ class TestCatalog:
         assert now[0] == 100.0  # the clock passed in the 232nd group's carry
         assert len(catalog) == 1372
         assert catalog.complete
+
+    def test_a_group_missing_from_the_enumeration_is_caught(self, monkeypatch):
+        # a complete census proves the enumeration closed under conjugation:
+        # with group 100 skipped, its class still holds a conjugate that the
+        # enumeration never reached
+        full = regular_groups._enumerate_regular_idx
+
+        def skip_group_100(r, deadline):
+            for gid, mats in enumerate(full(r, deadline)):
+                if gid != 100:
+                    yield mats
+
+        monkeypatch.setattr(regular_groups, "_enumerate_regular_idx", skip_group_100)
+        with pytest.raises(InconsistentInput, match="missed 1 of the conjugates"):
+            catalog_taus(3)
 
     def test_entries_tagged_induced(self, r3_catalog):
         tau, _ = r3_catalog[0]
