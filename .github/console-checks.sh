@@ -4,6 +4,22 @@
 # it writes its files there.  bash -e, as a workflow `run:` step uses.
 set -e
 
+# measured LIMIT_MB CMD...: run CMD, print its wall time and peak RSS
+# (ru_maxrss of the child), and fail when the peak passes LIMIT_MB (0: no limit)
+measured() {
+  python - "$@" <<'PY'
+import resource, subprocess, sys, time
+limit_mb, cmd = int(sys.argv[1]), sys.argv[2:]
+start = time.perf_counter()
+rc = subprocess.call(cmd)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"{' '.join(cmd)}: {time.perf_counter() - start:.1f} s, peak RSS {peak_mb:.0f} MB")
+if limit_mb and peak_mb > limit_mb:
+    sys.exit(f"peak RSS {peak_mb:.0f} MB is over the {limit_mb} MB limit")
+sys.exit(rc)
+PY
+}
+
 perfcode series --r 6 > series6.txt
 printf '%s\n' tau_id=r6-0.6.2.5.4.3.1.7.48.54.50.53.52.51.49.55.16.22.18.21.20.19.17.23.40.46.42.45.44.43.41.47.32.38.34.37.36.35.33.39.24.30.26.29.28.27.25.31.8.14.10.13.12.11.9.15.56.62.58.61.60.59.57.63 \
   length=128 rank=124 kernel_dim=114 non_mollard=true neighbor_transitive=true | diff - series6.txt
@@ -17,11 +33,12 @@ perfcode catalog-taus --r 3 --out catalog.json
 echo "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2  catalog.json" | sha256sum -c
 # the complete r=4 catalog, 2,415,420 taus: the only full-size check of the
 # automorphisms carried by conjugation to 62,857 of the 62,896 groups
-perfcode catalog-taus --r 4 --out catalog4.json
+measured 0 perfcode catalog-taus --r 4 --out catalog4.json
 echo "2c52aa2991eb0aa45aa75c9daf8682d940efd6a102780a8a28c91dfd531fec86  catalog4.json" | sha256sum -c
 # its complete classification, 9 classes: the only full-size check of the
-# classifier's orbit pass, whose conjugation edges come from perfcode.algebra
-perfcode classify --catalog catalog4.json --out classes4.csv --format csv
+# classifier's orbit pass, whose conjugation edges come from perfcode.algebra;
+# its peak RSS must stay under 1 GB
+measured 1024 perfcode classify --catalog catalog4.json --out classes4.csv --format csv
 echo "4c40b4342330598db631231ac8de071d307bf8a2d20fcfe654d2c405b7aa2861  classes4.csv" | sha256sum -c
 perfcode classify --catalog catalog.json --out classes.csv --format csv
 echo "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150  classes.csv" | sha256sum -c

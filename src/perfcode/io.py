@@ -305,29 +305,85 @@ def load_groups(path):
 
 
 _CATALOG_BLOCK_ROWS = 8192
+_CATALOG_READ_BYTES = 1 << 20  # a block of the reader: about 12,000 rows at r=4
+_PARTIAL_HEAD = b'{"r":%d,"complete":false,"taus":['
+_DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))  # every other byte a space
+
+
+def _render_rows(r: int, images, group_ids, aut_ids) -> bytes:
+    """The rows as save_tau_catalog writes them, each after a ",": the row template
+    in a byte matrix, each image's digits and comma filled in from a lookup
+    table, each id's d digits, and a keep mask that drops leading zeros."""
+    n, w, m = 1 << r, len(str((1 << r) - 1)), len(images)
+    ids = np.stack((group_ids, aut_ids))[:, :, None]
+    powers = 10 ** np.arange(len(str(ids.max(initial=0))) - 1, -1, -1, dtype=np.int64)
+    head, mid, d = ',{"tau":[', f'],"r":{r},"group_id":', len(powers)
+    template = head + ",".join(["0" * w] * n) + mid + "0" * d + ',"aut_id":' + "0" * d + "}"
+    fields = np.frombuffer("".join(f"{v:0{w}d}," for v in range(n)).encode(), f"V{w + 1}")
+    mat = np.tile(np.frombuffer(template.encode(), np.uint8), (m, 1))
+    cols = slice(len(head), len(head) + (w + 1) * n)
+    mat[:, cols] = np.take(fields, images).view(np.uint8).reshape(m, -1)
+    mat[:, cols.stop - 1] = ord("]")  # the last image's comma ends the list
+    keep = mat != ord("0")  # the template has no "0" outside its numbers
+    keep[:, cols.start + w - 1 : cols.stop : w + 1] = True  # an image's last digit
+    for i, start in enumerate((cols.stop - 1 + len(mid), len(template) - 1 - d)):
+        mat[:, start : start + d] = ids[i] // powers % 10 + 48
+        keep[:, start : start + d] = ids[i] >= np.append(powers[:-1], 0)
+    return mat[keep].tobytes()
 
 
 def save_tau_catalog(path, catalog: TauCatalog) -> None:
     """Complete: a JSON list of {"tau": [...], "r":, "group_id":, "aut_id":}.  Partial:
     {"r":, "complete": false, "taus": <list>}, which no reader of bare lists takes as complete.
-    Rows are formatted a block at a time through one template, in json.dumps' compact form."""
-    template = '{"tau":[' + ",".join(["%d"] * (1 << catalog.r)) + f'],"r":{catalog.r},"group_id":%d,"aut_id":%d}}'
-    with open(path, "w") as fh:
-        fh.write("[" if catalog.complete else f'{{"r":{catalog.r},"complete":false,"taus":[')
+    Rows are rendered a block at a time, in json.dumps' compact form."""
+    with open(path, "wb") as fh:
+        fh.write(b"[" if catalog.complete else _PARTIAL_HEAD % catalog.r)
         for start in range(0, len(catalog), _CATALOG_BLOCK_ROWS):
             rows = slice(start, start + _CATALOG_BLOCK_ROWS)
-            block = np.column_stack(
-                (catalog.images[rows].astype(np.int64), catalog.group_ids[rows], catalog.aut_ids[rows])
-            ).tolist()
-            fh.write(("," if start else "") + ",".join(template % tuple(v) for v in block))
-        fh.write("]\n" if catalog.complete else "]}\n")
+            block = _render_rows(catalog.r, catalog.images[rows], catalog.group_ids[rows], catalog.aut_ids[rows])
+            fh.write(block[1:] if start == 0 else block)
+        fh.write(b"]\n" if catalog.complete else b"]}\n")
 
 
 def load_tau_catalog(path) -> TauCatalog:
     """Inverse of save_tau_catalog (a bare list must not be empty); every row
     must be a zero-fixing permutation of F^r with r in {3, 4}, and the ids
-    lie in [0, 2^63)."""
+    lie in [0, 2^63).  Any JSON of that schema is read; the writer's own bytes
+    are read in numpy, to the same result, in blocks of at most
+    _CATALOG_READ_BYTES: parsed, checked, rendered again and compared."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        complete = data.startswith(b"[")
+        # r from a bare list's first image count, or from a partial catalog's head
+        r = (data.count(b",", 0, data.find(b"]")) + 1).bit_length() - 1 if complete else int(data[5:6])
+        head, tail = (b"[", b"]\n") if complete else (_PARTIAL_HEAD % r, b"]}\n")
+        n, pos, stop, blocks = 1 << r, len(head), len(data) - len(tail), []
+        if r not in (ENUM_MIN_R, ENUM_MAX_R) or not data.startswith(head) or not data.endswith(tail) or stop <= pos:
+            raise ValueError("not a catalog file of the writer")
+        while pos < stop:
+            end = stop if stop - pos <= _CATALOG_READ_BYTES else data.rfind(b"}", pos, pos + _CATALOG_READ_BYTES) + 1
+            values = np.fromstring(data[pos:end].translate(_DIGITS_ONLY), np.int64, sep=" ").reshape(-1, n + 3)
+            images, group_ids, aut_ids = _checked_images(values[:, :n], n), values[:, n + 1], values[:, n + 2]
+            # each rendered row starts with a comma; the file's first row follows the head
+            if end <= pos or _render_rows(r, images, group_ids, aut_ids)[pos == len(head) :] != data[pos:end]:
+                raise ValueError(f"bytes {pos} to {end} are not the writer's")
+            blocks.append((images, group_ids.copy(), aut_ids.copy()))
+            pos = end
+        return TauCatalog(r, *map(np.concatenate, zip(*blocks)), complete=complete)
+    except ValueError:  # not the writer's bytes of a valid catalog: drop them, read as JSON
+        data = blocks = None
     return _load_json(path, "tau catalog", _tau_catalog_from_obj)
+
+
+def _checked_images(images: np.ndarray, n: int) -> np.ndarray:
+    """The rows as int8, once each is a permutation of range(n) that fixes 0."""
+    if ((images < 0) | (images >= n)).any() or images[:, 0].any():
+        raise ValueError(f"images must lie in [0, {n}) and fix 0")
+    images = images.astype(np.int8)
+    if (np.sort(images, axis=1) != np.arange(n, dtype=np.int8)).any():
+        raise ValueError("a tau repeats an image")
+    return images
 
 
 def _tau_catalog_from_obj(obj) -> TauCatalog:
@@ -356,12 +412,7 @@ def _tau_catalog_from_obj(obj) -> TauCatalog:
     images = images.reshape(-1, n) if images.size == 0 else images
     if images.shape != (len(items), n):
         raise ValueError(f"every tau needs {n} images")
-    if ((images < 0) | (images >= n)).any() or images[:, 0].any():
-        raise ValueError(f"images must lie in [0, {n}) and fix 0")
-    images = images.astype(np.int8)
-    if (np.sort(images, axis=1) != np.arange(n, dtype=np.int8)).any():
-        raise ValueError("a tau repeats an image")
-    return TauCatalog(r, images, gids, aids, complete=complete)
+    return TauCatalog(r, _checked_images(images, n), gids, aids, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +458,29 @@ def parse_catalog_json(text: str) -> list[CatalogEntry]:
     return _decode_json(text, "classification JSON", _entries_from_obj)
 
 
+def _csv_text(row) -> str:
+    """One row as the emitter's csv.writer writes it, without its line end."""
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()[:-1]
+
+
 def emit_catalog_csv(entries: Sequence[CatalogEntry]) -> str:
+    """The csv.writer rows of the entries.  Each distinct middle tuple is
+    formatted once when no tau id or provenance needs quoting."""
     tau_ids, middles, keys, provenance = _columns(entries)
     # flags are written true/false; csv writes a null aut_order as ""
     cells = [tuple(str(v).lower() if isinstance(v, bool) else v for v in m) for m in middles]
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows((t, *cells[k], p) for t, k, p in zip(tau_ids, keys, provenance))
+    try:
+        plain = not re.search('[,"\r\n]', "".join(chain(tau_ids, provenance)))  # what csv quotes
+    except TypeError:  # csv writes a tau id or provenance that is not a string its own way
+        plain = False
+    if plain:
+        fields = [_csv_text(("", *c, "")) for c in cells]  # ",<cells>,"
+        buf.writelines(f"{t}{fields[k]}{p}\n" for t, k, p in zip(tau_ids, keys, provenance))
+    else:
+        writer.writerows((t, *cells[k], p) for t, k, p in zip(tau_ids, keys, provenance))
     return buf.getvalue()

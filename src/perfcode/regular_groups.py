@@ -443,22 +443,22 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     n = 1 << r
     # one nibble per point; 16 nibbles fill all 64 bits at r=4
     shifts = np.uint64(4) * np.arange(n, dtype=np.uint64)
-    codes, gids, aids = [], [], []
+    codes = []
     complete = True
     try:
-        for gid, auts in enumerate(automorphism_census(r, budget_seconds)):
+        for auts in automorphism_census(r, budget_seconds):
             codes.append(np.bitwise_or.reduce(auts.astype(np.uint64) << shifts, axis=1))
-            gids.append(np.full(len(auts), gid, dtype=np.int64))
-            aids.append(np.arange(len(auts), dtype=np.int64))
     except BudgetExceeded:
         complete = False
 
     if not codes:
         return TauCatalog(r, np.zeros((0, n), dtype=np.int8), [], [], complete)
-    codes, gids, aids = np.concatenate(codes), np.concatenate(gids), np.concatenate(aids)
+    starts = np.cumsum([0] + [len(c) for c in codes[:-1]])
+    codes = np.concatenate(codes)
     _, first = np.unique(codes, return_index=True)
     first.sort()  # first-seen order over the deduplicated set
-    codes, gids, aids = codes[first], gids[first], aids[first]
+    gids = np.searchsorted(starts, first, "right") - 1
+    codes, aids = codes[first], first - starts[gids]
     # little-endian bytes: the low nibble of byte k is point 2k, the high one point 2k + 1
     packed = codes.astype("<u8").view(np.uint8).reshape(len(codes), 8)[:, : n // 2]
     images = np.empty((len(codes), n), dtype=np.int8)

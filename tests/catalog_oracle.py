@@ -1,6 +1,6 @@
 """The per-row `json.dumps` tau-catalog writer, kept as the differential
-oracle for `perfcode.io.save_tau_catalog`, which formats rows a block at
-a time through one template: both must write the same bytes."""
+oracle for `perfcode.io.save_tau_catalog`, which renders rows a block at
+a time as one byte matrix: both must write the same bytes."""
 
 from __future__ import annotations
 

@@ -6,8 +6,9 @@ import io
 import json
 import os
 import random
+import re
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import cache
 from itertools import islice, permutations
 from pathlib import Path
@@ -247,12 +248,59 @@ def _oracle_bytes(tmp_path, catalog) -> bytes:
     return (tmp_path / "oracle.json").read_bytes()
 
 
+def _no_json(*args, **kwargs):
+    raise AssertionError("json.loads was called")
+
+
+def _catalog_outcome(load, path):
+    """What a catalog reader gives for a file: the catalog's fields, or the
+    type and message of what it raised."""
+    try:
+        c = load(path)
+    except Exception as exc:  # the outcomes of two readers are compared, whatever they are
+        return type(exc), str(exc)
+    images = c.images
+    return c.r, c.complete, images.dtype, images.shape, images.tobytes(), c.group_ids.tolist(), c.aut_ids.tolist()
+
+
+# edits of one row, {"tau":[0,..],"r":r,"group_id":..,"aut_id":..}, of an r-catalog
+_ROW_EDITS = {
+    "space after a comma": lambda row, r: row.replace(b",", b", ", 1),
+    "reordered keys": lambda row, r: re.sub(rb'^\{("tau":\[[^]]*\]),("r":\d+),', rb"{\2,\1,", row),
+    "leading zero": lambda row, r: row.replace(b'"group_id":', b'"group_id":0'),
+    "id -1": lambda row, r: re.sub(rb'"aut_id":\d+', b'"aut_id":-1', row),
+    "id 2^63": lambda row, r: re.sub(rb'"aut_id":\d+', b'"aut_id":%d' % (1 << 63), row),
+    "id of 20 digits": lambda row, r: re.sub(rb'"group_id":\d+', b'"group_id":12345678901234567890', row),
+    "r of 3.0": lambda row, r: row.replace(b'"r":%d' % r, b'"r":3.0'),
+    "image true": lambda row, r: re.sub(rb"\[0,\d+", b"[0,true", row),
+    "image 16": lambda row, r: re.sub(rb"\[0,\d+", b"[0,16", row),
+    "image 17": lambda row, r: re.sub(rb"\[0,\d+", b"[0,17", row),
+    "repeated image": lambda row, r: re.sub(rb"\[0,(\d+),\d+,", rb"[0,\1,\1,", row),
+    "non-zero image at point 0": lambda row, r: re.sub(rb"\[0,(\d+),", rb"[\1,0,", row),
+    "r of 5": lambda row, r: row.replace(b'"r":%d' % r, b'"r":5'),
+    "mixed r": lambda row, r: row.replace(b'"r":%d' % r, b'"r":%d' % (7 - r)),
+    "byte that is not UTF-8": lambda row, r: row.replace(b'"tau"', b'"t\xffu"'),
+}
+# edits of a whole file
+_FILE_EDITS = {
+    "r of 5 in the partial head": lambda data: re.sub(rb'^\{"r":\d+,', b'{"r":5,', data),
+    "empty list": lambda data: b"[]\n",
+    "cut short by a byte": lambda data: data[:-1],
+    "cut in half": lambda data: data[: len(data) // 2],
+    "one trailing space": lambda data: data + b" ",
+    "one trailing x": lambda data: data + b"x",
+    "the end of the list changed": lambda data: data[:-2] + b"x\n",
+}
+
+
 class TestCatalogFiles:
-    def test_tau_catalog_roundtrip(self, tmp_path):
+    def test_tau_catalog_roundtrip(self, tmp_path, monkeypatch):
         catalog = catalog_taus(3)
         path = tmp_path / "catalog.json"
         pio.save_tau_catalog(path, catalog)
-        loaded = pio.load_tau_catalog(path)
+        with monkeypatch.context() as m:  # the writer's bytes take the reader's fast path
+            m.setattr(pio.json, "loads", _no_json)
+            loaded = pio.load_tau_catalog(path)
         assert len(loaded) == len(catalog)
         assert loaded.perm(5).images == catalog.perm(5).images
         assert loaded.provenance(5) == catalog.provenance(5)
@@ -300,7 +348,7 @@ class TestCatalogFiles:
 
     @pytest.mark.parametrize("offset, blocks", [(1, 0), (-1, 1), (0, 1), (1, 1), (1, 2)])
     @pytest.mark.parametrize("complete", [True, False])
-    def test_r4_block_edges_match_the_oracle_writer(self, tmp_path, offset, blocks, complete):
+    def test_r4_block_edges_match_the_oracle_writer(self, tmp_path, monkeypatch, offset, blocks, complete):
         # 1, block - 1, block, block + 1 and 2 block + 1 rows of seeded random
         # zero-fixing taus, with distinct group and aut ids near 2^63 - 1
         rows = blocks * pio._CATALOG_BLOCK_ROWS + offset
@@ -311,10 +359,60 @@ class TestCatalogFiles:
         catalog = TauCatalog(4, images, ids[:rows], ids[rows:], complete=complete)
         saved = _saved_bytes(tmp_path, catalog)
         assert saved == _oracle_bytes(tmp_path, catalog)
+        monkeypatch.setattr(pio.json, "loads", _no_json)
         loaded = pio.load_tau_catalog(tmp_path / "saved.json")
         assert np.array_equal(loaded.images, images) and loaded.complete == complete
         assert np.array_equal(loaded.group_ids, catalog.group_ids)
         assert np.array_equal(loaded.aut_ids, catalog.aut_ids)
+
+    @pytest.mark.parametrize("r, complete", [(3, True), (3, False), (4, True), (4, False)])
+    def test_edited_files_load_as_the_json_reader_loads_them(self, tmp_path, monkeypatch, r3_catalog, r, complete):
+        # canonical files of at least three reader blocks; each edit gives
+        # what the JSON reader gives, in the first block or only in the second
+        monkeypatch.setattr(pio, "_CATALOG_READ_BYTES", 2048)
+        if r == 3:
+            catalog = TauCatalog(3, r3_catalog.images[:200], r3_catalog.group_ids[:200],
+                                 r3_catalog.aut_ids[:200], complete=complete)
+        else:
+            gen = np.random.default_rng(27)
+            images = np.zeros((100, 16), dtype=np.int8)
+            images[:, 1:] = np.argsort(gen.random((100, 15)), axis=1) + 1
+            ids = gen.integers(0, 1 << 63, 200, dtype=np.int64) >> gen.integers(0, 63, 200)
+            catalog = TauCatalog(4, images, ids[:100], ids[100:], complete=complete)
+        path = tmp_path / "catalog.json"
+        pio.save_tau_catalog(path, catalog)
+        data = path.read_bytes()
+        assert len(data) > 3 * 2048
+
+        load_json, json_reads = pio._load_json, []
+
+        def read_as_json(*args):
+            json_reads.append(args)
+            return load_json(*args)
+
+        def same_outcome(edited: bytes, name: str):
+            path.write_bytes(edited)
+            json_outcome = _catalog_outcome(lambda p: load_json(p, "tau catalog", pio._tau_catalog_from_obj), path)
+            json_reads.clear()
+            assert _catalog_outcome(pio.load_tau_catalog, path) == json_outcome, name
+            assert json_reads, f"{name}: the fast reader took the file"
+
+        monkeypatch.setattr(pio, "_load_json", read_as_json)
+        assert _catalog_outcome(pio.load_tau_catalog, path) == _catalog_outcome(lambda p: catalog, path)
+        assert not json_reads  # the writer's bytes take the fast path
+        starts = [m.start() for m in re.finditer(rb'\{"tau":', data)]
+        head = data.index(b"[") + 1
+        # the first row that starts past the first block, which ends after a row within 2048 bytes
+        second = next(i for i, start in enumerate(starts) if start > head + 2048)
+        for name, edit in _ROW_EDITS.items():
+            for i in (0, 1, second):
+                row = data[starts[i] : starts[i + 1] - 1]
+                edited = edit(row, r)
+                assert edited != row, name
+                same_outcome(data[: starts[i]] + edited + data[starts[i + 1] - 1 :], f"{name} in row {i}")
+        for name, edit in _FILE_EDITS.items():
+            if edit(data) != data:
+                same_outcome(edit(data), name)
 
     def test_classification_json_roundtrip(self, rng):
         taus = [random_zero_fixing(3, rng) for _ in range(6)]
@@ -413,6 +511,16 @@ class TestClassificationOutput:
         writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in obj.values()] for obj in objs)
         assert pio.emit_catalog_csv(entries) == buf.getvalue()
         assert pio.parse_catalog_json(pio.emit_catalog_json(entries[:-1])) == entries[:-1]
+
+    def test_csv_of_ids_that_are_not_strings_is_csv_writers(self):
+        # the per-middle rows need string ids; csv.writer writes None as "" and 7 as "7"
+        base = CatalogEntry("r3-01234567", 3, 11, 11, 4, True, None, 0, False, "user")
+        entries = [base, replace(base, tau_id=None), replace(base, provenance=7)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(pio.CSV_COLUMNS)
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in astuple(e)] for e in entries)
+        assert pio.emit_catalog_csv(entries) == buf.getvalue()
 
     def test_no_entry_is_built_to_classify_and_emit(self, monkeypatch, r3_catalog):
         # the columns replace the rows: the census path builds no CatalogEntry
