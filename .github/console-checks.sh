@@ -50,6 +50,11 @@ perfcode classify --catalog shuffled.json --out shuffled.csv --format csv
 echo "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150  shuffled.csv" | sha256sum -c
 perfcode classify --catalog shuffled.json --out shuffled-classes.json
 echo "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3  shuffled-classes.json" | sha256sum -c
+# 200 seeded random zero-fixing r=4 taus in 190 classes: the miss-heavy path,
+# where most taus found a class of their own and get its aut_order search
+python -c "import json, random; rng = random.Random(28); json.dump([{'r': 4, 'group_id': i, 'aut_id': 0, 'tau': [0] + rng.sample(range(1, 16), 15)} for i in range(200)], open('random4.json', 'w'))"
+perfcode classify --catalog random4.json --out random4.csv --format csv
+echo "0b71bdc5b0ebfdc93f071033b723413fddeaea8b8a317f797038984acbda5de5  random4.csv" | sha256sum -c
 echo '{"r": 3, "perm": [0, 1, 2, 4, 3, 5, 6, 7]}' > tau.json
 perfcode sqs --tau tau.json --out tau.sqs
 perfcode check-sqs --in tau.sqs

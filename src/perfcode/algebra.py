@@ -294,17 +294,34 @@ def point_spectra(images) -> np.ndarray:
     return np.concatenate([c[..., None], counts], -1)
 
 
+def spectra_bytes(images) -> list:
+    """The point spectra of one row of images, or of each row of an (N, 2^r)
+    batch, as one bytes key per point: the one encoding of the spectra."""
+    spectra = point_spectra(images).astype(np.int8)  # counts of at most 2^r <= 32 points
+    return spectra.view(np.dtype((np.void, spectra.shape[-1])))[..., 0].tolist()
+
+
+_handed: dict = {}  # point keys that `enter_spectrum_keys` hands to the cache
+
+
 @functools.lru_cache(maxsize=32)
 def spectrum_keys(images: tuple) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-    """The point spectra of one permutation as bytes, point by point and
-    sorted: the one encoding of the spectra.  The sorted tuple is constant
-    on a GL double coset.  Cached, so everything that shares a permutation
-    computes its spectra once: `aut_order`'s count and transitivity search
-    share tau and tau^-1, and `classify` keys each orbit's least member and
-    its inverse by them, then tests and counts its class from the cache."""
-    spectra = point_spectra(images).astype(np.int8)  # counts of at most 2^r <= 32 points
-    keys = tuple(spectra.view(np.dtype((np.void, spectra.shape[-1])))[:, 0].tolist())
+    """The point keys of one permutation, point by point and sorted; the
+    sorted tuple is constant on a GL double coset.  Cached, so the searches
+    that share a permutation (`aut_order`'s two counts, `classify`'s bucket
+    tests) compute its spectra once, or not at all once entered."""
+    keys = tuple(_handed.pop(images, None) or spectra_bytes(images))
     return keys, tuple(sorted(keys))
+
+
+def enter_spectrum_keys(pairs: list | tuple) -> list[tuple[bytes, ...]]:
+    """The sorted keys of each (images, point keys) pair; the point keys, from
+    a batch `spectra_bytes` call, enter the `spectrum_keys` cache."""
+    _handed.update(pairs)
+    try:
+        return [spectrum_keys(images)[1] for images, _ in pairs]
+    finally:
+        _handed.clear()  # and the keys of images the cache held already
 
 
 def is_linear(tau: PointPerm) -> BitMatrix | None:
@@ -347,28 +364,18 @@ def _matrix_from_map(images, r: int) -> BitMatrix:
     return BitMatrix(r, r, transpose([int(images[1 << j]) for j in range(r)], r))
 
 
-def _add_pair(zw: list, wz: list, z: int, w: int, r: int) -> bool:
-    """Add z -> w to the echelons of pairs z << r | w and w << r | z; False
-    once the pairs stop defining a linear bijection."""
-    for echelon, v in ((zw, z << r | w), (wz, w << r | z)):
-        v = reduce_vec(echelon, v)
-        if v:
-            echelon.append((v.bit_length() - 1, v))
-            if not v >> r:
-                return False
-    return True
-
-
 def _linear_solutions(g, f, r: int):
     """Yield (as a reused list) the point map of every A in GL(r,2) with
     g(A x) = B f(x) for all x and some B in GL(r,2).
 
-    Depth first over the columns of A, known on V_k = [0, 2^k) at depth k.
-    Prunes on the point spectra of `point_spectra` (x under f and A x under
-    g have one spectrum), compared as bytes (`spectrum_keys`), and on pairs
-    (f(x), g(A x)) that do not extend B to a linear bijection: a candidate
-    for A(e_k) that contradicts a B f(e_k ^ v) already known fails at that
-    pair.  Ascending candidates put the identity first."""
+    Depth first over the columns of A, known on V_k = [0, 2^k) at depth k,
+    candidates ascending (the identity first).  Prunes on the point spectra
+    (`spectrum_keys`: x under f and A x under g have one), and on pairs
+    (z, w) = (f(x), g(A x)) that do not extend B to a linear bijection.  B
+    is a span table, copied per candidate: `span` lists the span S of the
+    z placed so far, bmap[z] is B z on S and -1 off it, and taken[w] says
+    w is in B(S).  z off S and w off B(S) double S; any other pair needs
+    B z = w, which a singular A, mapping two points to one, fails."""
     f, g = [int(z) for z in f], [int(w) for w in g]
     (sf, multiset_f), (sg, multiset_g) = spectrum_keys(tuple(f)), spectrum_keys(tuple(g))
     if multiset_f != multiset_g:
@@ -378,24 +385,31 @@ def _linear_solutions(g, f, r: int):
         candidates.setdefault(sg[y], []).append(y)
     amap = [0] * (1 << r)
 
-    def extend(k, zw, wz):
+    def extend(k, bmap_k, span_k, taken_k):
         if k == r:
             yield amap
             return
         lo = 1 << k
-        # c in A(V_k) makes A singular: the w << r | z echelon rejects it
         for c in candidates.get(sf[lo], ()):
-            zw2, wz2 = zw.copy(), wz.copy()
+            bmap, span, taken = bmap_k.copy(), span_k.copy(), taken_k.copy()
             for v in range(lo):
                 x, y = lo | v, c ^ amap[v]
-                if sg[y] != sf[x] or not _add_pair(zw2, wz2, f[x], g[y], r):
+                if sg[y] != sf[x]:
+                    break
+                z, w = f[x], g[y]
+                if bmap[z] < 0 and not taken[w]:
+                    for s in span[:]:
+                        bmap[s ^ z] = b = bmap[s] ^ w
+                        taken[b] = True
+                        span.append(s ^ z)
+                elif bmap[z] != w:
                     break
                 amap[x] = y
             else:
-                yield from extend(k + 1, zw2, wz2)
+                yield from extend(k + 1, bmap, span, taken)
 
     # B f(0) = g(0) needs no test: B is a bijection onto the other g(A x)
-    yield from extend(0, [], [])
+    yield from extend(0, [0] + [-1] * ((1 << r) - 1), [0], [True] + [False] * ((1 << r) - 1))
 
 
 def count_linear_products(left: PointPerm, right: PointPerm) -> int:

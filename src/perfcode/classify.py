@@ -16,12 +16,13 @@ from .algebra import (
     PointPerm,
     conjugate_rows,
     double_coset_member,
+    enter_spectrum_keys,
     gl_generators,
     inverse_rows,
     invert,
     invert_perm,
     sigma_m,
-    spectrum_keys,
+    spectra_bytes,
 )
 from .codes import base_dim, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
@@ -203,9 +204,11 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
     canonical regardless of input order.  A bucket holds the orbits with
     one rank and one pair sorted((S(tau), S(tau^-1))) of `spectrum_keys`
     multisets; the spectra fix the kernel dimension (log2 #{x : c_tau(x) =
-    2^r}) and the rank the intersection dimension.  The bucket tests and
-    the search for a new class's aut_order and point transitivity read the
-    cached spectra; the class columns are computed once, for the founder.
+    2^r}) and the rank the intersection dimension.  The spectra come in
+    batches; the keys of each orbit, and of the representatives its bucket
+    keeps, enter the `spectrum_keys` cache for the bucket tests and the
+    search for a new class's aut_order and point transitivity.  The class
+    columns are computed once, for the founder.
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
@@ -215,23 +218,25 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
     buckets: dict[tuple, list] = {}
     class_columns: list[tuple] = []  # (rank, kernel, intersection, aut_order, transitive) per class
     class_of = []  # the class id of each least member
-    for p in least:
-        perm = PointPerm(r, tuple(rows[p].tolist()))
-        inv = invert_perm(perm)
-        rank = perm_rank(perm)
-        spectra_key = tuple(sorted((spectrum_keys(perm.images)[1], spectrum_keys(inv.images)[1])))
-        bucket = buckets.setdefault((rank, spectra_key), [])
-        for cid, rep, rep_inv in bucket:
-            if double_coset_member(perm, rep) is not None or double_coset_member(perm, rep_inv) is not None:
-                found = cid
-                break
-        else:
-            found = len(class_columns)
-            class_columns.append(
-                (rank, perm_kernel_dim(perm), _intersection_from_rank(r, rank), *aut_order_and_transitivity(perm))
-            )
-            bucket.append((found, perm, inv))
-        class_of.append(found)
+    for start in range(0, len(least), 64):  # the spectra of 64 least members and their inverses at once
+        block = rows[least[start : start + 64]]
+        inverses = inverse_rows(block)
+        keys = spectra_bytes(np.concatenate([block, inverses]))
+        for row, inv_row, *own in zip(block.tolist(), inverses.tolist(), keys, keys[len(block) :]):
+            perm, inv = PointPerm(r, tuple(row)), PointPerm(r, tuple(inv_row))
+            entered = tuple(zip((perm.images, inv.images), own))
+            rank = perm_rank(perm)
+            bucket = buckets.setdefault((rank, tuple(sorted(enter_spectrum_keys(entered)))), [])
+            for cid, rep, rep_inv, rep_entered in bucket:
+                enter_spectrum_keys(rep_entered)
+                if double_coset_member(perm, rep) is not None or double_coset_member(perm, rep_inv) is not None:
+                    found = cid
+                    break
+            else:
+                found, inter = len(class_columns), _intersection_from_rank(r, rank)
+                class_columns.append((rank, perm_kernel_dim(perm), inter, *aut_order_and_transitivity(perm)))
+                bucket.append((found, perm, inv, entered))
+            class_of.append(found)
 
     class_ids = np.array(class_of, dtype=np.intp)[np.searchsorted(least, root)]
     return Classification(r, rows, order, class_ids, class_columns, np.asarray(induced, dtype=bool)[order], source)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BitMatrix, PointPerm, conjugate_rows, gl_rows_cached, identity_matrix
+from .algebra import BitMatrix, PointPerm, conjugate_rows, gl_rows_cached, identity_matrix, inverse_rows
 from .errors import BudgetExceeded, InconsistentInput, NotAnAutomorphism
 
 ENUM_MIN_R = 3
@@ -319,8 +319,9 @@ def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
 
     The class is the image of G under every point map at once: conjugation
     by sigma_M sends g_a = (a, M_a) to (M a, M M_a M^-1), and the columns of
-    M M_a M^-1 are those of sigma_M sigma_{M_a} sigma_M^-1 at the units."""
-    conj = conjugate_rows(tab.app[mats], tab.gl)[..., tab.units]  # (point a, M, column)
+    M M_a M^-1 are sigma_M(M_a(sigma_M^-1 e_j)), gathered at the units alone."""
+    inner = tab.app[mats][:, inverse_rows(tab.gl)[:, tab.units]]  # (point a, M, column)
+    conj = tab.gl[np.arange(len(tab.gl))[:, None], inner]
     groups = np.empty_like(tab.gl)
     np.put_along_axis(groups, tab.gl.astype(np.intp), tab.code2idx[conj @ tab.weights].T, axis=1)
     _, first = np.unique(groups.view(np.dtype((np.void, groups[0].nbytes))).ravel(), return_index=True)

@@ -27,7 +27,17 @@ from perfcode import (
     sigma_m,
 )
 from perfcode._bits import nullspace_basis, span_dim, span_words
-from perfcode.algebra import _linear_solutions, conjugate_rows, gl_rows_cached, inverse_rows, point_spectra
+from perfcode import algebra as algebra_module
+from perfcode.algebra import (
+    _linear_solutions,
+    conjugate_rows,
+    enter_spectrum_keys,
+    gl_rows_cached,
+    inverse_rows,
+    point_spectra,
+    spectra_bytes,
+    spectrum_keys,
+)
 from perfcode.codes import hamming_parity_rows, perm_rank
 from conftest import random_gl, random_zero_fixing
 from sweep_oracle import sigma_table, sweep, sweep_count, sweep_member
@@ -376,6 +386,60 @@ class TestSolutionSets:
         assert max(counts) > 1 and 0 in counts
 
 
+def _additive(images) -> bool:
+    """Oracle: f(x ^ y) = f(x) ^ f(y) for every pair of points, one at a time."""
+    n = len(images)
+    return all(images[x ^ y] == images[x] ^ images[y] for x in range(n) for y in range(n))
+
+
+class TestSearchBeyondTheSweep:
+    """The search at r=5, where no sweep runs: each A it yields is checked
+    point by point, and a planted solution must be among them."""
+
+    def test_r5_solutions_make_linear_products(self):
+        local = random.Random(47)
+        # three random taus, and a point transitive one whose many solutions
+        # leave the spectra little to prune
+        taus = [random_zero_fixing(5, local) for _ in range(3)]
+        taus.append(PointPerm(5, (0, 2, 1, 3, 16, 22, 17, 7, 8, 30, 13, 11, 24, 10, 29, 15,
+                                  4, 6, 21, 23, 20, 18, 5, 19, 12, 26, 25, 31, 28, 14, 9, 27)))
+        for tau in taus:
+            assert is_linear(tau) is None
+            c_mat, d_mat = random_gl(5, local), random_gl(5, local)
+            found = []
+            # A = I solves the first; tau o sigma_A o (sigma_D tau^-1 sigma_C)
+            # is sigma_C at A = D^-1, which the third must find
+            for left, right in (
+                (tau, invert_perm(tau)),
+                (tau, tau),
+                (tau, compose(compose(sigma_m(d_mat), invert_perm(tau)), sigma_m(c_mat))),
+            ):
+                maps = [tuple(m) for m in _linear_solutions(left.images, invert_perm(right).images, 5)]
+                assert len(set(maps)) == len(maps)
+                for amap in maps:
+                    assert sorted(amap) == list(range(32)) and _additive(amap)
+                    assert _additive([left.images[amap[right.images[x]]] for x in range(32)])
+                found.append(maps)
+            assert identity_perm(5).images in found[0]
+            assert sigma_m(invert(d_mat)).images in found[2]
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_counts_constant_under_gl_moves_of_left(self, r):
+        # sigma_B o left o sigma_A o sigma_X o right is linear iff
+        # left o sigma_{AX} o right is, so the count does not move
+        local = random.Random(60 + r)
+        for _ in range(2):
+            tau = random_zero_fixing(r, local)
+            for right in (invert_perm(tau), tau):
+                expect = count_linear_products(tau, right)
+                left = tau
+                for _ in range(3):
+                    a_mat, b_mat = random_gl(r, local), random_gl(r, local)
+                    left = compose(compose(sigma_m(b_mat), left), sigma_m(a_mat))
+                    assert count_linear_products(left, right) == expect
+            assert count_linear_products(tau, invert_perm(tau)) >= 1
+
+
 def _difference_table(images) -> list[list[int]]:
     """Oracle: D_f[x][a] = #{y : f(x ^ y) ^ f(y) = a}, one pair at a time."""
     n = len(images)
@@ -403,6 +467,28 @@ class TestPointSpectra:
             cols = [[table[inv[u]][u]] + sorted(row[u] for row in table) for u in range(1 << r)]
             assert point_spectra(tau.images).tolist() == rows
             assert point_spectra([tau.images, inv]).tolist() == [rows, cols]
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_batch_keys_are_spectrum_keys(self, monkeypatch, r):
+        # one batch of rows and their inverses encodes every row as
+        # spectrum_keys does, byte for byte; entered keys are not recomputed
+        local = random.Random(56 + r)
+        rows = np.array([random_zero_fixing(r, local).images for _ in range(5)], dtype=np.int8)
+        rows = np.concatenate([rows, inverse_rows(rows)])
+        batch = spectra_bytes(rows)
+        spectrum_keys.cache_clear()
+        assert [tuple(keys) for keys in batch] == [spectrum_keys(tuple(row))[0] for row in rows.tolist()]
+        assert all(type(key) is bytes and len(key) == (1 << r) + 1 for keys in batch for key in keys)
+
+        spectrum_keys.cache_clear()
+        computed = []
+        monkeypatch.setattr(algebra_module, "point_spectra", lambda images: computed.append(images))
+        pairs = [(tuple(row), keys) for row, keys in zip(rows.tolist(), batch)]
+        assert enter_spectrum_keys(pairs[:2]) == [tuple(sorted(keys)) for keys in batch[:2]]
+        for images, keys in pairs:
+            assert enter_spectrum_keys([(images, keys)]) == [tuple(sorted(keys))]
+            assert spectrum_keys(images) == (tuple(keys), tuple(sorted(keys)))
+        assert computed == [] and algebra_module._handed == {}
 
     @pytest.mark.parametrize("r, zero_fixing", [(3, True), (4, True), (5, True), (3, False)])
     def test_constant_on_double_cosets(self, r, zero_fixing):
