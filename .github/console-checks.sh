@@ -58,6 +58,13 @@ echo "0b71bdc5b0ebfdc93f071033b723413fddeaea8b8a317f797038984acbda5de5  random4.
 echo '{"r": 3, "perm": [0, 1, 2, 4, 3, 5, 6, 7]}' > tau.json
 perfcode sqs --tau tau.json --out tau.sqs
 perfcode check-sqs --in tau.sqs
+# the same system with its 70th quadruple line, "2 4 8 14", deleted and the
+# header's b lowered to match: exit 1, naming the least triple left uncovered
+sed -e '1s/ b=140$/ b=139/' -e '71d' tau.sqs > broken.sqs
+rc=0
+perfcode check-sqs --in broken.sqs 2> broken.err || rc=$?
+test "$rc" -eq 1
+echo 'triple (2, 4, 8) covered 0 times (expected 1)' | diff - broken.err
 # the tau^-1-against-tau search through the installed script: a
 # non-linear r=4 tau that is not point transitive, and a point
 # transitive non-linear r=5 tau

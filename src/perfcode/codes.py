@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import zip_longest
+from operator import ge
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class ExplicitCode:
     words: tuple[int, ...]
 
     def __post_init__(self):
-        if list(self.words) != sorted(set(self.words)):
+        if any(map(ge, self.words, self.words[1:])):
             raise ValueError("words must be sorted and duplicate-free")
 
     @property
@@ -221,11 +222,9 @@ def explicit_materialize(s: CosetUnionCode) -> ExplicitCode:
     """All words of a coset-union code, sorted (budget: 2^21 words)."""
     if s.size > MATERIALIZE_BUDGET:
         raise BudgetExceeded(f"{s.size} words exceed the materialization budget")
-    base_words = s.base.words()
-    words = []
-    for rep in s.reps:
-        words.extend(w ^ rep for w in base_words)
-    return ExplicitCode(s.length, tuple(sorted(words)))
+    assert s.length <= 64  # a word fits one uint64
+    words = np.array(s.reps, dtype=np.uint64)[:, None] ^ np.array(s.base.words(), dtype=np.uint64)
+    return ExplicitCode(s.length, tuple(np.sort(words, axis=None).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ Point labels: the left copy of F^r occupies [0, 2^r), the right copy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -66,24 +66,41 @@ def sqs_from_tau(tau: PointPerm) -> SQS:
     return SQS(order=2 * n, quadruples=frozenset(quads))
 
 
+def _choose(n, k: int):
+    """C(n, k) for k = 2 or 3, of an int or an int64 array."""
+    return n * (n - 1) // 2 if k == 2 else n * (n - 1) * (n - 2) // 6
+
+
 def validate_sqs(q: SQS):
-    """None if every 3-subset is covered exactly once, else the first Violation."""
+    """None if every 3-subset is covered exactly once, else the first
+    Violation: the first malformed quadruple (count -1), else the least
+    triple not covered once.  Triples are counted as keys (a·v + b)·v + c;
+    sorted, key j is triple number C(v,3) - C(v-a,3) + C(v-a-1,2) -
+    C(v-b,2) + c - b - 1, which passes j just after the least triple missed.
+    """
     v = q.order
-    counts: dict[tuple[int, int, int], int] = {}
-    for quad in q.quadruples:
-        if len(quad) != 4 or len(set(quad)) != 4 or any(not 0 <= p < v for p in quad):
-            bad = tuple(sorted(quad))[:3]
-            return Violation(triple=bad, count=-1)
-        for tri in combinations(sorted(quad), 3):
-            counts[tri] = counts.get(tri, 0) + 1
-    total = v * (v - 1) * (v - 2) // 6
-    if len(counts) == total and all(c == 1 for c in counts.values()):
+    quads = list(q.quadruples)
+    # a quadruple of another length becomes (-1, -1, -1, -1), malformed too
+    pts = np.array([quad if len(quad) == 4 else (-1,) * 4 for quad in quads], dtype=np.int64)
+    pts = np.sort(pts.reshape(-1, 4))
+    ok = (pts[:, 1:] > pts[:, :-1]).all(axis=1) & (pts[:, 0] >= 0) & (pts[:, 3] < v)
+    if not ok.all():
+        return Violation(triple=tuple(sorted(quads[int(np.argmin(ok))]))[:3], count=-1)
+    x, y, z = (pts[:, list(slots)] for slots in zip(*combinations(range(4), 3)))
+    keys, counts = np.unique((x * v + y) * v + z, return_counts=True)
+    a, b, c = keys // (v * v), keys // v % v, keys % v
+    number = _choose(v, 3) - _choose(v - a, 3) + _choose(v - a - 1, 2) - _choose(v - b, 2) + c - b - 1
+    gaps = np.flatnonzero(number != np.arange(keys.size))
+    missed = int(gaps[0]) if gaps.size else keys.size  # the place of the least triple missed
+    j = int(np.argmax(counts > 1)) if keys.size else 0
+    if j < missed and counts[j] > 1:
+        return Violation(triple=(int(a[j]), int(b[j]), int(c[j])), count=int(counts[j]))
+    if missed == _choose(v, 3):
         return None
-    for tri in combinations(range(v), 3):
-        c = counts.get(tri, 0)
-        if c != 1:
-            return Violation(triple=tri, count=c)
-    return None
+    # the successor of the last triple before the gap, or of (0, 1, 1) at the start
+    a, b, c = (int(a[missed - 1]), int(b[missed - 1]), int(c[missed - 1])) if missed else (0, 1, 1)
+    triple = (a, b, c + 1) if c + 1 < v else (a, b + 1, b + 2) if b + 2 < v else (a + 1, a + 2, a + 3)
+    return Violation(triple=triple, count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +289,18 @@ def aut_order_and_transitivity(tau: PointPerm) -> tuple[int, bool]:
 PAIR_INVARIANT_MAX_ORDER = 64
 
 
-def _pair_invariant(quads, masks, v: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def _pair_invariant(quads: np.ndarray, v: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """For every point pair x, y: how many pairs of distinct quadruples
     through it have their symmetric difference among the quadruples (the
     v x v table, symmetric), and each point's row of it, sorted.
 
-    `quads` are sorted 4-tuples and `masks` their `_pair_table` masks.  The
-    six pairs of every quadruple are sorted by pair; each quadruple is then
-    paired with the one d places on in that order, for d = 1, 2, ... while
-    any such two share a pair, which visits every two quadruples through
-    a pair once, however many quadruples each pair has.
+    `quads` is a (b, 4) int64 array of sorted rows.  The six pairs of
+    every quadruple are sorted by pair; each quadruple is then paired with
+    the one d places on in that order, for d = 1, 2, ... while any such two
+    share a pair, which visits every two quadruples through a pair once,
+    however many quadruples each pair has.
     """
-    quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
-    masks = np.array(masks, dtype=np.uint64)
+    masks = np.bitwise_or.reduce(np.uint64(1) << quads.astype(np.uint64), axis=1)
     first, second = np.triu_indices(4, 1)  # the six pairs of slots
     keys = (quads[:, first] * v + quads[:, second]).reshape(-1)
     order = np.argsort(keys)
@@ -302,131 +318,47 @@ def _pair_invariant(quads, masks, v: int) -> tuple[list[list[int]], list[tuple[i
     return pair_inv.tolist(), list(map(tuple, np.sort(pair_inv, axis=1).tolist()))
 
 
-class _SqsIndex:
-    """Lookup tables of one system; a point set {a, b, c} is keyed by the
-    bit mask 1<<a | 1<<b | 1<<c, so no lookup sorts."""
+def _forcing_schedule(quads: list[tuple[int, int, int, int]], v: int):
+    """(base, steps) of the identity branch: level i fixes base[i], the
+    least point not yet known, and then every quadruple with three known
+    points forces its fourth until none does.  Which points get known
+    depends only on which were known, so every search node at level i
+    forces the same points: steps[i] holds each completion (a, b, c, d,
+    False), d forced by the known a, b, c, followed by the quadruples
+    (a, b, c, d, True) it leaves fully known, to be checked.
+    """
+    through: list[list[int]] = [[] for _ in range(v)]
+    for i, quad in enumerate(quads):
+        for p in quad:
+            through[p].append(i)
+    count = [0] * len(quads)  # how many of its points are known
+    known = [False] * v
+    ready: list[int] = []  # quadruples that had three known points
 
-    def __init__(self, q: SQS):
-        self.v = q.order
-        if self.v > PAIR_INVARIANT_MAX_ORDER:
-            raise BudgetExceeded(
-                f"count_automorphisms supports order <= {PAIR_INVARIANT_MAX_ORDER}, got {self.v}"
-            )
-        self.quads = [tuple(sorted(quad)) for quad in q.quadruples]
-        masks, pairs = _pair_table(self.quads)
-        self.quad_masks = set(masks)
-        # others[x]: the other three points of each quadruple through x
-        self.others: list[list[tuple[int, int, int]]] = [[] for _ in range(self.v)]
-        self.completion: dict[int, int] = {}
-        for quad, mask in zip(self.quads, masks):
-            for i, p in enumerate(quad):
-                self.others[p].append(quad[:i] + quad[i + 1 :])
-                self.completion[mask ^ (1 << p)] = p
-        self.pair_quads = {pair: [quad for quad, _ in through] for pair, through in pairs.items()}
-        # an isomorphism must match the pair invariant, which prunes image
-        # candidates early
-        self.pair_inv, self.point_inv = _pair_invariant(self.quads, masks, self.v)
+    def know(y: int, by: int, level: list[tuple]):
+        """Mark y known; check the quadruples it completes but `by`, which forced it."""
+        known[y] = True
+        for i in through[y]:
+            count[i] += 1
+            if count[i] == 3:
+                ready.append(i)
+            elif count[i] == 4 and i != by:
+                level.append((*quads[i], True))
 
-    def compatible(self, img: list[int], p: int, c: int) -> bool:
-        """Invariant screen for mapping p to c under the partial map."""
-        if self.point_inv[p] != self.point_inv[c]:
-            return False
-        row_p, row_c = self.pair_inv[p], self.pair_inv[c]
-        for x, x_img in enumerate(img):
-            if x_img >= 0 and row_p[x] != row_c[x_img]:
-                return False
-        return True
-
-    def propagate(self, img: list[int], used: list[bool], seeds: list[int]) -> bool:
-        """Force images through quadruples with three known points."""
-        completion, quad_masks = self.completion, self.quad_masks
-        queue = list(seeds)
-        while queue:
-            x = queue.pop()
-            bit_x = 1 << img[x]
-            for a, b, c in self.others[x]:
-                ia, ib, ic = img[a], img[b], img[c]
-                if ia < 0:
-                    if ib < 0 or ic < 0:
-                        continue
-                    y, known = a, bit_x | 1 << ib | 1 << ic
-                elif ib < 0:
-                    if ic < 0:
-                        continue
-                    y, known = b, bit_x | 1 << ia | 1 << ic
-                elif ic < 0:
-                    y, known = c, bit_x | 1 << ia | 1 << ib
-                else:
-                    if bit_x | 1 << ia | 1 << ib | 1 << ic not in quad_masks:
-                        return False
-                    continue
-                comp = completion.get(known)
-                if comp is None or used[comp]:
-                    return False
-                img[y] = comp
-                used[comp] = True
-                queue.append(y)
-        return True
-
-    def _branch_choices(self, img: list[int], used: list[bool]):
-        """Next decision point and its candidate images.
-
-        Prefers the first quadruple with exactly two assigned points: the
-        images of its two free points must fill an image quadruple through
-        the two known images, which caps the branching at a handful of
-        pairs instead of every unused point.
-        """
-        # no quadruple has two points mapped while fewer than two are, or
-        # two free while none is: skip the scan at the top level's
-        # one-point maps and at every complete map
-        quads = self.quads if 2 <= self.v - used.count(False) < self.v else ()
-        for quad in quads:
-            known_img = []
-            free = []
-            for p in quad:
-                if img[p] >= 0:
-                    known_img.append(img[p])
-                else:
-                    free.append(p)
-            if len(free) != 2:
-                continue
-            a, b = sorted(known_img)
-            p, p2 = free
-            cands = []
-            for target in self.pair_quads[(a, b)]:
-                rest = [z for z in target if z != a and z != b]
-                for z, w in (rest, rest[::-1]):
-                    if not used[z] and not used[w]:
-                        cands.append((p, z, p2, w))
-            return cands
-        p = next((x for x in range(self.v) if img[x] < 0), None)
-        if p is None:
-            return None
-        return [(p, c, None, None) for c in range(self.v) if not used[c]]
-
-    def extendable(self, img: list[int], used: list[bool]):
-        """The image list of a full automorphism extending the partial map, or None."""
-        choices = self._branch_choices(img, used)
-        if choices is None:
-            return img
-        for p, c, p2, c2 in choices:
-            if not self.compatible(img, p, c):
-                continue
-            img2, used2 = img[:], used[:]
-            img2[p] = c
-            used2[c] = True
-            seeds = [p]
-            if p2 is not None:
-                if used2[c2] or not self.compatible(img2, p2, c2):
-                    continue
-                img2[p2] = c2
-                used2[c2] = True
-                seeds.append(p2)
-            if self.propagate(img2, used2, seeds):
-                found = self.extendable(img2, used2)
-                if found is not None:
-                    return found
-        return None
+    base, steps = [], []
+    for p in range(v):
+        if known[p]:
+            continue
+        base.append(p)
+        steps.append(level := [])
+        know(p, -1, level)
+        while ready:
+            i = ready.pop()
+            if count[i] == 3:
+                (y,) = (z for z in quads[i] if not known[z])
+                level.append((*(z for z in quads[i] if z != y), y, False))
+                know(y, i, level)
+    return base, steps
 
 
 def _closure(points: set[int], gens: list[list[int]]) -> set[int]:
@@ -447,39 +379,94 @@ def count_automorphisms(q: SQS) -> int:
     """|Aut(Q)| by an orbit-stabilizer chain over backtracking searches.
 
     Independent of the structured formula in aut_order: works on the bare
-    quadruple set of any SQS.  Level i fixes the points F_i pointwise (the
-    identity branch, closed under propagation) and branches on the next
-    point p; the chain is built bottom-up, so every automorphism found at
-    level i or below fixes F_i and lies in the stabilizer G_i.  The orbit
-    of p under G_i is decided exhaustively with those automorphisms as
-    generators: a candidate in the closure of p is certified without a
-    search, a search that succeeds adds its automorphism as a generator,
-    and a search that fails rejects the candidate's whole orbit under the
-    generators (an orbit of G_i is a union of orbits of any subgroup).
+    quadruple set of any SQS.  Level i fixes F_i, the points known before
+    base[i] (`_forcing_schedule`), and decides the orbit of base[i] under
+    the stabilizer G_i.  A search node gives a base point an image that
+    passes the pair invariant, then reads its level's forced images from
+    the table comp[(x·v + y)·v + z]; it fails on a missing or used image,
+    or on a quadruple of the level that does not map to one.  Built
+    bottom-up, the chain finds at level i or below only automorphisms in
+    G_i: a candidate in the closure of base[i] under them is certified
+    without a search, a search that succeeds adds a generator, and one
+    that fails rejects the candidate's orbit under them.
     """
-    index = _SqsIndex(q)
-    # the identity branch, top-down: (prefix, its used images, branch point)
-    levels = []
-    img, used = [-1] * index.v, [False] * index.v
-    while (p := next((x for x in range(index.v) if img[x] < 0), None)) is not None:
-        levels.append((img, used, p))
-        img, used = img[:], used[:]
-        img[p] = p
-        used[p] = True
-        if not index.propagate(img, used, [p]):
+    v = q.order
+    if v > PAIR_INVARIANT_MAX_ORDER:
+        raise BudgetExceeded(f"count_automorphisms supports order <= {PAIR_INVARIANT_MAX_ORDER}, got {v}")
+    quads = sorted(q.quadruples)
+    rows = np.array(quads, dtype=np.int64).reshape(-1, 4)
+    slots = rows[:, list(permutations(range(4)))]  # x, y, z and their completion w
+    table = np.full(v**3, -1, dtype=np.int64)
+    table[(slots[..., 0] * v + slots[..., 1]) * v + slots[..., 2]] = slots[..., 3]
+    comp = table.tolist()
+    pair_inv, point_inv = _pair_invariant(rows, v)
+    base, steps = _forcing_schedule(quads, v)
+
+    def assign(i: int, img: list[int], used: int):
+        """Level i's forced images and checks once img[base[i]] is set: the
+        used images as a bit mask, or None."""
+        for a, b, c, d, check in steps[i]:
+            y = comp[(img[a] * v + img[b]) * v + img[c]]
+            if check:
+                if y != img[d]:
+                    return None
+            elif y < 0 or used >> y & 1:
+                return None
+            else:
+                img[d] = y
+                used |= 1 << y
+        return used
+
+    # fixed[i]: the points F_i as a bit mask; the identity must pass every level
+    img, fixed = list(range(v)), [0]
+    for i, p in enumerate(base):
+        used = assign(i, img, fixed[i] | 1 << p)
+        if used is None or img != list(range(v)):
             raise InconsistentInput("the identity does not stabilize every prefix")
+        fixed.append(used)
+    # column_masks[y][n]: the points c with pair_inv[c][y] = n, as a bit mask
+    column_masks = [{} for _ in range(v)]
+    for c, row in enumerate(pair_inv):
+        for y, n in enumerate(row):
+            column_masks[y][n] = column_masks[y].get(n, 0) | 1 << c
+    same = [sum(1 << c for c in range(v) if point_inv[c] == point_inv[p]) for p in range(v)]
+    screens = [[(x, pair_inv[p][x]) for x in range(v) if fixed[i] >> x & 1] for i, p in enumerate(base)]
+
+    def candidates(i: int, img: list[int], used: int):
+        """Unused images of base[i] that match its pair invariant on F_i, ascending."""
+        mask = same[base[i]] & ~used
+        for x, n in screens[i]:
+            mask &= column_masks[img[x]].get(n, 0)
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def extend(i: int, img: list[int], used: int):
+        """A full automorphism extending a node with levels before i set, or None."""
+        if i == len(base):
+            return img[:]
+        p = base[i]
+        for c in candidates(i, img, used):
+            img[p] = c
+            after = assign(i, img, used | 1 << c)
+            if after is not None and (found := extend(i + 1, img, after)) is not None:
+                return found
+        return None
+
     gens: list[list[int]] = []
     order = 1
-    for img, used, p in reversed(levels):
+    for i in reversed(range(len(base))):
+        p = base[i]
         orbit = _closure({p}, gens)
         rejected: set[int] = set()
-        for c in range(index.v):
-            if used[c] or c in orbit or c in rejected or not index.compatible(img, p, c):
+        img = list(range(v))
+        for c in candidates(i, img, fixed[i]):
+            if c in orbit or c in rejected:
                 continue
-            img2, used2 = img[:], used[:]
-            img2[p] = c
-            used2[c] = True
-            found = index.extendable(img2, used2) if index.propagate(img2, used2, [p]) else None
+            img[p] = c
+            used = assign(i, img, fixed[i] | 1 << c)
+            found = extend(i + 1, img, used) if used is not None else None
             if found is None:
                 rejected |= _closure({c}, gens)
             else:

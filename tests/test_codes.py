@@ -263,6 +263,36 @@ def random_coset_union(length: int, rng: random.Random) -> ExplicitCode:
     return ExplicitCode(length, tuple(sorted({w ^ s for w in linear for s in shifts})))
 
 
+class TestExplicitMaterialize:
+    """The uint64 materialization against the word loop it replaced."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_equals_the_word_loop(self, r):
+        local = random.Random(70 + r)
+        for tau in [identity_perm(r)] + [random_zero_fixing(r, local) for _ in range(4)]:
+            code = build_s_tau(tau)
+            base = code.base.words()
+            words = explicit_materialize(code).words
+            assert words == tuple(sorted(w ^ rep for rep in code.reps for w in base))
+            assert all(type(w) is int for w in words)
+
+    def test_budget_checked_before_any_word(self, monkeypatch):
+        # r=4: 2^26 words; the base code's words are never listed
+        code = build_s_tau(random_zero_fixing(4, random.Random(74)))
+        monkeypatch.setattr(LinearCode, "words", lambda self: pytest.fail("words listed"))
+        with pytest.raises(BudgetExceeded):
+            explicit_materialize(code)
+
+    @pytest.mark.parametrize("words", [(1, 0), (0, 2, 1), (0, 1, 1), (3, 3)])
+    def test_unsorted_or_repeated_words_rejected(self, words):
+        with pytest.raises(ValueError, match="sorted and duplicate-free"):
+            ExplicitCode(4, words)
+
+    @pytest.mark.parametrize("words", [(), (5,), (0, 1, 2, 7)])
+    def test_sorted_words_accepted(self, words):
+        assert ExplicitCode(4, words).words == words
+
+
 class TestBruteKernelDim:
     """The Walsh–Hadamard kernel oracle against the pairwise np.isin count."""
 

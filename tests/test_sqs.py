@@ -1,11 +1,14 @@
 import hashlib
 import random
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from perfcode import (
     AffineInput,
     BudgetExceeded,
+    InconsistentInput,
     SQS,
     apply_structured,
     aut_order,
@@ -32,44 +35,30 @@ from perfcode import (
     xi_swap,
 )
 from perfcode import ExplicitCode, PointPerm
+from perfcode.sqs import Violation
 from perfcode import algebra as algebra_module
 from perfcode import sqs as sqs_module
 from perfcode.algebra import point_spectra
 from conftest import random_gl, random_zero_fixing
 from pair_invariant_oracle import pair_invariant_loop
+from sqs_aut_oracle import SqsIndex, count_automorphisms_queue
 from sweep_oracle import sweep_member
+from validate_oracle import validate_sqs_loop
 
 # symmetric_difference_dichotomy over the non-linear taus of the complete
 # r=3 catalog: see TestSymdiffDichotomy.test_r3_catalog_reports_are_pinned
 DICHOTOMY_R3_SHA256 = "edb86a58a1583b9c668da6458bf89a2347e48cd6989a98765fe0baa457770b79"
 
 
-def scan_branch_choices(index, img, used):
-    """The search's branch choices found by scanning every quadruple, at
-    every node, for the first with exactly two assigned points."""
-    for quad in index.quads:
-        known_img = []
-        free = []
-        for p in quad:
-            if img[p] >= 0:
-                known_img.append(img[p])
-            else:
-                free.append(p)
-        if len(free) != 2:
-            continue
-        a, b = sorted(known_img)
-        p, p2 = free
-        cands = []
-        for target in index.pair_quads[(a, b)]:
-            rest = [z for z in target if z != a and z != b]
-            for z, w in (rest, rest[::-1]):
-                if not used[z] and not used[w]:
-                    cands.append((p, z, p2, w))
-        return cands
-    p = next((x for x in range(index.v) if img[x] < 0), None)
-    if p is None:
-        return None
-    return [(p, c, None, None) for c in range(index.v) if not used[c]]
+def scan_closure(quads, known: set[int]) -> set[int]:
+    """The points known once every quadruple with three known points has
+    added its fourth, found by scanning every quadruple until none adds one."""
+    known = set(known)
+    while True:
+        new = {p for quad in quads if len(known & set(quad)) == 3 for p in quad} - known
+        if not new:
+            return known
+        known |= new
 
 
 def random_nonlinear(r, rng):
@@ -125,6 +114,52 @@ class TestValidate:
         assert violation is not None
         assert violation.count == 0
         assert set(violation.triple) <= set(removed)
+
+    @staticmethod
+    def _edits(q: SQS, local: random.Random):
+        """Systems made from q: itself, one block dropped, a block added
+        that repeats a triple, and each kind of malformed quadruple."""
+        quads = sorted(q.quadruples)
+        v = q.order
+        dropped = local.choice(quads)
+        a, b, c, _ = local.choice(quads)
+        extra = tuple(sorted((a, b, c, local.choice(sorted(set(range(v)) - {a, b, c})))))
+        yield q.quadruples
+        yield q.quadruples - {dropped}
+        yield q.quadruples - {local.choice(quads), local.choice(quads)}
+        yield q.quadruples | {extra}
+        yield (q.quadruples - {dropped}) | {extra}
+        for bad in [(a, b, c), (a, b), (a, a, b, c), (a, b, c, c), (a, b, c, v), (-1, a, b, c), (a, b, c, extra[3], 0)]:
+            yield q.quadruples | {bad}
+            yield (q.quadruples - {dropped}) | {bad, (b, b, c, 1)}
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_the_loop(self, r):
+        # the packed triple count returns the loop's first Violation: the
+        # first malformed quadruple in iteration order, else the least triple
+        # not covered once
+        local = random.Random(47 + r)
+        for _ in range(12):
+            q = sqs_from_tau(random_zero_fixing(r, local))
+            for quads in self._edits(q, local):
+                system = SQS(order=q.order, quadruples=frozenset(quads))
+                got = validate_sqs(system)
+                assert got == validate_sqs_loop(system)
+                assert got is None or all(type(p) is int for p in got.triple)
+
+    @pytest.mark.parametrize("v", range(0, 10))
+    def test_empty_and_partial_systems_match_the_loop(self, v):
+        local = random.Random(60 + v)
+        quads = [tuple(sorted(local.sample(range(v), 4))) for _ in range(v)] if v >= 4 else []
+        for system in (SQS(order=v, quadruples=frozenset()), SQS(order=v, quadruples=frozenset(quads))):
+            assert validate_sqs(system) == validate_sqs_loop(system)
+
+    def test_last_triple_missed(self):
+        # (12, 13, 14, 15) holds the last four triples, so the gap is after
+        # every key: the successor of the last triple covered, (11, 14, 15)
+        q = sqs_from_tau(identity_perm(3))
+        broken = SQS(order=16, quadruples=q.quadruples - {(12, 13, 14, 15)})
+        assert validate_sqs(broken) == validate_sqs_loop(broken) == Violation(triple=(12, 13, 14), count=0)
 
 
 class TestSymdiffDichotomy:
@@ -357,9 +392,11 @@ class TestPairInvariant:
 
     @staticmethod
     def _check(q: SQS):
-        index = sqs_module._SqsIndex(q)
-        assert (index.pair_inv, index.point_inv) == pair_invariant_loop(index.quads, q.order)
-        return index
+        quads = sorted(q.quadruples)
+        rows = np.array(quads, dtype=np.int64).reshape(-1, 4)
+        pair_inv, point_inv = sqs_module._pair_invariant(rows, q.order)
+        assert (pair_inv, point_inv) == pair_invariant_loop(quads, q.order)
+        return point_inv
 
     def test_r3_catalog_systems(self, r3_taus):
         local = random.Random(45)
@@ -367,8 +404,8 @@ class TestPairInvariant:
             self._check(sqs_from_tau(tau))
 
     def test_r4_affine_system(self):
-        index = self._check(sqs_from_tau(identity_perm(4)))
-        assert set(index.point_inv) == {index.point_inv[0]}
+        point_inv = self._check(sqs_from_tau(identity_perm(4)))
+        assert set(point_inv) == {point_inv[0]}
 
     def test_r5_identity_system(self):
         # v = 64: the masks of quadruples through point 63 have bit 63 set
@@ -382,8 +419,9 @@ class TestPairInvariant:
         local = random.Random(46)
         quads = set(local.sample(sorted(sqs_from_tau(identity_perm(3)).quadruples), 90))
         quads |= {(0, 1, 2, 9), (0, 1, 2, 10), (0, 1, 3, 11), (0, 1, 9, 10), (5, 9, 10, 15)}
-        index = self._check(SQS(order=16, quadruples=frozenset(quads)))
-        counts = {len(index.pair_quads[pair]) for pair in index.pair_quads}
+        self._check(SQS(order=16, quadruples=frozenset(quads)))
+        pair_quads = SqsIndex(quads, 16).pair_quads
+        counts = {len(through) for through in pair_quads.values()}
         assert len(counts) > 2
 
     def test_empty_system(self):
@@ -392,6 +430,65 @@ class TestPairInvariant:
     def test_order_above_64(self):
         with pytest.raises(BudgetExceeded):
             count_automorphisms(SQS(order=65, quadruples=frozenset({(0, 1, 2, 64)})))
+
+
+class TestCountAgainstQueueSearch:
+    """The fixed-base count against the queue-propagation search it replaced,
+    and against every permutation on small packings."""
+
+    def test_r3_catalog_and_random_systems(self, r3_taus):
+        local = random.Random(48)
+        taus = local.sample(r3_taus, 30) + [random_zero_fixing(3, local) for _ in range(10)]
+        for tau in taus:
+            q = sqs_from_tau(tau)
+            assert count_automorphisms(q) == count_automorphisms_queue(q.quadruples, 16)
+
+    def test_relabelled_systems(self, r3_taus):
+        local = random.Random(49)
+        for tau in local.sample(r3_taus, 10):
+            relabel = list(range(16))
+            local.shuffle(relabel)
+            quads = frozenset(
+                tuple(sorted(relabel[p] for p in quad)) for quad in sqs_from_tau(tau).quadruples
+            )
+            assert count_automorphisms(SQS(order=16, quadruples=quads)) == count_automorphisms_queue(quads, 16)
+
+    def test_affine_order_16(self):
+        q = sqs_from_tau(identity_perm(3))
+        assert count_automorphisms(q) == count_automorphisms_queue(q.quadruples, 16) == 322560
+
+    @pytest.mark.parametrize("quads", [
+        # forcing 3 or 4 through 0, 1, 2 finds the other already used
+        [(0, 1, 2, 3), (0, 1, 2, 4)],
+        # 0, 1, 3 complete to 5, not 4: the identity would map 3 to 5
+        [(0, 1, 2, 4), (0, 1, 3, 4), (0, 1, 3, 5), (0, 1, 4, 5)],
+    ])
+    def test_identity_failing_its_schedule_is_inconsistent(self, quads):
+        # a triple in two quadruples; the queue search fails the identity too
+        with pytest.raises(InconsistentInput):
+            count_automorphisms(SQS(order=8, quadruples=frozenset(quads)))
+        with pytest.raises(ValueError):
+            count_automorphisms_queue(frozenset(quads), 8)
+
+    def test_packings_against_every_permutation(self):
+        # every triple in at most one quadruple, so forcing stays sound; the
+        # count equals that of the permutations of 6 to 8 points that map
+        # the quadruple set onto itself
+        local = random.Random(50)
+        for _ in range(24):
+            v = local.choice([6, 7, 8])
+            quads, triples = [], set()
+            for _ in range(local.randrange(1, 12)):
+                quad = tuple(sorted(local.sample(range(v), 4)))
+                if not triples & set(combinations(quad, 3)):
+                    quads.append(quad)
+                    triples |= set(combinations(quad, 3))
+            rows = np.array(sorted(quads))
+            images = np.sort(np.array(list(permutations(range(v))))[:, rows], axis=2)
+            keys = ((images[..., 0] * v + images[..., 1]) * v + images[..., 2]) * v + images[..., 3]
+            own = np.sort(((rows[:, 0] * v + rows[:, 1]) * v + rows[:, 2]) * v + rows[:, 3])
+            expected = int((np.sort(keys, axis=1) == own).all(axis=1).sum())
+            assert count_automorphisms(SQS(order=v, quadruples=frozenset(quads))) == expected
 
 
 class TestAutOrder:
@@ -432,26 +529,33 @@ class TestAutOrder:
             assert aut_order(moved) == base
         assert aut_order(invert_perm(tau)) == base
 
-    def test_branch_choices_match_a_scan_of_every_quadruple(self, monkeypatch, r3_taus):
-        # the search must branch where a scan of every quadruple says, at
-        # every node, including those where it skips the scan
-        mapped = set()  # how many points the nodes had mapped
-
-        class ScanChecked(sqs_module._SqsIndex):
-            def _branch_choices(self, img, used):
-                choices = super()._branch_choices(img, used)
-                assert choices == scan_branch_choices(self, img, used)
-                mapped.add(sum(x >= 0 for x in img))
-                return choices
-
-        monkeypatch.setattr(sqs_module, "_SqsIndex", ScanChecked)
+    def test_schedule_forces_what_a_scan_of_every_quadruple_reaches(self, r3_taus):
+        # at every base level the forced points are exactly the closure a scan
+        # of every quadruple with three known points reaches; every step reads
+        # known points only, and every quadruple is forced through or checked once
         local = random.Random(39)
         taus = local.sample(r3_taus, 4) + [random_nonlinear(3, local) for _ in range(2)]
-        for tau in taus + [identity_perm(4)]:
-            assert count_automorphisms(sqs_from_tau(tau)) == aut_order(tau)
-        # both ends of the skipped range (1 and every point of an r=3 or r=4
-        # system) and the first count that scans (2)
-        assert {1, 2, 16, 32} <= mapped
+        for tau in taus + [identity_perm(3), identity_perm(4), random_nonlinear(4, local)]:
+            q = sqs_from_tau(tau)
+            quads = sorted(q.quadruples)
+            base, steps = sqs_module._forcing_schedule(quads, q.order)
+            known: set[int] = set()
+            met = []  # the quadruples the steps complete or check, in order
+            for p, level in zip(base, steps):
+                assert p == min(set(range(q.order)) - known)
+                closure = scan_closure(quads, known | {p})
+                forced = [d for *_, d, check in level if not check]
+                assert sorted(forced) == sorted(closure - known - {p})
+                known.add(p)
+                for a, b, c, d, check in level:
+                    assert {a, b, c} <= known and (d in known) == check
+                    known.add(d)
+                    met.append(tuple(sorted((a, b, c, d))))
+                assert known == closure
+            assert known == set(range(q.order))
+            assert sorted(met) == quads
+            if tau.r == 3 or is_linear(tau) is not None:  # seconds on a random r=4 system
+                assert count_automorphisms(q) == aut_order(tau)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_spectra_computed_once_per_permutation(self, monkeypatch, r):
