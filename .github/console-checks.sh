@@ -72,6 +72,25 @@ echo '{"r": 4, "perm": [0, 10, 4, 7, 13, 11, 8, 9, 5, 3, 6, 12, 2, 1, 15, 14]}' 
 perfcode report --tau tau4.json > report4.txt
 printf '%s\n' tau_id=r4-0a47db89536c21fe coordinate_transitive=false \
   transitive=unverified neighbor_transitive=false | diff - report4.txt
+# one class reached through both double cosets: tau4.json's tau, which is not
+# point transitive, and seeded rows sigma_B tau sigma_A^-1 and
+# sigma_B tau^-1 sigma_A^-1; a merge across the two takes the side-swap
+# (t = 1) witness of sqs_isomorphic
+python - <<'PY'
+import json, random
+from perfcode import PointPerm, compose, gl_enumerate, invert_perm, sigma_m
+rng = random.Random(30)
+mats = list(gl_enumerate(4))
+tau = PointPerm(4, tuple(json.load(open("tau4.json"))["perm"]))
+rows = [tau.images]
+for t in [tau] * 4 + [invert_perm(tau)] * 4:
+    a, b = rng.choice(mats), rng.choice(mats)
+    rows.append(compose(compose(sigma_m(b), t), invert_perm(sigma_m(a))).images)
+json.dump([{"r": 4, "group_id": i, "aut_id": 0, "tau": list(row)} for i, row in enumerate(rows)], open("swap4.json", "w"))
+PY
+perfcode classify --catalog swap4.json --out swap4.csv --format csv
+test "$(tail -n +2 swap4.csv | cut -d, -f8 | sort -u)" = 0
+echo "2bf17c536346c90b02fc1fa67faf9090fb5edac0af02005848e66e65fa90b28b  swap4.csv" | sha256sum -c
 echo '{"r": 5, "perm": [0, 2, 1, 3, 16, 22, 17, 7, 8, 30, 13, 11, 24, 10, 29, 15, 4, 6, 21, 23, 20, 18, 5, 19, 12, 26, 25, 31, 28, 14, 9, 27]}' > tau5.json
 perfcode report --tau tau5.json > report5.txt
 printf '%s\n' tau_id=r5-0.2.1.3.16.22.17.7.8.30.13.11.24.10.29.15.4.6.21.23.20.18.5.19.12.26.25.31.28.14.9.27 \

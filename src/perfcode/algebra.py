@@ -301,27 +301,24 @@ def spectra_bytes(images) -> list:
     return spectra.view(np.dtype((np.void, spectra.shape[-1])))[..., 0].tolist()
 
 
-_handed: dict = {}  # point keys that `enter_spectrum_keys` hands to the cache
+_spectra: dict = {}  # images -> spectrum_keys(images), the last 32, least recently used first
 
 
-@functools.lru_cache(maxsize=32)
-def spectrum_keys(images: tuple) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+def spectrum_keys(images: tuple, keys=None) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
     """The point keys of one permutation, point by point and sorted; the
-    sorted tuple is constant on a GL double coset.  Cached, so the searches
-    that share a permutation (`aut_order`'s two counts, `classify`'s bucket
-    tests) compute its spectra once, or not at all once entered."""
-    keys = tuple(_handed.pop(images, None) or spectra_bytes(images))
-    return keys, tuple(sorted(keys))
-
-
-def enter_spectrum_keys(pairs: list | tuple) -> list[tuple[bytes, ...]]:
-    """The sorted keys of each (images, point keys) pair; the point keys, from
-    a batch `spectra_bytes` call, enter the `spectrum_keys` cache."""
-    _handed.update(pairs)
-    try:
-        return [spectrum_keys(images)[1] for images, _ in pairs]
-    finally:
-        _handed.clear()  # and the keys of images the cache held already
+    sorted tuple is constant on a GL double coset.  `keys`, when given, are
+    its point keys from a batch `spectra_bytes` call.  The last 32 results
+    are kept, so the searches that share a permutation (`aut_order`'s two
+    counts, `classify`'s bucket tests) compute its spectra once, or not at
+    all once its keys were given."""
+    found = _spectra.pop(images, None)
+    if found is None:
+        keys = tuple(spectra_bytes(images) if keys is None else keys)
+        found = keys, tuple(sorted(keys))
+        if len(_spectra) >= 32:
+            del _spectra[next(iter(_spectra))]
+    _spectra[images] = found
+    return found
 
 
 def is_linear(tau: PointPerm) -> BitMatrix | None:

@@ -15,20 +15,20 @@ from .algebra import (
     BitMatrix,
     PointPerm,
     conjugate_rows,
-    double_coset_member,
-    enter_spectrum_keys,
+    double_coset_member,  # not called here: perfbench/tracing.py hooks this name
     gl_generators,
     inverse_rows,
     invert,
     invert_perm,
     sigma_m,
     spectra_bytes,
+    spectrum_keys,
 )
 from .codes import base_dim, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
 from .errors import BudgetExceeded, ExcludedLength, InconsistentInput, MixedDimensions
 from .regular_groups import TauCatalog
-from .sqs import aut_order, aut_order_and_transitivity, point_transitive
+from .sqs import aut_order, aut_order_and_transitivity, point_transitive, sqs_isomorphic
 
 SERIES_MAX_R = 12
 
@@ -199,16 +199,17 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
     The rows are split into orbits under GL conjugation and inversion
     (`_orbit_roots`), which never leave a class.  Orbits are processed in
     ascending lexicographic order of their least member, which alone gets
-    a rank, spectra and bucket double-coset tests, so each class
-    representative is the least member of its class and class ids are
-    canonical regardless of input order.  A bucket holds the orbits with
-    one rank and one pair sorted((S(tau), S(tau^-1))) of `spectrum_keys`
-    multisets; the spectra fix the kernel dimension (log2 #{x : c_tau(x) =
-    2^r}) and the rank the intersection dimension.  The spectra come in
-    batches; the keys of each orbit, and of the representatives its bucket
-    keeps, enter the `spectrum_keys` cache for the bucket tests and the
-    search for a new class's aut_order and point transitivity.  The class
-    columns are computed once, for the founder.
+    a rank, spectra and bucket tests, so each class representative is the
+    least member of its class and class ids are canonical regardless of
+    input order.  A bucket holds the orbits with one rank and one pair
+    sorted((S(tau), S(tau^-1))) of `spectrum_keys` multisets; the spectra
+    fix the kernel dimension (log2 #{x : c_tau(x) = 2^r}) and the rank the
+    intersection dimension.  An orbit joins the first class of its bucket
+    whose representative's system is isomorphic to its own.  The spectra
+    come in batches; the keys of each orbit, and of a representative before
+    each test against it, are given to `spectrum_keys`, whose cache the
+    tests and a new class's aut_order search read.  The class columns are
+    computed once, for the founder.
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
@@ -223,19 +224,20 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
         inverses = inverse_rows(block)
         keys = spectra_bytes(np.concatenate([block, inverses]))
         for row, inv_row, *own in zip(block.tolist(), inverses.tolist(), keys, keys[len(block) :]):
-            perm, inv = PointPerm(r, tuple(row)), PointPerm(r, tuple(inv_row))
-            entered = tuple(zip((perm.images, inv.images), own))
+            perm = PointPerm(r, tuple(row))
+            entered = tuple(zip((perm.images, tuple(inv_row)), own))
             rank = perm_rank(perm)
-            bucket = buckets.setdefault((rank, tuple(sorted(enter_spectrum_keys(entered)))), [])
-            for cid, rep, rep_inv, rep_entered in bucket:
-                enter_spectrum_keys(rep_entered)
-                if double_coset_member(perm, rep) is not None or double_coset_member(perm, rep_inv) is not None:
+            bucket = buckets.setdefault((rank, tuple(sorted(spectrum_keys(*pair)[1] for pair in entered))), [])
+            for cid, rep, rep_entered in bucket:
+                for pair in rep_entered:
+                    spectrum_keys(*pair)
+                if sqs_isomorphic(rep, perm) is not None:
                     found = cid
                     break
             else:
                 found, inter = len(class_columns), _intersection_from_rank(r, rank)
                 class_columns.append((rank, perm_kernel_dim(perm), inter, *aut_order_and_transitivity(perm)))
-                bucket.append((found, perm, inv, entered))
+                bucket.append((found, perm, entered))
             class_of.append(found)
 
     class_ids = np.array(class_of, dtype=np.intp)[np.searchsorted(least, root)]

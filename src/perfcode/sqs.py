@@ -128,18 +128,16 @@ class DichotomyReport:
         return not self.part1_counterexamples and not self.part2_missing
 
 
-def _pair_table(quads) -> tuple[list[int], dict[tuple[int, int], list]]:
-    """The bit mask 1<<a | 1<<b | 1<<c | 1<<d of each quadruple (a sorted
-    tuple), and for every point pair x < y the (quadruple, mask) entries
-    through it, in the order of `quads`."""
-    masks = []
-    table: dict[tuple[int, int], list] = {}
-    for quad in quads:
-        mask = sum(1 << p for p in quad)
-        masks.append(mask)
-        for pair in combinations(quad, 2):
-            table.setdefault(pair, []).append((quad, mask))
-    return masks, table
+def _pairs_through(quads: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uint64 mask 1<<a | 1<<b | 1<<c | 1<<d of each row of a (b, 4)
+    int64 array of sorted quadruples; the key x·v + y of each of their
+    pairs x < y, sorted stably; and the row each key comes from.  The
+    quadruples through a pair are consecutive, in row order."""
+    masks = np.bitwise_or.reduce(np.uint64(1) << quads.astype(np.uint64), axis=1)
+    first, second = np.triu_indices(4, 1)  # the six pairs of slots
+    keys = (quads[:, first] * v + quads[:, second]).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    return masks, keys[order], order // 6
 
 
 def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
@@ -148,22 +146,27 @@ def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
     (i) through two same-side points, symmetric differences of distinct
     quadruples stay in SQS_tau; (ii) through a left/right point pair
     there is always a quadruple pair whose symmetric difference leaves it.
-    One walk over the quadruples through each point pair, in sorted order,
-    checks both; the witness for (a, b) is the first pair through left-a,
-    right-b whose symmetric difference leaves the system.
+    One walk over the quadruples through each point pair
+    (`_pairs_through`), in sorted order, checks both; the witness for
+    (a, b) is the first pair through left-a, right-b whose symmetric
+    difference leaves the system.
     """
     tau.require_zero_fixing()
     if is_linear(tau) is not None:
         raise AffineInput("tau is linear; the system is affine")
     n = 1 << tau.r
-    masks, table = _pair_table(sorted(sqs_from_tau(tau).quadruples))
+    quads = sorted(sqs_from_tau(tau).quadruples)
+    masks, keys, rows = _pairs_through(np.array(quads, dtype=np.int64), 2 * n)
+    masks = masks.tolist()
     quad_masks = set(masks)
+    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     part1, missing, witnesses = [], [], {}
-    for x, y in combinations(range(2 * n), 2):
+    for key, through in zip(keys[np.r_[0, cuts]].tolist(), np.split(rows, cuts)):
+        x, y = divmod(key, 2 * n)
         outside = (
-            (q1, q2)
-            for (q1, m1), (q2, m2) in combinations(table[(x, y)], 2)
-            if m1 ^ m2 not in quad_masks
+            (quads[i], quads[j])
+            for i, j in combinations(through.tolist(), 2)
+            if masks[i] ^ masks[j] not in quad_masks
         )
         if (x < n) == (y < n):
             part1.extend(outside)
@@ -295,17 +298,13 @@ def _pair_invariant(quads: np.ndarray, v: int) -> tuple[list[list[int]], list[tu
     v x v table, symmetric), and each point's row of it, sorted.
 
     `quads` is a (b, 4) int64 array of sorted rows.  The six pairs of
-    every quadruple are sorted by pair; each quadruple is then paired with
-    the one d places on in that order, for d = 1, 2, ... while any such two
-    share a pair, which visits every two quadruples through a pair once,
-    however many quadruples each pair has.
+    every quadruple come sorted by pair (`_pairs_through`); each quadruple
+    is then paired with the one d places on in that order, for d = 1, 2,
+    ... while any such two share a pair, which visits every two quadruples
+    through a pair once, however many quadruples each pair has.
     """
-    masks = np.bitwise_or.reduce(np.uint64(1) << quads.astype(np.uint64), axis=1)
-    first, second = np.triu_indices(4, 1)  # the six pairs of slots
-    keys = (quads[:, first] * v + quads[:, second]).reshape(-1)
-    order = np.argsort(keys)
-    keys, through = keys[order], masks[order // 6]
-    members = np.sort(masks)
+    masks, keys, rows = _pairs_through(quads, v)
+    through, members = masks[rows], np.sort(masks)
     hits = [keys[:0]]
     d = 1
     while (lead := np.flatnonzero(keys[d:] == keys[:-d])).size:

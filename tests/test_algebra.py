@@ -31,7 +31,6 @@ from perfcode import algebra as algebra_module
 from perfcode.algebra import (
     _linear_solutions,
     conjugate_rows,
-    enter_spectrum_keys,
     gl_rows_cached,
     inverse_rows,
     point_spectra,
@@ -476,19 +475,19 @@ class TestPointSpectra:
         rows = np.array([random_zero_fixing(r, local).images for _ in range(5)], dtype=np.int8)
         rows = np.concatenate([rows, inverse_rows(rows)])
         batch = spectra_bytes(rows)
-        spectrum_keys.cache_clear()
+        algebra_module._spectra.clear()
         assert [tuple(keys) for keys in batch] == [spectrum_keys(tuple(row))[0] for row in rows.tolist()]
         assert all(type(key) is bytes and len(key) == (1 << r) + 1 for keys in batch for key in keys)
 
-        spectrum_keys.cache_clear()
+        algebra_module._spectra.clear()
         computed = []
         monkeypatch.setattr(algebra_module, "point_spectra", lambda images: computed.append(images))
         pairs = [(tuple(row), keys) for row, keys in zip(rows.tolist(), batch)]
-        assert enter_spectrum_keys(pairs[:2]) == [tuple(sorted(keys)) for keys in batch[:2]]
+        assert [spectrum_keys(*pair)[1] for pair in pairs[:2]] == [tuple(sorted(keys)) for keys in batch[:2]]
         for images, keys in pairs:
-            assert enter_spectrum_keys([(images, keys)]) == [tuple(sorted(keys))]
+            assert spectrum_keys(images, keys)[1] == tuple(sorted(keys))
             assert spectrum_keys(images) == (tuple(keys), tuple(sorted(keys)))
-        assert computed == [] and algebra_module._handed == {}
+        assert computed == []
 
     @pytest.mark.parametrize("r, zero_fixing", [(3, True), (4, True), (5, True), (3, False)])
     def test_constant_on_double_cosets(self, r, zero_fixing):

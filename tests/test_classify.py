@@ -52,6 +52,7 @@ from perfcode.classify import (
     tau_id_string,
 )
 from perfcode.codes import base_dim, kernel_dims
+from perfcode.io import CSV_COLUMNS, emit_catalog_csv, emit_catalog_json
 from perfcode.regular_groups import TauCatalog, automorphism_census
 from perfcode import sqs as sqs_module
 from classify_oracle import _invariant_triple, apply_move, classify_oracle, orbit_moves, orbit_roots_oracle
@@ -202,6 +203,10 @@ class TestClassificationSequence:
         for i in (0, -1):
             with pytest.raises(IndexError):
                 entries[i]
+        # no taus: no entries, and the emitters write an empty list and the header
+        assert classify([]) == []
+        assert emit_catalog_json(classify([])) == "[]\n"
+        assert emit_catalog_csv(classify([])) == ",".join(CSV_COLUMNS) + "\n"
 
 
 class TestTransitivityReport:
@@ -453,7 +458,7 @@ class TestOrbitClassification:
             computed.extend(map(tuple, batch.reshape(-1, batch.shape[-1]).tolist()))
             return point_spectra(images)
 
-        algebra_module.spectrum_keys.cache_clear()
+        algebra_module._spectra.clear()
         with monkeypatch.context() as patch:
             # count through every perfcode module that holds the name, so an
             # import of point_spectra outside algebra cannot bypass the count
@@ -465,6 +470,24 @@ class TestOrbitClassification:
         assert entries == classify_oracle(taus)
         assert len({e.class_id for e in entries}) == 6
         assert sorted(computed) == sorted(expected)
+
+    def test_representative_keys_given_again_before_each_test(self, monkeypatch):
+        # 40 classes outgrow the 32 results spectrum_keys keeps, so a bucket
+        # test needs its representative's keys given again, not recomputed
+        local = random.Random(28)
+        taus = [random_zero_fixing(4, local) for _ in range(40)]
+        computed = []
+
+        def counted(images):
+            batch = np.asarray(images)
+            computed.extend(map(tuple, batch.reshape(-1, batch.shape[-1]).tolist()))
+            return point_spectra(images)
+
+        algebra_module._spectra.clear()
+        monkeypatch.setattr(algebra_module, "point_spectra", counted)
+        entries = classify(taus)
+        assert len({e.class_id for e in entries}) == 40
+        assert sorted(computed) == sorted(t.images for tau in taus for t in (tau, invert_perm(tau)))
 
     def test_class_columns_computed_once_per_class(self, monkeypatch, rng):
         # orbits get their rank and spectra; the kernel dimension, like the

@@ -40,6 +40,8 @@ class TestExtendedHamming:
         assert h.length == 8
         assert len(words) == 16  # dimension 2^3 - 3 - 1 = 4
         assert brute_min_distance(_explicit(h)) == 4
+        # two words at distance 1 end the scan at the first word
+        assert brute_min_distance(ExplicitCode(8, (0, 1, 6, 24))) == 1
 
     def test_r3_defining_conditions(self):
         for w in extended_hamming(3).words():

@@ -699,6 +699,24 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "r, tau",
+        [
+            (5, list(range(32))),  # r outside {3, 4}
+            (3, list(range(7))),  # every r=3 row one image short
+        ],
+    )
+    def test_catalog_of_another_size_exit_3(self, tmp_path, capsys, r, tau):
+        items = [{"tau": tau, "r": r, "group_id": 0, "aut_id": i} for i in range(2)]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(items))
+        out = tmp_path / "classes.json"
+        assert cli_main(["classify", "--catalog", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("malformed input: bad tau catalog")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("complete", "false"),  # a string, which bool() would read as true

@@ -74,6 +74,9 @@ class TestVerifyRegular:
         mats[5] = swapped
         violation = verify_regular(RegularSubgroup(r=3, mats=tuple(mats)))
         assert violation is not None
+        mats = list(group.mats)
+        mats[0] = swapped  # M_0 is not I
+        assert verify_regular(RegularSubgroup(r=3, mats=tuple(mats))) == regular_groups.ClosureViolation(0, 0)
 
 
 class TestEnumeration:
@@ -265,19 +268,21 @@ def count_searches(monkeypatch) -> list[int]:
 
 class TestAutomorphismOracle:
     """The level-by-level search against the closure DFS of tests/aut_oracle.py:
-    the same automorphisms, in the same order."""
+    the same automorphisms, in the same order, which is ascending row order."""
 
     def test_every_r3_group(self, r3_tables):
         assert len(r3_tables) == 232
         for mul in r3_tables:
             got = regular_groups._automorphism_perms(mul, 8)
             assert list(map(tuple, got.tolist())) == closure_automorphism_perms(mul, 8)
+            assert (np.lexsort(got.T[::-1]) == np.arange(len(got))).all()
 
     def test_r4_prefix(self, r4_prefix_tables):
         sizes = []
         for mul in r4_prefix_tables:
             got = regular_groups._automorphism_perms(mul, 16)
             assert list(map(tuple, got.tolist())) == closure_automorphism_perms(mul, 16)
+            assert (np.lexsort(got.T[::-1]) == np.arange(len(got))).all()
             sizes.append(len(got))
         assert sizes.count(20160) == 2  # the prefix holds two translation groups
 
@@ -513,11 +518,11 @@ class TestCatalog:
         searches = count_searches(monkeypatch)
         carry, carried = regular_groups._carried_automorphisms, []
 
-        def carry_then_tick(auts, sigma, mul, n):
-            carried.append(n)
+        def carry_then_tick(auts, sigma):
+            carried.append(len(sigma))
             if len(searches) + len(carried) == 232:
                 now[0] = 100.0
-            return carry(auts, sigma, mul, n)
+            return carry(auts, sigma)
 
         monkeypatch.setattr(regular_groups, "_carried_automorphisms", carry_then_tick)
         catalog = catalog_taus(3, budget_seconds=10.0)

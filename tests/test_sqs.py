@@ -301,6 +301,23 @@ class TestIsomorphism:
             )
             assert image.quadruples == sqs_from_tau(moved).quadruples
 
+    def test_inverse_double_coset_gives_the_swap_witness(self):
+        # tau^-1 is not in GL tau GL, so tau' = sigma_B tau^-1 sigma_A^-1 is
+        # reached only through the side swap: t = 1
+        local = random.Random(37)
+        taus = []
+        while len(taus) < 3:
+            tau = random_zero_fixing(4, local)
+            if not point_transitive(tau)[0]:
+                taus.append(tau)
+        for tau in taus:
+            a_mat, b_mat = random_gl(4, local), random_gl(4, local)
+            moved = compose(compose(sigma_m(b_mat), invert_perm(tau)), sigma_m(invert(a_mat)))
+            witness = sqs_isomorphic(tau, moved)
+            assert witness is not None and witness.t == 1
+            image = apply_structured((0, witness.a_mat, 0, witness.b_mat, 1), sqs_from_tau(tau))
+            assert image == sqs_from_tau(moved)
+
     def test_mixed_linearity_never_isomorphic(self, rng):
         tau = random_nonlinear(3, rng)
         assert sqs_isomorphic(tau, identity_perm(3)) is None
@@ -570,7 +587,7 @@ class TestAutOrder:
                 computed.append(tuple(images))
                 return point_spectra(images)
 
-            algebra_module.spectrum_keys.cache_clear()
+            algebra_module._spectra.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(algebra_module, "point_spectra", counted)
                 assert aut_order(tau) == expected
