@@ -65,6 +65,12 @@ rc=0
 perfcode check-sqs --in broken.sqs 2> broken.err || rc=$?
 test "$rc" -eq 1
 echo 'triple (2, 4, 8) covered 0 times (expected 1)' | diff - broken.err
+# an order past 2^21, whose triple keys would overflow int64: exit 2, over budget
+printf 'v=2097153 b=1\n0 1 2 3\n' > big.sqs
+rc=0
+perfcode check-sqs --in big.sqs 2> big.err || rc=$?
+test "$rc" -eq 2
+echo 'budget exhausted: validate_sqs supports order <= 2097152, got 2097153' | diff - big.err
 # the tau^-1-against-tau search through the installed script: a
 # non-linear r=4 tau that is not point transitive, and a point
 # transitive non-linear r=5 tau

@@ -24,6 +24,8 @@ from .algebra import (
 from .errors import AffineInput, BudgetExceeded, DimensionMismatch, InconsistentInput
 
 SQS_MAX_R = 5
+# the largest order whose triple keys (a·v + b)·v + c and C(v, 3) fit int64
+VALIDATE_MAX_ORDER = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,11 @@ def validate_sqs(q: SQS):
     triple not covered once.  Triples are counted as keys (a·v + b)·v + c;
     sorted, key j is triple number C(v,3) - C(v-a,3) + C(v-a-1,2) -
     C(v-b,2) + c - b - 1, which passes j just after the least triple missed.
+    An order above VALIDATE_MAX_ORDER raises BudgetExceeded.
     """
     v = q.order
+    if v > VALIDATE_MAX_ORDER:
+        raise BudgetExceeded(f"validate_sqs supports order <= {VALIDATE_MAX_ORDER}, got {v}")
     quads = list(q.quadruples)
     # a quadruple of another length becomes (-1, -1, -1, -1), malformed too
     pts = np.array([quad if len(quad) == 4 else (-1,) * 4 for quad in quads], dtype=np.int64)
@@ -292,10 +297,10 @@ def aut_order_and_transitivity(tau: PointPerm) -> tuple[int, bool]:
 PAIR_INVARIANT_MAX_ORDER = 64
 
 
-def _pair_invariant(quads: np.ndarray, v: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def _pair_invariant(quads: np.ndarray, v: int) -> list[list[int]]:
     """For every point pair x, y: how many pairs of distinct quadruples
-    through it have their symmetric difference among the quadruples (the
-    v x v table, symmetric), and each point's row of it, sorted.
+    through it have their symmetric difference among the quadruples: the
+    v x v table, symmetric.
 
     `quads` is a (b, 4) int64 array of sorted rows.  The six pairs of
     every quadruple come sorted by pair (`_pairs_through`); each quadruple
@@ -314,17 +319,18 @@ def _pair_invariant(quads: np.ndarray, v: int) -> tuple[list[list[int]], list[tu
         d += 1
     counts = np.bincount(np.concatenate(hits), minlength=v * v).reshape(v, v)
     pair_inv = counts + np.triu(counts, 1).T  # keys have x <= y: mirror them
-    return pair_inv.tolist(), list(map(tuple, np.sort(pair_inv, axis=1).tolist()))
+    return pair_inv.tolist()
 
 
 def _forcing_schedule(quads: list[tuple[int, int, int, int]], v: int):
     """(base, steps) of the identity branch: level i fixes base[i], the
-    least point not yet known, and then every quadruple with three known
-    points forces its fourth until none does.  Which points get known
-    depends only on which were known, so every search node at level i
-    forces the same points: steps[i] holds each completion (a, b, c, d,
-    False), d forced by the known a, b, c, followed by the quadruples
-    (a, b, c, d, True) it leaves fully known, to be checked.
+    first point not yet known in the order 0, h, 1, h + 1, ..., h = ceil(v/2),
+    which alternates the two copies of F^r in SQS_tau, and then every
+    quadruple with three known points forces its fourth until none does.
+    Which points get known depends only on which were known, so every
+    search node at level i forces the same points: steps[i] holds each
+    completion (a, b, c, d, False), d forced by the known a, b, c, followed
+    by the quadruples (a, b, c, d, True) it leaves fully known, to be checked.
     """
     through: list[list[int]] = [[] for _ in range(v)]
     for i, quad in enumerate(quads):
@@ -345,7 +351,8 @@ def _forcing_schedule(quads: list[tuple[int, int, int, int]], v: int):
                 level.append((*quads[i], True))
 
     base, steps = [], []
-    for p in range(v):
+    half = (v + 1) // 2
+    for p in sorted(range(v), key=lambda p: (p % half, p // half)):
         if known[p]:
             continue
         base.append(p)
@@ -362,15 +369,10 @@ def _forcing_schedule(quads: list[tuple[int, int, int, int]], v: int):
 
 def _closure(points: set[int], gens: list[list[int]]) -> set[int]:
     """The union of the orbits of `points` under the group the images generate."""
-    out = set(points)
-    queue = list(points)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = g[x]
-            if y not in out:
-                out.add(y)
-                queue.append(y)
+    out, new = set(), set(points)
+    while new:
+        out |= new
+        new = {g[x] for x in new for g in gens} - out
     return out
 
 
@@ -380,14 +382,14 @@ def count_automorphisms(q: SQS) -> int:
     Independent of the structured formula in aut_order: works on the bare
     quadruple set of any SQS.  Level i fixes F_i, the points known before
     base[i] (`_forcing_schedule`), and decides the orbit of base[i] under
-    the stabilizer G_i.  A search node gives a base point an image that
-    passes the pair invariant, then reads its level's forced images from
-    the table comp[(x·v + y)·v + z]; it fails on a missing or used image,
-    or on a quadruple of the level that does not map to one.  Built
-    bottom-up, the chain finds at level i or below only automorphisms in
-    G_i: a candidate in the closure of base[i] under them is certified
-    without a search, a search that succeeds adds a generator, and one
-    that fails rejects the candidate's orbit under them.
+    the stabilizer G_i.  A search node (`attempt`) gives a base point an
+    image that passes the pair invariant on F_i, the one screen, then reads
+    its level's forced images from the table comp[(x·v + y)·v + z]; it
+    fails on a missing or used image, or on a quadruple of the level that
+    does not map to one.  Built bottom-up, the chain finds at level i or
+    below only automorphisms in G_i: a candidate in the closure of base[i]
+    under them is certified without a search, a search that succeeds adds
+    a generator, and one that fails rejects the candidate's orbit under them.
     """
     v = q.order
     if v > PAIR_INVARIANT_MAX_ORDER:
@@ -398,7 +400,7 @@ def count_automorphisms(q: SQS) -> int:
     table = np.full(v**3, -1, dtype=np.int64)
     table[(slots[..., 0] * v + slots[..., 1]) * v + slots[..., 2]] = slots[..., 3]
     comp = table.tolist()
-    pair_inv, point_inv = _pair_invariant(rows, v)
+    pair_inv = _pair_invariant(rows, v)
     base, steps = _forcing_schedule(quads, v)
 
     def assign(i: int, img: list[int], used: int):
@@ -428,12 +430,11 @@ def count_automorphisms(q: SQS) -> int:
     for c, row in enumerate(pair_inv):
         for y, n in enumerate(row):
             column_masks[y][n] = column_masks[y].get(n, 0) | 1 << c
-    same = [sum(1 << c for c in range(v) if point_inv[c] == point_inv[p]) for p in range(v)]
     screens = [[(x, pair_inv[p][x]) for x in range(v) if fixed[i] >> x & 1] for i, p in enumerate(base)]
 
     def candidates(i: int, img: list[int], used: int):
         """Unused images of base[i] that match its pair invariant on F_i, ascending."""
-        mask = same[base[i]] & ~used
+        mask = (1 << v) - 1 & ~used
         for x, n in screens[i]:
             mask &= column_masks[img[x]].get(n, 0)
         while mask:
@@ -441,15 +442,16 @@ def count_automorphisms(q: SQS) -> int:
             yield low.bit_length() - 1
             mask ^= low
 
-    def extend(i: int, img: list[int], used: int):
-        """A full automorphism extending a node with levels before i set, or None."""
-        if i == len(base):
+    def attempt(i: int, img: list[int], used: int, c: int):
+        """A full automorphism that maps base[i] to c and extends a node with
+        the levels before i set, or None."""
+        img[base[i]] = c
+        if (used := assign(i, img, used | 1 << c)) is None:
+            return None
+        if i + 1 == len(base):
             return img[:]
-        p = base[i]
-        for c in candidates(i, img, used):
-            img[p] = c
-            after = assign(i, img, used | 1 << c)
-            if after is not None and (found := extend(i + 1, img, after)) is not None:
+        for d in candidates(i + 1, img, used):
+            if (found := attempt(i + 1, img, used, d)) is not None:
                 return found
         return None
 
@@ -463,10 +465,7 @@ def count_automorphisms(q: SQS) -> int:
         for c in candidates(i, img, fixed[i]):
             if c in orbit or c in rejected:
                 continue
-            img[p] = c
-            used = assign(i, img, fixed[i] | 1 << c)
-            found = extend(i + 1, img, used) if used is not None else None
-            if found is None:
+            if (found := attempt(i, img, fixed[i], c)) is None:
                 rejected |= _closure({c}, gens)
             else:
                 gens.append(found)

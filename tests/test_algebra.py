@@ -68,6 +68,18 @@ class TestBitWord:
             y = BitWord(10, rng.randrange(1 << 10))
             assert (x ^ y).weight == x.weight + y.weight - 2 * (x & y).weight
 
+    def test_range_and_length_checks(self):
+        from perfcode import BitWord
+
+        for value in (-1, 8):
+            with pytest.raises(ValueError, match="out of range"):
+                BitWord(3, value)
+        x, y = BitWord(3, 5), BitWord(4, 5)
+        with pytest.raises(DimensionMismatch):
+            x ^ y
+        with pytest.raises(DimensionMismatch):
+            x & y
+
 
 class TestRank:
     def test_identity(self):
@@ -111,6 +123,17 @@ class TestInvert:
     def test_singular(self):
         with pytest.raises(NotInvertible):
             invert(BitMatrix(3, 3, (0b011, 0b011, 0b100)))
+        with pytest.raises(NotInvertible, match="not square"):
+            invert(BitMatrix(2, 3, (0b001, 0b010)))
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="row count"):
+            BitMatrix(2, 3, (0b001,))
+        for row in (-1, 0b1000):
+            with pytest.raises(ValueError, match="out of range"):
+                BitMatrix(1, 3, (row,))
+        with pytest.raises(DimensionMismatch):
+            identity_matrix(2) @ identity_matrix(3)
 
     def test_involution_and_product(self):
         rng = random.Random(2)
@@ -712,6 +735,15 @@ class TestDoubleCoset:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             double_coset_member(identity_perm(6), identity_perm(6))
+        with pytest.raises(BudgetExceeded):
+            count_linear_products(identity_perm(6), identity_perm(6))
+
+    def test_input_guards(self):
+        for search in (double_coset_member, count_linear_products):
+            with pytest.raises(DimensionMismatch):
+                search(identity_perm(3), identity_perm(4))
+        with pytest.raises(ValueError, match="unknown group 'AGL'"):
+            double_coset_member(identity_perm(3), identity_perm(3), group="AGL")
 
 
 class TestAffineTransform:

@@ -108,6 +108,10 @@ class TestClassify:
         with pytest.raises(MixedDimensions):
             classify([identity_perm(3), identity_perm(4)])
 
+    def test_search_budget(self):
+        with pytest.raises(BudgetExceeded):
+            classify([identity_perm(6)])
+
     def test_class_witness_links_intersection_codes(self, rng):
         # same class implies GL-equivalent intersection codes tau(H) cap H
         from perfcode import double_coset_member

@@ -122,6 +122,8 @@ class TestIntersect:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             intersect(extended_hamming(3), extended_hamming(4))
+        with pytest.raises(LengthMismatch):
+            apply_point_perm_to_code(identity_perm(4), extended_hamming(3))
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_intersection_dim_is_coset_invariant(self, r):
@@ -277,6 +279,11 @@ class TestExplicitMaterialize:
             words = explicit_materialize(code).words
             assert words == tuple(sorted(w ^ rep for rep in code.reps for w in base))
             assert all(type(w) is int for w in words)
+
+    def test_linear_words_over_budget(self):
+        # the extended Hamming code of length 32 has 2^26 words
+        with pytest.raises(BudgetExceeded, match="2\\^26 words"):
+            extended_hamming(5).words()
 
     def test_budget_checked_before_any_word(self, monkeypatch):
         # r=4: 2^26 words; the base code's words are never listed

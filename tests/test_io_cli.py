@@ -122,11 +122,20 @@ class TestCodeFiles:
         pio.save_code_file(path, code)
         assert pio.load_code_file(path).words == code.words
 
+    def test_save_code_file_refuses_what_it_cannot_write(self, tmp_path):
+        path = tmp_path / "c.code"
+        with pytest.raises(ValueError, match="not a power of two"):
+            pio.save_code_file(path, ExplicitCode(4, (0, 3, 15)))
+        with pytest.raises(TypeError, match="cannot serialize list"):
+            pio.save_code_file(path, [0, 15])
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "text",
         [
             "n=4 k=1\n0000\n1111\n0000\n",  # a repeated word
             "n=4 k=1\n0000\n111\n",  # a short word
+            "n=4 k=1\n0000\n1121\n",  # a word that is not binary
             "n=4 k=1\nG\n11\n",  # a short generator
             "n=4 k=1\nG\n11110\n",  # a long generator
             "n=4 k=2\nG\n1111\nR\n11111111\n0000\n",  # long representatives
@@ -232,6 +241,16 @@ class TestGroupFiles:
         r, complete, loaded = pio.load_groups(path)
         assert r == 3 and complete is False
         assert [g.mats for g in loaded] == [g.mats for g in groups]
+
+    def test_rows_of_one_matrix_differ_in_width(self, tmp_path):
+        from perfcode import enumerate_regular_subgroups
+
+        obj = pio.group_to_obj(next(enumerate_regular_subgroups(3)))
+        obj["mats"]["1"][2] += "0"
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps({"r": 3, "complete": False, "groups": [obj]}))
+        with pytest.raises(MalformedInput, match="inconsistent widths"):
+            pio.load_groups(path)
 
 
 # catalog ids: a small one, or any int64 that the reader takes
@@ -626,6 +645,40 @@ class TestCli:
         assert cli_main(["check-sqs", "--in", str(q_path)]) == 1
         err = capsys.readouterr().err
         assert "covered 0 times" in err
+
+    def test_check_sqs_at_the_largest_order(self, tmp_path, capsys):
+        # the triple keys (a·v + b)·v + c and C(v, 3) are int64: the largest
+        # order still names the least uncovered triple, and the next one is
+        # refused as over budget rather than misread or overflowed
+        from perfcode.sqs import VALIDATE_MAX_ORDER
+
+        path = tmp_path / "q.sqs"
+        path.write_text(f"v={VALIDATE_MAX_ORDER} b=1\n0 1 2 3\n")
+        assert cli_main(["check-sqs", "--in", str(path)]) == 1
+        assert "triple (0, 1, 4) covered 0 times" in capsys.readouterr().err
+        for v in (VALIDATE_MAX_ORDER + 1, 1 << 40):
+            path.write_text(f"v={v} b=1\n0 1 2 3\n")
+            assert cli_main(["check-sqs", "--in", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"budget exhausted: validate_sqs supports order <= {VALIDATE_MAX_ORDER}, got {v}\n"
+
+    @pytest.mark.parametrize(
+        "argv, r, code, message",
+        [
+            (["sqs", "--tau", "{tau}", "--out", "{out}"], 6, 2, "budget exhausted: sqs_from_tau supports r <= 5, got 6"),
+            (["build-stau", "--tau", "{tau}", "--out", "{out}"], 6, 2, "budget exhausted: build_s_tau supports r <= 5, got 6"),
+            (["hadamard", "--tau", "{tau}", "--out", "{out}"], 5, 2, "budget exhausted: hadamard_a_tau supports r <= 4, got 5"),
+            (["series", "--r", "2"], 3, 1, "error: series needs r >= 3, got 2"),
+            (["catalog-taus", "--r", "5", "--out", "{out}"], 3, 1, "error: catalog_taus supports r in {3, 4}, got 5"),
+        ],
+        ids=["sqs", "build-stau", "hadamard", "series", "catalog-taus"],
+    )
+    def test_size_guards(self, tmp_path, capsys, argv, r, code, message):
+        tau, out = tmp_path / "tau.json", tmp_path / "out"
+        pio.save_point_perm(tau, identity_perm(r))
+        assert cli_main([arg.format(tau=tau, out=out) for arg in argv]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
 
     def test_malformed_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -139,6 +139,10 @@ class TestAutomorphisms:
         assert len(auts) == 168
         assert any(a.perm.images == identity_perm(3).images for a in auts)
 
+    def test_order_32_over_budget(self):
+        with pytest.raises(BudgetExceeded):
+            automorphisms(translations(5))
+
     def test_translation_automorphisms_are_exactly_linear_maps(self):
         auts = automorphisms(translations(3))
         images = {a.perm.images for a in auts}
@@ -468,6 +472,8 @@ class TestCatalog:
             assert ok
 
     def test_provenance_reproduces_tau(self, r3_catalog, rng):
+        # iterating a catalog gives its rows as indexing does
+        assert list(islice(r3_catalog, 3)) == [r3_catalog[i] for i in range(3)]
         groups = list(enumerate_regular_subgroups(3))
         for _ in range(5):
             i = rng.randrange(len(r3_catalog))

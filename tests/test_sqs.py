@@ -8,6 +8,7 @@ import pytest
 from perfcode import (
     AffineInput,
     BudgetExceeded,
+    DimensionMismatch,
     InconsistentInput,
     SQS,
     apply_structured,
@@ -35,6 +36,8 @@ from perfcode import (
     xi_swap,
 )
 from perfcode import ExplicitCode, PointPerm
+from perfcode.classify import tau_id_string
+from perfcode.codes import perm_kernel_dim, perm_rank
 from perfcode.sqs import Violation
 from perfcode import algebra as algebra_module
 from perfcode import sqs as sqs_module
@@ -44,6 +47,19 @@ from pair_invariant_oracle import pair_invariant_loop
 from sqs_aut_oracle import SqsIndex, count_automorphisms_queue
 from sweep_oracle import sweep_member
 from validate_oracle import validate_sqs_loop
+
+# the least member of each of the 9 r=4 classes among the taus of the 39
+# searched subgroup class representatives, by tau id
+R4_CLASS_REPRESENTATIVES = [
+    "r4-0123456789abcdef", "r4-01234567ab98efdc", "r4-012345abcd6789ef",
+    "r4-0123548967cdabfe", "r4-014523ba9876efcd", "r4-014523ef89dcba67",
+    "r4-01894567efab23cd", "r4-048e159f26acbd37", "r4-058d416be3a72fc9",
+]
+# (rank, kernel dim, aut_order) of the 9 r=4 classes: README's class table
+R4_CLASS_TABLE = {
+    (26, 26, 319_979_520), (27, 24, 98_304), (28, 23, 16_384), (28, 23, 12_288),
+    (29, 23, 12_288), (29, 23, 10_752), (30, 23, 10_752), (28, 22, 2_048), (29, 22, 512),
+}
 
 # symmetric_difference_dichotomy over the non-linear taus of the complete
 # r=3 catalog: see TestSymdiffDichotomy.test_r3_catalog_reports_are_pinned
@@ -356,6 +372,10 @@ class TestIsomorphism:
         with pytest.raises(BudgetExceeded):
             sqs_isomorphic(identity_perm(6), tau)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            sqs_isomorphic(identity_perm(3), identity_perm(4))
+
     def test_equivalence_relation(self, rng):
         taus = [random_nonlinear(3, rng) for _ in range(6)]
         rel = {
@@ -411,9 +431,9 @@ class TestPairInvariant:
     def _check(q: SQS):
         quads = sorted(q.quadruples)
         rows = np.array(quads, dtype=np.int64).reshape(-1, 4)
-        pair_inv, point_inv = sqs_module._pair_invariant(rows, q.order)
-        assert (pair_inv, point_inv) == pair_invariant_loop(quads, q.order)
-        return point_inv
+        pair_inv = sqs_module._pair_invariant(rows, q.order)
+        assert pair_inv == pair_invariant_loop(quads, q.order)[0]
+        return pair_inv
 
     def test_r3_catalog_systems(self, r3_taus):
         local = random.Random(45)
@@ -421,8 +441,8 @@ class TestPairInvariant:
             self._check(sqs_from_tau(tau))
 
     def test_r4_affine_system(self):
-        point_inv = self._check(sqs_from_tau(identity_perm(4)))
-        assert set(point_inv) == {point_inv[0]}
+        point_inv = [sorted(row) for row in self._check(sqs_from_tau(identity_perm(4)))]
+        assert all(row == point_inv[0] for row in point_inv)
 
     def test_r5_identity_system(self):
         # v = 64: the masks of quadruples through point 63 have bit 63 set
@@ -523,6 +543,24 @@ class TestAutOrder:
     def test_oracle_on_r4_affine_system(self):
         assert count_automorphisms(sqs_from_tau(identity_perm(4))) == 32 * gl_order(5) == 319_979_520
 
+    def test_oracle_on_r4_class_representatives(self):
+        # one member of each r=4 class: its invariants are a row of the class
+        # table, and the counter on the bare quadruple set agrees with aut_order
+        rows = set()
+        for name in R4_CLASS_REPRESENTATIVES:
+            tau = PointPerm(4, tuple(int(h, 16) for h in name.removeprefix("r4-")))
+            assert tau_id_string(tau) == name
+            row = (perm_rank(tau), perm_kernel_dim(tau), aut_order(tau))
+            assert row in R4_CLASS_TABLE
+            rows.add(row)
+            assert count_automorphisms(sqs_from_tau(tau)) == row[2]
+        assert rows == R4_CLASS_TABLE
+
+    def test_oracle_on_a_random_r5_system(self):
+        # v = 64, the largest order the counter takes
+        tau = random_nonlinear(5, random.Random(51))
+        assert count_automorphisms(sqs_from_tau(tau)) == aut_order(tau)
+
     def test_oracle_ignores_the_point_labels(self, r3_catalog):
         # the counter sees only the quadruple set: relabelling the points of
         # SQS_tau at random must leave the count at aut_order(tau)
@@ -547,19 +585,23 @@ class TestAutOrder:
         assert aut_order(invert_perm(tau)) == base
 
     def test_schedule_forces_what_a_scan_of_every_quadruple_reaches(self, r3_taus):
-        # at every base level the forced points are exactly the closure a scan
-        # of every quadruple with three known points reaches; every step reads
-        # known points only, and every quadruple is forced through or checked once
+        # each base point is the first unknown one in the order 0, n, 1, n + 1,
+        # ... that alternates the two copies; at every base level the forced
+        # points are exactly the closure a scan of every quadruple with three
+        # known points reaches; every step reads known points only, and every
+        # quadruple is forced through or checked once
         local = random.Random(39)
         taus = local.sample(r3_taus, 4) + [random_nonlinear(3, local) for _ in range(2)]
         for tau in taus + [identity_perm(3), identity_perm(4), random_nonlinear(4, local)]:
             q = sqs_from_tau(tau)
             quads = sorted(q.quadruples)
             base, steps = sqs_module._forcing_schedule(quads, q.order)
+            n = q.order // 2
+            alternating = [p for pair in zip(range(n), range(n, 2 * n)) for p in pair]
             known: set[int] = set()
             met = []  # the quadruples the steps complete or check, in order
             for p, level in zip(base, steps):
-                assert p == min(set(range(q.order)) - known)
+                assert p == next(x for x in alternating if x not in known)
                 closure = scan_closure(quads, known | {p})
                 forced = [d for *_, d, check in level if not check]
                 assert sorted(forced) == sorted(closure - known - {p})
@@ -571,8 +613,7 @@ class TestAutOrder:
                 assert known == closure
             assert known == set(range(q.order))
             assert sorted(met) == quads
-            if tau.r == 3 or is_linear(tau) is not None:  # seconds on a random r=4 system
-                assert count_automorphisms(q) == aut_order(tau)
+            assert count_automorphisms(q) == aut_order(tau)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_spectra_computed_once_per_permutation(self, monkeypatch, r):
