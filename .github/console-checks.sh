@@ -50,6 +50,13 @@ perfcode classify --catalog shuffled.json --out shuffled.csv --format csv
 echo "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150  shuffled.csv" | sha256sum -c
 perfcode classify --catalog shuffled.json --out shuffled-classes.json
 echo "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3  shuffled-classes.json" | sha256sum -c
+# the same shuffle in json.dumps' compact form with no final newline, which
+# the catalog reader's numpy path takes: the same bytes again
+python -c "import json; open('compact.json', 'w').write(json.dumps(json.load(open('shuffled.json')), separators=(',', ':')))"
+perfcode classify --catalog compact.json --out compact.csv --format csv
+echo "783af1a6ef35bc15c3d4599327a8cbf8c88b8bb1e215d61db6e3a728277d3150  compact.csv" | sha256sum -c
+perfcode classify --catalog compact.json --out compact-classes.json
+echo "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3  compact-classes.json" | sha256sum -c
 # 200 seeded random zero-fixing r=4 taus in 190 classes: the miss-heavy path,
 # where most taus found a class of their own and get its aut_order search
 python -c "import json, random; rng = random.Random(28); json.dump([{'r': 4, 'group_id': i, 'aut_id': 0, 'tau': [0] + rng.sample(range(1, 16), 15)} for i in range(200)], open('random4.json', 'w'))"

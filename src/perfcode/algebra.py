@@ -250,6 +250,24 @@ def conjugate_rows(rows: np.ndarray, sigma) -> np.ndarray:
     return np.take_along_axis(sigma[(None,) * (rows.ndim - 1)], inner, axis=-1)
 
 
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """One uint64 code per row of an (..., 2^r) image array with r <= 4: a
+    nibble per point, point 0 in the most significant one, so that the codes
+    order like the rows."""
+    nibbles = rows.astype(np.uint8)
+    pairs = nibbles[..., 0::2] << 4 | nibbles[..., 1::2]
+    return pairs.view(f">u{pairs.shape[-1]}")[..., 0].astype(np.uint64)
+
+
+def unpack_codes(codes: np.ndarray, n: int) -> np.ndarray:
+    """The (N, n) int8 image rows of N `pack_rows` codes."""
+    pairs = codes.astype(">u8").view(np.uint8).reshape(len(codes), 8)[:, 8 - n // 2 :]
+    rows = np.empty((len(codes), n), dtype=np.int8)
+    rows[:, 0::2] = pairs >> 4
+    rows[:, 1::2] = pairs & 15
+    return rows
+
+
 def _differences(f) -> np.ndarray:
     """[..., x, y] = f(x ^ y) ^ f(y), for one row of images f or an
     (N, 2^r) batch of rows: the one n x n gather behind `additivity_table`

@@ -20,6 +20,7 @@ from .algebra import (
     inverse_rows,
     invert,
     invert_perm,
+    pack_rows,
     sigma_m,
     spectra_bytes,
     spectrum_keys,
@@ -144,8 +145,11 @@ def _intersection_from_rank(r: int, rank: int) -> int:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One byte-string key per int8 row; images are non-negative, so the
-    keys order like the image tuples."""
+    """One key per row of an (N, 2^r) image array, ordered like the image
+    tuples: the uint64 `pack_rows` code at r <= 4, and beyond that the row's
+    int8 bytes as one void scalar, as images are non-negative."""
+    if rows.shape[1] <= 16:
+        return pack_rows(rows)
     rows = np.ascontiguousarray(rows, dtype=np.int8)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 

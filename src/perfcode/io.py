@@ -348,18 +348,24 @@ def save_tau_catalog(path, catalog: TauCatalog) -> None:
 def load_tau_catalog(path) -> TauCatalog:
     """Inverse of save_tau_catalog (a bare list must not be empty); every row
     must be a zero-fixing permutation of F^r with r in {3, 4}, and the ids
-    lie in [0, 2^63).  Any JSON of that schema is read; the writer's own bytes
-    are read in numpy, to the same result, in blocks of at most
-    _CATALOG_READ_BYTES: parsed, checked, rendered again and compared."""
+    lie in [0, 2^63).  Any JSON of that schema is read.  The writer's own
+    rows, after its head and before its tail with any trailing JSON
+    whitespace (space, tab, newline, carriage return), are read in numpy, to
+    the same result, in blocks of at most _CATALOG_READ_BYTES: parsed,
+    checked, rendered again and compared.  So is json.dumps' compact form
+    of the same list, whose rows are the writer's bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         complete = data.startswith(b"[")
         # r from a bare list's first image count, or from a partial catalog's head
         r = (data.count(b",", 0, data.find(b"]")) + 1).bit_length() - 1 if complete else int(data[5:6])
-        head, tail = (b"[", b"]\n") if complete else (_PARTIAL_HEAD % r, b"]}\n")
-        n, pos, stop, blocks = 1 << r, len(head), len(data) - len(tail), []
-        if r not in (ENUM_MIN_R, ENUM_MAX_R) or not data.startswith(head) or not data.endswith(tail) or stop <= pos:
+        head, tail = (b"[", b"]") if complete else (_PARTIAL_HEAD % r, b"]}")
+        stop = len(data)
+        while stop and data[stop - 1] in b" \t\n\r":  # bytes.rstrip() would copy, and drop \x0b and \x0c too
+            stop -= 1
+        n, pos, stop, blocks = 1 << r, len(head), stop - len(tail), []
+        if r not in (ENUM_MIN_R, ENUM_MAX_R) or not data.startswith(head) or not data.startswith(tail, stop) or stop <= pos:
             raise ValueError("not a catalog file of the writer")
         while pos < stop:
             end = stop if stop - pos <= _CATALOG_READ_BYTES else data.rfind(b"}", pos, pos + _CATALOG_READ_BYTES) + 1

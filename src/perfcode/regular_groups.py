@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BitMatrix, PointPerm, conjugate_rows, gl_rows_cached, identity_matrix, inverse_rows
+from .algebra import (
+    BitMatrix,
+    PointPerm,
+    conjugate_rows,
+    gl_rows_cached,
+    identity_matrix,
+    inverse_rows,
+    pack_rows,
+    unpack_codes,
+)
 from .errors import BudgetExceeded, InconsistentInput, NotAnAutomorphism
 
 ENUM_MIN_R = 3
@@ -330,26 +339,38 @@ def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
     return {groups[k].tobytes(): tab.gl[k] for k in first}
 
 
-def _carried_automorphisms(auts: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Aut(M G M^-1) from Aut(G) and sigma_M: the conjugate induces
-    sigma_M tau sigma_M^-1 for each tau of G, sorted into ascending row
-    order, the order of the conjugate's own search (`_automorphism_perms`)."""
-    carried = conjugate_rows(auts, sigma)
-    return carried[np.lexsort(carried.T[::-1].astype(np.int8))]  # int8 keys sort by radix
+_CARRY_PAIRS = 1 << 16  # (automorphism, conjugate) pairs carried in one batch
 
 
-def automorphism_census(r: int, budget_seconds: float | None = None):
+def _carried_codes(auts: np.ndarray, klass: dict[bytes, np.ndarray]) -> dict[bytes, np.ndarray]:
+    """Aut(M G M^-1) for every conjugate in `klass` (key -> sigma_M), from
+    the searched rows `auts` of G, as sorted `pack_rows` codes: the conjugate
+    induces sigma_M tau sigma_M^-1 for each tau of G, and code order is the
+    row order of its own search (`_automorphism_perms`).  The class is
+    carried in batches of at most _CARRY_PAIRS pairs, or of one conjugate."""
+    keys, rows = list(klass), auts.astype(np.int8)
+    step = max(1, _CARRY_PAIRS // len(rows))
+    carried = {}
+    for start in range(0, len(keys), step):
+        batch = keys[start : start + step]
+        codes = pack_rows(conjugate_rows(rows, np.array([klass[key] for key in batch]))).T.copy()
+        codes.sort(axis=1)  # each conjugate's codes, in its own search's order
+        carried.update(zip(batch, codes))
+    return carried
+
+
+def _census_codes(r: int, budget_seconds: float | None):
     """Yield Aut(G) of every regular subgroup G of GA(r,2), in enumeration
-    order, as the (k, 2^r) array `_automorphism_perms` gives; each row is an
+    order, as the ascending `pack_rows` codes of its rows; each row is an
     induced tau.
 
     One search per GL(r,2)-conjugacy class: the first group of a class
     that the enumeration meets is searched, its class is computed at once
     as the group's image under every GL(r,2) point map
-    (`_conjugacy_class`), and every later member, met in its turn, gets the
-    searched rows carried by conjugation and re-sorted into lexicographic
-    order, which is its own search's order, so each array equals the
-    member's own search.
+    (`_conjugacy_class`), and the searched rows are carried by conjugation
+    to all the other members together, in batches of bounded size
+    (`_carried_codes`).  Each member is handed its codes when the
+    enumeration meets it, so each equals the member's own search, packed.
     At r=3 the 232 groups form 8 classes, at r=4 the 62,896 form 39.
 
     Raises BudgetExceeded mid-stream once the time budget runs out: the
@@ -360,23 +381,34 @@ def automorphism_census(r: int, budget_seconds: float | None = None):
     deadline = _deadline(budget_seconds)
     tab = _tables(r)
     n = 1 << r
-    # key -> (the searched rows of its class, sigma_M carrying them to it);
-    # the enumeration meets each group once, so its entry is popped then
-    carried: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    # key -> the codes of a conjugate not met yet; the enumeration meets
+    # each group once, so its entry is popped then
+    pending: dict[bytes, np.ndarray] = {}
     for mats_idx in _enumerate_regular_idx(r, deadline):
         mats = np.array(mats_idx, dtype=np.int16)
         key = mats.tobytes()
-        found = carried.pop(key, None)
-        if found is None:
+        codes = pending.pop(key, None)
+        if codes is None:
             auts = _automorphism_perms(_mult_table(tab.app[mats]), n)
             klass = _conjugacy_class(tab, mats)
             del klass[key]
-            carried.update((other, (auts, sigma)) for other, sigma in klass.items())
-        else:
-            auts = _carried_automorphisms(*found)
-        yield auts
-    if carried:
-        raise InconsistentInput(f"the enumeration missed {len(carried)} of the conjugates of the groups it yielded")
+            pending.update(_carried_codes(auts, klass))
+            codes = pack_rows(auts)
+        yield codes
+    if pending:
+        raise InconsistentInput(f"the enumeration missed {len(pending)} of the conjugates of the groups it yielded")
+
+
+def automorphism_census(r: int, budget_seconds: float | None = None):
+    """Yield Aut(G) of every regular subgroup G of GA(r,2), in enumeration
+    order, as a (k, 2^r) int8 array of the rows `_automorphism_perms` gives,
+    in its order; each row is an induced tau.
+
+    The per-group array view of `_census_codes`, whose walk searches once
+    per conjugacy class and carries the rows to the rest of the class; it
+    raises as that walk raises."""
+    for codes in _census_codes(r, budget_seconds):
+        yield unpack_codes(codes, 1 << r)
 
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:
@@ -430,25 +462,23 @@ class TauCatalog:
 def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     """Aggregate induced permutations over all (group, automorphism) pairs.
 
-    The pairs come from `automorphism_census`, which searches once per
-    conjugacy class; an aut_id is a row position in the group's own search
-    order either way.  Each tau is packed one nibble per point into a
-    uint64 code, and deduplicated by exact permutation equality, keeping
-    the first (group, automorphism) pair in enumeration order as
-    provenance; the images are unpacked from the codes' bytes.  On budget
-    exhaustion the partial catalog is returned with complete=False: the
-    pairs of the first k groups, all of them.
+    The pairs come from `_census_codes`, which searches once per conjugacy
+    class and hands each group its automorphisms as `pack_rows` codes, in
+    the group's own search order, so an aut_id is a row position in that
+    order.  The codes themselves are deduplicated, by exact permutation
+    equality, keeping the first (group, automorphism) pair in enumeration
+    order as provenance; the images are unpacked from the kept codes.  On
+    budget exhaustion the partial catalog is returned with complete=False:
+    the pairs of the first k groups, all of them.
     """
     if r not in (ENUM_MIN_R, ENUM_MAX_R):
         raise ValueError(f"catalog_taus supports r in {{3, 4}}, got {r}")
     n = 1 << r
-    # one nibble per point; 16 nibbles fill all 64 bits at r=4
-    shifts = np.uint64(4) * np.arange(n, dtype=np.uint64)
     codes = []
     complete = True
     try:
-        for auts in automorphism_census(r, budget_seconds):
-            codes.append(np.bitwise_or.reduce(auts.astype(np.uint64) << shifts, axis=1))
+        for group_codes in _census_codes(r, budget_seconds):
+            codes.append(group_codes)
     except BudgetExceeded:
         complete = False
 
@@ -459,10 +489,4 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     _, first = np.unique(codes, return_index=True)
     first.sort()  # first-seen order over the deduplicated set
     gids = np.searchsorted(starts, first, "right") - 1
-    codes, aids = codes[first], first - starts[gids]
-    # little-endian bytes: the low nibble of byte k is point 2k, the high one point 2k + 1
-    packed = codes.astype("<u8").view(np.uint8).reshape(len(codes), 8)[:, : n // 2]
-    images = np.empty((len(codes), n), dtype=np.int8)
-    images[:, 0::2] = packed & 15
-    images[:, 1::2] = packed >> 4
-    return TauCatalog(r, images, gids, aids, complete)
+    return TauCatalog(r, unpack_codes(codes[first], n), gids, first - starts[gids], complete)

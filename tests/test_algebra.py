@@ -33,9 +33,11 @@ from perfcode.algebra import (
     conjugate_rows,
     gl_rows_cached,
     inverse_rows,
+    pack_rows,
     point_spectra,
     spectra_bytes,
     spectrum_keys,
+    unpack_codes,
 )
 from perfcode.codes import hamming_parity_rows, perm_rank
 from conftest import random_gl, random_zero_fixing
@@ -672,6 +674,23 @@ class TestRowPermutations:
         for row, conj_row in zip(rows.tolist(), got.tolist()):
             tau = PointPerm(r, tuple(row))
             assert conj_row == [list(compose(compose(sigma_m(m), tau), sigma_m(invert(m))).images) for m in mats]
+
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_packed_codes_order_like_the_rows(self, r, rng):
+        # seeded rows, some repeated and some that differ only in their last
+        # two images; at r=4 an image of 8 or more at point 0 sets the top bit
+        rows = random_rows(r, 300, rng)
+        swapped = rows[:50].copy()
+        swapped[:, [-2, -1]] = swapped[:, [-1, -2]]
+        rows = np.concatenate([rows, rows[:20], swapped])
+        codes = pack_rows(rows)
+        assert codes.dtype == np.uint64 and codes.shape == (len(rows),)
+        assert np.array_equal(np.argsort(codes, kind="stable"), np.lexsort(rows.T[::-1]))
+        assert len(np.unique(codes)) == len(np.unique(rows, axis=0))
+        assert np.array_equal(unpack_codes(codes, 1 << r), rows)
+        # a stack of rows packs row by row
+        assert np.array_equal(pack_rows(rows[:60].reshape(3, 20, -1)), codes[:60].reshape(3, 20))
 
 
 class TestDoubleCoset:

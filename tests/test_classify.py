@@ -387,6 +387,20 @@ class TestOrbitClassification:
         taus += taus[:2]  # equal rows join one orbit
         assert classify(taus) == classify_oracle(taus)
 
+    def test_r5_taus_keep_the_void_key(self):
+        # 32 images do not fit one packed code: r=5 rows are keyed by their
+        # bytes, which order like the rows, and classify as the oracle does
+        rng = random.Random(5)
+        taus = _with_conjugates([random_zero_fixing(5, rng) for _ in range(3)], 5, rng)
+        taus += taus[:2]
+        rows = np.array([t.images for t in taus], dtype=np.int8)
+        keys = classify_module._row_keys(rows)
+        assert keys.dtype.kind == "V"
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+        entries = classify(taus)
+        assert entries == classify_oracle(taus)
+        assert len({e.class_id for e in entries}) == 3
+
     @pytest.mark.parametrize("r", [4, 5])
     def test_two_sided_products_match_oracle(self, r, rng):
         # sigma_B tau sigma_A^-1 with A != B, and its inverse, lie in other

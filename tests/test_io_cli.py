@@ -300,15 +300,24 @@ _ROW_EDITS = {
     "mixed r": lambda row, r: row.replace(b'"r":%d' % r, b'"r":%d' % (7 - r)),
     "byte that is not UTF-8": lambda row, r: row.replace(b'"tau"', b'"t\xffu"'),
 }
-# edits of a whole file
+# edits of a whole file that the JSON reader reads
 _FILE_EDITS = {
     "r of 5 in the partial head": lambda data: re.sub(rb'^\{"r":\d+,', b'{"r":5,', data),
     "empty list": lambda data: b"[]\n",
-    "cut short by a byte": lambda data: data[:-1],
     "cut in half": lambda data: data[: len(data) // 2],
-    "one trailing space": lambda data: data + b" ",
     "one trailing x": lambda data: data + b"x",
     "the end of the list changed": lambda data: data[:-2] + b"x\n",
+    "a leading space": lambda data: b" " + data,
+    "a leading newline": lambda data: b"\n" + data,
+    # not JSON whitespace, though bytes.strip() drops them: malformed input
+    "a trailing form feed": lambda data: data + b"\x0c",
+    "a trailing vertical tab": lambda data: data + b"\x0b",
+}
+# edits of its trailing JSON whitespace, which the fast reader reads too
+_FAST_FILE_EDITS = {
+    "cut short by a byte": lambda data: data[:-1],  # json.dumps' own form, with no final newline
+    "one trailing space": lambda data: data + b" ",
+    "trailing tab, carriage return and newlines": lambda data: data + b"\t\r\n\n",
 }
 
 
@@ -409,12 +418,13 @@ class TestCatalogFiles:
             json_reads.append(args)
             return load_json(*args)
 
-        def same_outcome(edited: bytes, name: str):
+        def same_outcome(edited: bytes, name: str, fast: bool = False):
             path.write_bytes(edited)
             json_outcome = _catalog_outcome(lambda p: load_json(p, "tau catalog", pio._tau_catalog_from_obj), path)
             json_reads.clear()
             assert _catalog_outcome(pio.load_tau_catalog, path) == json_outcome, name
-            assert json_reads, f"{name}: the fast reader took the file"
+            assert bool(json_reads) != fast, f"{name}: {'the JSON' if fast else 'the fast'} reader took the file"
+            return json_outcome
 
         monkeypatch.setattr(pio, "_load_json", read_as_json)
         assert _catalog_outcome(pio.load_tau_catalog, path) == _catalog_outcome(lambda p: catalog, path)
@@ -431,7 +441,12 @@ class TestCatalogFiles:
                 same_outcome(data[: starts[i]] + edited + data[starts[i + 1] - 1 :], f"{name} in row {i}")
         for name, edit in _FILE_EDITS.items():
             if edit(data) != data:
-                same_outcome(edit(data), name)
+                outcome = same_outcome(edit(data), name)
+                if name.startswith("a trailing"):
+                    assert outcome[0] is MalformedInput, name
+                    assert cli_main(["classify", "--catalog", str(path), "--out", str(tmp_path / "out.json")]) == 3
+        for name, edit in _FAST_FILE_EDITS.items():
+            assert same_outcome(edit(data), name, fast=True) == _catalog_outcome(lambda p: catalog, path), name
 
     def test_classification_json_roundtrip(self, rng):
         taus = [random_zero_fixing(3, rng) for _ in range(6)]

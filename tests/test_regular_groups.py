@@ -270,6 +270,17 @@ def count_searches(monkeypatch) -> list[int]:
     return calls
 
 
+def assert_r4_prefix_matches_the_search(monkeypatch) -> None:
+    """The first 600 r=4 groups of the census, searched or carried, equal
+    their own search row for row; undoes the monkeypatches first."""
+    searches = count_searches(monkeypatch)
+    census = list(islice(automorphism_census(4), 600))
+    assert len(searches) < 600
+    monkeypatch.undo()
+    for auts, group in zip(census, islice(enumerate_regular_subgroups(4), 600)):
+        assert [tuple(row) for row in auts.tolist()] == [a.perm.images for a in automorphisms(group)]
+
+
 class TestAutomorphismOracle:
     """The level-by-level search against the closure DFS of tests/aut_oracle.py:
     the same automorphisms, in the same order, which is ascending row order."""
@@ -351,12 +362,29 @@ class TestAutomorphismOracle:
 
     def test_r4_prefix_matches_the_search(self, monkeypatch):
         # carried groups of the r=4 prefix, row for row and in order
-        searches = count_searches(monkeypatch)
-        census = list(islice(automorphism_census(4), 600))
-        assert len(searches) < 600
-        monkeypatch.undo()
-        for auts, group in zip(census, islice(enumerate_regular_subgroups(4), 600)):
-            assert [tuple(row) for row in auts.tolist()] == [a.perm.images for a in automorphisms(group)]
+        assert_r4_prefix_matches_the_search(monkeypatch)
+
+    def test_r4_prefix_carried_one_conjugate_at_a_time(self, monkeypatch):
+        # a batch of 3 pairs holds one conjugate, so every class is split
+        monkeypatch.setattr(regular_groups, "_CARRY_PAIRS", 3)
+        assert_r4_prefix_matches_the_search(monkeypatch)
+
+    def test_r3_catalog_carried_one_conjugate_at_a_time(self, monkeypatch, r3_catalog):
+        # batches of 3 pairs split every class into batches of one conjugate
+        # each: the catalog keeps its images, group ids and aut ids
+        conjugate, batches = regular_groups.conjugate_rows, []
+
+        def record_batch(rows, sigmas):
+            batches.append(len(sigmas))
+            return conjugate(rows, sigmas)
+
+        monkeypatch.setattr(regular_groups, "_CARRY_PAIRS", 3)
+        monkeypatch.setattr(regular_groups, "conjugate_rows", record_batch)
+        catalog = catalog_taus(3)
+        assert batches == [1] * 224  # the 232 groups less the 8 searched ones
+        assert catalog.complete
+        for column in ("images", "group_ids", "aut_ids"):
+            assert np.array_equal(getattr(catalog, column), getattr(r3_catalog, column)), column
 
     def test_r3_catalog_rows_and_provenance(self, r3_catalog, r3_tables):
         first_seen = {}
@@ -515,25 +543,26 @@ class TestCatalog:
             catalog_taus(3, budget_seconds=float("nan"))
 
     def test_deadline_passed_in_the_last_search_keeps_the_catalog_complete(self, monkeypatch):
-        # the clock passes the deadline while the automorphisms of the last
-        # group are found, carried by conjugation rather than searched; the
+        # the clock passes the deadline as the last group is handed its
+        # automorphisms, carried by conjugation rather than searched; the
         # subgroup search then meets only a dead end and no further group,
         # so every group is in and the catalog is complete
         now = [0.0]
         monkeypatch.setattr(regular_groups, "time", SimpleNamespace(monotonic=lambda: now[0]))
         searches = count_searches(monkeypatch)
-        carry, carried = regular_groups._carried_automorphisms, []
+        census, handed = regular_groups._census_codes, []
 
-        def carry_then_tick(auts, sigma):
-            carried.append(len(sigma))
-            if len(searches) + len(carried) == 232:
-                now[0] = 100.0
-            return carry(auts, sigma)
+        def hand_over_then_tick(r, budget_seconds):
+            for codes in census(r, budget_seconds):
+                handed.append(len(codes))
+                if len(handed) == 232:
+                    now[0] = 100.0
+                yield codes
 
-        monkeypatch.setattr(regular_groups, "_carried_automorphisms", carry_then_tick)
+        monkeypatch.setattr(regular_groups, "_census_codes", hand_over_then_tick)
         catalog = catalog_taus(3, budget_seconds=10.0)
-        assert (len(searches), len(carried)) == (8, 224)
-        assert now[0] == 100.0  # the clock passed in the 232nd group's carry
+        assert (len(searches), len(handed)) == (8, 232)
+        assert now[0] == 100.0  # the clock passed as the 232nd group was handed over
         assert len(catalog) == 1372
         assert catalog.complete
 
