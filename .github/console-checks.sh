@@ -32,8 +32,9 @@ echo "077313fd1728c13e297f8ca617c09ee50892c6f789264af8048196f666afefa1  groups4.
 perfcode catalog-taus --r 3 --out catalog.json
 echo "4217bfb1f8902574459fe4f566184ebeae86a4cef68035d269a6b02d6e1397d2  catalog.json" | sha256sum -c
 # the complete r=4 catalog, 2,415,420 taus: the only full-size check of the
-# automorphisms carried by conjugation to 62,857 of the 62,896 groups
-measured 0 perfcode catalog-taus --r 4 --out catalog4.json
+# automorphisms carried by conjugation to the 62,896 groups, one batch per
+# class; its peak RSS, set by the final dedup, must stay under 512 MB
+measured 512 perfcode catalog-taus --r 4 --out catalog4.json
 echo "2c52aa2991eb0aa45aa75c9daf8682d940efd6a102780a8a28c91dfd531fec86  catalog4.json" | sha256sum -c
 # its complete classification, 9 classes: the only full-size check of the
 # classifier's orbit pass, whose conjugation edges come from perfcode.algebra;

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation failure, 2 budget exhaustion,
-3 malformed input, usage errors included.  PERFCODE_BUDGET_SECONDS
-provides the default time budget for the enumeration commands.
+Exit codes: 0 success, 1 validation failure, 2 budget exhaustion (a spent
+time budget, partial output written, or a size beyond the implementation's
+limit, no output), 3 malformed input, usage errors included.  The default
+time budget of the enumeration commands is PERFCODE_BUDGET_SECONDS.
 """
 
 from __future__ import annotations

@@ -339,24 +339,15 @@ def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
     return {groups[k].tobytes(): tab.gl[k] for k in first}
 
 
-_CARRY_PAIRS = 1 << 16  # (automorphism, conjugate) pairs carried in one batch
-
-
 def _carried_codes(auts: np.ndarray, klass: dict[bytes, np.ndarray]) -> dict[bytes, np.ndarray]:
     """Aut(M G M^-1) for every conjugate in `klass` (key -> sigma_M), from
     the searched rows `auts` of G, as sorted `pack_rows` codes: the conjugate
     induces sigma_M tau sigma_M^-1 for each tau of G, and code order is the
-    row order of its own search (`_automorphism_perms`).  The class is
-    carried in batches of at most _CARRY_PAIRS pairs, or of one conjugate."""
-    keys, rows = list(klass), auts.astype(np.int8)
-    step = max(1, _CARRY_PAIRS // len(rows))
-    carried = {}
-    for start in range(0, len(keys), step):
-        batch = keys[start : start + step]
-        codes = pack_rows(conjugate_rows(rows, np.array([klass[key] for key in batch]))).T.copy()
-        codes.sort(axis=1)  # each conjugate's codes, in its own search's order
-        carried.update(zip(batch, codes))
-    return carried
+    row order of its own search (`_automorphism_perms`).  The whole class is
+    carried in one `conjugate_rows` batch, G itself under the identity."""
+    codes = pack_rows(conjugate_rows(auts.astype(np.int8), np.array(list(klass.values())))).T.copy()
+    codes.sort(axis=1)  # each conjugate's codes, in its own search's order
+    return dict(zip(klass, codes))
 
 
 def _census_codes(r: int, budget_seconds: float | None):
@@ -368,7 +359,7 @@ def _census_codes(r: int, budget_seconds: float | None):
     that the enumeration meets is searched, its class is computed at once
     as the group's image under every GL(r,2) point map
     (`_conjugacy_class`), and the searched rows are carried by conjugation
-    to all the other members together, in batches of bounded size
+    to every member, the searched group included, in one batch
     (`_carried_codes`).  Each member is handed its codes when the
     enumeration meets it, so each equals the member's own search, packed.
     At r=3 the 232 groups form 8 classes, at r=4 the 62,896 form 39.
@@ -380,7 +371,6 @@ def _census_codes(r: int, budget_seconds: float | None):
     it met has missed a group: InconsistentInput."""
     deadline = _deadline(budget_seconds)
     tab = _tables(r)
-    n = 1 << r
     # key -> the codes of a conjugate not met yet; the enumeration meets
     # each group once, so its entry is popped then
     pending: dict[bytes, np.ndarray] = {}
@@ -389,11 +379,9 @@ def _census_codes(r: int, budget_seconds: float | None):
         key = mats.tobytes()
         codes = pending.pop(key, None)
         if codes is None:
-            auts = _automorphism_perms(_mult_table(tab.app[mats]), n)
-            klass = _conjugacy_class(tab, mats)
-            del klass[key]
-            pending.update(_carried_codes(auts, klass))
-            codes = pack_rows(auts)
+            auts = _automorphism_perms(_mult_table(tab.app[mats]), 1 << r)
+            pending.update(_carried_codes(auts, _conjugacy_class(tab, mats)))
+            codes = pending.pop(key)
         yield codes
     if pending:
         raise InconsistentInput(f"the enumeration missed {len(pending)} of the conjugates of the groups it yielded")

@@ -8,7 +8,7 @@ Point labels: the left copy of F^r occupies [0, 2^r), the right copy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -73,6 +73,16 @@ def _choose(n, k: int):
     return n * (n - 1) // 2 if k == 2 else n * (n - 1) * (n - 2) // 6
 
 
+def _read_rows(quads: list[tuple], v: int) -> tuple[np.ndarray, tuple | None]:
+    """The quadruples as (b, 4) int64 rows, each sorted, in their order, and
+    the first that is not four distinct points of [0, v), or None."""
+    # a quadruple of another length becomes (-1, -1, -1, -1), malformed too
+    flat = chain.from_iterable(quad if len(quad) == 4 else (-1,) * 4 for quad in quads)
+    rows = np.sort(np.fromiter(flat, dtype=np.int64, count=4 * len(quads)).reshape(-1, 4))
+    ok = (rows[:, 1:] > rows[:, :-1]).all(axis=1) & (rows[:, 0] >= 0) & (rows[:, 3] < v)
+    return rows, None if ok.all() else quads[int(np.argmin(ok))]
+
+
 def validate_sqs(q: SQS):
     """None if every 3-subset is covered exactly once, else the first
     Violation: the first malformed quadruple (count -1), else the least
@@ -84,13 +94,9 @@ def validate_sqs(q: SQS):
     v = q.order
     if v > VALIDATE_MAX_ORDER:
         raise BudgetExceeded(f"validate_sqs supports order <= {VALIDATE_MAX_ORDER}, got {v}")
-    quads = list(q.quadruples)
-    # a quadruple of another length becomes (-1, -1, -1, -1), malformed too
-    pts = np.array([quad if len(quad) == 4 else (-1,) * 4 for quad in quads], dtype=np.int64)
-    pts = np.sort(pts.reshape(-1, 4))
-    ok = (pts[:, 1:] > pts[:, :-1]).all(axis=1) & (pts[:, 0] >= 0) & (pts[:, 3] < v)
-    if not ok.all():
-        return Violation(triple=tuple(sorted(quads[int(np.argmin(ok))]))[:3], count=-1)
+    pts, malformed = _read_rows(list(q.quadruples), v)
+    if malformed is not None:
+        return Violation(triple=tuple(sorted(malformed))[:3], count=-1)
     x, y, z = (pts[:, list(slots)] for slots in zip(*combinations(range(4), 3)))
     keys, counts = np.unique((x * v + y) * v + z, return_counts=True)
     a, b, c = keys // (v * v), keys // v % v, keys % v
@@ -295,6 +301,7 @@ def aut_order_and_transitivity(tau: PointPerm) -> tuple[int, bool]:
 
 # the largest order whose point sets fit the uint64 masks of _pair_invariant
 PAIR_INVARIANT_MAX_ORDER = 64
+_SLOT_ORDERS = np.array(list(permutations(range(4))))  # the 24 orders of a quadruple
 
 
 def _pair_invariant(quads: np.ndarray, v: int) -> list[list[int]]:
@@ -323,26 +330,28 @@ def _pair_invariant(quads: np.ndarray, v: int) -> list[list[int]]:
 
 
 def _forcing_schedule(quads: list[tuple[int, int, int, int]], v: int):
-    """(base, steps) of the identity branch: level i fixes base[i], the
-    first point not yet known in the order 0, h, 1, h + 1, ..., h = ceil(v/2),
-    which alternates the two copies of F^r in SQS_tau, and then every
-    quadruple with three known points forces its fourth until none does.
-    Which points get known depends only on which were known, so every
-    search node at level i forces the same points: steps[i] holds each
-    completion (a, b, c, d, False), d forced by the known a, b, c, followed
-    by the quadruples (a, b, c, d, True) it leaves fully known, to be checked.
+    """(base, steps, fixed) of the identity branch: level i fixes base[i],
+    the first point not yet known in the order 0, h, 1, h + 1, ..., h =
+    ceil(v/2), which alternates the two copies of F^r in SQS_tau, and then
+    every quadruple with three known points forces its fourth until none
+    does.  Which points get known depends only on which were known, so
+    every search node at level i forces the same points: steps[i] holds
+    each completion (a, b, c, d, False), d forced by the known a, b, c,
+    followed by the quadruples (a, b, c, d, True) it leaves fully known, to
+    be checked, and fixed[i] the points known before base[i], a bit mask.
     """
     through: list[list[int]] = [[] for _ in range(v)]
     for i, quad in enumerate(quads):
         for p in quad:
             through[p].append(i)
     count = [0] * len(quads)  # how many of its points are known
-    known = [False] * v
+    known = 0  # the known points, as a bit mask
     ready: list[int] = []  # quadruples that had three known points
 
     def know(y: int, by: int, level: list[tuple]):
         """Mark y known; check the quadruples it completes but `by`, which forced it."""
-        known[y] = True
+        nonlocal known
+        known |= 1 << y
         for i in through[y]:
             count[i] += 1
             if count[i] == 3:
@@ -350,21 +359,22 @@ def _forcing_schedule(quads: list[tuple[int, int, int, int]], v: int):
             elif count[i] == 4 and i != by:
                 level.append((*quads[i], True))
 
-    base, steps = [], []
+    base, steps, fixed = [], [], []
     half = (v + 1) // 2
     for p in sorted(range(v), key=lambda p: (p % half, p // half)):
-        if known[p]:
+        if known >> p & 1:
             continue
         base.append(p)
+        fixed.append(known)
         steps.append(level := [])
         know(p, -1, level)
         while ready:
             i = ready.pop()
             if count[i] == 3:
-                (y,) = (z for z in quads[i] if not known[z])
+                (y,) = (z for z in quads[i] if not known >> z & 1)
                 level.append((*(z for z in quads[i] if z != y), y, False))
                 know(y, i, level)
-    return base, steps
+    return base, steps, fixed
 
 
 def _closure(points: set[int], gens: list[list[int]]) -> set[int]:
@@ -380,28 +390,35 @@ def count_automorphisms(q: SQS) -> int:
     """|Aut(Q)| by an orbit-stabilizer chain over backtracking searches.
 
     Independent of the structured formula in aut_order: works on the bare
-    quadruple set of any SQS.  Level i fixes F_i, the points known before
-    base[i] (`_forcing_schedule`), and decides the orbit of base[i] under
-    the stabilizer G_i.  A search node (`attempt`) gives a base point an
-    image that passes the pair invariant on F_i, the one screen, then reads
-    its level's forced images from the table comp[(x·v + y)·v + z]; it
-    fails on a missing or used image, or on a quadruple of the level that
-    does not map to one.  Built bottom-up, the chain finds at level i or
-    below only automorphisms in G_i: a candidate in the closure of base[i]
-    under them is certified without a search, a search that succeeds adds
-    a generator, and one that fails rejects the candidate's orbit under them.
+    quadruple set of any SQS or packing (no triple in two quadruples), read
+    as `validate_sqs` reads it, and raises InconsistentInput on any other.
+    Level i fixes F_i, the points known before base[i] (`_forcing_schedule`),
+    and decides the orbit of base[i] under the stabilizer G_i.  A search
+    node (`attempt`) gives a base point an image that passes the pair
+    invariant on F_i, the one screen, then reads its level's forced images
+    from the table comp[(x·v + y)·v + z]; it fails on a missing or used
+    image, or on a quadruple of the level that does not map to one.  Built
+    bottom-up, the chain finds at level i or below only automorphisms in
+    G_i: a candidate in the closure of base[i] under them is certified
+    without a search, a search that succeeds adds a generator, and one that
+    fails rejects the candidate's orbit under them.
     """
     v = q.order
     if v > PAIR_INVARIANT_MAX_ORDER:
         raise BudgetExceeded(f"count_automorphisms supports order <= {PAIR_INVARIANT_MAX_ORDER}, got {v}")
-    quads = sorted(q.quadruples)
-    rows = np.array(quads, dtype=np.int64).reshape(-1, 4)
-    slots = rows[:, list(permutations(range(4)))]  # x, y, z and their completion w
+    quads = sorted(q.quadruples)  # the schedule follows this order
+    rows, malformed = _read_rows(quads, v)
+    if malformed is not None:
+        raise InconsistentInput(f"{malformed} is not four distinct points of [0, {v})")
+    slots = rows[:, _SLOT_ORDERS]  # x, y, z and their completion w
     table = np.full(v**3, -1, dtype=np.int64)
     table[(slots[..., 0] * v + slots[..., 1]) * v + slots[..., 2]] = slots[..., 3]
+    # a packing writes the 24 orders of each quadruple, no key twice
+    if np.count_nonzero(table >= 0) != slots[..., 0].size:
+        raise InconsistentInput("a triple lies in two quadruples: not a packing")
     comp = table.tolist()
     pair_inv = _pair_invariant(rows, v)
-    base, steps = _forcing_schedule(quads, v)
+    base, steps, fixed = _forcing_schedule(quads, v)
 
     def assign(i: int, img: list[int], used: int):
         """Level i's forced images and checks once img[base[i]] is set: the
@@ -418,18 +435,11 @@ def count_automorphisms(q: SQS) -> int:
                 used |= 1 << y
         return used
 
-    # fixed[i]: the points F_i as a bit mask; the identity must pass every level
-    img, fixed = list(range(v)), [0]
-    for i, p in enumerate(base):
-        used = assign(i, img, fixed[i] | 1 << p)
-        if used is None or img != list(range(v)):
-            raise InconsistentInput("the identity does not stabilize every prefix")
-        fixed.append(used)
     # column_masks[y][n]: the points c with pair_inv[c][y] = n, as a bit mask
     column_masks = [{} for _ in range(v)]
-    for c, row in enumerate(pair_inv):
-        for y, n in enumerate(row):
-            column_masks[y][n] = column_masks[y].get(n, 0) | 1 << c
+    for masks, row in zip(column_masks, pair_inv):  # symmetric: row y is column y
+        for c, n in enumerate(row):
+            masks[n] = masks.get(n, 0) | 1 << c
     screens = [[(x, pair_inv[p][x]) for x in range(v) if fixed[i] >> x & 1] for i, p in enumerate(base)]
 
     def candidates(i: int, img: list[int], used: int):
@@ -458,8 +468,7 @@ def count_automorphisms(q: SQS) -> int:
     gens: list[list[int]] = []
     order = 1
     for i in reversed(range(len(base))):
-        p = base[i]
-        orbit = _closure({p}, gens)
+        orbit = _closure({base[i]}, gens)
         rejected: set[int] = set()
         img = list(range(v))
         for c in candidates(i, img, fixed[i]):

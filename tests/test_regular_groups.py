@@ -270,17 +270,6 @@ def count_searches(monkeypatch) -> list[int]:
     return calls
 
 
-def assert_r4_prefix_matches_the_search(monkeypatch) -> None:
-    """The first 600 r=4 groups of the census, searched or carried, equal
-    their own search row for row; undoes the monkeypatches first."""
-    searches = count_searches(monkeypatch)
-    census = list(islice(automorphism_census(4), 600))
-    assert len(searches) < 600
-    monkeypatch.undo()
-    for auts, group in zip(census, islice(enumerate_regular_subgroups(4), 600)):
-        assert [tuple(row) for row in auts.tolist()] == [a.perm.images for a in automorphisms(group)]
-
-
 class TestAutomorphismOracle:
     """The level-by-level search against the closure DFS of tests/aut_oracle.py:
     the same automorphisms, in the same order, which is ascending row order."""
@@ -361,27 +350,27 @@ class TestAutomorphismOracle:
                     assert member[sigma[a]] == (m @ BitMatrix(3, 3, rep[a]) @ m_inv).row_bits
 
     def test_r4_prefix_matches_the_search(self, monkeypatch):
-        # carried groups of the r=4 prefix, row for row and in order
-        assert_r4_prefix_matches_the_search(monkeypatch)
+        # the first 600 r=4 groups of the census, searched or carried, equal
+        # their own search row for row and in order
+        searches = count_searches(monkeypatch)
+        census = list(islice(automorphism_census(4), 600))
+        assert len(searches) < 600
+        monkeypatch.undo()
+        for auts, group in zip(census, islice(enumerate_regular_subgroups(4), 600)):
+            assert [tuple(row) for row in auts.tolist()] == [a.perm.images for a in automorphisms(group)]
 
-    def test_r4_prefix_carried_one_conjugate_at_a_time(self, monkeypatch):
-        # a batch of 3 pairs holds one conjugate, so every class is split
-        monkeypatch.setattr(regular_groups, "_CARRY_PAIRS", 3)
-        assert_r4_prefix_matches_the_search(monkeypatch)
-
-    def test_r3_catalog_carried_one_conjugate_at_a_time(self, monkeypatch, r3_catalog):
-        # batches of 3 pairs split every class into batches of one conjugate
-        # each: the catalog keeps its images, group ids and aut ids
+    def test_r3_catalog_carried_one_batch_per_class(self, monkeypatch, r3_catalog):
+        # each of the 8 classes is carried in one batch, its searched group
+        # included: the catalog keeps its images, group ids and aut ids
         conjugate, batches = regular_groups.conjugate_rows, []
 
         def record_batch(rows, sigmas):
             batches.append(len(sigmas))
             return conjugate(rows, sigmas)
 
-        monkeypatch.setattr(regular_groups, "_CARRY_PAIRS", 3)
         monkeypatch.setattr(regular_groups, "conjugate_rows", record_batch)
         catalog = catalog_taus(3)
-        assert batches == [1] * 224  # the 232 groups less the 8 searched ones
+        assert len(batches) == 8 and sum(batches) == 232
         assert catalog.complete
         for column in ("images", "group_ids", "aut_ids"):
             assert np.array_equal(getattr(catalog, column), getattr(r3_catalog, column)), column

@@ -528,6 +528,56 @@ class TestCountAgainstQueueSearch:
             assert count_automorphisms(SQS(order=v, quadruples=frozenset(quads))) == expected
 
 
+class TestCounterInput:
+    """The counter takes an SQS or a packing and refuses anything else."""
+
+    @pytest.mark.parametrize("v, quads", [
+        # each has 2 automorphisms; a completion table, which holds one fourth
+        # point per triple, would count 1
+        (8, [(1, 3, 4, 7), (1, 4, 6, 7), (1, 5, 6, 7), (2, 3, 6, 7), (3, 4, 6, 7)]),
+        (8, [(0, 1, 2, 6), (0, 1, 3, 4), (0, 1, 3, 5), (0, 2, 5, 7), (1, 4, 6, 7)]),
+        (6, [(0, 1, 3, 5), (0, 1, 4, 5), (0, 2, 4, 5), (1, 2, 3, 4), (2, 3, 4, 5)]),
+        # one quadruple given twice, in two orders: its triples lie in both
+        (8, [(0, 1, 2, 3), (1, 0, 2, 3)]),
+    ])
+    def test_non_packings_raise(self, v, quads):
+        with pytest.raises(InconsistentInput):
+            count_automorphisms(SQS(order=v, quadruples=frozenset(quads)))
+
+    def test_random_non_packings_raise(self):
+        local = random.Random(52)
+        swept = 0
+        while swept < 200:
+            v = local.choice([6, 7, 8])
+            quads = {tuple(sorted(local.sample(range(v), 4))) for _ in range(local.randrange(2, 10))}
+            triples = [t for quad in quads for t in combinations(quad, 3)]
+            if len(triples) == len(set(triples)):
+                continue  # a packing
+            swept += 1
+            with pytest.raises(InconsistentInput):
+                count_automorphisms(SQS(order=v, quadruples=frozenset(quads)))
+
+    def test_unsorted_quadruples(self, r3_taus):
+        # the points of each quadruple in a random order: the count is that
+        # of the sorted system
+        local = random.Random(53)
+        for tau in local.sample(r3_taus, 30):
+            quads = []
+            for quad in sqs_from_tau(tau).quadruples:
+                quad = list(quad)
+                local.shuffle(quad)
+                quads.append(tuple(quad))
+            assert count_automorphisms(SQS(order=16, quadruples=frozenset(quads))) == aut_order(tau)
+
+    @pytest.mark.parametrize("quad", [(0, 0, 1, 2), (0, 1, 2, 9), (0, 1, 2)])
+    def test_malformed_quadruples_raise(self, quad):
+        # a repeated point, a point outside [0, 8), three points
+        q = SQS(order=8, quadruples=frozenset({quad, (3, 4, 5, 6)}))
+        with pytest.raises(InconsistentInput):
+            count_automorphisms(q)
+        assert validate_sqs(q).count == -1
+
+
 class TestAutOrder:
     def test_linear_r3_closed_form(self):
         assert aut_order(identity_perm(3)) == 16 * gl_order(4) == 322560
@@ -588,20 +638,22 @@ class TestAutOrder:
         # each base point is the first unknown one in the order 0, n, 1, n + 1,
         # ... that alternates the two copies; at every base level the forced
         # points are exactly the closure a scan of every quadruple with three
-        # known points reaches; every step reads known points only, and every
-        # quadruple is forced through or checked once
+        # known points reaches; every step reads known points only, every
+        # quadruple is forced through or checked once, and each level's mask
+        # holds the points known before its base point
         local = random.Random(39)
         taus = local.sample(r3_taus, 4) + [random_nonlinear(3, local) for _ in range(2)]
         for tau in taus + [identity_perm(3), identity_perm(4), random_nonlinear(4, local)]:
             q = sqs_from_tau(tau)
             quads = sorted(q.quadruples)
-            base, steps = sqs_module._forcing_schedule(quads, q.order)
+            base, steps, fixed = sqs_module._forcing_schedule(quads, q.order)
             n = q.order // 2
             alternating = [p for pair in zip(range(n), range(n, 2 * n)) for p in pair]
             known: set[int] = set()
             met = []  # the quadruples the steps complete or check, in order
-            for p, level in zip(base, steps):
+            for p, level, mask in zip(base, steps, fixed, strict=True):
                 assert p == next(x for x in alternating if x not in known)
+                assert mask == sum(1 << x for x in known)
                 closure = scan_closure(quads, known | {p})
                 forced = [d for *_, d, check in level if not check]
                 assert sorted(forced) == sorted(closure - known - {p})
