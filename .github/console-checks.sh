@@ -63,6 +63,11 @@ echo "567b03bde247c3ef04ba938e7fe7586191b0f5098d10ecf8ec2ef4ebce2842a3  compact-
 python -c "import json, random; rng = random.Random(28); json.dump([{'r': 4, 'group_id': i, 'aut_id': 0, 'tau': [0] + rng.sample(range(1, 16), 15)} for i in range(200)], open('random4.json', 'w'))"
 perfcode classify --catalog random4.json --out random4.csv --format csv
 echo "0b71bdc5b0ebfdc93f071033b723413fddeaea8b8a317f797038984acbda5de5  random4.csv" | sha256sum -c
+# the r=4 classification is canonical too: a seeded shuffle of its rows, read
+# by the JSON reader, gives the same bytes
+python -c "import json, random; rows = json.load(open('random4.json')); random.Random(7).shuffle(rows); json.dump(rows, open('shuffled4.json', 'w'))"
+perfcode classify --catalog shuffled4.json --out shuffled4.csv --format csv
+echo "0b71bdc5b0ebfdc93f071033b723413fddeaea8b8a317f797038984acbda5de5  shuffled4.csv" | sha256sum -c
 echo '{"r": 3, "perm": [0, 1, 2, 4, 3, 5, 6, 7]}' > tau.json
 perfcode sqs --tau tau.json --out tau.sqs
 perfcode check-sqs --in tau.sqs

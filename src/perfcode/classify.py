@@ -302,7 +302,7 @@ def transitivity_report(tau: PointPerm) -> TransitivityReport:
 
 # The first induced, minimal-kernel, point-transitive tau of each base
 # dimension, in enumeration order (tests/test_classify.py re-derives both
-# by walking automorphism_census).
+# by walking the census, regular_groups._census_codes).
 SERIES_BASE_TAUS = {
     3: (0, 6, 2, 5, 4, 3, 1, 7),
     4: (0, 4, 8, 14, 1, 5, 9, 15, 2, 6, 10, 12, 11, 13, 3, 7),

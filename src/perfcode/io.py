@@ -335,7 +335,10 @@ def _render_rows(r: int, images, group_ids, aut_ids) -> bytes:
 def save_tau_catalog(path, catalog: TauCatalog) -> None:
     """Complete: a JSON list of {"tau": [...], "r":, "group_id":, "aut_id":}.  Partial:
     {"r":, "complete": false, "taus": <list>}, which no reader of bare lists takes as complete.
-    Rows are rendered a block at a time, in json.dumps' compact form."""
+    Rows are rendered a block at a time, in json.dumps' compact form.  A complete census is
+    never empty, and an empty bare list would not load back: that catalog is refused."""
+    if catalog.complete and not len(catalog):
+        raise ValueError("a complete catalog is never empty")
     with open(path, "wb") as fh:
         fh.write(b"[" if catalog.complete else _PARTIAL_HEAD % catalog.r)
         for start in range(0, len(catalog), _CATALOG_BLOCK_ROWS):

@@ -133,17 +133,22 @@ def _tables(r: int) -> _Tables:
     return _Tables(r)
 
 
-def _enumerate_regular_idx(r: int, deadline: float | None):
+def _enumerate_regular_idx(r: int, budget_seconds: float | None):
     """Yield assignments point -> unipotent index, in deterministic DFS order.
 
     Depth-first over the smallest unassigned point, with matrix candidates
     in enumeration order.  The points chosen on the path generate the
     node's subgroup, so each node is closed under them alone: every
     assigned element times every generator, assigning the products it
-    reaches and backtracking on the first violation.  The deadline is
-    checked before each assignment is yielded, so BudgetExceeded means a
+    reaches and backtracking on the first violation.  The budget starts
+    before the tables are read, so a fresh process counts their build; it
+    is checked before each assignment is yielded, so BudgetExceeded means a
     group is still missing, never that only dead ends were left to search.
+    None and inf never run out, and NaN, which no clock passes, is refused.
     """
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number of seconds, got nan")
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     tab = _tables(r)
     n = 1 << r
     app_l, mul_l = tab.app_l, tab.mul_l
@@ -176,13 +181,10 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
                 raise BudgetExceeded("regular-subgroup enumeration budget exhausted")
             yield mats
             return
-        pts = np.array([p for p in range(n) if mats[p] >= 0], dtype=np.int64)
-        assigned_mask = np.zeros(n, dtype=bool)
-        assigned_mask[pts] = True
+        assigned = np.array(mats) >= 0
         # right products g_a g_b land in the coset g_a H, disjoint from H:
         # any candidate whose product translation hits an assigned point dies
-        trans = a ^ app_np[:, pts]
-        alive = np.flatnonzero(~assigned_mask[trans].any(axis=1))
+        alive = np.flatnonzero(~assigned[a ^ app_np[:, assigned]].any(axis=1))
         gens = gens + [a]
         for k in alive:
             child = mats.copy()
@@ -195,13 +197,6 @@ def _enumerate_regular_idx(r: int, deadline: float | None):
     yield from dfs(start, [])
 
 
-def _deadline(budget_seconds: float | None) -> float | None:
-    """When a budget ends; None and inf never do, and NaN, which no clock passes, is refused."""
-    if budget_seconds is not None and math.isnan(budget_seconds):
-        raise ValueError("budget_seconds must be a number of seconds, got nan")
-    return None if budget_seconds is None else time.monotonic() + budget_seconds
-
-
 def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
     """Yield every regular subgroup of GA(r,2) exactly once.
 
@@ -209,10 +204,9 @@ def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
     budget runs out (everything yielded before that is valid, the stream
     is just incomplete).
     """
-    deadline = _deadline(budget_seconds)
-    tab = _tables(r)
-    for mats_idx in _enumerate_regular_idx(r, deadline):
-        mats = tuple(BitMatrix(r, r, tab.uni[k]) for k in mats_idx)
+    for mats_idx in _enumerate_regular_idx(r, budget_seconds):
+        uni = _tables(r).uni  # built by the walk, inside its budget
+        mats = tuple(BitMatrix(r, r, uni[k]) for k in mats_idx)
         yield RegularSubgroup(r=r, mats=mats)
 
 
@@ -369,34 +363,21 @@ def _census_codes(r: int, budget_seconds: float | None):
     the groups yielded before are whole and are the first ones in order.
     An enumeration that ends before meeting every conjugate of the groups
     it met has missed a group: InconsistentInput."""
-    deadline = _deadline(budget_seconds)
-    tab = _tables(r)
     # key -> the codes of a conjugate not met yet; the enumeration meets
     # each group once, so its entry is popped then
     pending: dict[bytes, np.ndarray] = {}
-    for mats_idx in _enumerate_regular_idx(r, deadline):
+    for mats_idx in _enumerate_regular_idx(r, budget_seconds):
         mats = np.array(mats_idx, dtype=np.int16)
         key = mats.tobytes()
         codes = pending.pop(key, None)
         if codes is None:
+            tab = _tables(r)  # built by the walk, inside its budget
             auts = _automorphism_perms(_mult_table(tab.app[mats]), 1 << r)
             pending.update(_carried_codes(auts, _conjugacy_class(tab, mats)))
             codes = pending.pop(key)
         yield codes
     if pending:
         raise InconsistentInput(f"the enumeration missed {len(pending)} of the conjugates of the groups it yielded")
-
-
-def automorphism_census(r: int, budget_seconds: float | None = None):
-    """Yield Aut(G) of every regular subgroup G of GA(r,2), in enumeration
-    order, as a (k, 2^r) int8 array of the rows `_automorphism_perms` gives,
-    in its order; each row is an induced tau.
-
-    The per-group array view of `_census_codes`, whose walk searches once
-    per conjugacy class and carries the rows to the rest of the class; it
-    raises as that walk raises."""
-    for codes in _census_codes(r, budget_seconds):
-        yield unpack_codes(codes, 1 << r)
 
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:
@@ -461,7 +442,6 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     """
     if r not in (ENUM_MIN_R, ENUM_MAX_R):
         raise ValueError(f"catalog_taus supports r in {{3, 4}}, got {r}")
-    n = 1 << r
     codes = []
     complete = True
     try:
@@ -470,11 +450,9 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     except BudgetExceeded:
         complete = False
 
-    if not codes:
-        return TauCatalog(r, np.zeros((0, n), dtype=np.int8), [], [], complete)
     starts = np.cumsum([0] + [len(c) for c in codes[:-1]])
-    codes = np.concatenate(codes)
+    codes = np.concatenate([np.zeros(0, dtype=np.uint64), *codes])
     _, first = np.unique(codes, return_index=True)
     first.sort()  # first-seen order over the deduplicated set
     gids = np.searchsorted(starts, first, "right") - 1
-    return TauCatalog(r, unpack_codes(codes[first], n), gids, first - starts[gids], complete)
+    return TauCatalog(r, unpack_codes(codes[first], 1 << r), gids, first - starts[gids], complete)

@@ -82,6 +82,13 @@ class TestBitWord:
         with pytest.raises(DimensionMismatch):
             x & y
 
+    def test_bits_are_little_endian(self):
+        from perfcode import BitWord
+
+        x = BitWord(5, 0b10110)
+        assert x.bits() == (0, 1, 1, 0, 1)
+        assert [x.bit(j) for j in range(5)] == list(x.bits())
+
 
 class TestRank:
     def test_identity(self):

@@ -13,6 +13,7 @@ import pytest
 from perfcode import (
     BudgetExceeded,
     ExcludedLength,
+    InconsistentInput,
     MixedDimensions,
     PointPerm,
     classify,
@@ -39,6 +40,7 @@ from perfcode.algebra import (
     gl_order,
     identity_matrix,
     point_spectra,
+    unpack_codes,
 )
 from perfcode.algebra import invert as mat_invert
 from perfcode.classify import (
@@ -53,7 +55,7 @@ from perfcode.classify import (
 )
 from perfcode.codes import base_dim, kernel_dims
 from perfcode.io import CSV_COLUMNS, emit_catalog_csv, emit_catalog_json
-from perfcode.regular_groups import TauCatalog, automorphism_census
+from perfcode.regular_groups import TauCatalog, _census_codes
 from perfcode import sqs as sqs_module
 from classify_oracle import _invariant_triple, apply_move, classify_oracle, orbit_moves, orbit_roots_oracle
 from conftest import random_gl, random_zero_fixing
@@ -264,7 +266,7 @@ class TestSeries:
     def test_base_taus_come_first_in_the_census(self, r):
         # the pinned base is the first induced, minimal-kernel, point-transitive
         # tau in enumeration order
-        for auts in automorphism_census(r):
+        for auts in (unpack_codes(codes, 1 << r) for codes in _census_codes(r, None)):
             for images in auts[kernel_dims(auts) == base_dim(r)].tolist():
                 tau = PointPerm(r, tuple(images), induced=True)
                 if double_coset_member(invert_perm(tau), tau) is not None:
@@ -290,6 +292,17 @@ class TestSeries:
         # (rank, kernel dim, intersection dim, aut_order)
         _, _, entry = composed_series(r)
         assert (entry.rank, entry.kernel_dim, entry.intersection_dim, entry.aut_order) == columns
+
+    def test_a_wrong_witness_is_refused(self, monkeypatch):
+        base = classify_module._series_base
+
+        def wrong(r):
+            tau, (a, b) = base(r)
+            return tau, (a, b @ gl_generators(r)[0])
+
+        monkeypatch.setattr(classify_module, "_series_base", wrong)
+        with pytest.raises(InconsistentInput, match="block-diagonal witness failed to verify"):
+            composed_series(6)
 
     def test_witness_check_survives_optimize(self):
         # the block-diagonal witness is certified by an explicit raise, so a

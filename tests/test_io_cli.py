@@ -36,9 +36,10 @@ from perfcode import (
     sqs_from_tau,
     weight4_supports,
 )
+from perfcode.algebra import unpack_codes
 from perfcode.cli import build_parser, cli_main
 from perfcode.classify import classify_catalog
-from perfcode.regular_groups import TauCatalog, automorphism_census
+from perfcode.regular_groups import TauCatalog, _census_codes
 from perfcode import io as pio
 from conftest import random_zero_fixing
 import catalog_oracle
@@ -374,6 +375,18 @@ class TestCatalogFiles:
         saved = _saved_bytes(tmp_path, catalog)
         assert saved == _oracle_bytes(tmp_path, catalog) == b'{"r":4,"complete":false,"taus":[]}\n'
 
+    def test_empty_catalog_round_trips_only_partial(self, tmp_path):
+        # an empty complete catalog would be written as a bare [], which the
+        # reader refuses: the writer refuses it first, and writes no file
+        path = tmp_path / "empty.json"
+        with pytest.raises(ValueError, match="never empty"):
+            pio.save_tau_catalog(path, TauCatalog(3, np.zeros((0, 8), dtype=np.int8), [], [], complete=True))
+        assert not path.exists()
+        pio.save_tau_catalog(path, TauCatalog(3, np.zeros((0, 8), dtype=np.int8), [], [], complete=False))
+        assert path.read_bytes() == b'{"r":3,"complete":false,"taus":[]}\n'
+        loaded = pio.load_tau_catalog(path)
+        assert (loaded.r, loaded.complete, loaded.images.dtype, loaded.images.shape) == (3, False, np.int8, (0, 8))
+
     @pytest.mark.parametrize("offset, blocks", [(1, 0), (-1, 1), (0, 1), (1, 1), (1, 2)])
     @pytest.mark.parametrize("complete", [True, False])
     def test_r4_block_edges_match_the_oracle_writer(self, tmp_path, monkeypatch, offset, blocks, complete):
@@ -519,7 +532,7 @@ class TestClassificationOutput:
 
     def test_r4_slice_classification_bytes(self):
         # group 164 is the first whose taus have kernel dimension 22
-        auts = list(islice(automorphism_census(4), 165))
+        auts = [unpack_codes(codes, 16) for codes in islice(_census_codes(4, None), 165)]
         images = np.concatenate(auts).astype(np.int8)
         gids = np.repeat(np.arange(len(auts)), [len(a) for a in auts])
         aids = np.concatenate([np.arange(len(a)) for a in auts])

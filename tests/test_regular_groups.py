@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -10,9 +11,8 @@ import pytest
 from aut_oracle import closure_automorphism_perms
 from enum_oracle import all_pairs_regular_idx
 from perfcode import regular_groups
-from perfcode.algebra import gl_enumerate, gl_order, gl_rows_cached
+from perfcode.algebra import gl_enumerate, gl_order, gl_rows_cached, unpack_codes
 from perfcode.algebra import invert as mat_invert
-from perfcode.regular_groups import automorphism_census
 from perfcode import (
     BitMatrix,
     BudgetExceeded,
@@ -125,6 +125,26 @@ class TestEnumeration:
         # monotonic() + nan is never passed: NaN would silently mean no budget
         with pytest.raises(ValueError, match="nan"):
             next(enumerate_regular_subgroups(3, float("nan")))
+
+    def test_budget_counts_the_table_build(self, monkeypatch):
+        # a fresh process builds the tables inside the budget: a build that
+        # takes 1 s uses up a 0.5 s budget before the first group
+        now = [0.0]
+        build = regular_groups._Tables
+
+        def slow_build(r):
+            now[0] += 1.0
+            return build(r)
+
+        monkeypatch.setattr(regular_groups, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(regular_groups, "_Tables", slow_build)
+        monkeypatch.setattr(regular_groups, "_tables", functools.cache(regular_groups._tables.__wrapped__))
+        catalog = catalog_taus(3, budget_seconds=0.5)
+        assert (len(catalog), catalog.complete, catalog.images.dtype, catalog.images.shape) == (0, False, np.int8, (0, 8))
+        regular_groups._tables.cache_clear()
+        with pytest.raises(BudgetExceeded):
+            next(enumerate_regular_subgroups(3, 0.5))
+        assert now[0] == 2.0  # one build per walk
 
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
@@ -293,7 +313,7 @@ class TestAutomorphismOracle:
     def test_census_matches_automorphisms_of_each_group(self):
         # the walk the catalog and the series share yields, group by group,
         # the automorphisms of the public per-group search, in the same order
-        census = list(automorphism_census(3))
+        census = [unpack_codes(codes, 8) for codes in regular_groups._census_codes(3, None)]
         groups = list(enumerate_regular_subgroups(3))
         assert len(census) == len(groups) == 232
         for auts, group in zip(census, groups):
@@ -310,7 +330,7 @@ class TestAutomorphismOracle:
 
         monkeypatch.setattr(regular_groups, "_conjugacy_class", record_class)
         searched = []
-        for gid, _ in enumerate(automorphism_census(3)):
+        for gid, _ in enumerate(regular_groups._census_codes(3, None)):
             if len(searches) > len(searched):
                 searched.append(gid)
         assert len(searches) == 8
@@ -353,7 +373,7 @@ class TestAutomorphismOracle:
         # the first 600 r=4 groups of the census, searched or carried, equal
         # their own search row for row and in order
         searches = count_searches(monkeypatch)
-        census = list(islice(automorphism_census(4), 600))
+        census = [unpack_codes(codes, 16) for codes in islice(regular_groups._census_codes(4, None), 600)]
         assert len(searches) < 600
         monkeypatch.undo()
         for auts, group in zip(census, islice(enumerate_regular_subgroups(4), 600)):
