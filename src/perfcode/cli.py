@@ -107,18 +107,17 @@ def cmd_enum_regular(args) -> int:
     # with the BudgetExceeded that the loop below takes for a spent budget
     if not ENUM_MIN_R <= args.r <= ENUM_MAX_R:
         raise ValueError(f"enum-regular supports {ENUM_MIN_R} <= r <= {ENUM_MAX_R}, got {args.r}")
-    # each group is kept as its JSON text: the file's header, which says
-    # whether the list is complete, is known only once the DFS has ended
-    texts = []
+    # kept until the DFS ends: the file's header says whether it is complete
+    groups = []
     complete = True
     try:
         for group in enumerate_regular_subgroups(args.r, budget_seconds=_budget(args)):
-            texts.append(pio.group_json(group))
+            groups.append(group)
     except BudgetExceeded:
         complete = False
-    pio.save_group_texts(args.out, args.r, texts, complete)
+    pio.save_groups(args.out, args.r, groups, complete)
     status = "complete" if complete else "partial"
-    print(f"wrote {len(texts)} regular subgroups ({status}) to {args.out}")
+    print(f"wrote {len(groups)} regular subgroups ({status}) to {args.out}")
     return 0 if complete else 2
 
 

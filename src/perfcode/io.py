@@ -260,25 +260,16 @@ def group_from_obj(obj: dict) -> RegularSubgroup:
     return RegularSubgroup(r=r, mats=mats)
 
 
-def group_json(group: RegularSubgroup) -> str:
-    """The compact JSON text of one group, as a groups file holds it."""
-    return json.dumps(group_to_obj(group), separators=(",", ":"))
-
-
-def save_group_texts(path, r: int, texts, complete: bool) -> None:
-    """A groups file from the `group_json` texts of its groups: the bytes of
-    `json.dump` in compact form, written one group at a time."""
+def save_groups(path, r: int, groups, complete: bool) -> None:
+    """A groups file: the bytes of `json.dump` in compact form, written one
+    group at a time."""
     with open(path, "w") as fh:
         fh.write(f'{{"r":{r},"complete":{json.dumps(complete)},"groups":[')
-        for i, text in enumerate(texts):
+        for i, group in enumerate(groups):
             if i:
                 fh.write(",")
-            fh.write(text)
+            fh.write(json.dumps(group_to_obj(group), separators=(",", ":")))
         fh.write("]}\n")
-
-
-def save_groups(path, r: int, groups, complete: bool) -> None:
-    save_group_texts(path, r, map(group_json, groups), complete)
 
 
 def _groups_from_obj(obj):

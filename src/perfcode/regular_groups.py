@@ -90,11 +90,13 @@ class _Tables:
     """GL(r,2) point maps and the unipotent tables for one r.
 
     `gl` holds sigma_M of every M in GL(r,2), in `gl_enumerate` order (the
-    identity first), and `app` its unipotent rows.  `mul` is the one product
-    table, built one unipotent row at a time; the DFS reads it through
-    `mul_l`, one memoryview per row, so mul_l[a][b] is a Python int with no
-    per-entry copy.  `code2idx` is the one lookup from a matrix's columns
-    M e_j = sigma_M(units) to its unipotent index: code2idx[cols @ weights]."""
+    identity first), and `app` its unipotent rows.  `uni` holds their
+    frozen BitMatrix objects, which every group the enumeration yields
+    shares.  `mul` is the one product table, built one unipotent row at a
+    time; the DFS reads it through `mul_l`, one memoryview per row, so
+    mul_l[a][b] is a Python int with no per-entry copy.  `code2idx` is the
+    one lookup from a matrix's columns M e_j = sigma_M(units) to its
+    unipotent index: code2idx[cols @ weights]."""
 
     def __init__(self, r: int):
         rows_list = gl_rows_cached(r)
@@ -105,8 +107,8 @@ class _Tables:
         for _ in range(r - 1):
             power = np.take_along_axis(nil, power.astype(np.intp), axis=1)
         keep = np.flatnonzero(~power.any(axis=1))
-        self.uni = [rows_list[k] for k in keep]
-        self.id_idx = self.uni.index(tuple(1 << i for i in range(r)))
+        self.uni = [BitMatrix(r, r, rows_list[k]) for k in keep]
+        self.id_idx = self.uni.index(identity_matrix(r))
         self.app = app = maps[keep]
         nu = len(keep)
         # a unipotent is looked up by its columns M e_j, r bits each
@@ -206,8 +208,7 @@ def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
     """
     for mats_idx in _enumerate_regular_idx(r, budget_seconds):
         uni = _tables(r).uni  # built by the walk, inside its budget
-        mats = tuple(BitMatrix(r, r, uni[k]) for k in mats_idx)
-        yield RegularSubgroup(r=r, mats=mats)
+        yield RegularSubgroup(r=r, mats=tuple(uni[k] for k in mats_idx))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from collections.abc import Sequence
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -105,6 +106,57 @@ class TestClassify:
                     assert not same
                     continue
                 assert same == (sqs_isomorphic(a, b) is not None)
+
+    def test_every_zero_fixing_r3_tau(self):
+        # all 5,040 zero-fixing r=3 taus fall into the 4 classes of the
+        # induced catalog (criterion 1), counted two ways
+        taus = [(0, *rest) for rest in permutations(range(1, 8))]
+        entries = classify(PointPerm(3, tau) for tau in taus)
+        class_of = {e.tau_id: e for e in entries}
+        members = {}
+        for tau in taus:
+            members.setdefault(class_of[tau_id_string(PointPerm(3, tau))].class_id, set()).add(tau)
+        columns = sorted(
+            (e.rank, len(members[e.class_id]), e.aut_order, e.point_transitive)
+            for e in {e.class_id: e for e in entries}.values()
+        )
+        assert columns == [
+            (11, 168, 322_560, True),
+            (12, 1_176, 3_072, True),
+            (13, 2_352, 1_536, True),
+            (14, 1_344, 2_688, True),
+        ]
+
+        # a plain union-find over tau -> sigma_g tau, tau sigma_g and tau^-1,
+        # with no spectra and no search, gives the same classes member for member
+        parent = {tau: tau for tau in taus}
+
+        def find(tau):
+            while parent[tau] != tau:
+                parent[tau] = tau = parent[parent[tau]]
+            return tau
+
+        sigmas = [sigma_m(g).images for g in gl_generators(3)]
+        for tau in taus:
+            inverse = [0] * 8
+            for x, y in enumerate(tau):
+                inverse[y] = x
+            moved = [tuple(inverse)]
+            moved += [tuple(s[y] for y in tau) for s in sigmas]
+            moved += [tuple(tau[y] for y in s) for s in sigmas]
+            for other in moved:
+                parent[find(other)] = find(tau)
+        components = {}
+        for tau in taus:
+            components.setdefault(find(tau), set()).add(tau)
+        assert sorted(map(sorted, components.values())) == sorted(map(sorted, members.values()))
+
+        # orbit-stabiliser: the structured maps (sigma_A + a | sigma_B + b) xi^t
+        # on the two copies of F^3 number 2 |GL(3,2)|^2 2^(2r), each non-linear
+        # class is one orbit of them, and Aut(SQS_tau) is its stabiliser
+        for _, size, aut_order, _ in columns[1:]:
+            assert size * aut_order == 2 * gl_order(3) ** 2 * 2 ** 6 == 3_612_672
+        assert columns[0][1] == gl_order(3) == 168
 
     def test_mixed_dimensions_rejected(self, rng):
         with pytest.raises(MixedDimensions):

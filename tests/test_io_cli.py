@@ -39,7 +39,7 @@ from perfcode import (
 from perfcode.algebra import unpack_codes
 from perfcode.cli import build_parser, cli_main
 from perfcode.classify import classify_catalog
-from perfcode.regular_groups import TauCatalog, _census_codes
+from perfcode.regular_groups import TauCatalog, _census_codes, _tables
 from perfcode import io as pio
 from conftest import random_zero_fixing
 import catalog_oracle
@@ -944,6 +944,9 @@ class TestCli:
         assert not out.exists()
 
     def test_budget_exit_2(self, tmp_path, capsys):
+        # the tables are built first, so the budget goes to the DFS alone
+        # and the partial file holds groups even in a fresh process
+        _tables(4)
         groups_path = tmp_path / "partial.json"
         code = cli_main(
             ["enum-regular", "--r", "4", "--budget-seconds", "0.3", "--out", str(groups_path)]
@@ -951,9 +954,13 @@ class TestCli:
         assert code == 2
         _, complete, groups = pio.load_groups(groups_path)
         assert complete is False
-        # the texts kept during the DFS give the bytes of one json.dump
+        # the groups kept during the DFS, written once it has ended, give the
+        # bytes of one json.dump
         obj = {"r": 4, "complete": False, "groups": [pio.group_to_obj(g) for g in groups]}
         assert groups_path.read_text() == json.dumps(obj, separators=(",", ":")) + "\n"
+        # and they are the stream's first groups, in its order
+        assert groups
+        assert groups == list(islice(enumerate_regular_subgroups(4), len(groups)))
 
     @pytest.mark.parametrize(
         "argv",

@@ -113,6 +113,14 @@ class TestEnumeration:
         second = [g.mats for g in enumerate_regular_subgroups(3)]
         assert first == second
 
+    @pytest.mark.parametrize("r, count", [(3, None), (4, 200)])
+    def test_groups_share_the_tables_matrices(self, r, count):
+        # each yielded matrix is the tables' own object, never a copy, so
+        # keeping every group of the stream costs no matrices of its own
+        shared = {id(m) for m in regular_groups._tables(r).uni}
+        for group in islice(enumerate_regular_subgroups(r), count):
+            assert all(id(m) in shared for m in group.mats)
+
     def test_budget_gives_partial_prefix(self):
         full = [g.mats for g in enumerate_regular_subgroups(3)]
         got = []
@@ -202,16 +210,16 @@ class TestTables:
     def test_unipotents_and_their_point_maps(self, r):
         tab = regular_groups._tables(r)
         expected = [rows for rows in gl_rows_cached(r) if is_unipotent(BitMatrix(r, r, rows))]
-        assert tab.uni == expected
-        assert tab.uni[tab.id_idx] == identity_matrix(r).row_bits
-        for rows, app in zip(tab.uni, tab.app_l):
-            assert app == sigma_m(BitMatrix(r, r, rows)).images
+        assert [m.row_bits for m in tab.uni] == expected
+        assert tab.uni[tab.id_idx] == identity_matrix(r)
+        for m, app in zip(tab.uni, tab.app_l):
+            assert app == sigma_m(m).images
         assert tab.app.tolist() == [list(app) for app in tab.app_l]
 
     @pytest.mark.parametrize("r, samples", [(3, None), (4, 20_000)])
     def test_products(self, r, samples):
         tab = regular_groups._tables(r)
-        index = {rows: k for k, rows in enumerate(tab.uni)}
+        index = {m.row_bits: k for k, m in enumerate(tab.uni)}
         nu = len(tab.uni)
         if samples is None:
             pairs = [(a, b) for a in range(nu) for b in range(nu)]
@@ -220,7 +228,7 @@ class TestTables:
             pairs = [(rng.randrange(nu), rng.randrange(nu)) for _ in range(samples)]
         hits = 0
         for a, b in pairs:
-            prod = BitMatrix(r, r, tab.uni[a]) @ BitMatrix(r, r, tab.uni[b])
+            prod = tab.uni[a] @ tab.uni[b]
             assert tab.mul_l[a][b] == index.get(prod.row_bits, -1)
             hits += tab.mul_l[a][b] >= 0
         assert 0 < hits < len(pairs)  # both branches are exercised
@@ -356,7 +364,7 @@ class TestAutomorphismOracle:
 
         # each member is a conjugate of the searched group, and its sigma_M
         # carries the searched group to it point by point
-        uni = regular_groups._tables(3).uni
+        uni = [m.row_bits for m in regular_groups._tables(3).uni]
         for gid, (mats, klass) in zip(searched, classes):
             rep = groups[gid]
             assert rep == tuple(uni[k] for k in mats.tolist())
