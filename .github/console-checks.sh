@@ -23,6 +23,18 @@ PY
 perfcode series --r 6 > series6.txt
 printf '%s\n' tau_id=r6-0.6.2.5.4.3.1.7.48.54.50.53.52.51.49.55.16.22.18.21.20.19.17.23.40.46.42.45.44.43.41.47.32.38.34.37.36.35.33.39.24.30.26.29.28.27.25.31.8.14.10.13.12.11.9.15.56.62.58.61.60.59.57.63 \
   length=128 rank=124 kernel_dim=114 non_mollard=true neighbor_transitive=true | diff - series6.txt
+# the census sizes have one gate: outside r in {3, 4}, both census commands
+# exit 1, write no output and print the one message
+rc=0
+perfcode enum-regular --r 5 --out groups5.json 2> groups5.err || rc=$?
+test "$rc" -eq 1
+test ! -e groups5.json
+echo 'error: the census supports r in {3, 4}, got 5' | diff - groups5.err
+rc=0
+perfcode catalog-taus --r 2 --out catalog2.json 2> catalog2.err || rc=$?
+test "$rc" -eq 1
+test ! -e catalog2.json
+echo 'error: the census supports r in {3, 4}, got 2' | diff - catalog2.err
 # the subgroup DFS, in its deterministic order
 perfcode enum-regular --r 3 --out groups.json
 echo "92f02b6ebedc75965fff93aa075d6ceb5b9cceaf3dd858f7075790b612fa0972  groups.json" | sha256sum -c

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation failure, 2 budget exhaustion (a spent
+Exit codes: 0 success, 1 validation failure (enum-regular and catalog-taus
+at an r outside {3, 4} included, no output), 2 budget exhaustion (a spent
 time budget, partial output written, or a size beyond the implementation's
 limit, no output), 3 malformed input, usage errors included.  The default
 time budget of the enumeration commands is PERFCODE_BUDGET_SECONDS.
@@ -20,7 +21,7 @@ from .classify import classify_catalog, composed_series, tau_id_string, transiti
 from .codes import ExplicitCode, explicit_materialize, extended_hamming, stats_coset_union
 from .constructions import build_s_tau, hadamard_a_tau, mollard
 from .errors import BudgetExceeded, MalformedInput, PerfcodeError
-from .regular_groups import ENUM_MAX_R, ENUM_MIN_R, catalog_taus, enumerate_regular_subgroups
+from .regular_groups import catalog_taus, enumerate_regular_subgroups
 from .sqs import sqs_from_tau, validate_sqs
 
 
@@ -103,10 +104,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_enum_regular(args) -> int:
-    # checked up front: the stream refuses a large r only once it is read,
-    # with the BudgetExceeded that the loop below takes for a spent budget
-    if not ENUM_MIN_R <= args.r <= ENUM_MAX_R:
-        raise ValueError(f"enum-regular supports {ENUM_MIN_R} <= r <= {ENUM_MAX_R}, got {args.r}")
     # kept until the DFS ends: the file's header says whether it is complete
     groups = []
     complete = True

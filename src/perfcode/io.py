@@ -441,7 +441,11 @@ def emit_catalog_json(entries: Sequence[CatalogEntry]) -> str:
     fields = [json.dumps(dict(zip(CSV_COLUMNS[1:-1], m)), separators=(",", ":"))[1:-1] for m in middles]
     quote = json.encoder.encode_basestring_ascii
     objs = (f'{{"tau_id":{quote(t)},{fields[k]},"provenance":{quote(p)}}}' for t, k, p in zip(tau_ids, keys, provenance))
-    return f"[{','.join(objs)}]\n"
+    try:
+        return f"[{','.join(objs)}]\n"
+    except TypeError:  # json.dumps writes a tau id or provenance that is not a string its own way
+        rows = (dict(zip(CSV_COLUMNS, (t, *middles[k], p))) for t, k, p in zip(tau_ids, keys, provenance))
+        return json.dumps(list(rows), separators=(",", ":")) + "\n"
 
 
 def _entries_from_obj(items) -> list[CatalogEntry]:

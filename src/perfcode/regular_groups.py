@@ -128,10 +128,9 @@ class _Tables:
 
 @functools.cache
 def _tables(r: int) -> _Tables:
-    if r < ENUM_MIN_R:
-        raise ValueError(f"enumeration needs r >= {ENUM_MIN_R}, got {r}")
-    if r > ENUM_MAX_R:
-        raise BudgetExceeded(f"enumeration supports r <= {ENUM_MAX_R}, got {r}")
+    """The one gate of the census range: ValueError for every r outside {3, 4}."""
+    if r not in (ENUM_MIN_R, ENUM_MAX_R):
+        raise ValueError(f"the census supports r in {{{ENUM_MIN_R}, {ENUM_MAX_R}}}, got {r}")
     return _Tables(r)
 
 
@@ -202,9 +201,9 @@ def _enumerate_regular_idx(r: int, budget_seconds: float | None):
 def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
     """Yield every regular subgroup of GA(r,2) exactly once.
 
-    Deterministic order; raises BudgetExceeded mid-stream when the time
-    budget runs out (everything yielded before that is valid, the stream
-    is just incomplete).
+    Deterministic order.  An r outside {3, 4} is a ValueError (`_tables`);
+    a spent time budget raises BudgetExceeded mid-stream, after groups
+    that are all valid: the stream is just incomplete.
     """
     for mats_idx in _enumerate_regular_idx(r, budget_seconds):
         uni = _tables(r).uni  # built by the walk, inside its budget
@@ -441,8 +440,6 @@ def catalog_taus(r: int, budget_seconds: float | None = None) -> TauCatalog:
     budget exhaustion the partial catalog is returned with complete=False:
     the pairs of the first k groups, all of them.
     """
-    if r not in (ENUM_MIN_R, ENUM_MAX_R):
-        raise ValueError(f"catalog_taus supports r in {{3, 4}}, got {r}")
     codes = []
     complete = True
     try:

@@ -569,6 +569,13 @@ class TestClassificationOutput:
         writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in astuple(e)] for e in entries)
         assert pio.emit_catalog_csv(entries) == buf.getvalue()
 
+    def test_json_of_ids_that_are_not_strings_is_json_dumps(self):
+        # the per-middle objects quote string ids; json.dumps writes None as null and 7 as 7
+        base = CatalogEntry("r3-01234567", 3, 11, 11, 4, True, None, 0, False, "user")
+        entries = [base, replace(base, tau_id=None), replace(base, provenance=7)]
+        objs = [{col: getattr(e, col) for col in pio.CSV_COLUMNS} for e in entries]
+        assert pio.emit_catalog_json(entries) == json.dumps(objs, separators=(",", ":")) + "\n"
+
     def test_no_entry_is_built_to_classify_and_emit(self, monkeypatch, r3_catalog):
         # the columns replace the rows: the census path builds no CatalogEntry
         classify_module = importlib.import_module("perfcode.classify")
@@ -697,7 +704,7 @@ class TestCli:
             (["build-stau", "--tau", "{tau}", "--out", "{out}"], 6, 2, "budget exhausted: build_s_tau supports r <= 5, got 6"),
             (["hadamard", "--tau", "{tau}", "--out", "{out}"], 5, 2, "budget exhausted: hadamard_a_tau supports r <= 4, got 5"),
             (["series", "--r", "2"], 3, 1, "error: series needs r >= 3, got 2"),
-            (["catalog-taus", "--r", "5", "--out", "{out}"], 3, 1, "error: catalog_taus supports r in {3, 4}, got 5"),
+            (["catalog-taus", "--r", "5", "--out", "{out}"], 3, 1, "error: the census supports r in {3, 4}, got 5"),
         ],
         ids=["sqs", "build-stau", "hadamard", "series", "catalog-taus"],
     )
@@ -940,7 +947,22 @@ class TestCli:
     def test_enum_regular_outside_its_range_exits_1(self, tmp_path, capsys, r):
         out = tmp_path / "groups.json"
         assert cli_main(["enum-regular", "--r", str(r), "--out", str(out)]) == 1
-        assert "3 <= r <= 4" in capsys.readouterr().err
+        assert f"the census supports r in {{3, 4}}, got {r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_is_raised_not_malformed_input(self, tmp_path, monkeypatch):
+        # an OSError that names no path is a failed read or write: cli_main
+        # raises it rather than exit 3
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def save_tau_catalog(path, catalog):
+            raise full
+
+        monkeypatch.setattr(pio, "save_tau_catalog", save_tau_catalog)
+        out = tmp_path / "catalog.json"
+        with pytest.raises(OSError) as caught:
+            cli_main(["catalog-taus", "--r", "3", "--out", str(out)])
+        assert caught.value is full and caught.value.filename is None
         assert not out.exists()
 
     def test_budget_exit_2(self, tmp_path, capsys):

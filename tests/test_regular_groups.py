@@ -157,8 +157,17 @@ class TestEnumeration:
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
             list(enumerate_regular_subgroups(2))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(ValueError):
             list(enumerate_regular_subgroups(5))
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 6])
+    def test_one_gate_for_the_census_sizes(self, r):
+        # the tables refuse the size, so no stream can take it for a spent budget
+        message = rf"^the census supports r in \{{3, 4\}}, got {r}$"
+        for run in (lambda: regular_groups._tables(r), lambda: next(enumerate_regular_subgroups(r, 60.0)),
+                    lambda: catalog_taus(r), lambda: catalog_taus(r, budget_seconds=60.0)):
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 class TestAutomorphisms:

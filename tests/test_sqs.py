@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 from itertools import combinations, permutations
 
@@ -194,6 +195,19 @@ class TestSymdiffDichotomy:
         for (q1, q2) in report.part2_witnesses.values():
             assert frozenset(q1) in system and frozenset(q2) in system
             assert frozenset(q1) ^ frozenset(q2) not in system
+
+    def test_missing_pairs_are_reported(self, monkeypatch):
+        # the affine system of the identity under a non-linear tau: every
+        # symmetric difference stays in the system, so every left/right
+        # pair is missing and there is no witness
+        tau = PointPerm(3, (0, 1, 2, 4, 3, 5, 6, 7))
+        affine = sqs_from_tau(identity_perm(3))
+        monkeypatch.setattr(importlib.import_module("perfcode.sqs"), "sqs_from_tau", lambda _: affine)
+        report = symmetric_difference_dichotomy(tau)
+        assert report.part2_missing == tuple((a, b) for a in range(8) for b in range(8))
+        assert report.part2_witnesses == {}
+        assert report.part1_counterexamples == ()
+        assert not report.ok
 
     def test_affine_input_rejected(self):
         with pytest.raises(AffineInput):
