@@ -35,6 +35,13 @@ perfcode catalog-taus --r 2 --out catalog2.json 2> catalog2.err || rc=$?
 test "$rc" -eq 1
 test ! -e catalog2.json
 echo 'error: the census supports r in {3, 4}, got 2' | diff - catalog2.err
+# and so do the census file readers: an r=5 catalog is malformed input, exit 3
+echo '{"r":5,"complete":false,"taus":[]}' > catalog5.json
+rc=0
+perfcode classify --catalog catalog5.json --out classes5.json 2> classes5.err || rc=$?
+test "$rc" -eq 3
+test ! -e classes5.json
+echo 'malformed input: bad tau catalog: the census supports r in {3, 4}, got 5' | diff - classes5.err
 # the subgroup DFS, in its deterministic order
 perfcode enum-regular --r 3 --out groups.json
 echo "92f02b6ebedc75965fff93aa075d6ceb5b9cceaf3dd858f7075790b612fa0972  groups.json" | sha256sum -c

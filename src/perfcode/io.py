@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import io as _io
 import json
-import operator
 import re
 from collections.abc import Sequence
 from itertools import chain
@@ -27,7 +26,7 @@ from .algebra import BitMatrix, PointPerm
 from .classify import CatalogEntry, Classification
 from .codes import CosetUnionCode, ExplicitCode, LinearCode
 from .errors import MalformedInput
-from .regular_groups import ENUM_MAX_R, ENUM_MIN_R, RegularSubgroup, TauCatalog
+from .regular_groups import RegularSubgroup, TauCatalog, check_census_r
 from .sqs import SQS
 
 
@@ -135,16 +134,12 @@ def load_point_perm(path) -> PointPerm:
 
 
 def _code_k(code) -> int | None:
-    """log2 of the code's size: r + dim(base) for a coset-union code, dim for a
-    linear one, None for an explicit code whose size is not a power of two."""
-    if isinstance(code, ExplicitCode):
-        k = code.size.bit_length() - 1
-        return k if k >= 0 and 1 << k == code.size else None
-    if isinstance(code, CosetUnionCode):
-        return code.r + code.base.dim
-    if isinstance(code, LinearCode):
-        return code.dim
-    raise TypeError(f"cannot serialize {type(code).__name__}")
+    """log2 of the code's size, None for an explicit code whose size is not
+    a power of two (an empty one's is 0)."""
+    if not isinstance(code, (ExplicitCode, CosetUnionCode, LinearCode)):
+        raise TypeError(f"cannot serialize {type(code).__name__}")
+    k = code.size.bit_length() - 1
+    return k if k >= 0 and 1 << k == code.size else None
 
 
 def save_code_file(path, code) -> None:
@@ -277,8 +272,7 @@ def _groups_from_obj(obj):
     _require([r], {int}, "r")
     _require([complete], {bool}, "complete")
     _require([groups], {list}, "groups")
-    if not ENUM_MIN_R <= r <= ENUM_MAX_R:
-        raise ValueError(f"r must lie in [{ENUM_MIN_R}, {ENUM_MAX_R}], got {r}")
+    check_census_r(r)
     groups = [group_from_obj(g) for g in groups]
     if any(g.r != r for g in groups):
         raise ValueError(f"every group must have the file's r={r}")
@@ -354,12 +348,13 @@ def load_tau_catalog(path) -> TauCatalog:
         complete = data.startswith(b"[")
         # r from a bare list's first image count, or from a partial catalog's head
         r = (data.count(b",", 0, data.find(b"]")) + 1).bit_length() - 1 if complete else int(data[5:6])
+        check_census_r(r)  # the JSON reader below names the size it refuses
         head, tail = (b"[", b"]") if complete else (_PARTIAL_HEAD % r, b"]}")
         stop = len(data)
         while stop and data[stop - 1] in b" \t\n\r":  # bytes.rstrip() would copy, and drop \x0b and \x0c too
             stop -= 1
         n, pos, stop, blocks = 1 << r, len(head), stop - len(tail), []
-        if r not in (ENUM_MIN_R, ENUM_MAX_R) or not data.startswith(head) or not data.startswith(tail, stop) or stop <= pos:
+        if not data.startswith(head) or not data.startswith(tail, stop) or stop <= pos:
             raise ValueError("not a catalog file of the writer")
         while pos < stop:
             end = stop if stop - pos <= _CATALOG_READ_BYTES else data.rfind(b"}", pos, pos + _CATALOG_READ_BYTES) + 1
@@ -406,8 +401,7 @@ def _tau_catalog_from_obj(obj) -> TauCatalog:
     images = np.array(taus, dtype=np.int64)
     if any(it["r"] != r for it in items):
         raise ValueError("mixed r in catalog")
-    if r not in (ENUM_MIN_R, ENUM_MAX_R):
-        raise ValueError(f"r must be {ENUM_MIN_R} or {ENUM_MAX_R}, got {r}")
+    check_census_r(r)
     n = 1 << r
     images = images.reshape(-1, n) if images.size == 0 else images
     if images.shape != (len(items), n):
@@ -420,32 +414,20 @@ def _tau_catalog_from_obj(obj) -> TauCatalog:
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = [f.name for f in dataclasses.fields(CatalogEntry)]
-_ENTRY_COLUMNS = operator.attrgetter(*CSV_COLUMNS)
-
-
-def _columns(entries) -> tuple[list[str], list[tuple], list[int], list[str]]:
-    """The emitters' columns: a Classification's own, or any other entries' read in one pass."""
-    if isinstance(entries, Classification):
-        return entries.columns()
-    rows = list(map(_ENTRY_COLUMNS, entries))
-    index: dict[tuple, int] = {}
-    # keyed by the types too: True == 1, but the two are written apart
-    keys = [index.setdefault(((m := row[1:-1]), tuple(map(type, m))), len(index)) for row in rows]
-    return [row[0] for row in rows], [m for m, _ in index], keys, [row[-1] for row in rows]
 
 
 def emit_catalog_json(entries: Sequence[CatalogEntry]) -> str:
-    """The compact json.dumps of the entries as objects: it formats each
-    distinct middle tuple once, and its string encoder quotes the rest."""
-    tau_ids, middles, keys, provenance = _columns(entries)
+    """The compact json.dumps of the entries as objects.  A Classification is
+    formatted from its columns, each middle tuple once, with json.dumps'
+    string encoder for its tau ids and provenances; other entries are
+    written by one json.dumps call."""
+    if not isinstance(entries, Classification):
+        return json.dumps([{col: getattr(e, col) for col in CSV_COLUMNS} for e in entries], separators=(",", ":")) + "\n"
+    tau_ids, middles, keys, provenance = entries.columns()
     fields = [json.dumps(dict(zip(CSV_COLUMNS[1:-1], m)), separators=(",", ":"))[1:-1] for m in middles]
     quote = json.encoder.encode_basestring_ascii
     objs = (f'{{"tau_id":{quote(t)},{fields[k]},"provenance":{quote(p)}}}' for t, k, p in zip(tau_ids, keys, provenance))
-    try:
-        return f"[{','.join(objs)}]\n"
-    except TypeError:  # json.dumps writes a tau id or provenance that is not a string its own way
-        rows = (dict(zip(CSV_COLUMNS, (t, *middles[k], p))) for t, k, p in zip(tau_ids, keys, provenance))
-        return json.dumps(list(rows), separators=(",", ":")) + "\n"
+    return f"[{','.join(objs)}]\n"
 
 
 def _entries_from_obj(items) -> list[CatalogEntry]:
@@ -469,22 +451,22 @@ def _csv_text(row) -> str:
     return buf.getvalue()[:-1]
 
 
+def _cells(values) -> tuple:
+    """Flags are written true/false; csv writes a null aut_order as ""."""
+    return tuple(str(v).lower() if isinstance(v, bool) else v for v in values)
+
+
 def emit_catalog_csv(entries: Sequence[CatalogEntry]) -> str:
-    """The csv.writer rows of the entries.  Each distinct middle tuple is
-    formatted once when no tau id or provenance needs quoting."""
-    tau_ids, middles, keys, provenance = _columns(entries)
-    # flags are written true/false; csv writes a null aut_order as ""
-    cells = [tuple(str(v).lower() if isinstance(v, bool) else v for v in m) for m in middles]
+    """The csv.writer rows of the entries.  A Classification is formatted
+    from its columns, each middle tuple once: its tau ids and provenances
+    never need quoting.  Other entries are written by one writerows call."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    try:
-        plain = not re.search('[,"\r\n]', "".join(chain(tau_ids, provenance)))  # what csv quotes
-    except TypeError:  # csv writes a tau id or provenance that is not a string its own way
-        plain = False
-    if plain:
-        fields = [_csv_text(("", *c, "")) for c in cells]  # ",<cells>,"
+    if isinstance(entries, Classification):
+        tau_ids, middles, keys, provenance = entries.columns()
+        fields = [_csv_text(("", *_cells(m), "")) for m in middles]  # ",<cells>,"
         buf.writelines(f"{t}{fields[k]}{p}\n" for t, k, p in zip(tau_ids, keys, provenance))
     else:
-        writer.writerows((t, *cells[k], p) for t, k, p in zip(tau_ids, keys, provenance))
+        writer.writerows(_cells(getattr(e, col) for col in CSV_COLUMNS) for e in entries)
     return buf.getvalue()

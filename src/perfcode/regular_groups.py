@@ -126,11 +126,16 @@ class _Tables:
         self.mul_l = tuple(map(memoryview, mul))
 
 
-@functools.cache
-def _tables(r: int) -> _Tables:
-    """The one gate of the census range: ValueError for every r outside {3, 4}."""
+def check_census_r(r: int) -> None:
+    """The one gate of the census range: ValueError for every r outside {3, 4}.
+    The tables, the groups reader and the tau catalog readers all pass it."""
     if r not in (ENUM_MIN_R, ENUM_MAX_R):
         raise ValueError(f"the census supports r in {{{ENUM_MIN_R}, {ENUM_MAX_R}}}, got {r}")
+
+
+@functools.cache
+def _tables(r: int) -> _Tables:
+    check_census_r(r)
     return _Tables(r)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from perfcode import (
     ExplicitCode,
+    InconsistentInput,
     ZeroNotFixed,
     brute_min_distance,
     build_s_tau,
@@ -233,6 +234,15 @@ class TestHadamard:
 
         halves = _half_space_words(3)
         assert set(halves[0]) == {0, 0xFF}
+
+    def test_word_count_is_checked(self, monkeypatch):
+        # points 1 and 2 share one pair, so their products coincide: 28 words, not 32
+        import perfcode.constructions as constructions
+
+        halves = constructions._half_space_words(3)
+        monkeypatch.setattr(constructions, "_half_space_words", lambda r: [*halves[:2], halves[1], *halves[3:]])
+        with pytest.raises(InconsistentInput, match="A_tau has 28 words, not 32"):
+            hadamard_a_tau(identity_perm(3))
 
     def test_distance_profile(self, rng):
         tau = random_zero_fixing(3, rng)

@@ -127,6 +127,8 @@ class TestCodeFiles:
         path = tmp_path / "c.code"
         with pytest.raises(ValueError, match="not a power of two"):
             pio.save_code_file(path, ExplicitCode(4, (0, 3, 15)))
+        with pytest.raises(ValueError, match="not a power of two"):
+            pio.save_code_file(path, ExplicitCode(4, ()))
         with pytest.raises(TypeError, match="cannot serialize list"):
             pio.save_code_file(path, [0, 15])
         assert not path.exists()
@@ -180,6 +182,13 @@ class TestCodeFiles:
         path = tmp_path / "bad.code"
         path.write_text(text)
         with pytest.raises(MalformedInput):
+            pio.load_code_file(path)
+
+    def test_header_of_an_empty_code_is_malformed(self, tmp_path):
+        # no words: size 0 has no log2, and k=0 claims one word
+        path = tmp_path / "empty.code"
+        path.write_text("n=4 k=0\n")
+        with pytest.raises(MalformedInput, match="header k=0 does not match a code of 0 words"):
             pio.load_code_file(path)
 
 
@@ -375,6 +384,22 @@ class TestCatalogFiles:
         saved = _saved_bytes(tmp_path, catalog)
         assert saved == _oracle_bytes(tmp_path, catalog) == b'{"r":4,"complete":false,"taus":[]}\n'
 
+    @pytest.mark.parametrize("r", [2, 5])
+    def test_census_file_readers_share_the_census_gate(self, tmp_path, r):
+        # the groups reader, the JSON reader of a partial catalog, and a bare
+        # list in json.dumps' compact form, which the numpy reader sees first
+        row = {"tau": list(range(1 << r)), "r": r, "group_id": 0, "aut_id": 0}
+        files = [
+            (pio.load_groups, {"r": r, "complete": True, "groups": []}),
+            (pio.load_tau_catalog, {"r": r, "complete": False, "taus": []}),
+            (pio.load_tau_catalog, [row]),
+        ]
+        path = tmp_path / "census.json"
+        for load, obj in files:
+            path.write_text(json.dumps(obj, separators=(",", ":")))
+            with pytest.raises(MalformedInput, match=re.escape(f"the census supports r in {{3, 4}}, got {r}")):
+                load(path)
+
     def test_empty_catalog_round_trips_only_partial(self, tmp_path):
         # an empty complete catalog would be written as a bare [], which the
         # reader refuses: the writer refuses it first, and writes no file
@@ -510,7 +535,7 @@ def _mixed_induced(taus, rng):
 
 class TestClassificationOutput:
     """The emitters format a classification straight from its columns and any
-    other sequence of entries from columns read off them: the two agree."""
+    other sequence of entries by one json.dumps or csv.writer call: the two agree."""
 
     @pytest.mark.parametrize("kernel_dim", [None, 8, 9, 11])
     def test_columns_and_entries_emit_the_same_text(self, r3_catalog, kernel_dim):
