@@ -112,6 +112,24 @@ echo '{"r": 4, "perm": [0, 10, 4, 7, 13, 11, 8, 9, 5, 3, 6, 12, 2, 1, 15, 14]}' 
 perfcode report --tau tau4.json > report4.txt
 printf '%s\n' tau_id=r4-0a47db89536c21fe coordinate_transitive=false \
   transitive=unverified neighbor_transitive=false | diff - report4.txt
+# the construction commands on tau.json (r=3) and tau4.json (r=4); the two
+# Mollard shapes have different lengths (--t 2 --m 8 writes the --t 4 --m 4 file)
+perfcode hamming --r 4 --out hamming4.code
+echo "8b0f3d161d63b538535ca582f2a98fa158d5158437d487483718fee04f0020e2  hamming4.code" | sha256sum -c
+perfcode build-stau --tau tau.json --out stau.code
+echo "bcca1d953d751b02e6748c85476ec754eb08855d52253e070faafee87c1e0b79  stau.code" | sha256sum -c
+perfcode build-stau --tau tau.json --out stau-words.code --materialize
+echo "fe8acd41ad57d53c680552f45142504a76d0296c384ca784852d5584c8ac78e8  stau-words.code" | sha256sum -c
+perfcode stats --tau tau4.json > stats4.txt
+echo "3a65db112291f8d8f7289c927cdaff9f8140161b118899c5b78b9ae3783512b1  stats4.txt" | sha256sum -c
+perfcode hadamard --tau tau.json --out hadamard.code
+echo "206bf85abd59b6a9af8aa1e66dc35c00e61abd384c36f59e22a5461c18877aa4  hadamard.code" | sha256sum -c
+perfcode hadamard --tau tau4.json --out hadamard4.code
+echo "1dc9ba54e2ac0d598b026b359df53309aa6a01f09be9b5136b3046557511cfee  hadamard4.code" | sha256sum -c
+perfcode mollard --t 4 --m 4 --out mollard44.code
+echo "23dfbed9bd7af072a415af8b0666f086143bfba92c3bdbb63d95ada2c30cd0de  mollard44.code" | sha256sum -c
+perfcode mollard --t 2 --m 4 --out mollard24.code
+echo "030c0bab1ea399ac81f0e6cc82f8c73a106bec6ffa91ac4333abfb698c4c0e3c  mollard24.code" | sha256sum -c
 # one class reached through both double cosets: tau4.json's tau, which is not
 # point transitive, and seeded rows sigma_B tau sigma_A^-1 and
 # sigma_B tau^-1 sigma_A^-1; a merge across the two takes the side-swap

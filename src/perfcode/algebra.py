@@ -251,7 +251,7 @@ def conjugate_rows(rows: np.ndarray, sigma) -> np.ndarray:
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """One uint64 code per row of an (..., 2^r) image array with r <= 4: a
+    """One uint64 code per row of an (..., 2^r) image array with 1 <= r <= 4: a
     nibble per point, point 0 in the most significant one, so that the codes
     order like the rows."""
     nibbles = rows.astype(np.uint8)

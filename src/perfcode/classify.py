@@ -146,9 +146,9 @@ def _intersection_from_rank(r: int, rank: int) -> int:
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per row of an (N, 2^r) image array, ordered like the image
-    tuples: the uint64 `pack_rows` code at r <= 4, and beyond that the row's
-    int8 bytes as one void scalar, as images are non-negative."""
-    if rows.shape[1] <= 16:
+    tuples: the uint64 `pack_rows` code at 1 <= r <= 4, and otherwise the
+    row's int8 bytes as one void scalar, as images are non-negative."""
+    if 2 <= rows.shape[1] <= 16:
         return pack_rows(rows)
     rows = np.ascontiguousarray(rows, dtype=np.int8)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()

@@ -82,9 +82,10 @@ class CodeStats:
 
 @dataclass(frozen=True)
 class CosetUnionCode:
-    """Union over a in F^r of cosets (base + reps[a]) of the base code H x H.
-
-    reps is `coset_reps(tau)`; reps[0] is the all-zero word.
+    """Union over a in F^r of cosets (base + reps[a]) of any linear base code
+    of length 2^{r+1}, reps[a] pairing a word at point a with one at tau(a):
+    S_tau is over H x H with `coset_reps(tau)`, A_tau over R x R (R the
+    repetition code) with f_a | f_tau(a) << 2^r.  reps[0] is the zero word.
     """
 
     r: int

@@ -5,8 +5,10 @@ permutations, the Mollard composition, and the Hadamard analog A_tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
-from ._bits import parity
+from ._bits import parity, span_words
 from .algebra import BitMatrix, PointPerm
 from .codes import (
     CosetUnionCode,
@@ -14,7 +16,9 @@ from .codes import (
     LinearCode,
     apply_coordinate_perm,  # re-exported: the coordinate action of the dub1/dub2 lifts
     coset_reps,
+    explicit_materialize,
     extended_hamming,
+    hamming_parity_rows,
 )
 from .errors import BudgetExceeded, InconsistentInput
 
@@ -73,14 +77,9 @@ def p1(z: int, t: int, m: int) -> int:
 
 
 def p2(z: int, t: int, m: int) -> int:
-    """Column sums: coordinate j of p2 is the parity of column j of z."""
-    out = 0
-    for j in range(m):
-        acc = 0
-        for i in range(t):
-            acc ^= (z >> (i * m + j)) & 1
-        out |= acc << j
-    return out
+    """Column sums: coordinate j of p2 is the parity of column j of z, so
+    p2 is the XOR of the t rows of z."""
+    return reduce(xor, (z >> (i * m) for i in range(t)), 0) & ((1 << m) - 1)
 
 
 @dataclass(frozen=True)
@@ -145,30 +144,25 @@ class HadamardCode:
     words: ExplicitCode
 
 
-def _half_space_words(r: int) -> list[tuple[int, int]]:
-    """For each a: the complementary pair with supports <x,a>=0 and <x,a>=1."""
-    n = 1 << r
-    all_ones = (1 << n) - 1
-    out = []
-    for a in range(n):
-        w0 = sum((1 - parity(x & a)) << x for x in range(n))
-        out.append((w0, w0 ^ all_ones))
-    return out
-
-
 def hadamard_a_tau(tau: PointPerm) -> HadamardCode:
-    """A_tau = union over a of C_a x C_tau(a); 2^{r+2} words of length 2^{r+1}."""
+    """A_tau = union over a of C_a x C_tau(a); 2^{r+2} words of length 2^{r+1}.
+
+    C_a = {f_a, f_a + 1}, f_a the word x -> <x, a>, is a coset of the
+    repetition code R, and the f_a span the first r rows of
+    `hamming_parity_rows(r)` (RM(1, r) is the extended Hamming code's dual).
+    So A_tau is a coset-union code, as S_tau is: base R x R, reps
+    f_a | f_tau(a) << 2^r.  Each rep is its coset's one word that is 0 at
+    both points 0, so the cosets are disjoint exactly when the reps differ.
+    """
     tau.require_zero_fixing()
     r = tau.r
     if r > HADAMARD_MAX_R:
         raise BudgetExceeded(f"hadamard_a_tau supports r <= {HADAMARD_MAX_R}, got {r}")
     n = 1 << r
-    halves = _half_space_words(r)
-    words = set()
-    for a in range(n):
-        for u in halves[a]:
-            for v in halves[tau.images[a]]:
-                words.add(u | (v << n))
-    if len(words) != 4 * n:
-        raise InconsistentInput(f"A_tau has {len(words)} words, not {4 * n}")
-    return HadamardCode(r=r, tau=tau, words=ExplicitCode(2 * n, tuple(sorted(words))))
+    f = span_words(hamming_parity_rows(r)[:r])
+    reps = tuple(f[a] | (f[tau.images[a]] << n) for a in range(n))
+    if len(set(reps)) != n:
+        raise InconsistentInput(f"A_tau has {4 * len(set(reps))} words, not {4 * n}")
+    ones = (1 << n) - 1
+    base = LinearCode(2 * n, BitMatrix(2, 2 * n, (ones, ones << n)))
+    return HadamardCode(r=r, tau=tau, words=explicit_materialize(CosetUnionCode(r, base, reps)))

@@ -465,6 +465,12 @@ class TestOrbitClassification:
         entries = classify(taus)
         assert entries == classify_oracle(taus)
         assert len({e.class_id for e in entries}) == 3
+        # so are r=0 rows, whose one image fills no packed code
+        taus = [PointPerm(0, (0,))]
+        (entry,) = entries = classify(taus)
+        assert entries == classify_oracle(taus)
+        assert (entry.rank, entry.kernel_dim, entry.intersection_dim, entry.aut_order) == (0, 0, 0, 2)
+        assert entry.point_transitive and entry.class_id == 0
 
     @pytest.mark.parametrize("r", [4, 5])
     def test_two_sided_products_match_oracle(self, r, rng):

@@ -6,6 +6,7 @@ import pytest
 from perfcode import (
     ExplicitCode,
     InconsistentInput,
+    PointPerm,
     ZeroNotFixed,
     brute_min_distance,
     build_s_tau,
@@ -72,8 +73,6 @@ class TestBuildStau:
             assert sum_left == sum_right
 
     def test_zero_not_fixed(self):
-        from perfcode import PointPerm
-
         with pytest.raises(ZeroNotFixed):
             build_s_tau(PointPerm(3, (1, 0, 2, 3, 4, 5, 6, 7)))
 
@@ -179,6 +178,24 @@ class TestMollard:
         assert p1(z, 4, 4) == 1 << 2
         assert p2(z, 4, 4) == 1 << 1
 
+    def test_p2_matches_the_column_loop(self):
+        def columns(z, t, m):
+            out = 0
+            for j in range(m):
+                acc = 0
+                for i in range(t):
+                    acc ^= (z >> (i * m + j)) & 1
+                out |= acc << j
+            return out
+
+        for t in range(1, 9):
+            for m in range(1, 8 // t + 1):
+                assert all(p2(z, t, m) == columns(z, t, m) for z in range(1 << (t * m)))
+        rng = random.Random(41)
+        for t, m in ((4, 4), (2, 8), (8, 2)):
+            for z in (rng.randrange(1 << (t * m)) for _ in range(3000)):
+                assert p2(z, t, m) == columns(z, t, m)
+
     def test_zero_phi_linear(self):
         words = mollard(_rep_code(4), _rep_code(4)).materialize().words
         wset = set(words)
@@ -217,6 +234,16 @@ class TestDub:
         assert composed_a == composed_b
 
 
+def _a_tau_oracle(tau: PointPerm) -> tuple[int, ...]:
+    """A_tau point by point: C_a holds the words with supports <x,a> = 1 and
+    <x,a> = 0, each a parity of x & a at every point x, and A_tau the four
+    products of C_a and C_tau(a) for every a."""
+    n = 1 << tau.r
+    ones = (1 << n) - 1
+    pairs = [(f, f ^ ones) for f in (sum(parity(x & a) << x for x in range(n)) for a in range(n))]
+    return tuple(sorted({u | (v << n) for a in range(n) for u in pairs[a] for v in pairs[tau.images[a]]}))
+
+
 class TestHadamard:
     def test_identity_tau_parameters(self):
         code = hadamard_a_tau(identity_perm(3))
@@ -229,20 +256,37 @@ class TestHadamard:
         assert 0 in words
         assert (1 << 16) - 1 in words
 
-    def test_c0_is_repetition_pair(self):
-        from perfcode.constructions import _half_space_words
-
-        halves = _half_space_words(3)
-        assert set(halves[0]) == {0, 0xFF}
+    def test_c0_is_repetition_pair(self, rng):
+        # C_0 x C_0 = {0, 1...1} x {0, 1...1} lies in every A_tau
+        for r in range(5):
+            n = 1 << r
+            ones = (1 << n) - 1
+            for tau in (identity_perm(r), random_zero_fixing(r, rng)):
+                words = set(hadamard_a_tau(tau).words.words)
+                assert {0, ones, ones << n, ones | (ones << n)} <= words
 
     def test_word_count_is_checked(self, monkeypatch):
-        # points 1 and 2 share one pair, so their products coincide: 28 words, not 32
+        # f_2 = f_1, so the cosets of points 1 and 2 coincide: 28 words, not 32
         import perfcode.constructions as constructions
 
-        halves = constructions._half_space_words(3)
-        monkeypatch.setattr(constructions, "_half_space_words", lambda r: [*halves[:2], halves[1], *halves[3:]])
+        span_words = constructions.span_words
+
+        def f2_is_f1(basis):
+            f = span_words(basis)
+            f[2] = f[1]
+            return f
+
+        monkeypatch.setattr(constructions, "span_words", f2_is_f1)
         with pytest.raises(InconsistentInput, match="A_tau has 28 words, not 32"):
             hadamard_a_tau(identity_perm(3))
+
+    def test_matches_the_point_by_point_oracle(self):
+        taus = [PointPerm(r, (0, *rest)) for r in range(3) for rest in permutations(range(1, 1 << r))]
+        for r, count in ((3, 200), (4, 50)):
+            rng = random.Random(40 + r)
+            taus += [random_zero_fixing(r, rng) for _ in range(count)]
+        for tau in taus:
+            assert hadamard_a_tau(tau).words.words == _a_tau_oracle(tau)
 
     def test_distance_profile(self, rng):
         tau = random_zero_fixing(3, rng)
