@@ -14,6 +14,7 @@ from .algebra import (
     SEARCH_MAX_R,
     BitMatrix,
     PointPerm,
+    compose,
     conjugate_rows,
     double_coset_member,  # not called here: perfbench/tracing.py hooks this name
     gl_generators,
@@ -349,10 +350,7 @@ def composed_series(r: int):
         wit_b = _block_diag(wit_b, nxt_b)
 
     # certify the witness directly: tau^{-1} = sigma_B o tau o sigma_A^{-1}
-    n = 1 << r
-    inv_images = invert_perm(tau).images
-    a_inv = invert(wit_a)
-    if any(inv_images[x] != wit_b.apply(tau.images[a_inv.apply(x)]) for x in range(n)):
+    if compose(compose(sigma_m(wit_b), tau), sigma_m(invert(wit_a))) != invert_perm(tau):
         raise InconsistentInput("block-diagonal witness failed to verify")
 
     rank = perm_rank(tau)

@@ -240,9 +240,10 @@ def brute_rank(code: ExplicitCode) -> int:
 
 
 # The Sylvester-Hadamard matrix (-1)^popcount(i & j) on 3 bits; its leading
-# 2^k x 2^k block is the one on k <= 3 bits.  Blocks of 3 bits ran at the
-# same speed with one BLAS thread or several; 4-bit blocks ran several
-# times slower with several threads on a 2-core machine.
+# 2^k x 2^k block is the one on k <= 3 bits.  On 2 cores 4-bit blocks ran
+# several times slower with several BLAS threads, and 3-bit blocks are not
+# immune: the first pass of a 2^16 transform took 0.19-0.26 ms against
+# 0.06-0.11 ms with one thread, and 8 ms a call in 2 of 21 processes.
 _WALSH_BLOCK = 3
 _HADAMARD = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * _WALSH_BLOCK)
 

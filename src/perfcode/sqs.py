@@ -18,8 +18,10 @@ from .algebra import (
     count_linear_products,
     double_coset_member,
     gl_order,
+    identity_matrix,
     invert_perm,
     is_linear,
+    sigma_am,
 )
 from .errors import AffineInput, BudgetExceeded, DimensionMismatch, InconsistentInput
 
@@ -200,6 +202,8 @@ def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
 def apply_structured(transform: tuple, q: SQS) -> SQS:
     """Apply (sigma_{a,A} | sigma_{b,B}) o xi^t to a tau-labeled system.
 
+    The point maps are `sigma_am(a, A)` on the left copy and
+    `sigma_am(b, B)` on the right, read off as one 2n-entry image table.
     With t=1 the side swap acts first, then the left/right affine
     relabelings; this matches the action identities
     (sigma_A|sigma_B)(SQS_tau) = SQS_{B tau A^{-1}} and
@@ -207,24 +211,20 @@ def apply_structured(transform: tuple, q: SQS) -> SQS:
     """
     a, mat_a, b, mat_b, t = transform
     n = q.order // 2
-
-    def image(p: int) -> int:
-        side, x = (p >= n), p % n
-        if t:
-            side = not side
-        if side:
-            return n + (b ^ mat_b.apply(x))
-        return a ^ mat_a.apply(x)
-
-    quads = frozenset(tuple(sorted(image(p) for p in quad)) for quad in q.quadruples)
+    left = sigma_am(a, mat_a).images[:n]
+    right = tuple(n + y for y in sigma_am(b, mat_b).images[:n])
+    table = right + left if t else left + right
+    quads = frozenset(tuple(sorted(table[p] for p in quad)) for quad in q.quadruples)
     return SQS(order=q.order, quadruples=quads)
 
 
 def xi_swap(q: SQS) -> SQS:
-    """Swap the two point copies; maps SQS_tau to SQS_{tau^{-1}}."""
-    n = q.order // 2
-    quads = frozenset(tuple(sorted(p ^ n for p in quad)) for quad in q.quadruples)
-    return SQS(order=q.order, quadruples=quads)
+    """Swap the copies [0, n) and [n, 2n) of a system of even order 2n, which
+    maps SQS_tau to SQS_{tau^{-1}}; an odd order raises DimensionMismatch."""
+    if q.order % 2:
+        raise DimensionMismatch(f"xi_swap needs an even order, got {q.order}")
+    eye = identity_matrix((q.order // 2 - 1).bit_length())
+    return apply_structured((0, eye, 0, eye, 1), q)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import importlib
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import replace
 from itertools import permutations
@@ -157,6 +159,39 @@ class TestClassify:
         for _, size, aut_order, _ in columns[1:]:
             assert size * aut_order == 2 * gl_order(3) ** 2 * 2 ** 6 == 3_612_672
         assert columns[0][1] == gl_order(3) == 168
+
+    @pytest.mark.parametrize("r, classes", [(2, 1), (3, 4)])
+    def test_burnside_counts_the_classes(self, r, classes):
+        # G = (GL x GL) x| <xi> acts on zero-fixing taus, (A, B) by tau ->
+        # sigma_B tau sigma_A^-1 and (A, B) xi by tau -> sigma_B tau^-1 sigma_A^-1.
+        # Its orbits are the classes, counted by the Cauchy-Frobenius lemma
+        # from cycle types and square roots alone, with no classification
+        m = (1 << r) - 1  # the nonzero points, relabelled 0, ..., m - 1
+        sym = np.array(list(permutations(range(m))))
+        square_roots = Counter(map(tuple, np.take_along_axis(sym, sym, axis=1).tolist()))
+        sigmas = [tuple(x - 1 for x in sigma_m(g).images[1:]) for g in gl_enumerate(r)]
+
+        def cycle_type(p):
+            lengths, seen = [], set()
+            for x in range(m):
+                k = 0
+                while x not in seen:
+                    seen.add(x)
+                    x, k = p[x], k + 1
+                if k:
+                    lengths.append(k)
+            return Counter(lengths)
+
+        types = [cycle_type(p) for p in sigmas]
+        fixed = 0
+        for sa, ta in zip(sigmas, types):
+            # tau sigma_A tau^-1 = sigma_B: |C(sigma_A)| of them if the types agree
+            centralizer = math.prod(k**c * math.factorial(c) for k, c in ta.items())
+            for sb, tb in zip(sigmas, types):
+                fixed += centralizer if ta == tb else 0
+                # tau sigma_A tau = sigma_B: u = tau sigma_A is a root of sigma_B sigma_A
+                fixed += square_roots[tuple(sb[x] for x in sa)]
+        assert divmod(fixed, 2 * gl_order(r) ** 2) == (classes, 0)
 
     def test_mixed_dimensions_rejected(self, rng):
         with pytest.raises(MixedDimensions):

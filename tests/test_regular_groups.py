@@ -2,7 +2,7 @@ import functools
 import hashlib
 import random
 from collections import Counter
-from itertools import islice
+from itertools import islice, permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +23,7 @@ from perfcode import (
     RegularSubgroup,
     automorphisms,
     catalog_taus,
+    classify,
     enumerate_regular_subgroups,
     identity_matrix,
     identity_perm,
@@ -276,6 +277,8 @@ class TestTables:
 
 
 R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
+# the first group of each of the 8 GL(3,2)-conjugacy classes, in DFS order
+R3_CLASS_REPRESENTATIVES = [0, 1, 2, 19, 20, 22, 26, 46]
 
 
 def mult_tables(r: int, count: int | None = None) -> list[list[list[int]]]:
@@ -370,6 +373,7 @@ class TestAutomorphismOracle:
                     conj[pts[a]] = conj_of[rows]
                 orbits[g].add(tuple(conj))
         assert searched == sorted({min(map(position.get, orbit)) for orbit in orbits.values()})
+        assert searched == R3_CLASS_REPRESENTATIVES
 
         # each member is a conjugate of the searched group, and its sigma_M
         # carries the searched group to it point by point
@@ -610,3 +614,52 @@ class TestCatalog:
     def test_entries_tagged_induced(self, r3_catalog):
         tau, _ = r3_catalog[0]
         assert tau.induced
+
+
+class TestIsomorphismsBruteForce:
+    """Iso(G1, G2) of the r=3 class representatives by brute force: every
+    zero-fixing bijection phi of the 8 labels, kept when phi(m1[a][b]) =
+    m2[phi(a)][phi(b)] for all a, b.  An isomorphism g_a -> h_phi(a) induces
+    the point map tau = phi, as an automorphism does.  The representatives
+    are the groups the census searches (`test_one_search_per_conjugacy_class`)."""
+
+    @pytest.fixture(scope="class")
+    def isomorphisms(self, r3_tables):
+        phis = np.array([(0, *rest) for rest in permutations(range(1, 8))])  # ascending
+        out = {}
+        for g1 in R3_CLASS_REPRESENTATIVES:
+            for g2 in R3_CLASS_REPRESENTATIVES:
+                m1, m2 = np.array(r3_tables[g1]), np.array(r3_tables[g2])
+                keep = (phis[:, m1] == m2[phis[:, :, None], phis[:, None, :]]).all(axis=(1, 2))
+                out[g1, g2] = phis[keep]
+        return out
+
+    def test_automorphisms_are_the_search_rows(self, isomorphisms, r3_tables):
+        for g in R3_CLASS_REPRESENTATIVES:
+            assert np.array_equal(isomorphisms[g, g], regular_groups._automorphism_perms(r3_tables[g], 8))
+
+    def test_isomorphic_pairs_of_distinct_classes(self, isomorphisms):
+        pairs = {pair: len(rows) for pair, rows in isomorphisms.items() if pair[0] != pair[1] and len(rows)}
+        triangle = {(a, b): 8 for a in (2, 19, 22) for b in (2, 19, 22) if a != b}
+        assert pairs == {(0, 26): 168, (26, 0): 168, (1, 46): 8, (46, 1): 8, **triangle}
+
+    def test_induced_taus_and_their_classes(self, isomorphisms):
+        cross = {tuple(row) for (g1, g2), rows in isomorphisms.items() if g1 != g2 for row in rows.tolist()}
+        own = {tuple(row) for g in R3_CLASS_REPRESENTATIVES for row in isomorphisms[g, g].tolist()}
+        assert (len(cross), len(cross - own), len(own), len(cross | own)) == (339, 315, 334, 649)
+
+        def columns(taus):
+            """(rank, kernel dim, aut_order, point transitive, size) per class."""
+            classes = {}
+            for e in classify(PointPerm(3, tau) for tau in sorted(taus)):
+                classes.setdefault(e.class_id, []).append(e)
+            return sorted(
+                (e.rank, e.kernel_dim, e.aut_order, e.point_transitive, len(members))
+                for members in classes.values()
+                for e in members[:1]
+            )
+
+        assert columns(cross) == [(12, 9, 3_072, True, 319), (13, 8, 1_536, True, 20)]
+        assert [row[:4] for row in columns(cross | own)] == [
+            (11, 11, 322_560, True), (12, 9, 3_072, True), (13, 8, 1_536, True), (14, 8, 2_688, True),
+        ]

@@ -37,7 +37,8 @@ from perfcode import (
     xi_swap,
 )
 from perfcode import ExplicitCode, PointPerm
-from perfcode.classify import tau_id_string
+from perfcode._bits import pack_words, packed_rank
+from perfcode.classify import classify, tau_id_string
 from perfcode.codes import perm_kernel_dim, perm_rank
 from perfcode.sqs import Violation
 from perfcode import algebra as algebra_module
@@ -62,6 +63,17 @@ R4_CLASS_TABLE = {
     (29, 23, 12_288), (29, 23, 10_752), (30, 23, 10_752), (28, 22, 2_048), (29, 22, 512),
 }
 
+# an SQS(10), found by an exact-cover search over the 120 triples of 10
+# points; its automorphism group has order 1,440.  Its order is not a power
+# of two: the side swap maps [0, 5) onto [5, 10) and back.
+SQS10 = SQS(order=10, quadruples=frozenset([
+    (0, 1, 2, 3), (0, 1, 4, 5), (0, 1, 6, 7), (0, 1, 8, 9), (0, 2, 4, 6), (0, 2, 5, 8),
+    (0, 2, 7, 9), (0, 3, 4, 9), (0, 3, 5, 7), (0, 3, 6, 8), (0, 4, 7, 8), (0, 5, 6, 9),
+    (1, 2, 4, 7), (1, 2, 5, 9), (1, 2, 6, 8), (1, 3, 4, 8), (1, 3, 5, 6), (1, 3, 7, 9),
+    (1, 4, 6, 9), (1, 5, 7, 8), (2, 3, 4, 5), (2, 3, 6, 9), (2, 3, 7, 8), (2, 4, 8, 9),
+    (2, 5, 6, 7), (3, 4, 6, 7), (3, 5, 8, 9), (4, 5, 6, 8), (4, 5, 7, 9), (6, 7, 8, 9),
+]))
+
 # symmetric_difference_dichotomy over the non-linear taus of the complete
 # r=3 catalog: see TestSymdiffDichotomy.test_r3_catalog_reports_are_pinned
 DICHOTOMY_R3_SHA256 = "edb86a58a1583b9c668da6458bf89a2347e48cd6989a98765fe0baa457770b79"
@@ -76,6 +88,12 @@ def scan_closure(quads, known: set[int]) -> set[int]:
         if not new:
             return known
         known |= new
+
+
+def tau_from_id(name: str) -> PointPerm:
+    """The tau of an r <= 4 `tau_id_string`: "r<r>-", one hex digit per image."""
+    r, digits = name.split("-")
+    return PointPerm(int(r[1:]), tuple(int(h, 16) for h in digits))
 
 
 def random_nonlinear(r, rng):
@@ -288,8 +306,16 @@ class TestXiSwap:
         assert xi_swap(q).quadruples == q.quadruples
 
     def test_involution(self, rng):
-        q = sqs_from_tau(random_zero_fixing(3, rng))
-        assert xi_swap(xi_swap(q)).quadruples == q.quadruples
+        assert validate_sqs(SQS10) is None and count_automorphisms(SQS10) == 1_440
+        for q in (sqs_from_tau(random_zero_fixing(3, rng)), SQS10):
+            image = xi_swap(q)
+            assert validate_sqs(image) is None
+            assert xi_swap(image).quadruples == q.quadruples
+
+    def test_odd_order_is_refused(self):
+        # an odd order has no two copies to swap
+        with pytest.raises(DimensionMismatch, match="got 5"):
+            xi_swap(SQS(order=5, quadruples=frozenset({(0, 1, 2, 3)})))
 
     def test_maps_to_inverse(self, rng):
         for _ in range(5):
@@ -590,6 +616,29 @@ class TestCounterInput:
         with pytest.raises(InconsistentInput):
             count_automorphisms(q)
         assert validate_sqs(q).count == -1
+
+
+class TestBlockRank:
+    """The GF(2) rank of the blocks of SQS_tau, each a 2^{r+1}-bit word,
+    against the code rank: equal on one tau of every r=3 class and of every
+    r=4 class of the catalog.  A measurement, not a theorem."""
+
+    @staticmethod
+    def block_rank(tau):
+        words = [sum(1 << p for p in quad) for quad in sqs_from_tau(tau).quadruples]
+        return packed_rank(pack_words(words, 2 << tau.r))
+
+    def test_r3_classes(self, r3_taus):
+        firsts = {}
+        for e in classify(r3_taus):
+            firsts.setdefault(e.class_id, tau_from_id(e.tau_id))
+        ranks = sorted((self.block_rank(tau), perm_rank(tau)) for tau in firsts.values())
+        assert ranks == [(11, 11), (12, 12), (13, 13), (14, 14)]
+
+    def test_r4_class_representatives(self):
+        ranks = [(self.block_rank(tau), perm_rank(tau)) for tau in map(tau_from_id, R4_CLASS_REPRESENTATIVES)]
+        assert all(block == code for block, code in ranks)
+        assert {code for _, code in ranks} == {26, 27, 28, 29, 30}
 
 
 class TestAutOrder:
