@@ -153,6 +153,12 @@ echo '{"r": 5, "perm": [0, 2, 1, 3, 16, 22, 17, 7, 8, 30, 13, 11, 24, 10, 29, 15
 perfcode report --tau tau5.json > report5.txt
 printf '%s\n' tau_id=r5-0.2.1.3.16.22.17.7.8.30.13.11.24.10.29.15.4.6.21.23.20.18.5.19.12.26.25.31.28.14.9.27 \
   coordinate_transitive=true transitive=unverified neighbor_transitive=false | diff - report5.txt
+# a tau that moves 0 is refused by the search that report runs: exit 1, one message
+echo '{"r": 3, "perm": [1, 0, 2, 3, 4, 5, 6, 7]}' > moves0.json
+rc=0
+perfcode report --tau moves0.json 2> moves0.err || rc=$?
+test "$rc" -eq 1
+echo 'error: permutation does not fix 0' | diff - moves0.err
 # a float r and a string perm are malformed input: exit 3
 echo '{"r": 3.9, "perm": "02134567"}' > bad.json
 rc=0

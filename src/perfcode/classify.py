@@ -211,10 +211,11 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
     fix the kernel dimension (log2 #{x : c_tau(x) = 2^r}) and the rank the
     intersection dimension.  An orbit joins the first class of its bucket
     whose representative's system is isomorphic to its own.  The spectra
-    come in batches; the keys of each orbit, and of a representative before
-    each test against it, are given to `spectrum_keys`, whose cache the
-    tests and a new class's aut_order search read.  The class columns are
-    computed once, for the founder.
+    come in batches; the keys of each orbit are given to `spectrum_keys`
+    once, and its cache holds them for the tests and a new class's
+    aut_order search (a representative that has left the cache gets its
+    spectra recomputed).  The class columns are computed once, for the
+    founder.
     """
     order = np.lexsort(images.T[::-1])
     rows = images[order]
@@ -233,16 +234,14 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
             entered = tuple(zip((perm.images, tuple(inv_row)), own))
             rank = perm_rank(perm)
             bucket = buckets.setdefault((rank, tuple(sorted(spectrum_keys(*pair)[1] for pair in entered))), [])
-            for cid, rep, rep_entered in bucket:
-                for pair in rep_entered:
-                    spectrum_keys(*pair)
+            for cid, rep in bucket:
                 if sqs_isomorphic(rep, perm) is not None:
                     found = cid
                     break
             else:
                 found, inter = len(class_columns), _intersection_from_rank(r, rank)
                 class_columns.append((rank, perm_kernel_dim(perm), inter, *aut_order_and_transitivity(perm)))
-                bucket.append((found, perm, entered))
+                bucket.append((found, perm))
             class_of.append(found)
 
     class_ids = np.array(class_of, dtype=np.intp)[np.searchsorted(least, root)]
@@ -287,7 +286,6 @@ def classify_catalog(catalog: TauCatalog, kernel_dim: int | None = None) -> Clas
 def transitivity_report(tau: PointPerm) -> TransitivityReport:
     """Coordinate transitivity is verified by a double-coset witness;
     transitivity only by the induced tag (propelinearity theorem); neighbor = both."""
-    tau.require_zero_fixing()
     coord = point_transitive(tau)[0]
     trans = "verified-by-theorem" if tau.induced else "unverified"
     return TransitivityReport(

@@ -164,7 +164,6 @@ def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
     (a, b) is the first pair through left-a, right-b whose symmetric
     difference leaves the system.
     """
-    tau.require_zero_fixing()
     if is_linear(tau) is not None:
         raise AffineInput("tau is linear; the system is affine")
     n = 1 << tau.r
@@ -242,13 +241,10 @@ def sqs_isomorphic(tau: PointPerm, tau_p: PointPerm):
 
     The search decides the linear cases too: two linear maps give the
     witness (I, lin' lin^{-1}, 0), both systems being affine, and GL lin GL
-    holds no non-linear map.  Above SEARCH_MAX_R the search raises
-    BudgetExceeded.
+    holds no non-linear map.  The search makes the input checks: unequal r
+    raises DimensionMismatch, r above SEARCH_MAX_R BudgetExceeded (first,
+    even for a tau that moves 0), then a tau that moves 0 ZeroNotFixed.
     """
-    if tau.r != tau_p.r:
-        raise DimensionMismatch("permutations live over different dimensions")
-    tau.require_zero_fixing()
-    tau_p.require_zero_fixing()
     witness = double_coset_member(tau_p, tau, group="GL")
     if witness is not None:
         return SqsIsomorphism(witness[0], witness[1], 0)
@@ -262,9 +258,9 @@ def point_transitive(tau: PointPerm):
     """(flag, witness): SQS_tau is point transitive iff tau^{-1} in GL tau GL.
 
     Linear tau gives the affine system, always point transitive (witness
-    None).  Otherwise the witness is the double-coset pair (A, B).
+    None).  Otherwise the witness is the double-coset pair (A, B).  A tau
+    that moves 0 raises ZeroNotFixed, from `is_linear`.
     """
-    tau.require_zero_fixing()
     if is_linear(tau) is not None:
         return True, None
     witness = double_coset_member(invert_perm(tau), tau, group="GL")

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import os
@@ -65,6 +66,51 @@ from conftest import random_gl, random_zero_fixing
 
 # the module, which the package's `classify` function shadows as an attribute
 classify_module = importlib.import_module("perfcode.classify")
+
+
+def _cycle_type(images, points) -> tuple[int, ...]:
+    """The sorted cycle lengths of a permutation on `points`."""
+    lengths, seen = [], set()
+    for x in points:
+        k = 0
+        while x not in seen:
+            seen.add(x)
+            x, k = images[x], k + 1
+        if k:
+            lengths.append(k)
+    return tuple(sorted(lengths))
+
+
+def _square_roots(lengths) -> int:
+    """#{u in Sym : u^2 = p} for p of the given cycle lengths.  Of the c
+    cycles of one length m, a pair can be the square of one 2m-cycle, in m
+    ways; an odd m-cycle alone is also the square of one m-cycle.  So odd m
+    gives sum_k C(c, 2k) (2k-1)!! m^k and even m gives (c-1)!! m^(c/2), or 0
+    for odd c."""
+    def pairings(j):  # the (j - 1)!! ways to pair up j cycles
+        return math.prod(range(j - 1, 0, -2))
+
+    count = 1
+    for m, c in Counter(lengths).items():
+        if m % 2:
+            count *= sum(math.comb(c, 2 * k) * pairings(2 * k) * m**k for k in range(c // 2 + 1))
+        else:
+            count *= 0 if c % 2 else pairings(c) * m ** (c // 2)
+    return count
+
+
+@functools.cache
+def _burnside_fixed(r: int) -> tuple[int, int]:
+    """The fixed points of (GL x GL) x| <xi> on zero-fixing taus, summed
+    over the elements (A, B) and over the elements (A, B) xi, from the
+    cycle types of sigma_M on the 2^r - 1 nonzero points.  (A, B) fixes tau
+    iff tau sigma_A tau^-1 = sigma_B: |C(sigma_A)| taus when the types agree.
+    (A, B) xi fixes tau iff tau sigma_A tau = sigma_B, iff u = tau sigma_A is
+    a square root of sigma_B sigma_A, which runs over GL once for each A."""
+    types = Counter(_cycle_type(sigma_m(g).images, range(1, 1 << r)) for g in gl_enumerate(r))
+    plain = sum(n * n * math.prod(k**c * math.factorial(c) for k, c in Counter(t).items()) for t, n in types.items())
+    swapped = gl_order(r) * sum(n * _square_roots(t) for t, n in types.items())
+    return plain, swapped
 
 
 class TestClassify:
@@ -160,38 +206,31 @@ class TestClassify:
             assert size * aut_order == 2 * gl_order(3) ** 2 * 2 ** 6 == 3_612_672
         assert columns[0][1] == gl_order(3) == 168
 
-    @pytest.mark.parametrize("r, classes", [(2, 1), (3, 4)])
+    @pytest.mark.parametrize("r, classes", [(2, 1), (3, 4), (4, 1962)])
     def test_burnside_counts_the_classes(self, r, classes):
         # G = (GL x GL) x| <xi> acts on zero-fixing taus, (A, B) by tau ->
         # sigma_B tau sigma_A^-1 and (A, B) xi by tau -> sigma_B tau^-1 sigma_A^-1.
         # Its orbits are the classes, counted by the Cauchy-Frobenius lemma
         # from cycle types and square roots alone, with no classification
-        m = (1 << r) - 1  # the nonzero points, relabelled 0, ..., m - 1
+        plain, swapped = _burnside_fixed(r)
+        assert divmod(plain + swapped, 2 * gl_order(r) ** 2) == (classes, 0)
+
+    @pytest.mark.parametrize("r, pair_orbits, transitive", [(2, 1, 1), (3, 4, 4), (4, 3374, 550)])
+    def test_burnside_counts_the_point_transitive_classes(self, r, pair_orbits, transitive):
+        # a class is point transitive iff its GL x GL orbit is closed under
+        # inversion, and is two GL x GL orbits otherwise: with b classes and
+        # a GL x GL orbits, 2b - a of the classes are point transitive
+        plain, swapped = _burnside_fixed(r)
+        (a, rest), b = divmod(plain, gl_order(r) ** 2), (plain + swapped) // (2 * gl_order(r) ** 2)
+        assert (a, rest, 2 * b - a) == (pair_orbits, 0, transitive)
+
+    @pytest.mark.parametrize("m", [3, 7])
+    def test_square_roots_match_brute_force(self, m):
+        # the closed form against every element of Sym(m), m = 2^r - 1 at r = 2, 3
         sym = np.array(list(permutations(range(m))))
-        square_roots = Counter(map(tuple, np.take_along_axis(sym, sym, axis=1).tolist()))
-        sigmas = [tuple(x - 1 for x in sigma_m(g).images[1:]) for g in gl_enumerate(r)]
-
-        def cycle_type(p):
-            lengths, seen = [], set()
-            for x in range(m):
-                k = 0
-                while x not in seen:
-                    seen.add(x)
-                    x, k = p[x], k + 1
-                if k:
-                    lengths.append(k)
-            return Counter(lengths)
-
-        types = [cycle_type(p) for p in sigmas]
-        fixed = 0
-        for sa, ta in zip(sigmas, types):
-            # tau sigma_A tau^-1 = sigma_B: |C(sigma_A)| of them if the types agree
-            centralizer = math.prod(k**c * math.factorial(c) for k, c in ta.items())
-            for sb, tb in zip(sigmas, types):
-                fixed += centralizer if ta == tb else 0
-                # tau sigma_A tau = sigma_B: u = tau sigma_A is a root of sigma_B sigma_A
-                fixed += square_roots[tuple(sb[x] for x in sa)]
-        assert divmod(fixed, 2 * gl_order(r) ** 2) == (classes, 0)
+        roots = Counter(map(tuple, np.take_along_axis(sym, sym, axis=1).tolist()))
+        for p in sym.tolist():
+            assert _square_roots(_cycle_type(p, range(m))) == roots[tuple(p)]
 
     def test_mixed_dimensions_rejected(self, rng):
         with pytest.raises(MixedDimensions):
@@ -594,24 +633,6 @@ class TestOrbitClassification:
         assert entries == classify_oracle(taus)
         assert len({e.class_id for e in entries}) == 6
         assert sorted(computed) == sorted(expected)
-
-    def test_representative_keys_given_again_before_each_test(self, monkeypatch):
-        # 40 classes outgrow the 32 results spectrum_keys keeps, so a bucket
-        # test needs its representative's keys given again, not recomputed
-        local = random.Random(28)
-        taus = [random_zero_fixing(4, local) for _ in range(40)]
-        computed = []
-
-        def counted(images):
-            batch = np.asarray(images)
-            computed.extend(map(tuple, batch.reshape(-1, batch.shape[-1]).tolist()))
-            return point_spectra(images)
-
-        algebra_module._spectra.clear()
-        monkeypatch.setattr(algebra_module, "point_spectra", counted)
-        entries = classify(taus)
-        assert len({e.class_id for e in entries}) == 40
-        assert sorted(computed) == sorted(t.images for tau in taus for t in (tau, invert_perm(tau)))
 
     def test_class_columns_computed_once_per_class(self, monkeypatch, rng):
         # orbits get their rank and spectra; the kernel dimension, like the

@@ -12,6 +12,7 @@ from perfcode import (
     DimensionMismatch,
     InconsistentInput,
     SQS,
+    ZeroNotFixed,
     apply_structured,
     aut_order,
     build_s_tau,
@@ -32,6 +33,7 @@ from perfcode import (
     SqsIsomorphism,
     sqs_from_tau,
     sqs_isomorphic,
+    transitivity_report,
     validate_sqs,
     weight4_supports,
     xi_swap,
@@ -463,6 +465,35 @@ class TestPointTransitive:
         assert sweep_member(inv, tau) is None
 
 
+class TestInputChecks:
+    """The callers of the double-coset search make no input checks of their
+    own: the search, or `is_linear` before it, refuses the input."""
+
+    def test_callers_refuse_what_the_search_refuses(self):
+        moves_zero = PointPerm(3, (1, 0, 2, 3, 4, 5, 6, 7))
+        calls = [
+            lambda tau: sqs_isomorphic(tau, identity_perm(3)),
+            lambda tau: sqs_isomorphic(identity_perm(3), tau),
+            point_transitive,
+            aut_order,
+            transitivity_report,
+            symmetric_difference_dichotomy,
+        ]
+        for call in calls:
+            with pytest.raises(ZeroNotFixed, match="^permutation does not fix 0$"):
+                call(moves_zero)
+        for left, right in [(moves_zero, identity_perm(4)), (identity_perm(4), moves_zero)]:
+            with pytest.raises(DimensionMismatch, match="^permutations live over different dimensions$"):
+                sqs_isomorphic(left, right)
+
+    def test_size_is_checked_before_zero(self):
+        # above SEARCH_MAX_R the search's budget check comes first
+        moves_zero = PointPerm(6, (1, 0, *range(2, 64)))
+        for left, right in [(moves_zero, identity_perm(6)), (identity_perm(6), moves_zero)]:
+            with pytest.raises(BudgetExceeded):
+                sqs_isomorphic(left, right)
+
+
 class TestPairInvariant:
     """The array-built pair invariant of the automorphism counter against
     the per-pair loop it replaced."""
@@ -636,9 +667,16 @@ class TestBlockRank:
         assert ranks == [(11, 11), (12, 12), (13, 13), (14, 14)]
 
     def test_r4_class_representatives(self):
-        ranks = [(self.block_rank(tau), perm_rank(tau)) for tau in map(tau_from_id, R4_CLASS_REPRESENTATIVES)]
+        taus = list(map(tau_from_id, R4_CLASS_REPRESENTATIVES))
+        ranks = [(self.block_rank(tau), perm_rank(tau)) for tau in taus]
         assert all(block == code for block, code in ranks)
         assert {code for _, code in ranks} == {26, 27, 28, 29, 30}
+        # the automorphism count of the bare quadruple set and the block rank
+        # read nothing of tau, and their 9 pairs are distinct: every split of
+        # the r=4 class table is certified without the dichotomy
+        pairs = {(count_automorphisms(sqs_from_tau(tau)), block) for tau, (block, _) in zip(taus, ranks)}
+        assert len(pairs) == 9
+        assert pairs == {(aut, rank) for rank, _, aut in R4_CLASS_TABLE}
 
 
 class TestAutOrder:
