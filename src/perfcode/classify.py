@@ -26,6 +26,7 @@ from .algebra import (
     spectra_bytes,
     spectrum_keys,
 )
+# perm_kernel_dim is not called here: perfbench/tracing.py hooks this name
 from .codes import base_dim, kernel_dims, perm_kernel_dim, perm_rank
 from .constructions import tau_product
 from .errors import BudgetExceeded, ExcludedLength, InconsistentInput, MixedDimensions
@@ -208,9 +209,10 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
     least member of its class and class ids are canonical regardless of
     input order.  A bucket holds the orbits with one rank and one pair
     sorted((S(tau), S(tau^-1))) of `spectrum_keys` multisets; the spectra
-    fix the kernel dimension (log2 #{x : c_tau(x) = 2^r}) and the rank the
-    intersection dimension.  An orbit joins the first class of its bucket
-    whose representative's system is isomorphic to its own.  The spectra
+    fix the kernel dimension (log2 #{x : c_tau(x) = 2^r}, which a class's
+    founder reads off its point keys) and the rank the intersection
+    dimension.  An orbit joins the first class of its bucket whose
+    representative's system is isomorphic to its own.  The spectra
     come in batches; the keys of each orbit are given to `spectrum_keys`
     once, and its cache holds them for the tests and a new class's
     aut_order search (a representative that has left the cache gets its
@@ -240,7 +242,9 @@ def _classify_arrays(images: np.ndarray, r: int, induced, source) -> Classificat
                     break
             else:
                 found, inter = len(class_columns), _intersection_from_rank(r, rank)
-                class_columns.append((rank, perm_kernel_dim(perm), inter, *aut_order_and_transitivity(perm)))
+                # |L_tau| = #{x : c_tau(x) = 2^r}, the first byte of each point key
+                kernel = base_dim(r) + sum(key[0] == 1 << r for key in own[0]).bit_length() - 1
+                class_columns.append((rank, kernel, inter, *aut_order_and_transitivity(perm)))
                 bucket.append((found, perm))
             class_of.append(found)
 

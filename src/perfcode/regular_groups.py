@@ -237,77 +237,90 @@ def _label_orders(mul: list[list[int]], n: int) -> list[int]:
 
 
 def _levels(mul: list[list[int]], n: int):
-    """The generators of the automorphism search, one level each.
+    """The generators of the automorphism search, one level each, with the
+    Cayley edges x h = y that each level adds.
 
-    gens[i] is the least label outside H_{i-1} = <gens[:i]>, and the last
-    level is the first whose H_i = <gens[:i+1]> holds all n labels.  Yields
-    (gens[i], layers, members): a breadth-first walk over H_i along right
-    multiplication by gens[:i+1] from 0, in a finite group the subgroup they
-    generate, as one (tree, cross) pair per layer, each three parallel lists
-    x, h, y of the Cayley edges x h = y whose y is new (tree) or already
-    reached (cross); and H_i's labels in the order the walk reached them."""
+    gens[i] is the least label outside <Phi, gens[:i]>, where Phi is the
+    subgroup the squares mul[x][x] generate.  In a 2-group Phi is the
+    Frattini subgroup, so by Burnside's basis theorem gens is a minimal
+    generating set, of log2(n / |Phi|) labels, and the last level is the
+    first whose H_i = <gens[:i+1]> holds all n labels.
+
+    Yields (gens[i], tree, cross, new).  `tree` holds three parallel lists
+    x, h, y per layer, of the edges whose y the walk reaches first; its
+    first layer is H_{i-1} gens[i], the coset of labels new to H_i, and
+    each later one the right products of the last layer's labels by
+    gens[:i+1].  `cross` holds the products whose y was reached before,
+    and `new` the new labels in the order the walk reached them.  With the
+    edges of H_{i-1} by gens[:i], which the levels before walked, these are
+    all edges of H_i by gens[:i+1]."""
+    squares = {mul[x][x] for x in range(n)}
+    phi = [0]
+    for x in phi:  # right products by the squares reach the subgroup they generate
+        phi += {mul[x][s] for s in squares}.difference(phi)
     gens: list[int] = []
-    seen = {0}
-    while len(seen) < n:
-        g = next(a for a in range(n) if a not in seen)
+    members, span = [0], set(phi)
+    while len(members) < n:
+        g = next(a for a in range(n) if a not in span)
         gens.append(g)
-        members, seen, frontier, layers = [0], {0}, [0], []
+        coset = [mul[x][g] for x in members]
+        seen = set(members + coset)
+        tree, cross, frontier = [(members, [g] * len(members), coset)], ([], [], []), coset
         while frontier:
-            tree, cross = ([], [], []), ([], [], [])
+            layer = ([], [], [])
             for x in frontier:
                 for h in gens:
                     y = mul[x][h]
-                    edges = cross if y in seen else tree
+                    edges = cross if y in seen else layer
                     seen.add(y)
                     edges[0].append(x)
                     edges[1].append(h)
                     edges[2].append(y)
-            layers.append((tree, cross))
-            members += tree[2]
-            frontier = tree[2]
-        yield g, layers, members
+            tree.append(layer)
+            frontier = layer[2]
+        new = [y for _, _, ys in tree for y in ys]
+        yield g, tree, cross, new
+        members = members + new
+        span = {mul[f][x] for f in phi for x in members}
 
 
 def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     """All product-preserving label bijections fixing 0, as the rows of a
-    (k, n) array of images.
+    (k, n) int8 array of images, in ascending order; n <= 16, the range of
+    `pack_rows`.
 
     A level-by-level search over the images of the generators `_levels`
     picks.  At level i every surviving map is repeated once per candidate
     image for gens[i] of the same element order that is not yet an image,
-    and extended to H_i along the level's walk: each tree edge x h = y
-    defines img[y] = img[x] img[h].  A row survives when every cross edge
-    maps to img[x] img[h] too, which with img[0] = 0 makes it a
-    homomorphism on H_i, and no x != 0 maps to 0, which makes it
-    injective.  The last level is Aut(G).
+    and extended to H_i along the level's tree edges: each x h = y defines
+    img[y] = img[x] img[h].  A row survives when every cross edge maps to
+    img[x] img[h] too and no new label maps to 0.  With the edges and
+    labels the levels before checked, and img[0] = 0, that makes it an
+    injective homomorphism on H_i, and the last level is Aut(G).
 
-    Ordering guarantee: rows stay parent-major with candidates ascending,
-    so the rows are sorted lexicographically by the tuple of generator
-    images (img[gens[0]], img[gens[1]], ...), the order in which a
-    depth-first search over ascending candidates emits them.  That is
-    ascending row order: two maps that agree on gens[:i] agree on H_{i-1},
-    which holds every label below gens[i].  aut_ids in the tau catalog are
-    row positions.
+    The rows are put in ascending order by one stable argsort of their
+    `pack_rows` codes, which order like the rows; that is the order in
+    which a depth-first search over ascending images of each label in turn
+    emits them.  aut_ids in the tau catalog are row positions.
     """
     orders = np.array(_label_orders(mul, n))
-    table = np.array(mul, dtype=np.intp)
-    img = np.zeros((1, n), dtype=np.intp)
+    table = np.array(mul, dtype=np.int8).ravel()  # x y at x n + y
+    img = np.zeros((1, n), dtype=np.int8)
     reached = [0]
-    for g, layers, members in _levels(mul, n):
+    for g, tree, (cx, ch, cy), new in _levels(mul, n):
         cands = np.flatnonzero(orders == orders[g])
-        used = np.zeros((len(img), n), dtype=bool)
-        used[np.arange(len(img))[:, None], img[:, reached]] = True
-        parent, pick = np.nonzero(~used[:, cands])
+        parent, pick = np.nonzero((img[:, reached, None] != cands).all(axis=1))
         img = img[parent]
         img[:, g] = cands[pick]
-        for (xs, hs, ys), (cx, ch, cy) in layers:
+        for xs, hs, ys in tree:
             if ys:
-                img[:, ys] = table[img[:, xs], img[:, hs]]
-            if cy:
-                img = img[(img[:, cy] == table[img[:, cx], img[:, ch]]).all(axis=1)]
-        img = img[(img[:, members[1:]] != 0).all(axis=1)]
-        reached = members
-    return img
+                img[:, ys] = table[img[:, xs].astype(np.intp) * n + img[:, hs]]
+        keep = (img[:, new] != 0).all(axis=1)
+        if cy:
+            keep &= (img[:, cy] == table[img[:, cx].astype(np.intp) * n + img[:, ch]]).all(axis=1)
+        img = img[keep]
+        reached += new
+    return img[np.argsort(pack_rows(img), kind="stable")]
 
 
 def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
@@ -340,11 +353,12 @@ def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
 
 def _carried_codes(auts: np.ndarray, klass: dict[bytes, np.ndarray]) -> dict[bytes, np.ndarray]:
     """Aut(M G M^-1) for every conjugate in `klass` (key -> sigma_M), from
-    the searched rows `auts` of G, as sorted `pack_rows` codes: the conjugate
-    induces sigma_M tau sigma_M^-1 for each tau of G, and code order is the
-    row order of its own search (`_automorphism_perms`).  The whole class is
-    carried in one `conjugate_rows` batch, G itself under the identity."""
-    codes = pack_rows(conjugate_rows(auts.astype(np.int8), np.array(list(klass.values())))).T.copy()
+    the searched int8 rows `auts` of G, as sorted `pack_rows` codes: the
+    conjugate induces sigma_M tau sigma_M^-1 for each tau of G, and its own
+    search (`_automorphism_perms`) ends with the same sort, so code order
+    is that search's row order.  The whole class is carried in one
+    `conjugate_rows` batch, G itself under the identity."""
+    codes = pack_rows(conjugate_rows(auts, np.array(list(klass.values())))).T.copy()
     codes.sort(axis=1)  # each conjugate's codes, in its own search's order
     return dict(zip(klass, codes))
 

@@ -635,17 +635,24 @@ class TestOrbitClassification:
         assert sorted(computed) == sorted(expected)
 
     def test_class_columns_computed_once_per_class(self, monkeypatch, rng):
-        # orbits get their rank and spectra; the kernel dimension, like the
-        # other class columns, is computed once, for each class's founder
+        # orbits get their rank and spectra; the aut_order and transitivity
+        # columns are computed once, for each class's founder, whose kernel
+        # dimension is read off the spectra it already has
         taus = _products_batch(rng)
         expected = classify_oracle(taus)
-        computed = []
+        computed, kernels = [], []
+        columns = classify_module.aut_order_and_transitivity
 
         def counted(perm):
             computed.append(tau_id_string(perm))
+            return columns(perm)
+
+        def kernel(perm):
+            kernels.append(perm)
             return perm_kernel_dim(perm)
 
-        monkeypatch.setattr(classify_module, "perm_kernel_dim", counted)
+        monkeypatch.setattr(classify_module, "aut_order_and_transitivity", counted)
+        monkeypatch.setattr(classify_module, "perm_kernel_dim", kernel)
         entries = classify(taus)
         assert entries == expected
         reps = {}
@@ -653,6 +660,7 @@ class TestOrbitClassification:
             reps.setdefault(e.class_id, e.tau_id)
         assert len(reps) == 6
         assert sorted(computed) == sorted(reps.values())
+        assert kernels == []
 
     @pytest.mark.parametrize("r, order", [(3, 168), (4, 20160)])
     def test_generators_generate_gl(self, r, order):

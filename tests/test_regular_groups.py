@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aut_oracle import closure_automorphism_perms
+from aut_oracle import closure, closure_automorphism_perms
 from enum_oracle import all_pairs_regular_idx
 from perfcode import regular_groups
 from perfcode.algebra import gl_enumerate, gl_order, gl_rows_cached, unpack_codes
@@ -181,13 +181,13 @@ class TestAutomorphisms:
         with pytest.raises(BudgetExceeded):
             automorphisms(translations(5))
 
-    def test_translation_automorphisms_are_exactly_linear_maps(self):
-        auts = automorphisms(translations(3))
-        images = {a.perm.images for a in auts}
-        from perfcode import gl_enumerate
-
-        expected = {sigma_m(m).images for m in gl_enumerate(3)}
-        assert images == expected
+    @pytest.mark.parametrize("r, order", [(1, 1), (2, 6), (3, 168), (4, 20160)])
+    def test_translation_automorphisms_are_exactly_linear_maps(self, r, order):
+        # the smallest and the largest search, in ascending row order
+        images = [a.perm.images for a in automorphisms(translations(r))]
+        assert len(images) == order == gl_order(r)
+        assert images == sorted(images)
+        assert set(images) == {sigma_m(m).images for m in gl_enumerate(r)}
 
     def test_product_preservation_oracle(self):
         rng = random.Random(42)
@@ -329,6 +329,14 @@ class TestAutomorphismOracle:
             assert (np.lexsort(got.T[::-1]) == np.arange(len(got))).all()
             sizes.append(len(got))
         assert sizes.count(20160) == 2  # the prefix holds two translation groups
+
+    def test_levels_are_a_minimal_generating_set(self, r3_tables, r4_prefix_tables):
+        # Burnside's basis theorem: a minimal generating set of a 2-group G
+        # has log2(|G| / |Phi|) elements, Phi the subgroup of the squares
+        for mul in r3_tables + r4_prefix_tables:
+            n = len(mul)
+            phi = closure(mul, [mul[x][x] for x in range(n)])
+            assert 1 << sum(1 for _ in regular_groups._levels(mul, n)) == n // len(phi)
 
     def test_census_matches_automorphisms_of_each_group(self):
         # the walk the catalog and the series share yields, group by group,
