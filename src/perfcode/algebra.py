@@ -207,16 +207,22 @@ def identity_perm(r: int) -> PointPerm:
     return PointPerm(r, tuple(range(1 << r)))
 
 
+def point_maps(rows, r: int) -> np.ndarray:
+    """The (k, 2^r) int64 point maps b -> M b of k r x r matrices given as
+    bit-packed rows: the one place where matrices meet every point."""
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), r, 1)
+    bits = np.bitwise_count(rows & np.arange(1 << r)) & 1  # [k, i, b] = <row_i, b>
+    return np.einsum("kib,i->kb", bits, 1 << np.arange(r, dtype=np.int64))
+
+
 def sigma_m(m: BitMatrix) -> PointPerm:
     """The linear point permutation b -> M b."""
-    r = m.rows
-    return PointPerm(r, tuple(m.apply(b) for b in range(1 << r)))
+    return sigma_am(0, m)
 
 
 def sigma_am(a: int, m: BitMatrix) -> PointPerm:
     """The affine point permutation b -> a + M b."""
-    r = m.rows
-    return PointPerm(r, tuple(a ^ m.apply(b) for b in range(1 << r)))
+    return PointPerm(m.rows, tuple((a ^ point_maps([m.row_bits], m.rows)[0]).tolist()))
 
 
 def compose(tau: PointPerm, tau2: PointPerm) -> PointPerm:

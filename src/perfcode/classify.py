@@ -19,9 +19,9 @@ from .algebra import (
     double_coset_member,  # not called here: perfbench/tracing.py hooks this name
     gl_generators,
     inverse_rows,
-    invert,
     invert_perm,
     pack_rows,
+    point_maps,
     sigma_m,
     spectra_bytes,
     spectrum_keys,
@@ -162,8 +162,8 @@ def _edge_images(rows: np.ndarray, r: int):
     `gl_generators(r)` (which stays in the GL double coset of tau), and
     inversion.  Every one of them maps a class to itself."""
     yield rows
-    for m in gl_generators(r):
-        yield conjugate_rows(rows, sigma_m(m).images)
+    for sigma in point_maps([m.row_bits for m in gl_generators(r)], r):
+        yield conjugate_rows(rows, sigma)
     yield inverse_rows(rows)
 
 
@@ -351,8 +351,8 @@ def composed_series(r: int):
         wit_a = _block_diag(wit_a, nxt_a)
         wit_b = _block_diag(wit_b, nxt_b)
 
-    # certify the witness directly: tau^{-1} = sigma_B o tau o sigma_A^{-1}
-    if compose(compose(sigma_m(wit_b), tau), sigma_m(invert(wit_a))) != invert_perm(tau):
+    # certify the witness directly: sigma_B o tau o sigma_A^{-1} = tau^{-1}
+    if compose(sigma_m(wit_b), tau) != compose(invert_perm(tau), sigma_m(wit_a)):
         raise InconsistentInput("block-diagonal witness failed to verify")
 
     rank = perm_rank(tau)

@@ -21,12 +21,12 @@ from .algebra import (
     PointPerm,
     conjugate_rows,
     gl_rows_cached,
-    identity_matrix,
     inverse_rows,
     pack_rows,
+    point_maps,
     unpack_codes,
 )
-from .errors import BudgetExceeded, InconsistentInput, NotAnAutomorphism
+from .errors import BudgetExceeded, DimensionMismatch, InconsistentInput, NotAnAutomorphism
 
 ENUM_MIN_R = 3
 ENUM_MAX_R = 4
@@ -40,8 +40,10 @@ class RegularSubgroup:
     mats: tuple[BitMatrix, ...]
 
     def mult_table(self) -> list[list[int]]:
-        rows = np.array([m.row_bits for m in self.mats], dtype=np.int64)
-        return _mult_table(_point_maps(rows, self.r))
+        """mul[a][x] = a + M_a x; DimensionMismatch unless 2^r matrices are r x r."""
+        if len(self.mats) != 1 << self.r or {(m.rows, m.cols) for m in self.mats} != {(self.r, self.r)}:
+            raise DimensionMismatch(f"GA({self.r},2) needs {1 << self.r} matrices of size {self.r} x {self.r}")
+        return _mult_table(point_maps([m.row_bits for m in self.mats], self.r))
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,16 @@ class GroupAutomorphism:
 
 
 def verify_regular(group: RegularSubgroup):
-    """None if M_0 = I and the closure law holds for all pairs, else a violation."""
-    n = 1 << group.r
-    if group.mats[0] != identity_matrix(group.r):
+    """None if M_0 = I and M_c = M_a M_b, c = a + M_a b, for all (a, b), else
+    the first violation in row-major order, (0, 0) for M_0.  With mul[a][x] =
+    a + M_a x, they are mul[0][x] = x and mul[a][mul[b][x]] = mul[c][x], all x."""
+    mul = np.array(group.mult_table())
+    if (mul[0] != np.arange(len(mul))).any():
         return ClosureViolation(0, 0)
-    for a in range(n):
-        ma = group.mats[a]
-        for b in range(n):
-            c = a ^ ma.apply(b)
-            if group.mats[c] != ma @ group.mats[b]:
-                return ClosureViolation(a, b)
+    for a, row in enumerate(mul):
+        bad = (row[mul] != mul[row]).any(axis=1)
+        if bad.any():
+            return ClosureViolation(a, int(bad.argmax()))
     return None
 
 
@@ -76,23 +78,13 @@ def verify_regular(group: RegularSubgroup):
 # ---------------------------------------------------------------------------
 
 
-def _point_maps(rows: np.ndarray, r: int) -> np.ndarray:
-    """(k, 2^r) int16 point maps b -> M b of k matrices given as a (k, r)
-    array of bit-packed rows."""
-    brange = np.arange(1 << r, dtype=np.int64)
-    out = np.zeros((len(rows), 1 << r), dtype=np.int16)
-    for i in range(r):
-        out |= ((np.bitwise_count(rows[:, i : i + 1] & brange) & 1) << i).astype(np.int16)
-    return out
-
-
 class _Tables:
     """GL(r,2) point maps and the unipotent tables for one r.
 
-    `gl` holds sigma_M of every M in GL(r,2), in `gl_enumerate` order (the
-    identity first), and `app` its unipotent rows.  `uni` holds their
-    frozen BitMatrix objects, which every group the enumeration yields
-    shares.  `mul` is the one product table, built one unipotent row at a
+    `gl` holds sigma_M of every M in GL(r,2) as int16, in `gl_enumerate`
+    order, and `app` its unipotent rows, the identity first in both.  `uni`
+    holds their frozen BitMatrix objects, which every group the enumeration
+    yields shares.  `mul` is the one product table, built one unipotent row at a
     time; the DFS reads it through `mul_l`, one memoryview per row, so
     mul_l[a][b] is a Python int with no per-entry copy.  `code2idx` is the
     one lookup from a matrix's columns M e_j = sigma_M(units) to its
@@ -100,7 +92,7 @@ class _Tables:
 
     def __init__(self, r: int):
         rows_list = gl_rows_cached(r)
-        self.gl = maps = _point_maps(np.array(rows_list, dtype=np.int64), r)
+        self.gl = maps = point_maps(rows_list, r).astype(np.int16)
         # 2-power order in GL(r,2) is equivalent to (M + I)^r = 0
         nil = maps ^ np.arange(1 << r, dtype=np.int16)
         power = nil
@@ -108,7 +100,6 @@ class _Tables:
             power = np.take_along_axis(nil, power.astype(np.intp), axis=1)
         keep = np.flatnonzero(~power.any(axis=1))
         self.uni = [BitMatrix(r, r, rows_list[k]) for k in keep]
-        self.id_idx = self.uni.index(identity_matrix(r))
         self.app = app = maps[keep]
         nu = len(keep)
         # a unipotent is looked up by its columns M e_j, r bits each
@@ -199,7 +190,7 @@ def _enumerate_regular_idx(r: int, budget_seconds: float | None):
                 yield from dfs(child, gens)
 
     start = [-1] * n
-    start[0] = tab.id_idx
+    start[0] = 0  # the identity
     yield from dfs(start, [])
 
 
@@ -220,19 +211,21 @@ def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _mult_table(point_maps: np.ndarray) -> list[list[int]]:
+def _mult_table(maps: np.ndarray) -> list[list[int]]:
     """Labels of g_a g_b = g_{a + M_a b}, from the (n, n) point maps b -> M_a b."""
-    return (np.arange(len(point_maps))[:, None] ^ point_maps).tolist()
+    return (np.arange(len(maps))[:, None] ^ maps).tolist()
 
 
 def _label_orders(mul: list[list[int]], n: int) -> list[int]:
+    """Each label's order, the least k <= n with a^k = 0, else InconsistentInput."""
     orders = [1] * n
     for a in range(1, n):
-        x, k = a, 1
-        while x != 0:
+        x = a
+        while x:
+            if orders[a] == n:
+                raise InconsistentInput(f"no power of label {a} up to the {n}th is the identity: not a group")
             x = mul[x][a]
-            k += 1
-        orders[a] = k
+            orders[a] += 1
     return orders
 
 
@@ -286,8 +279,7 @@ def _levels(mul: list[list[int]], n: int):
 
 def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     """All product-preserving label bijections fixing 0, as the rows of a
-    (k, n) int8 array of images, in ascending order; n <= 16, the range of
-    `pack_rows`.
+    (k, n) int8 array of images, in ascending order.
 
     A level-by-level search over the images of the generators `_levels`
     picks.  At level i every surviving map is repeated once per candidate
@@ -298,10 +290,9 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     labels the levels before checked, and img[0] = 0, that makes it an
     injective homomorphism on H_i, and the last level is Aut(G).
 
-    The rows are put in ascending order by one stable argsort of their
-    `pack_rows` codes, which order like the rows; that is the order in
-    which a depth-first search over ascending images of each label in turn
-    emits them.  aut_ids in the tau catalog are row positions.
+    The rows are put in ascending order by one lexsort; that is the order
+    in which a depth-first search over ascending images of each label in
+    turn emits them.  aut_ids in the tau catalog are row positions.
     """
     orders = np.array(_label_orders(mul, n))
     table = np.array(mul, dtype=np.int8).ravel()  # x y at x n + y
@@ -320,7 +311,7 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
             keep &= (img[:, cy] == table[img[:, cx].astype(np.intp) * n + img[:, ch]]).all(axis=1)
         img = img[keep]
         reached += new
-    return img[np.argsort(pack_rows(img), kind="stable")]
+    return img[np.lexsort(img.T[::-1])]
 
 
 def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
@@ -328,10 +319,9 @@ def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
     n = 1 << group.r
     if n > 1 << ENUM_MAX_R:
         raise BudgetExceeded(f"automorphism search supports order <= {1 << ENUM_MAX_R}")
-    mul = group.mult_table()
     return [
         GroupAutomorphism(perm=PointPerm(group.r, tuple(images)))
-        for images in _automorphism_perms(mul, n).tolist()
+        for images in _automorphism_perms(group.mult_table(), n).tolist()
     ]
 
 
@@ -354,10 +344,10 @@ def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
 def _carried_codes(auts: np.ndarray, klass: dict[bytes, np.ndarray]) -> dict[bytes, np.ndarray]:
     """Aut(M G M^-1) for every conjugate in `klass` (key -> sigma_M), from
     the searched int8 rows `auts` of G, as sorted `pack_rows` codes: the
-    conjugate induces sigma_M tau sigma_M^-1 for each tau of G, and its own
-    search (`_automorphism_perms`) ends with the same sort, so code order
-    is that search's row order.  The whole class is carried in one
-    `conjugate_rows` batch, G itself under the identity."""
+    conjugate induces sigma_M tau sigma_M^-1 for each tau of G, and codes
+    order like rows, so code order is the order its own search
+    (`_automorphism_perms`) sorts its rows into.  The whole class is carried
+    in one `conjugate_rows` batch, G itself under the identity."""
     codes = pack_rows(conjugate_rows(auts, np.array(list(klass.values())))).T.copy()
     codes.sort(axis=1)  # each conjugate's codes, in its own search's order
     return dict(zip(klass, codes))
@@ -400,15 +390,16 @@ def _census_codes(r: int, budget_seconds: float | None):
 
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:
-    """The point permutation tau with T(g_a) = g_{tau(a)}; tagged induced."""
-    n = 1 << group.r
-    mul = group.mult_table()
-    img = aut.perm.images
-    for a in range(n):
-        for b in range(n):
-            if img[mul[a][b]] != mul[img[a]][img[b]]:
-                raise NotAnAutomorphism(f"map breaks the product at ({a}, {b})")
-    return PointPerm(group.r, img, induced=True)
+    """The point permutation tau with T(g_a) = g_{tau(a)}; tagged induced.  A
+    map of another r raises DimensionMismatch, one that breaks a product
+    NotAnAutomorphism at the first such pair (a, b) in row-major order."""
+    if aut.perm.r != group.r:
+        raise DimensionMismatch(f"an automorphism of r = {aut.perm.r} on a group of r = {group.r}")
+    mul, img = np.array(group.mult_table()), np.array(aut.perm.images)
+    bad = np.argwhere(img[mul] != mul[np.ix_(img, img)])  # row-major
+    if len(bad):
+        raise NotAnAutomorphism(f"map breaks the product at ({bad[0][0]}, {bad[0][1]})")
+    return PointPerm(group.r, aut.perm.images, induced=True)
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,14 @@ def apply_structured(transform: tuple, q: SQS) -> SQS:
     With t=1 the side swap acts first, then the left/right affine
     relabelings; this matches the action identities
     (sigma_A|sigma_B)(SQS_tau) = SQS_{B tau A^{-1}} and
-    (sigma_A|sigma_B) xi (SQS_tau) = SQS_{B tau^{-1} A^{-1}}.
+    (sigma_A|sigma_B) xi (SQS_tau) = SQS_{B tau^{-1} A^{-1}}.  An odd order,
+    or A or B not r x r, r the least with 2^r >= n, raises DimensionMismatch.
     """
     a, mat_a, b, mat_b, t = transform
-    n = q.order // 2
+    n, odd = divmod(q.order, 2)
+    r = (n - 1).bit_length()
+    if odd or {mat_a.rows, mat_a.cols, mat_b.rows, mat_b.cols} != {r}:
+        raise DimensionMismatch(f"structured maps need an even order and {r} x {r} parts, got {q.order}")
     left = sigma_am(a, mat_a).images[:n]
     right = tuple(n + y for y in sigma_am(b, mat_b).images[:n])
     table = right + left if t else left + right
@@ -220,8 +224,6 @@ def apply_structured(transform: tuple, q: SQS) -> SQS:
 def xi_swap(q: SQS) -> SQS:
     """Swap the copies [0, n) and [n, 2n) of a system of even order 2n, which
     maps SQS_tau to SQS_{tau^{-1}}; an odd order raises DimensionMismatch."""
-    if q.order % 2:
-        raise DimensionMismatch(f"xi_swap needs an even order, got {q.order}")
     eye = identity_matrix((q.order // 2 - 1).bit_length())
     return apply_structured((0, eye, 0, eye, 1), q)
 

@@ -56,5 +56,5 @@ def all_pairs_regular_idx(r: int):
                 yield from dfs(closed)
 
     start = [-1] * n
-    start[0] = tab.id_idx
+    start[0] = 0  # the identity: first in GL(r,2), and unipotent
     yield from dfs(start)

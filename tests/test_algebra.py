@@ -633,6 +633,25 @@ class TestCompose:
             compose(identity_perm(3), identity_perm(4))
 
 
+class TestPointMaps:
+    """The one kernel that applies matrices to every point, against BitMatrix.apply."""
+
+    @pytest.mark.parametrize("r", range(13))
+    def test_matches_apply(self, r):
+        rng = random.Random(300 + r)
+        mats = [identity_matrix(r), random_gl(r, rng) if r else identity_matrix(0)]
+        mats.append(BitMatrix(r, r, tuple(rng.randrange(1 << r) for _ in range(r))))  # maybe singular
+        maps = algebra_module.point_maps([m.row_bits for m in mats], r)
+        assert maps.shape == (3, 1 << r)
+        assert maps.tolist() == [[m.apply(b) for b in range(1 << r)] for m in mats]
+        a = rng.randrange(1 << r)
+        assert sigma_am(a, mats[1]).images == tuple(a ^ mats[1].apply(b) for b in range(1 << r))
+
+    @pytest.mark.parametrize("r", [0, 3, 12])
+    def test_no_matrices(self, r):
+        assert algebra_module.point_maps([], r).shape == (0, 1 << r)
+
+
 def random_rows(r: int, count: int, rng: random.Random) -> np.ndarray:
     """`count` random permutations of the 2^r points, as int8 image rows."""
     n = 1 << r

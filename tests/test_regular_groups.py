@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import signal
 from collections import Counter
 from itertools import islice, permutations
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from perfcode.algebra import invert as mat_invert
 from perfcode import (
     BitMatrix,
     BudgetExceeded,
+    DimensionMismatch,
     GroupAutomorphism,
     InconsistentInput,
     NotAnAutomorphism,
@@ -64,9 +66,94 @@ def group_table_is_a_group(group: RegularSubgroup) -> bool:
     return True
 
 
+def verify_regular_pairs(group: RegularSubgroup):
+    """Oracle: the closure law M_{a + M_a b} = M_a M_b pair by pair, with
+    BitMatrix.apply and @, M_0 = I first."""
+    n = 1 << group.r
+    if group.mats[0] != identity_matrix(group.r):
+        return regular_groups.ClosureViolation(0, 0)
+    for a in range(n):
+        ma = group.mats[a]
+        for b in range(n):
+            if group.mats[a ^ ma.apply(b)] != ma @ group.mats[b]:
+                return regular_groups.ClosureViolation(a, b)
+    return None
+
+
+def broken_product(group: RegularSubgroup, images) -> tuple[int, int] | None:
+    """Oracle: the first pair (a, b) in row-major order whose product g_a g_b
+    = g_{a + M_a b} the label map `images` breaks, with BitMatrix.apply."""
+    n, mats = 1 << group.r, group.mats
+    for a in range(n):
+        for b in range(n):
+            ia = images[a]
+            if images[a ^ mats[a].apply(b)] != ia ^ mats[ia].apply(images[b]):
+                return a, b
+    return None
+
+
+def product_group(group: RegularSubgroup, k: int) -> RegularSubgroup:
+    """G x F^k as a regular subgroup of GA(r + k, 2): the label a + 2^r c
+    carries diag(M_a, I_k)."""
+    r = group.r
+    mats = [BitMatrix(r + k, r + k, m.row_bits + tuple(1 << (r + i) for i in range(k))) for m in group.mats]
+    return RegularSubgroup(r + k, tuple(mats[a % (1 << r)] for a in range(1 << (r + k))))
+
+
+def not_a_group() -> RegularSubgroup:
+    """M_0 = I and M_a = M for a != 0, M's rows (3, 2, 4): no power of label 2
+    is the identity, and verify_regular reports (1, 2)."""
+    m = BitMatrix(3, 3, (3, 2, 4))
+    return RegularSubgroup(3, (identity_matrix(3),) + (m,) * 7)
+
+
 class TestVerifyRegular:
     def test_translations_ok(self):
         assert verify_regular(translations(3)) is None
+
+    def test_matches_the_pair_oracle_on_groups_and_perturbations(self):
+        # every r=3 group and 60 r=4 groups, each with one matrix replaced by a
+        # random (possibly singular) one: equal first violations
+        rng = random.Random(44)
+        groups = list(enumerate_regular_subgroups(3)) + list(islice(enumerate_regular_subgroups(4), 60))
+        seen = Counter()
+        for group in groups:
+            assert verify_regular(group) is None is verify_regular_pairs(group)
+            r = group.r
+            for _ in range(3):
+                mats = list(group.mats)
+                mats[rng.randrange(1 << r)] = BitMatrix(r, r, tuple(rng.randrange(1 << r) for _ in range(r)))
+                bad = RegularSubgroup(r, tuple(mats))
+                violation = verify_regular(bad)
+                assert violation == verify_regular_pairs(bad)
+                seen[violation] += 1
+        assert seen[regular_groups.ClosureViolation(0, 0)] > 0 and len(seen) > 10
+
+    def test_not_a_group(self):
+        group = not_a_group()
+        assert verify_regular(group) == regular_groups.ClosureViolation(1, 2) == verify_regular_pairs(group)
+
+    def test_beyond_eight_bits(self):
+        # r = 9: labels need more than eight bits
+        base = list(enumerate_regular_subgroups(3))[R3_CLASS_REPRESENTATIVES[-1]]
+        group = product_group(base, 6)
+        maps = {m: [m.apply(x) for x in range(512)] for m in set(group.mats)}
+        assert group.mult_table() == [[a ^ y for y in maps[group.mats[a]]] for a in range(512)]
+        assert verify_regular(group) is None
+        mats = list(group.mats)
+        mats[300] = next(m for m in maps if m != mats[300])  # no group any more
+        bad = RegularSubgroup(9, tuple(mats))
+        assert verify_regular(bad) == verify_regular_pairs(bad) is not None
+
+    def test_mis_sized_matrices(self):
+        for group in (
+            RegularSubgroup(3, (identity_matrix(3),) * 4),
+            RegularSubgroup(3, (identity_matrix(2),) * 8),
+            RegularSubgroup(3, (identity_matrix(4),) * 8),
+            RegularSubgroup(3, (BitMatrix(3, 4, (1, 2, 4)),) * 8),
+        ):
+            with pytest.raises(DimensionMismatch, match="needs 8 matrices of size 3 x 3"):
+                verify_regular(group)
 
     def test_perturbed_group_fails(self):
         group = translations(3)
@@ -181,6 +268,28 @@ class TestAutomorphisms:
         with pytest.raises(BudgetExceeded):
             automorphisms(translations(5))
 
+    def test_a_table_that_is_no_group_is_refused(self):
+        # label 2's powers never reach 0; the alarm turns a hang into a failure
+        def expire(signum, frame):
+            raise TimeoutError("automorphisms() still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            with pytest.raises(InconsistentInput, match="not a group"):
+                automorphisms(not_a_group())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_search_beyond_sixteen_labels(self):
+        # more labels than the 16 nibbles of a pack_rows code: Aut(Z_32) is
+        # x -> u x for the 16 odd u
+        n = 32
+        mul = [[(x + y) % n for y in range(n)] for x in range(n)]
+        rows = regular_groups._automorphism_perms(mul, n).tolist()
+        assert rows == sorted([u * x % n for x in range(n)] for u in range(1, n, 2))
+
     @pytest.mark.parametrize("r, order", [(1, 1), (2, 6), (3, 168), (4, 20160)])
     def test_translation_automorphisms_are_exactly_linear_maps(self, r, order):
         # the smallest and the largest search, in ascending row order
@@ -213,17 +322,22 @@ def is_unipotent(m: BitMatrix) -> bool:
     return not any(power.row_bits)
 
 
+def apply_all(m: BitMatrix) -> tuple[int, ...]:
+    """Oracle: the point map b -> M b, with BitMatrix.apply."""
+    return tuple(m.apply(b) for b in range(1 << m.rows))
+
+
 class TestTables:
-    """The enumeration tables against BitMatrix products and sigma_m."""
+    """The enumeration tables against BitMatrix products and BitMatrix.apply."""
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_unipotents_and_their_point_maps(self, r):
         tab = regular_groups._tables(r)
         expected = [rows for rows in gl_rows_cached(r) if is_unipotent(BitMatrix(r, r, rows))]
         assert [m.row_bits for m in tab.uni] == expected
-        assert tab.uni[tab.id_idx] == identity_matrix(r)
+        assert tab.uni[0] == identity_matrix(r)  # the enumeration's start
         for m, app in zip(tab.uni, tab.app_l):
-            assert app == sigma_m(m).images
+            assert app == apply_all(m)
         assert tab.app.tolist() == [list(app) for app in tab.app_l]
 
     @pytest.mark.parametrize("r, samples", [(3, None), (4, 20_000)])
@@ -273,7 +387,7 @@ class TestTables:
         assert tab.gl.shape == (len(mats), 1 << r) == (gl_order(r), 1 << r)
         picked = range(len(mats)) if samples is None else random.Random(26).sample(range(len(mats)), samples)
         for k in picked:
-            assert tuple(tab.gl[k].tolist()) == sigma_m(mats[k]).images
+            assert tuple(tab.gl[k].tolist()) == apply_all(mats[k])
 
 
 R4_PREFIX = 165  # reaches group 164, the first whose taus have kernel dimension 22
@@ -509,6 +623,39 @@ class TestInducedTau:
         if not preserves:
             with pytest.raises(NotAnAutomorphism):
                 induced_tau(group, bad)
+
+    def test_matches_the_pair_oracle_on_random_label_maps(self):
+        # automorphisms, zero-fixing label maps and maps that move 0, on 40
+        # r=3 groups and the r=9 product of one: equal first broken pairs
+        rng = random.Random(45)
+        groups = rng.sample(list(enumerate_regular_subgroups(3)), 40)
+        broken = Counter()
+        for group in groups:
+            maps = [a.perm.images for a in rng.sample(automorphisms(group), 2)]
+            maps += [tuple([0] + rng.sample(range(1, 8), 7)) for _ in range(4)]
+            maps += [tuple(rng.sample(range(8), 8)) for _ in range(2)]
+            for images in maps:
+                first = broken_product(group, images)
+                broken[first is None] += 1
+                aut = GroupAutomorphism(PointPerm(3, images))
+                if first is None:
+                    assert induced_tau(group, aut).images == images
+                else:
+                    with pytest.raises(NotAnAutomorphism) as caught:
+                        induced_tau(group, aut)
+                    assert str(caught.value) == f"map breaks the product at {first}"
+        assert broken[True] >= 80 and broken[False] >= 160
+        big = product_group(groups[0], 6)
+        images = list(range(512))
+        images[300], images[301] = 301, 300
+        assert induced_tau(big, GroupAutomorphism(identity_perm(9))).images == identity_perm(9).images
+        with pytest.raises(NotAnAutomorphism) as caught:
+            induced_tau(big, GroupAutomorphism(PointPerm(9, tuple(images))))
+        assert str(caught.value) == f"map breaks the product at {broken_product(big, images)}"
+
+    def test_automorphism_of_another_r(self):
+        with pytest.raises(DimensionMismatch):
+            induced_tau(translations(3), GroupAutomorphism(identity_perm(4)))
 
     def test_composition_homomorphism(self):
         rng = random.Random(43)

@@ -38,7 +38,7 @@ from perfcode import (
     weight4_supports,
     xi_swap,
 )
-from perfcode import ExplicitCode, PointPerm
+from perfcode import BitMatrix, ExplicitCode, PointPerm
 from perfcode._bits import pack_words, packed_rank
 from perfcode.classify import classify, tau_id_string
 from perfcode.codes import perm_kernel_dim, perm_rank
@@ -300,6 +300,15 @@ class TestStructuredAction:
 
         target = compose(compose(sigma_m(b_mat), invert_perm(tau)), sigma_m(invert(a_mat)))
         assert image.quadruples == sqs_from_tau(target).quadruples
+
+    def test_mis_sized_parts_are_refused(self, rng):
+        # an r=3 system takes 3 x 3 parts alone; a 4 x 4 one maps points off their copy
+        q = sqs_from_tau(random_zero_fixing(3, rng))
+        ident = identity_matrix(3)
+        for wrong in (BitMatrix(4, 4, (1, 2, 4, 9)), identity_matrix(2), BitMatrix(3, 4, (1, 2, 4))):
+            for spec in ((0, wrong, 0, ident, 0), (0, ident, 0, wrong, 1), (0, wrong, 0, wrong, 0)):
+                with pytest.raises(DimensionMismatch, match="3 x 3 parts, got 16"):
+                    apply_structured(spec, q)
 
 
 class TestXiSwap:
