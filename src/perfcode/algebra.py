@@ -221,7 +221,9 @@ def sigma_m(m: BitMatrix) -> PointPerm:
 
 
 def sigma_am(a: int, m: BitMatrix) -> PointPerm:
-    """The affine point permutation b -> a + M b."""
+    """The affine point permutation b -> a + M b; DimensionMismatch unless 0 <= a < 2^r."""
+    if not 0 <= a < 1 << m.rows:
+        raise DimensionMismatch(f"a translation of F^{m.rows} lies in [0, {1 << m.rows}), got {a}")
     return PointPerm(m.rows, tuple((a ^ point_maps([m.row_bits], m.rows)[0]).tolist()))
 
 

@@ -60,17 +60,33 @@ class GroupAutomorphism:
 
 
 def verify_regular(group: RegularSubgroup):
-    """None if M_0 = I and M_c = M_a M_b, c = a + M_a b, for all (a, b), else
-    the first violation in row-major order, (0, 0) for M_0.  With mul[a][x] =
-    a + M_a x, they are mul[0][x] = x and mul[a][mul[b][x]] = mul[c][x], all x."""
-    mul = np.array(group.mult_table())
-    if (mul[0] != np.arange(len(mul))).any():
+    """None if the maps g_a = (a, M_a) form a group, else the first violation
+    in row-major order: (0, 0) unless M_0 = I, then the first (a, b) where M_a
+    maps b as it maps some b' < b (M_a is singular) or M_{a + M_a b} != M_a M_b."""
+    return _first_violation(np.array(group.mult_table()))
+
+
+def _first_violation(mul: np.ndarray):
+    """`verify_regular` on the label table mul[a][x] = a + M_a x."""
+    n = len(mul)
+    if (mul[0] != np.arange(n)).any():
         return ClosureViolation(0, 0)
-    for a, row in enumerate(mul):
-        bad = (row[mul] != mul[row]).any(axis=1)
+    step = max(1, (1 << 16) // (n * n))  # rows a per pass, n^2 entries each
+    for a in range(0, n, step):
+        rows = mul[a : a + step]
+        bad = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2) < np.arange(n)  # mul[a][b'] = mul[a][b], b' < b
+        bad |= (rows[:, mul] != mul[rows]).any(axis=2)  # mul[a][mul[b][x]] != mul[mul[a][b]][x]
         if bad.any():
-            return ClosureViolation(a, int(bad.argmax()))
+            k, b = divmod(int(bad.argmax()), n)
+            return ClosureViolation(a + k, b)
     return None
+
+
+def _group_table(group: RegularSubgroup) -> list[list[int]]:
+    """`group.mult_table()`; InconsistentInput if `verify_regular` fails."""
+    if (bad := _first_violation(np.array(mul := group.mult_table()))) is not None:
+        raise InconsistentInput(f"the maps break at ({bad.a}, {bad.b}): not a group")
+    return mul
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +233,11 @@ def _mult_table(maps: np.ndarray) -> list[list[int]]:
 
 
 def _label_orders(mul: list[list[int]], n: int) -> list[int]:
-    """Each label's order, the least k <= n with a^k = 0, else InconsistentInput."""
+    """Each label's order in the group, the least k with a^k = 0."""
     orders = [1] * n
     for a in range(1, n):
         x = a
         while x:
-            if orders[a] == n:
-                raise InconsistentInput(f"no power of label {a} up to the {n}th is the identity: not a group")
             x = mul[x][a]
             orders[a] += 1
     return orders
@@ -315,13 +329,13 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
 
 
 def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
-    """All automorphisms of the group, as permutations of the element labels."""
+    """All automorphisms of the group, as label permutations; InconsistentInput if it is no group."""
     n = 1 << group.r
     if n > 1 << ENUM_MAX_R:
         raise BudgetExceeded(f"automorphism search supports order <= {1 << ENUM_MAX_R}")
     return [
         GroupAutomorphism(perm=PointPerm(group.r, tuple(images)))
-        for images in _automorphism_perms(group.mult_table(), n).tolist()
+        for images in _automorphism_perms(_group_table(group), n).tolist()
     ]
 
 
@@ -391,11 +405,11 @@ def _census_codes(r: int, budget_seconds: float | None):
 
 def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:
     """The point permutation tau with T(g_a) = g_{tau(a)}; tagged induced.  A
-    map of another r raises DimensionMismatch, one that breaks a product
-    NotAnAutomorphism at the first such pair (a, b) in row-major order."""
+    map of another r raises DimensionMismatch, a non-group InconsistentInput,
+    a map breaking a product NotAnAutomorphism at its row-major first (a, b)."""
     if aut.perm.r != group.r:
         raise DimensionMismatch(f"an automorphism of r = {aut.perm.r} on a group of r = {group.r}")
-    mul, img = np.array(group.mult_table()), np.array(aut.perm.images)
+    mul, img = np.array(_group_table(group)), np.array(aut.perm.images)
     bad = np.argwhere(img[mul] != mul[np.ix_(img, img)])  # row-major
     if len(bad):
         raise NotAnAutomorphism(f"map breaks the product at ({bad[0][0]}, {bad[0][1]})")

@@ -141,54 +141,52 @@ class DichotomyReport:
         return not self.part1_counterexamples and not self.part2_missing
 
 
-def _pairs_through(quads: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The uint64 mask 1<<a | 1<<b | 1<<c | 1<<d of each row of a (b, 4)
-    int64 array of sorted quadruples; the key x·v + y of each of their
-    pairs x < y, sorted stably; and the row each key comes from.  The
-    quadruples through a pair are consecutive, in row order."""
-    masks = np.bitwise_or.reduce(np.uint64(1) << quads.astype(np.uint64), axis=1)
-    first, second = np.triu_indices(4, 1)  # the six pairs of slots
-    keys = (quads[:, first] * v + quads[:, second]).reshape(-1)
+def _quad_pairs(quads: np.ndarray, v: int):
+    """Every two quadruples through a point pair x < y, from a (b, 4) int64
+    array of sorted rows on v <= 64 points: the pair keys x·v + y of every
+    row, stably sorted; the row of each; the positions p < q of each
+    pairing, found d = 1, 2, ... places apart; and whether its rows'
+    symmetric difference, their other pairs a < b and c < d, is a row, which
+    is bit d of bits[(a·v + b)·v + c]."""
+    first, second = np.triu_indices(4, 1)  # the six pairs of slots; pair 5 - k is pair k's complement
+    x, y = quads[:, first], quads[:, second]
+    keys = (x * v + y).reshape(-1)
+    a, b = x[:, ::-1].reshape(-1), y[:, ::-1].reshape(-1)  # the other pair of each key's row
+    bits = np.zeros(v**3, dtype=np.uint64)
+    np.bitwise_or.at(bits, keys * v + a, np.uint64(1) << b.astype(np.uint64))
     order = np.argsort(keys, kind="stable")
-    return masks, keys[order], order // 6
+    keys, rows, a, b = keys[order], order // 6, a[order], b[order]
+    p, q, d = [order[:0]], [order[:0]], 1
+    while (lead := np.flatnonzero(keys[d:] == keys[:-d])).size:
+        p.append(lead)
+        q.append(lead + d)
+        d += 1
+    p, q = np.concatenate(p), np.concatenate(q)
+    return keys, rows, p, q, (bits[(a[p] * v + b[p]) * v + a[q]] >> b[q].astype(np.uint64) & 1).astype(bool)
 
 
 def symmetric_difference_dichotomy(tau: PointPerm) -> DichotomyReport:
-    """Symmetric-difference dichotomy for a non-linear tau.
-
-    (i) through two same-side points, symmetric differences of distinct
-    quadruples stay in SQS_tau; (ii) through a left/right point pair
-    there is always a quadruple pair whose symmetric difference leaves it.
-    One walk over the quadruples through each point pair
-    (`_pairs_through`), in sorted order, checks both; the witness for
-    (a, b) is the first pair through left-a, right-b whose symmetric
-    difference leaves the system.
-    """
+    """Symmetric-difference dichotomy for a non-linear tau: (i) through two
+    same-side points, symmetric differences of distinct quadruples stay in
+    SQS_tau; (ii) through a left/right point pair some quadruple pair's
+    leaves it.  Both read the pairings of `_quad_pairs` that leave it, in
+    (pair, row, row) order: the same-side ones are the counterexamples, and
+    the first through left-a, right-b is the witness for (a, b)."""
     if is_linear(tau) is not None:
         raise AffineInput("tau is linear; the system is affine")
     n = 1 << tau.r
     quads = sorted(sqs_from_tau(tau).quadruples)
-    masks, keys, rows = _pairs_through(np.array(quads, dtype=np.int64), 2 * n)
-    masks = masks.tolist()
-    quad_masks = set(masks)
-    cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    part1, missing, witnesses = [], [], {}
-    for key, through in zip(keys[np.r_[0, cuts]].tolist(), np.split(rows, cuts)):
-        x, y = divmod(key, 2 * n)
-        outside = (
-            (quads[i], quads[j])
-            for i, j in combinations(through.tolist(), 2)
-            if masks[i] ^ masks[j] not in quad_masks
-        )
-        if (x < n) == (y < n):
-            part1.extend(outside)
-        elif (found := next(outside, None)) is None:
-            missing.append((x, y - n))
-        else:
-            witnesses[(x, y - n)] = found
+    keys, rows, p, q, inside = _quad_pairs(np.array(quads, dtype=np.int64), 2 * n)
+    p, q = np.divmod(np.sort((p * keys.size + q)[~inside]), keys.size)  # (pair, row, row) order
+    x, y = np.divmod(keys[p], 2 * n)
+    same = (x < n) == (y < n)
+    keep = same | (np.diff(keys[p], prepend=-1) != 0)  # and the first of each left/right pair
+    cols = (col[keep].tolist() for col in (x, y - n, rows[p], rows[q], same))
+    found = [((a, b), (quads[i], quads[j]), s) for a, b, i, j, s in zip(*cols)]
+    witnesses = {ab: pair for ab, pair, s in found if not s}
     return DichotomyReport(
-        part1_counterexamples=tuple(part1),
-        part2_missing=tuple(missing),
+        part1_counterexamples=tuple(pair for _, pair, s in found if s),
+        part2_missing=tuple((a, b) for a in range(n) for b in range(n) if (a, b) not in witnesses),
         part2_witnesses=witnesses,
     )
 
@@ -297,32 +295,17 @@ def aut_order_and_transitivity(tau: PointPerm) -> tuple[int, bool]:
 # Independent automorphism counting by backtracking (oracle for aut_order)
 # ---------------------------------------------------------------------------
 
-# the largest order whose point sets fit the uint64 masks of _pair_invariant
+# the largest order whose points fit the uint64 bit rows of _quad_pairs
 PAIR_INVARIANT_MAX_ORDER = 64
 _SLOT_ORDERS = np.array(list(permutations(range(4))))  # the 24 orders of a quadruple
 
 
 def _pair_invariant(quads: np.ndarray, v: int) -> list[list[int]]:
-    """For every point pair x, y: how many pairs of distinct quadruples
-    through it have their symmetric difference among the quadruples: the
-    v x v table, symmetric.
-
-    `quads` is a (b, 4) int64 array of sorted rows.  The six pairs of
-    every quadruple come sorted by pair (`_pairs_through`); each quadruple
-    is then paired with the one d places on in that order, for d = 1, 2,
-    ... while any such two share a pair, which visits every two quadruples
-    through a pair once, however many quadruples each pair has.
-    """
-    masks, keys, rows = _pairs_through(quads, v)
-    through, members = masks[rows], np.sort(masks)
-    hits = [keys[:0]]
-    d = 1
-    while (lead := np.flatnonzero(keys[d:] == keys[:-d])).size:
-        sym = through[lead] ^ through[lead + d]
-        at = np.minimum(np.searchsorted(members, sym), members.size - 1)
-        hits.append(keys[lead[members[at] == sym]])
-        d += 1
-    counts = np.bincount(np.concatenate(hits), minlength=v * v).reshape(v, v)
+    """The symmetric v x v table of how many pairs of distinct quadruples
+    through x, y have their symmetric difference among the quadruples: the
+    inside pairings of `_quad_pairs` (of (b, 4) sorted rows) by key."""
+    keys, _, p, _, inside = _quad_pairs(quads, v)
+    counts = np.bincount(keys[p[inside]], minlength=v * v).reshape(v, v)
     pair_inv = counts + np.triu(counts, 1).T  # keys have x <= y: mirror them
     return pair_inv.tolist()
 

@@ -651,6 +651,13 @@ class TestPointMaps:
     def test_no_matrices(self, r):
         assert algebra_module.point_maps([], r).shape == (0, 1 << r)
 
+    @pytest.mark.parametrize("a", [8, 9, -1])
+    def test_translation_out_of_range(self, a):
+        ident = identity_matrix(3)
+        for call in (lambda: sigma_am(a, ident), lambda: AffineTransform(a, ident).as_perm()):
+            with pytest.raises(DimensionMismatch, match=rf"^a translation of F\^3 lies in \[0, 8\), got {a}$"):
+                call()
+
 
 def random_rows(r: int, count: int, rng: random.Random) -> np.ndarray:
     """`count` random permutations of the 2^r points, as int8 image rows."""

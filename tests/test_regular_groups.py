@@ -67,15 +67,17 @@ def group_table_is_a_group(group: RegularSubgroup) -> bool:
 
 
 def verify_regular_pairs(group: RegularSubgroup):
-    """Oracle: the closure law M_{a + M_a b} = M_a M_b pair by pair, with
-    BitMatrix.apply and @, M_0 = I first."""
+    """Oracle: M_0 = I first, then pair by pair that M_a maps b to a point
+    it maps no earlier b' to and the closure law M_{a + M_a b} = M_a M_b,
+    with BitMatrix.apply and @."""
     n = 1 << group.r
     if group.mats[0] != identity_matrix(group.r):
         return regular_groups.ClosureViolation(0, 0)
     for a in range(n):
         ma = group.mats[a]
+        images = [ma.apply(b) for b in range(n)]
         for b in range(n):
-            if group.mats[a ^ ma.apply(b)] != ma @ group.mats[b]:
+            if images[b] in images[:b] or group.mats[a ^ images[b]] != ma @ group.mats[b]:
                 return regular_groups.ClosureViolation(a, b)
     return None
 
@@ -98,6 +100,12 @@ def product_group(group: RegularSubgroup, k: int) -> RegularSubgroup:
     r = group.r
     mats = [BitMatrix(r + k, r + k, m.row_bits + tuple(1 << (r + i) for i in range(k))) for m in group.mats]
     return RegularSubgroup(r + k, tuple(mats[a % (1 << r)] for a in range(1 << (r + k))))
+
+
+def zero_matrices() -> RegularSubgroup:
+    """M_0 = I and M_a = 0 for a != 0: every product law holds, but g_1 maps
+    every point to 1, so verify_regular reports (1, 1)."""
+    return RegularSubgroup(3, (identity_matrix(3),) + (BitMatrix(3, 3, (0, 0, 0)),) * 7)
 
 
 def not_a_group() -> RegularSubgroup:
@@ -132,6 +140,15 @@ class TestVerifyRegular:
     def test_not_a_group(self):
         group = not_a_group()
         assert verify_regular(group) == regular_groups.ClosureViolation(1, 2) == verify_regular_pairs(group)
+
+    def test_singular_matrices(self):
+        group = zero_matrices()
+        assert verify_regular(group) == regular_groups.ClosureViolation(1, 1) == verify_regular_pairs(group)
+        # M_a = I on U = {0, 1, 2, 3} and off it the projection onto U along
+        # e_2, which maps 4 to 0 = M_a 0: every product law holds again
+        ident, proj = identity_matrix(3), BitMatrix(3, 3, (1, 2, 0))
+        group = RegularSubgroup(3, (ident,) * 4 + (proj,) * 4)
+        assert verify_regular(group) == regular_groups.ClosureViolation(4, 4) == verify_regular_pairs(group)
 
     def test_beyond_eight_bits(self):
         # r = 9: labels need more than eight bits
@@ -281,6 +298,30 @@ class TestAutomorphisms:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_singular_table_is_refused(self):
+        with pytest.raises(InconsistentInput, match=r"break at \(1, 1\): not a group"):
+            automorphisms(zero_matrices())
+        with pytest.raises(BudgetExceeded):  # the size comes first
+            automorphisms(RegularSubgroup(5, (BitMatrix(5, 5, (0,) * 5),) * 32))
+
+    def test_perturbed_groups_are_refused(self):
+        # one matrix of an r=3 group replaced by a random one: a list of
+        # maps exactly when the table is still a group
+        rng = random.Random(5)
+        groups = list(enumerate_regular_subgroups(3))
+        refused = 0
+        for _ in range(200):
+            mats = list(rng.choice(groups).mats)
+            mats[rng.randrange(8)] = BitMatrix(3, 3, tuple(rng.randrange(8) for _ in range(3)))
+            group = RegularSubgroup(3, tuple(mats))
+            if verify_regular(group) is None:
+                assert all(induced_tau(group, aut).induced for aut in automorphisms(group))
+            else:
+                refused += 1
+                with pytest.raises(InconsistentInput, match="not a group"):
+                    automorphisms(group)
+        assert refused > 150
 
     def test_search_beyond_sixteen_labels(self):
         # more labels than the 16 nibbles of a pack_rows code: Aut(Z_32) is
@@ -656,6 +697,11 @@ class TestInducedTau:
     def test_automorphism_of_another_r(self):
         with pytest.raises(DimensionMismatch):
             induced_tau(translations(3), GroupAutomorphism(identity_perm(4)))
+
+    def test_a_table_that_is_no_group_is_refused(self):
+        for group in (zero_matrices(), not_a_group()):
+            with pytest.raises(InconsistentInput, match="not a group"):
+                induced_tau(group, GroupAutomorphism(identity_perm(3)))
 
     def test_composition_homomorphism(self):
         rng = random.Random(43)

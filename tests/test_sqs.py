@@ -310,6 +310,12 @@ class TestStructuredAction:
                 with pytest.raises(DimensionMismatch, match="3 x 3 parts, got 16"):
                     apply_structured(spec, q)
 
+    def test_translations_out_of_range_are_refused(self):
+        q, ident = sqs_from_tau(identity_perm(3)), identity_matrix(3)
+        for spec in ((9, ident, 0, ident, 0), (0, ident, -1, ident, 1), (8, ident, 8, ident, 0)):
+            with pytest.raises(DimensionMismatch, match=r"lies in \[0, 8\)"):
+                apply_structured(spec, q)
+
 
 class TestXiSwap:
     def test_identity_tau_fixed(self):
@@ -501,6 +507,58 @@ class TestInputChecks:
         for left, right in [(moves_zero, identity_perm(6)), (identity_perm(6), moves_zero)]:
             with pytest.raises(BudgetExceeded):
                 sqs_isomorphic(left, right)
+
+
+def quad_pairs_loop(quads, v: int) -> list[tuple[int, int, int, bool]]:
+    """Oracle for `_quad_pairs`: for each pair x < y in ascending order, every
+    two of the sorted quadruples through it, by combinations over their row
+    numbers, as (x·v + y, row, row, whether the symmetric difference is a
+    quadruple)."""
+    through: dict[int, list[int]] = {}
+    for i, quad in enumerate(quads):
+        for x, y in combinations(quad, 2):
+            through.setdefault(x * v + y, []).append(i)
+    members = {frozenset(quad) for quad in quads}
+    return [
+        (key, i, j, frozenset(quads[i]) ^ frozenset(quads[j]) in members)
+        for key in sorted(through)
+        for i, j in combinations(through[key], 2)
+    ]
+
+
+class TestQuadPairs:
+    """The one walk over the quadruple pairs that share a point pair, read by
+    the dichotomy and the pair invariant, against combinations per pair."""
+
+    @staticmethod
+    def _check(q: SQS) -> int:
+        quads = sorted(q.quadruples)
+        rows = np.array(quads, dtype=np.int64).reshape(-1, 4)
+        keys, owner, p, q_, inside = sqs_module._quad_pairs(rows, q.order)
+        assert (np.diff(keys) >= 0).all() and (p < q_).all() and (keys[p] == keys[q_]).all()
+        order = np.lexsort((q_, p))  # (pair, row, row) order
+        walk = zip(keys[p][order].tolist(), owner[p][order].tolist(), owner[q_][order].tolist(),
+                   inside[order].tolist())
+        expected = quad_pairs_loop(quads, q.order)
+        assert list(walk) == expected
+        return len(expected)
+
+    def test_r3_catalog_systems(self, r3_taus):
+        local = random.Random(47)
+        for tau in local.sample(r3_taus, 10) + [identity_perm(3)]:
+            assert self._check(sqs_from_tau(tau)) == 120 * 21  # C(16, 2) pairs, 7 quadruples each
+
+    def test_seeded_r4_and_r5_systems(self):
+        local = random.Random(49)
+        assert self._check(sqs_from_tau(random_zero_fixing(4, local))) == 496 * 105
+        assert self._check(sqs_from_tau(random_zero_fixing(5, local))) == 2016 * 465
+
+    def test_a_packing_sqs10_and_the_empty_system(self):
+        local = random.Random(50)
+        quads = sorted(sqs_from_tau(random_nonlinear(3, local)).quadruples)
+        self._check(SQS(order=16, quadruples=frozenset(local.sample(quads, 70))))
+        self._check(SQS10)
+        self._check(SQS(order=8, quadruples=frozenset()))
 
 
 class TestPairInvariant:
