@@ -40,7 +40,11 @@ class RegularSubgroup:
     mats: tuple[BitMatrix, ...]
 
     def mult_table(self) -> list[list[int]]:
-        """mul[a][x] = a + M_a x; DimensionMismatch unless 2^r matrices are r x r."""
+        """mul[a][x] = a + M_a x, the list form of the label array the group-law checks read."""
+        return self._labels().tolist()
+
+    def _labels(self) -> np.ndarray:
+        """The label table as one int array; DimensionMismatch unless 2^r matrices are r x r."""
         if len(self.mats) != 1 << self.r or {(m.rows, m.cols) for m in self.mats} != {(self.r, self.r)}:
             raise DimensionMismatch(f"GA({self.r},2) needs {1 << self.r} matrices of size {self.r} x {self.r}")
         return _mult_table(point_maps([m.row_bits for m in self.mats], self.r))
@@ -63,28 +67,31 @@ def verify_regular(group: RegularSubgroup):
     """None if the maps g_a = (a, M_a) form a group, else the first violation
     in row-major order: (0, 0) unless M_0 = I, then the first (a, b) where M_a
     maps b as it maps some b' < b (M_a is singular) or M_{a + M_a b} != M_a M_b."""
-    return _first_violation(np.array(group.mult_table()))
+    return _first_violation(group._labels())
 
 
 def _first_violation(mul: np.ndarray):
-    """`verify_regular` on the label table mul[a][x] = a + M_a x."""
+    """`verify_regular` on the label array mul[a][x] = a + M_a x, in one pass.
+    The closure law is tested at e_1, ..., e_r alone, exact for a table built
+    from matrices: mul[a][mul[b][x]] ^ mul[mul[a][b]][x] = (M_a M_b + M_{a + M_a b}) x
+    is linear in x.  A stable argsort of each row runs equal images together,
+    least b first, so every later b of a run repeats an earlier image."""
     n = len(mul)
     if (mul[0] != np.arange(n)).any():
         return ClosureViolation(0, 0)
-    step = max(1, (1 << 16) // (n * n))  # rows a per pass, n^2 entries each
-    for a in range(0, n, step):
-        rows = mul[a : a + step]
-        bad = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2) < np.arange(n)  # mul[a][b'] = mul[a][b], b' < b
-        bad |= (rows[:, mul] != mul[rows]).any(axis=2)  # mul[a][mul[b][x]] != mul[mul[a][b]][x]
-        if bad.any():
-            k, b = divmod(int(bad.argmax()), n)
-            return ClosureViolation(a + k, b)
+    units = mul[:, 1 << np.arange(n.bit_length() - 1)]  # mul[b][e_j]
+    bad = (mul[:, units] != units[mul]).any(axis=2)
+    order = np.argsort(mul, axis=1, kind="stable")
+    a, k = np.nonzero(np.diff(np.take_along_axis(mul, order, axis=1), axis=1) == 0)
+    bad[a, order[a, k + 1]] = True
+    if bad.any():
+        return ClosureViolation(*divmod(int(bad.argmax()), n))
     return None
 
 
-def _group_table(group: RegularSubgroup) -> list[list[int]]:
-    """`group.mult_table()`; InconsistentInput if `verify_regular` fails."""
-    if (bad := _first_violation(np.array(mul := group.mult_table()))) is not None:
+def _group_table(group: RegularSubgroup) -> np.ndarray:
+    """`group`'s label array; InconsistentInput if `verify_regular` fails."""
+    if (bad := _first_violation(mul := group._labels())) is not None:
         raise InconsistentInput(f"the maps break at ({bad.a}, {bad.b}): not a group")
     return mul
 
@@ -227,15 +234,15 @@ def enumerate_regular_subgroups(r: int, budget_seconds: float | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _mult_table(maps: np.ndarray) -> list[list[int]]:
+def _mult_table(maps: np.ndarray) -> np.ndarray:
     """Labels of g_a g_b = g_{a + M_a b}, from the (n, n) point maps b -> M_a b."""
-    return (np.arange(len(maps))[:, None] ^ maps).tolist()
+    return np.arange(len(maps))[:, None] ^ maps
 
 
-def _label_orders(mul: list[list[int]], n: int) -> list[int]:
+def _label_orders(mul: list[list[int]]) -> list[int]:
     """Each label's order in the group, the least k with a^k = 0."""
-    orders = [1] * n
-    for a in range(1, n):
+    orders = [1] * len(mul)
+    for a in range(1, len(mul)):
         x = a
         while x:
             x = mul[x][a]
@@ -243,7 +250,7 @@ def _label_orders(mul: list[list[int]], n: int) -> list[int]:
     return orders
 
 
-def _levels(mul: list[list[int]], n: int):
+def _levels(mul: list[list[int]]):
     """The generators of the automorphism search, one level each, with the
     Cayley edges x h = y that each level adds.
 
@@ -261,6 +268,7 @@ def _levels(mul: list[list[int]], n: int):
     and `new` the new labels in the order the walk reached them.  With the
     edges of H_{i-1} by gens[:i], which the levels before walked, these are
     all edges of H_i by gens[:i+1]."""
+    n = len(mul)
     squares = {mul[x][x] for x in range(n)}
     phi = [0]
     for x in phi:  # right products by the squares reach the subgroup they generate
@@ -291,7 +299,7 @@ def _levels(mul: list[list[int]], n: int):
         span = {mul[f][x] for f in phi for x in members}
 
 
-def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
+def _automorphism_perms(mul: np.ndarray) -> np.ndarray:
     """All product-preserving label bijections fixing 0, as the rows of a
     (k, n) int8 array of images, in ascending order.
 
@@ -308,11 +316,12 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
     in which a depth-first search over ascending images of each label in
     turn emits them.  aut_ids in the tau catalog are row positions.
     """
-    orders = np.array(_label_orders(mul, n))
-    table = np.array(mul, dtype=np.int8).ravel()  # x y at x n + y
+    n, rows = len(mul), mul.tolist()  # the Python walks read lists
+    orders = np.array(_label_orders(rows))
+    table = mul.astype(np.int8).ravel()  # x y at x n + y
     img = np.zeros((1, n), dtype=np.int8)
     reached = [0]
-    for g, tree, (cx, ch, cy), new in _levels(mul, n):
+    for g, tree, (cx, ch, cy), new in _levels(rows):
         cands = np.flatnonzero(orders == orders[g])
         parent, pick = np.nonzero((img[:, reached, None] != cands).all(axis=1))
         img = img[parent]
@@ -329,13 +338,13 @@ def _automorphism_perms(mul: list[list[int]], n: int) -> np.ndarray:
 
 
 def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
-    """All automorphisms of the group, as label permutations; InconsistentInput if it is no group."""
-    n = 1 << group.r
-    if n > 1 << ENUM_MAX_R:
+    """All automorphisms of the group, as label permutations.  Above order 16
+    the search raises BudgetExceeded, and a table that is no group InconsistentInput."""
+    if group.r > ENUM_MAX_R:
         raise BudgetExceeded(f"automorphism search supports order <= {1 << ENUM_MAX_R}")
     return [
         GroupAutomorphism(perm=PointPerm(group.r, tuple(images)))
-        for images in _automorphism_perms(_group_table(group), n).tolist()
+        for images in _automorphism_perms(_group_table(group)).tolist()
     ]
 
 
@@ -395,7 +404,7 @@ def _census_codes(r: int, budget_seconds: float | None):
         codes = pending.pop(key, None)
         if codes is None:
             tab = _tables(r)  # built by the walk, inside its budget
-            auts = _automorphism_perms(_mult_table(tab.app[mats]), 1 << r)
+            auts = _automorphism_perms(_mult_table(tab.app[mats]))
             pending.update(_carried_codes(auts, _conjugacy_class(tab, mats)))
             codes = pending.pop(key)
         yield codes
@@ -409,7 +418,7 @@ def induced_tau(group: RegularSubgroup, aut: GroupAutomorphism) -> PointPerm:
     a map breaking a product NotAnAutomorphism at its row-major first (a, b)."""
     if aut.perm.r != group.r:
         raise DimensionMismatch(f"an automorphism of r = {aut.perm.r} on a group of r = {group.r}")
-    mul, img = np.array(_group_table(group)), np.array(aut.perm.images)
+    mul, img = _group_table(group), np.array(aut.perm.images)
     bad = np.argwhere(img[mul] != mul[np.ix_(img, img)])  # row-major
     if len(bad):
         raise NotAnAutomorphism(f"map breaks the product at ({bad[0][0]}, {bad[0][1]})")

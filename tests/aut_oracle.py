@@ -51,7 +51,7 @@ def greedy_generators(mul: list[list[int]], n: int) -> list[int]:
 
 def closure_automorphism_perms(mul: list[list[int]], n: int) -> list[tuple[int, ...]]:
     """All product-preserving label bijections fixing 0, in DFS order."""
-    orders = _label_orders(mul, n)
+    orders = _label_orders(mul)
     by_order: dict[int, list[int]] = {}
     for a in range(n):
         by_order.setdefault(orders[a], []).append(a)

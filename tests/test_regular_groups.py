@@ -3,7 +3,7 @@ import hashlib
 import random
 import signal
 from collections import Counter
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +136,25 @@ class TestVerifyRegular:
                 assert violation == verify_regular_pairs(bad)
                 seen[violation] += 1
         assert seen[regular_groups.ClosureViolation(0, 0)] > 0 and len(seen) > 10
+        # every 3 x 3 matrix, singular ones included, as M_1 and as M_6 of
+        # one group: repeated images and broken products compete in row 1
+        group, seen = groups[R3_CLASS_REPRESENTATIVES[-1]], Counter()
+        for k in (1, 6):
+            for rows in product(range(8), repeat=3):
+                mats = list(group.mats)
+                mats[k] = BitMatrix(3, 3, rows)
+                bad = RegularSubgroup(3, tuple(mats))
+                violation = verify_regular(bad)
+                assert violation == verify_regular_pairs(bad)
+                seen[violation and (violation.a, violation.b)] += 1
+        assert set(seen) == {None, (1, 1), (1, 2), (1, 3)}
+        # one matrix of the r = 9 product group replaced by a random one
+        group = product_group(group, 6)
+        for _ in range(10):
+            mats = list(group.mats)
+            mats[rng.randrange(512)] = BitMatrix(9, 9, tuple(rng.randrange(512) for _ in range(9)))
+            bad = RegularSubgroup(9, tuple(mats))
+            assert verify_regular(bad) == verify_regular_pairs(bad) is not None
 
     def test_not_a_group(self):
         group = not_a_group()
@@ -328,7 +347,7 @@ class TestAutomorphisms:
         # x -> u x for the 16 odd u
         n = 32
         mul = [[(x + y) % n for y in range(n)] for x in range(n)]
-        rows = regular_groups._automorphism_perms(mul, n).tolist()
+        rows = regular_groups._automorphism_perms(np.array(mul)).tolist()
         assert rows == sorted([u * x % n for x in range(n)] for u in range(1, n, 2))
 
     @pytest.mark.parametrize("r, order", [(1, 1), (2, 6), (3, 168), (4, 20160)])
@@ -440,7 +459,7 @@ def mult_tables(r: int, count: int | None = None) -> list[list[list[int]]]:
     """Multiplication tables of the first `count` regular subgroups (all if None)."""
     tab = regular_groups._tables(r)
     stream = islice(regular_groups._enumerate_regular_idx(r, None), count)
-    return [regular_groups._mult_table(tab.app[m]) for m in stream]
+    return [regular_groups._mult_table(tab.app[m]).tolist() for m in stream]
 
 
 @pytest.fixture(scope="module")
@@ -457,9 +476,9 @@ def count_searches(monkeypatch) -> list[int]:
     """Record each call of the automorphism search; returns the record."""
     search, calls = regular_groups._automorphism_perms, []
 
-    def counted(mul, n):
-        calls.append(n)
-        return search(mul, n)
+    def counted(mul):
+        calls.append(len(mul))
+        return search(mul)
 
     monkeypatch.setattr(regular_groups, "_automorphism_perms", counted)
     return calls
@@ -472,14 +491,14 @@ class TestAutomorphismOracle:
     def test_every_r3_group(self, r3_tables):
         assert len(r3_tables) == 232
         for mul in r3_tables:
-            got = regular_groups._automorphism_perms(mul, 8)
+            got = regular_groups._automorphism_perms(np.array(mul))
             assert list(map(tuple, got.tolist())) == closure_automorphism_perms(mul, 8)
             assert (np.lexsort(got.T[::-1]) == np.arange(len(got))).all()
 
     def test_r4_prefix(self, r4_prefix_tables):
         sizes = []
         for mul in r4_prefix_tables:
-            got = regular_groups._automorphism_perms(mul, 16)
+            got = regular_groups._automorphism_perms(np.array(mul))
             assert list(map(tuple, got.tolist())) == closure_automorphism_perms(mul, 16)
             assert (np.lexsort(got.T[::-1]) == np.arange(len(got))).all()
             sizes.append(len(got))
@@ -491,7 +510,7 @@ class TestAutomorphismOracle:
         for mul in r3_tables + r4_prefix_tables:
             n = len(mul)
             phi = closure(mul, [mul[x][x] for x in range(n)])
-            assert 1 << sum(1 for _ in regular_groups._levels(mul, n)) == n // len(phi)
+            assert 1 << sum(1 for _ in regular_groups._levels(mul)) == n // len(phi)
 
     def test_census_matches_automorphisms_of_each_group(self):
         # the walk the catalog and the series share yields, group by group,
@@ -622,7 +641,7 @@ class TestKnownAutomorphismCounts:
         seen = Counter()
         for mul in r3_tables:
             name, order = KNOWN_AUT_ORDER[isomorphism_type(mul)]
-            assert len(regular_groups._automorphism_perms(mul, 8)) == order, name
+            assert len(regular_groups._automorphism_perms(np.array(mul))) == order, name
             seen[name] += 1
         assert seen == {"Z2^3": 8, "Z4xZ2": 84, "D4": 126, "Q8": 14}
 
@@ -632,7 +651,7 @@ class TestKnownAutomorphismCounts:
             kind = isomorphism_type(mul)
             if kind[0]:
                 name, order = KNOWN_AUT_ORDER[kind]
-                assert len(regular_groups._automorphism_perms(mul, 16)) == order, name
+                assert len(regular_groups._automorphism_perms(np.array(mul))) == order, name
                 seen[name] += 1
         assert set(seen) == {"Z2^4", "Z4xZ2^2", "Z4xZ4"}
 
@@ -837,7 +856,7 @@ class TestIsomorphismsBruteForce:
 
     def test_automorphisms_are_the_search_rows(self, isomorphisms, r3_tables):
         for g in R3_CLASS_REPRESENTATIVES:
-            assert np.array_equal(isomorphisms[g, g], regular_groups._automorphism_perms(r3_tables[g], 8))
+            assert np.array_equal(isomorphisms[g, g], regular_groups._automorphism_perms(np.array(r3_tables[g])))
 
     def test_isomorphic_pairs_of_distinct_classes(self, isomorphisms):
         pairs = {pair: len(rows) for pair, rows in isomorphisms.items() if pair[0] != pair[1] and len(rows)}
