@@ -4,6 +4,12 @@
 # it writes its files there.  bash -e, as a workflow `run:` step uses.
 set -e
 
+# every check below imports perfcode, through the command or through python
+if ! python -c "import perfcode" 2> /dev/null; then
+  echo "console-checks: python cannot import perfcode; install the package (pip install -e .) or set PYTHONPATH to the checkout's src directory" >&2
+  exit 1
+fi
+
 # measured LIMIT_MB CMD...: run CMD, print its wall time and peak RSS
 # (ru_maxrss of the child), and fail when the peak passes LIMIT_MB (0: no limit)
 measured() {

@@ -173,7 +173,7 @@ def gl_generators(r: int) -> tuple[BitMatrix, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointPerm:
     """Permutation of the 2^r points of F^r.
 
@@ -205,6 +205,37 @@ class PointPerm:
 
 def identity_perm(r: int) -> PointPerm:
     return PointPerm(r, tuple(range(1 << r)))
+
+
+def rows_are_perms(rows: np.ndarray, n: int) -> bool:
+    """Whether every row of the int array `rows` is a permutation of range(n):
+    n images per row, each in range, and one flag per (row, image) all set by
+    one scatter, which is exact at every n."""
+    if rows.ndim != 2 or rows.shape[1] != n or ((rows < 0) | (rows >= n)).any():
+        return False
+    seen = np.zeros(rows.size, dtype=bool)
+    seen[(rows + np.arange(0, rows.size, n)[:, None]).ravel()] = True
+    return bool(seen.all())
+
+
+# the slots' own setters, which the frozen dataclass's __setattr__ does not guard
+_set_r, _set_images, _set_induced = PointPerm.r.__set__, PointPerm.images.__set__, PointPerm.induced.__set__
+
+
+def perms_from_rows(r: int, rows: np.ndarray, induced: bool = False) -> list[PointPerm]:
+    """`PointPerm(r, tuple(row), induced)` for each row of a (k, 2^r) int array,
+    in order, with the one-object constructor's ValueError.  One
+    `rows_are_perms` call checks every row, so no object sorts its own images."""
+    if not rows_are_perms(rows, n := 1 << r):
+        raise ValueError(f"images is not a permutation of [0, {n})")
+    perms = []
+    for images in rows.tolist():
+        perm = object.__new__(PointPerm)
+        _set_r(perm, r)
+        _set_images(perm, tuple(images))
+        _set_induced(perm, induced)
+        perms.append(perm)
+    return perms
 
 
 def point_maps(rows, r: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .algebra import BitMatrix, PointPerm
+from .algebra import BitMatrix, PointPerm, rows_are_perms
 from .classify import CatalogEntry, Classification
 from .codes import CosetUnionCode, ExplicitCode, LinearCode
 from .errors import MalformedInput
@@ -375,10 +375,9 @@ def _checked_images(images: np.ndarray, n: int) -> np.ndarray:
     """The rows as int8, once each is a permutation of range(n) that fixes 0."""
     if ((images < 0) | (images >= n)).any() or images[:, 0].any():
         raise ValueError(f"images must lie in [0, {n}) and fix 0")
-    images = images.astype(np.int8)
-    if (np.sort(images, axis=1) != np.arange(n, dtype=np.int8)).any():
+    if not rows_are_perms(images, n):
         raise ValueError("a tau repeats an image")
-    return images
+    return images.astype(np.int8)
 
 
 def _tau_catalog_from_obj(obj) -> TauCatalog:

@@ -23,6 +23,7 @@ from .algebra import (
     gl_rows_cached,
     inverse_rows,
     pack_rows,
+    perms_from_rows,
     point_maps,
     unpack_codes,
 )
@@ -56,7 +57,7 @@ class ClosureViolation:
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupAutomorphism:
     """A product-preserving relabeling T(g_a) = g_{perm(a)} fixing the identity."""
 
@@ -342,10 +343,7 @@ def automorphisms(group: RegularSubgroup) -> list[GroupAutomorphism]:
     the search raises BudgetExceeded, and a table that is no group InconsistentInput."""
     if group.r > ENUM_MAX_R:
         raise BudgetExceeded(f"automorphism search supports order <= {1 << ENUM_MAX_R}")
-    return [
-        GroupAutomorphism(perm=PointPerm(group.r, tuple(images)))
-        for images in _automorphism_perms(_group_table(group)).tolist()
-    ]
+    return list(map(GroupAutomorphism, perms_from_rows(group.r, _automorphism_perms(_group_table(group)))))
 
 
 def _conjugacy_class(tab: _Tables, mats: np.ndarray) -> dict[bytes, np.ndarray]:
@@ -449,7 +447,7 @@ class TauCatalog:
         return len(self.images)
 
     def perm(self, i: int) -> PointPerm:
-        return PointPerm(self.r, tuple(int(x) for x in self.images[i]), induced=True)
+        return PointPerm(self.r, tuple(self.images[i].tolist()), induced=True)
 
     def provenance(self, i: int) -> tuple[int, int]:
         return int(self.group_ids[i]), int(self.aut_ids[i])

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import product
 
@@ -34,7 +37,9 @@ from perfcode.algebra import (
     gl_rows_cached,
     inverse_rows,
     pack_rows,
+    perms_from_rows,
     point_spectra,
+    rows_are_perms,
     spectra_bytes,
     spectrum_keys,
     unpack_codes,
@@ -724,6 +729,87 @@ class TestRowPermutations:
         assert np.array_equal(unpack_codes(codes, 1 << r), rows)
         # a stack of rows packs row by row
         assert np.array_equal(pack_rows(rows[:60].reshape(3, 20, -1)), codes[:60].reshape(3, 20))
+
+
+class TestPermsFromRows:
+    """The batch constructor and its one array check against the one-object
+    constructor and a sort of each row."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_objects_equal_the_one_object_constructor(self, r, rng):
+        for count in (0, 1, 50):
+            rows = random_rows(r, count, rng)
+            for induced in (False, True):
+                perms = perms_from_rows(r, rows, induced=induced)
+                assert type(perms) is list and len(perms) == count
+                for perm, row in zip(perms, rows.tolist()):
+                    one = PointPerm(r, tuple(row), induced=induced)
+                    assert type(perm) is PointPerm and perm == one
+                    assert hash(perm) == hash(one) and repr(perm) == repr(one)
+                    assert perm.induced is induced and perm.r == r
+                    assert type(perm.images) is tuple and all(type(x) is int for x in perm.images)
+
+    @pytest.mark.parametrize("point, image", [(2, None), (0, 8), (0, -1)])
+    def test_a_bad_row_raises_the_one_object_error(self, point, image, rng):
+        # the last of 20 rows repeats the image of point 1, or leaves the range
+        rows = random_rows(3, 20, rng).astype(np.int64)
+        rows[-1, point] = rows[-1, 1] if image is None else image
+        with pytest.raises(ValueError) as one:
+            PointPerm(3, tuple(rows[-1].tolist()))
+        with pytest.raises(ValueError) as batch:
+            perms_from_rows(3, rows)
+        assert str(batch.value) == str(one.value) == "images is not a permutation of [0, 8)"
+
+    @pytest.mark.parametrize("width", [7, 9])
+    def test_a_wrong_row_width_raises_the_one_object_error(self, width, rng):
+        rows = np.array([rng.sample(range(width), width) for _ in range(3)])
+        with pytest.raises(ValueError) as one:
+            PointPerm(3, tuple(rows[0].tolist()))
+        with pytest.raises(ValueError) as batch:
+            perms_from_rows(3, rows)
+        assert str(batch.value) == str(one.value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 63, 64, 65, 128])
+    def test_rows_are_perms_matches_a_sort_of_each_row(self, n, rng):
+        # the scatter has no word size: exact below, at and past 64 images
+        perms = [rng.sample(range(n), n) for _ in range(30)]
+        assert rows_are_perms(np.array(perms).reshape(30, n), n)
+        for _ in range(40):
+            row = rng.choice(perms).copy()
+            row[rng.randrange(n)] = rng.randrange(-1, n + 1)
+            rows = np.array(perms + [row])
+            assert rows_are_perms(rows, n) == (sorted(row) == list(range(n)))
+            assert rows_are_perms(rows.astype(np.int16), n) == rows_are_perms(rows, n)
+        assert not rows_are_perms(np.array(perms)[:, : n - 1], n)
+        assert rows_are_perms(np.zeros((0, n), dtype=np.int8), n)
+        assert not rows_are_perms(np.arange(n), n)  # one row is not a 2-d array of rows
+
+
+class TestPointPermSlots:
+    """PointPerm is a frozen slots dataclass; `induced` is provenance only."""
+
+    def test_frozen_and_no_instance_dict(self):
+        tau = PointPerm(2, (0, 2, 1, 3))
+        for name in ("r", "images", "induced"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tau, name, 1)
+        assert not hasattr(tau, "__dict__")
+
+    def test_induced_takes_no_part_in_equality_or_hash(self):
+        plain, induced = PointPerm(2, (0, 2, 1, 3)), PointPerm(2, (0, 2, 1, 3), induced=True)
+        assert plain == induced and hash(plain) == hash(induced)
+        assert len({plain, induced}) == 1
+        assert PointPerm(2, (0, 1, 2, 3)) != plain
+
+    def test_replace_deepcopy_and_pickle(self):
+        tau = PointPerm(3, (0, 2, 1, 3, 4, 5, 7, 6), induced=True)
+        flipped = dataclasses.replace(tau, induced=False)
+        assert flipped == tau and not flipped.induced
+        with pytest.raises(ValueError, match="not a permutation"):  # replace checks the images again
+            dataclasses.replace(tau, images=(0,) * 8)
+        for copy_of in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            got = copy_of(tau)
+            assert got == tau and got is not tau and got.induced and got.images == tau.images
 
 
 class TestDoubleCoset:

@@ -332,6 +332,25 @@ _FAST_FILE_EDITS = {
 
 
 class TestCatalogFiles:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0, 1, 2, 3, 4, 5, 6, 7], None),
+            ([0, 1, 2, 3, 4, 5, 6, 8], r"^images must lie in \[0, 8\) and fix 0$"),
+            ([1, 0, 2, 3, 4, 5, 6, 7], r"^images must lie in \[0, 8\) and fix 0$"),
+            ([0, 1, 2, 3, 4, 5, 6, 6], r"^a tau repeats an image$"),
+        ],
+    )
+    def test_checked_images(self, row, message):
+        # the last of 300 rows is the one edited; the rows come back as int8
+        rows = np.array([list(range(8))] * 299 + [row], dtype=np.int64)
+        if message is None:
+            got = pio._checked_images(rows, 8)
+            assert got.dtype == np.int8 and np.array_equal(got, rows)
+        else:
+            with pytest.raises(ValueError, match=message):
+                pio._checked_images(rows, 8)
+
     def test_tau_catalog_roundtrip(self, tmp_path, monkeypatch):
         catalog = catalog_taus(3)
         path = tmp_path / "catalog.json"

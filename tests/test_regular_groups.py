@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import functools
 import hashlib
+import pickle
 import random
 import signal
 from collections import Counter
@@ -357,6 +360,29 @@ class TestAutomorphisms:
         assert len(images) == order == gl_order(r)
         assert images == sorted(images)
         assert set(images) == {sigma_m(m).images for m in gl_enumerate(r)}
+
+    def test_objects_are_the_search_rows_in_order(self):
+        # the batch-built objects of the first 165 r=4 groups, two of them
+        # with 20,160 automorphisms, against the rows they come from
+        for group in islice(enumerate_regular_subgroups(4), R4_PREFIX):
+            auts = automorphisms(group)
+            rows = regular_groups._automorphism_perms(regular_groups._group_table(group))
+            assert type(auts) is list and all(type(a) is GroupAutomorphism for a in auts)
+            assert [a.perm.images for a in auts] == list(map(tuple, rows.tolist()))
+            assert all(a.perm.r == 4 and not a.perm.induced for a in auts)
+
+    def test_slots_frozen_equality_and_copies(self):
+        aut = GroupAutomorphism(PointPerm(2, (0, 2, 1, 3), induced=True))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            aut.perm = identity_perm(2)
+        assert not hasattr(aut, "__dict__")
+        # the perm's provenance flag takes no part in equality or the hash
+        plain = GroupAutomorphism(PointPerm(2, (0, 2, 1, 3)))
+        assert aut == plain and hash(aut) == hash(plain)
+        assert dataclasses.replace(aut, perm=identity_perm(2)) == GroupAutomorphism(identity_perm(2))
+        for copy_of in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            got = copy_of(aut)
+            assert got == aut and got.perm is not aut.perm and got.perm.induced
 
     def test_product_preservation_oracle(self):
         rng = random.Random(42)
