@@ -222,8 +222,8 @@ def rows_are_perms(rows: np.ndarray, n: int) -> bool:
 _set_r, _set_images, _set_induced = PointPerm.r.__set__, PointPerm.images.__set__, PointPerm.induced.__set__
 
 
-def perms_from_rows(r: int, rows: np.ndarray, induced: bool = False) -> list[PointPerm]:
-    """`PointPerm(r, tuple(row), induced)` for each row of a (k, 2^r) int array,
+def perms_from_rows(r: int, rows: np.ndarray) -> list[PointPerm]:
+    """`PointPerm(r, tuple(row))` for each row of a (k, 2^r) int array,
     in order, with the one-object constructor's ValueError.  One
     `rows_are_perms` call checks every row, so no object sorts its own images."""
     if not rows_are_perms(rows, n := 1 << r):
@@ -233,7 +233,7 @@ def perms_from_rows(r: int, rows: np.ndarray, induced: bool = False) -> list[Poi
         perm = object.__new__(PointPerm)
         _set_r(perm, r)
         _set_images(perm, tuple(images))
-        _set_induced(perm, induced)
+        _set_induced(perm, False)  # a slot has no default
         perms.append(perm)
     return perms
 

@@ -739,15 +739,14 @@ class TestPermsFromRows:
     def test_objects_equal_the_one_object_constructor(self, r, rng):
         for count in (0, 1, 50):
             rows = random_rows(r, count, rng)
-            for induced in (False, True):
-                perms = perms_from_rows(r, rows, induced=induced)
-                assert type(perms) is list and len(perms) == count
-                for perm, row in zip(perms, rows.tolist()):
-                    one = PointPerm(r, tuple(row), induced=induced)
-                    assert type(perm) is PointPerm and perm == one
-                    assert hash(perm) == hash(one) and repr(perm) == repr(one)
-                    assert perm.induced is induced and perm.r == r
-                    assert type(perm.images) is tuple and all(type(x) is int for x in perm.images)
+            perms = perms_from_rows(r, rows)
+            assert type(perms) is list and len(perms) == count
+            for perm, row in zip(perms, rows.tolist()):
+                one = PointPerm(r, tuple(row))
+                assert type(perm) is PointPerm and perm == one
+                assert hash(perm) == hash(one) and repr(perm) == repr(one)
+                assert perm.induced is False and perm.r == r
+                assert type(perm.images) is tuple and all(type(x) is int for x in perm.images)
 
     @pytest.mark.parametrize("point, image", [(2, None), (0, 8), (0, -1)])
     def test_a_bad_row_raises_the_one_object_error(self, point, image, rng):
